@@ -23,7 +23,7 @@ use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vmp_core::time::SnapshotId;
 
@@ -110,6 +110,28 @@ enum Found {
     Decode(PathBuf),
 }
 
+/// Registry handles resolved at the first spill, once per process, so a
+/// load never takes the registry lock while holding the store's (and a run
+/// that never spills exports no `store.*` names).
+struct StoreMetrics {
+    segments_spilled: vmp_obs::Counter,
+    spill_bytes: vmp_obs::Counter,
+    hot_hits: vmp_obs::Counter,
+    hot_misses: vmp_obs::Counter,
+}
+
+impl StoreMetrics {
+    fn get() -> &'static StoreMetrics {
+        static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| StoreMetrics {
+            segments_spilled: vmp_obs::counter("store.segments_spilled"),
+            spill_bytes: vmp_obs::counter("store.spill_bytes"),
+            hot_hits: vmp_obs::counter("store.hot_hits"),
+            hot_misses: vmp_obs::counter("store.hot_misses"),
+        })
+    }
+}
+
 /// Sealed segments with optional disk spill and an LRU hot cache.
 #[derive(Debug)]
 pub struct SegmentStore {
@@ -141,8 +163,9 @@ impl SegmentStore {
             Some(cfg) => {
                 let path = cfg.dir.join(format!("segment-{idx:05}.vmpseg"));
                 let bytes = spill_segment(&cfg.dir, &path, &seg);
-                vmp_obs::counter("store.segments_spilled").inc();
-                vmp_obs::counter("store.spill_bytes").add(bytes);
+                let metrics = StoreMetrics::get();
+                metrics.segments_spilled.inc();
+                metrics.spill_bytes.add(bytes);
                 Slot::Spilled { path, cached: None }
             }
             None => Slot::Resident(Arc::new(seg)),
@@ -208,12 +231,12 @@ impl SegmentStore {
             Found::Ready(seg) => return seg,
             Found::Hit(seg) => {
                 touch(&mut inner.lru, idx);
-                vmp_obs::counter("store.hot_hits").inc();
+                StoreMetrics::get().hot_hits.inc();
                 return seg;
             }
             Found::Decode(path) => path,
         };
-        vmp_obs::counter("store.hot_misses").inc();
+        StoreMetrics::get().hot_misses.inc();
         drop(inner);
         // Decode outside the lock so concurrent queries over different
         // segments overlap their I/O.

@@ -96,8 +96,8 @@ pub struct IngestPipeline {
     /// every row.
     build_codes: BTreeMap<vmp_core::sdk::PlayerBuild, u32>,
     misses: u64,
-    ingest_span: Option<vmp_obs::Span>,
-    columns_span: Option<vmp_obs::Span>,
+    ingest_span: Option<vmp_obs::Span<'static>>,
+    columns_span: Option<vmp_obs::Span<'static>>,
 }
 
 impl IngestPipeline {

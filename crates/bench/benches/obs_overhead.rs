@@ -6,6 +6,8 @@
 //! `cargo bench --bench obs_overhead`; representative numbers live in
 //! CHANGES.md and the README "Observability" section.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vmp_obs::MetricsRegistry;
 
@@ -90,5 +92,74 @@ fn bench_registry(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(obs_overhead, bench_counters, bench_histograms, bench_spans, bench_registry);
+/// Runs `measure` while a second thread calls `hammer` in a tight loop.
+fn while_hammered(hammer: impl Fn() + Sync, measure: impl FnOnce()) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                hammer();
+            }
+        });
+        measure();
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// The enabled arms above, re-measured while another thread records into
+/// the same instrument. Striping gives each thread its own cache lines, so
+/// the counter and histogram arms should sit within 3x of their uncontended
+/// twins (`obs/counter/inc_enabled`, `obs/histogram/record_enabled`); an
+/// event push still shares the sequence allocator, so it gets 5x of
+/// `obs/registry/event_record`. CI gates these ratios.
+fn bench_contended(c: &mut Criterion) {
+    let mut group = c.benchmark_group("obs/contended");
+    group.sample_size(30);
+    let reg = MetricsRegistry::new();
+
+    let counter = reg.counter("bench.contended");
+    while_hammered(
+        || counter.inc(),
+        || {
+            group.bench_function("counter_inc", |b| b.iter(|| black_box(&counter).inc()));
+        },
+    );
+
+    let hist = reg.histogram("bench.contended");
+    while_hammered(
+        || hist.record(black_box(977)),
+        || {
+            group.bench_function("histogram_record", |b| {
+                let mut v = 0u64;
+                b.iter(|| {
+                    v = v.wrapping_add(977) % 1_000_000;
+                    black_box(&hist).record(black_box(v));
+                })
+            });
+        },
+    );
+
+    while_hammered(
+        || reg.record_event(vmp_obs::EventKind::Other, String::new()),
+        || {
+            group.bench_function("event_push", |b| {
+                let mut i = 0u64;
+                b.iter(|| {
+                    i += 1;
+                    reg.record_event(vmp_obs::EventKind::Other, format!("e{i}"));
+                })
+            });
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(
+    obs_overhead,
+    bench_counters,
+    bench_histograms,
+    bench_spans,
+    bench_registry,
+    bench_contended
+);
 criterion_main!(obs_overhead);

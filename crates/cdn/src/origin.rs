@@ -11,6 +11,7 @@
 //! reproducing Fig 18.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use vmp_core::cdn::CdnName;
 use vmp_core::ids::{PublisherId, VideoId};
 use vmp_core::units::{Bytes, Kbps};
@@ -37,6 +38,23 @@ pub struct OriginEntry {
     pub bitrate: Kbps,
     /// Stored bytes (chunks + container overhead).
     pub bytes: Bytes,
+}
+
+/// Push counters, resolved once per process ([`OriginStore`] is a plain
+/// comparable value, so the handles live beside it, not in it).
+struct OriginMetrics {
+    pushes: vmp_obs::Counter,
+    bytes_pushed: vmp_obs::Counter,
+}
+
+impl OriginMetrics {
+    fn get() -> &'static OriginMetrics {
+        static METRICS: OnceLock<OriginMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| OriginMetrics {
+            pushes: vmp_obs::counter("cdn.origin_pushes"),
+            bytes_pushed: vmp_obs::counter("cdn.origin_bytes_pushed"),
+        })
+    }
 }
 
 /// The origin storage ledger of a single CDN.
@@ -75,8 +93,9 @@ impl OriginStore {
 
     /// Registers a pushed encoding.
     pub fn push(&mut self, entry: OriginEntry) {
-        vmp_obs::counter("cdn.origin_pushes").inc();
-        vmp_obs::counter("cdn.origin_bytes_pushed").add(entry.bytes.0);
+        let metrics = OriginMetrics::get();
+        metrics.pushes.inc();
+        metrics.bytes_pushed.add(entry.bytes.0);
         self.entries.push(entry);
     }
 

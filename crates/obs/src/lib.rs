@@ -19,10 +19,13 @@
 //! - [`RegistrySnapshot`]: point-in-time export, JSON via `serde_json`
 //!   or Prometheus exposition text.
 //!
-//! Handles are cheap clones around `Arc<Atomic*>` and are meant to be
-//! looked up once and cached in hot-path structs. Every handle carries the
-//! registry's shared enabled flag, so a disabled counter increment is one
-//! relaxed load plus a branch (see `crates/bench/benches/obs_overhead.rs`).
+//! Handles are cheap clones around `Arc`'d atomics and are meant to be
+//! looked up once and cached in hot-path structs. Counters, histograms and
+//! the event ring are striped per thread slot, so a recording is one
+//! uncontended relaxed RMW however many shards record at once. Every handle
+//! carries the registry's shared enabled flag, so a disabled counter
+//! increment is one relaxed load plus a branch (see
+//! `crates/bench/benches/obs_overhead.rs`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -91,6 +94,12 @@ pub fn histogram(name: &str) -> Histogram {
 /// Convenience: records a structured event into the global registry's sink.
 pub fn event(kind: EventKind, detail: impl Into<String>) {
     global().record_event(kind, detail);
+}
+
+/// Like [`event`], but builds the detail string only when the global
+/// registry is enabled — use it wherever the detail is a `format!`.
+pub fn event_with(kind: EventKind, detail: impl FnOnce() -> String) {
+    global().record_event_with(kind, detail);
 }
 
 /// Convenience: a point-in-time snapshot of the global registry.

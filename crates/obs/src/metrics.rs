@@ -1,13 +1,36 @@
 //! Named atomic metrics: counters, gauges, and fixed-bucket histograms.
+//!
+//! Counters and histograms are *striped*: each instrument is a fixed array
+//! of cache-line-aligned cells, a recording thread writes only the cell at
+//! its own thread-local slot, and reads sum the cells (max for `max`). Two
+//! shards bumping the same counter therefore never write the same line.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::events::{Event, EventKind, RingBufferSink};
 use crate::export::{HistogramSnapshot, RegistrySnapshot};
+
+/// Cells per striped instrument (and rings per event sink). Threads beyond
+/// this many share cells, which stays exact — every write is an atomic
+/// RMW — and only costs the contention striping otherwise removes.
+pub(crate) const STRIPES: usize = 8;
+
+/// Hands out stripe slots round-robin, one per thread on first use.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// The calling thread's stripe slot, in `0..STRIPES`.
+#[inline]
+pub(crate) fn stripe_slot() -> usize {
+    STRIPE.with(|slot| *slot)
+}
 
 /// Number of histogram buckets: a 1-2-5 log series spanning 1 .. 5e11,
 /// plus an implicit overflow bucket tracked by `HISTOGRAM_BUCKETS`'s end.
@@ -22,7 +45,43 @@ pub(crate) fn bucket_bound(index: usize) -> u64 {
     [1u64, 2, 5][step] * 10u64.pow(decade as u32)
 }
 
-struct HistogramInner {
+/// [`bucket_bound`] for every bucket, built at compile time so `record`
+/// finds its bucket without a `pow` per probe.
+const BUCKET_BOUNDS: [u64; HISTOGRAM_BUCKETS] = {
+    let mut bounds = [0u64; HISTOGRAM_BUCKETS];
+    let mut decade = 1u64;
+    let mut i = 0;
+    while i < HISTOGRAM_BUCKETS {
+        bounds[i] = decade;
+        bounds[i + 1] = 2 * decade;
+        bounds[i + 2] = 5 * decade;
+        decade *= 10;
+        i += 3;
+    }
+    bounds
+};
+
+/// Index of the first bucket whose bound is `>= value`, or `None` for the
+/// overflow bucket.
+#[inline]
+fn bucket_index(value: u64) -> Option<usize> {
+    let i = BUCKET_BOUNDS.partition_point(|&bound| bound < value);
+    (i < HISTOGRAM_BUCKETS).then_some(i)
+}
+
+/// One thread-slot's share of a counter, alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct CounterStripe {
+    value: AtomicU64,
+}
+
+type CounterCells = [CounterStripe; STRIPES];
+
+/// One thread-slot's share of a histogram (five cache lines, none shared
+/// with another slot).
+#[repr(align(64))]
+struct HistogramStripe {
     counts: [AtomicU64; HISTOGRAM_BUCKETS],
     overflow: AtomicU64,
     sum: AtomicU64,
@@ -30,9 +89,9 @@ struct HistogramInner {
     max: AtomicU64,
 }
 
-impl HistogramInner {
-    fn new() -> HistogramInner {
-        HistogramInner {
+impl Default for HistogramStripe {
+    fn default() -> HistogramStripe {
+        HistogramStripe {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             overflow: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -42,14 +101,35 @@ impl HistogramInner {
     }
 }
 
+type HistogramCells = [HistogramStripe; STRIPES];
+
+/// Sums one per-stripe cell across stripes, wrapping exactly as a single
+/// `fetch_add` cell would.
+fn stripe_total<S>(cells: &[S; STRIPES], cell: impl Fn(&S) -> &AtomicU64) -> u64 {
+    cells.iter().fold(0u64, |total, s| total.wrapping_add(cell(s).load(Ordering::Relaxed)))
+}
+
+fn histogram_snapshot(cells: &HistogramCells) -> HistogramSnapshot {
+    let counts = (0..HISTOGRAM_BUCKETS).map(|i| stripe_total(cells, |s| &s.counts[i])).collect();
+    let max = cells.iter().map(|s| s.max.load(Ordering::Relaxed)).max().unwrap_or(0);
+    HistogramSnapshot::from_raw(
+        counts,
+        stripe_total(cells, |s| &s.overflow),
+        stripe_total(cells, |s| &s.sum),
+        stripe_total(cells, |s| &s.count),
+        max,
+    )
+}
+
 /// A monotonically increasing named counter.
 ///
 /// Cheap to clone; cache one per hot path rather than re-looking it up by
-/// name. When the owning registry is disabled, `inc`/`add` are a relaxed
-/// load and a branch.
+/// name. `inc`/`add` are one relaxed RMW on the calling thread's stripe;
+/// when the owning registry is disabled they are a relaxed load and a
+/// branch.
 #[derive(Clone)]
 pub struct Counter {
-    value: Arc<AtomicU64>,
+    cells: Arc<CounterCells>,
     enabled: Arc<AtomicBool>,
 }
 
@@ -64,13 +144,13 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
+            self.cells[stripe_slot()].value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Current value.
+    /// Current value (the sum over stripes).
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        stripe_total(&self.cells, |s| &s.value)
     }
 }
 
@@ -120,12 +200,13 @@ impl std::fmt::Debug for Gauge {
 ///
 /// Buckets follow a 1-2-5 log series from 1 to 5e11 with an overflow
 /// bucket above, so one shape serves nanosecond latencies and byte sizes
-/// alike. Recording is wait-free (three relaxed `fetch_add`s plus a CAS
-/// loop for the max); quantiles are estimated at snapshot time by linear
-/// interpolation inside the containing bucket.
+/// alike. Recording is wait-free (three relaxed `fetch_add`s plus a
+/// `fetch_max`, all on the calling thread's stripe); quantiles are
+/// estimated at snapshot time by linear interpolation inside the
+/// containing bucket.
 #[derive(Clone)]
 pub struct Histogram {
-    inner: Arc<HistogramInner>,
+    cells: Arc<HistogramCells>,
     enabled: Arc<AtomicBool>,
 }
 
@@ -135,13 +216,14 @@ impl Histogram {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        match (0..HISTOGRAM_BUCKETS).find(|&i| value <= bucket_bound(i)) {
-            Some(i) => self.inner.counts[i].fetch_add(1, Ordering::Relaxed),
-            None => self.inner.overflow.fetch_add(1, Ordering::Relaxed),
+        let stripe = &self.cells[stripe_slot()];
+        match bucket_index(value) {
+            Some(i) => stripe.counts[i].fetch_add(1, Ordering::Relaxed),
+            None => stripe.overflow.fetch_add(1, Ordering::Relaxed),
         };
-        self.inner.sum.fetch_add(value, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.max.fetch_max(value, Ordering::Relaxed);
+        stripe.sum.fetch_add(value, Ordering::Relaxed);
+        stripe.count.fetch_add(1, Ordering::Relaxed);
+        stripe.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Records a duration as nanoseconds (the convention spans use).
@@ -157,29 +239,17 @@ impl Histogram {
 
     /// Total number of observations.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        stripe_total(&self.cells, |s| &s.count)
     }
 
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        stripe_total(&self.cells, |s| &s.sum)
     }
 
     /// Point-in-time copy of the full distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        HistogramSnapshot::from_raw(
-            counts,
-            self.inner.overflow.load(Ordering::Relaxed),
-            self.inner.sum.load(Ordering::Relaxed),
-            self.inner.count.load(Ordering::Relaxed),
-            self.inner.max.load(Ordering::Relaxed),
-        )
+        histogram_snapshot(&self.cells)
     }
 }
 
@@ -192,17 +262,27 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
+/// The cell registered under `name`, created on first use. A hit neither
+/// allocates nor copies the name.
+fn resolve<T: Default>(table: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut table = table.lock();
+    match table.get(name) {
+        Some(cell) => cell.clone(),
+        None => table.entry(name.to_string()).or_default().clone(),
+    }
+}
+
 /// A registry of named metrics plus a bounded event sink.
 ///
 /// Lookup (`counter`/`gauge`/`histogram`) takes a short mutex on the name
-/// table and hands back a clonable handle bound to the underlying atomic;
+/// table and hands back a clonable handle bound to the underlying atomics;
 /// all recording after that is lock-free. The shared enabled flag turns
 /// every handle into a near-no-op when cleared.
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    counters: Mutex<BTreeMap<String, Arc<CounterCells>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramInner>>>,
+    histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
     events: RingBufferSink,
 }
 
@@ -251,39 +331,31 @@ impl MetricsRegistry {
 
     /// Handle to the counter `name`, creating it at zero if new.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut table = self.counters.lock();
-        let value = table
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Counter { value, enabled: self.enabled.clone() }
+        Counter { cells: resolve(&self.counters, name), enabled: self.enabled.clone() }
     }
 
     /// Handle to the gauge `name`, creating it at zero if new.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut table = self.gauges.lock();
-        let value = table
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)))
-            .clone();
-        Gauge { value, enabled: self.enabled.clone() }
+        Gauge { value: resolve(&self.gauges, name), enabled: self.enabled.clone() }
     }
 
     /// Handle to the histogram `name`, creating it empty if new.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut table = self.histograms.lock();
-        let inner = table
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramInner::new()))
-            .clone();
-        Histogram { inner, enabled: self.enabled.clone() }
+        Histogram { cells: resolve(&self.histograms, name), enabled: self.enabled.clone() }
     }
 
     /// Records a structured event into the bounded ring (dropped when the
     /// registry is disabled).
     pub fn record_event(&self, kind: EventKind, detail: impl Into<String>) {
+        self.record_event_with(kind, || detail.into());
+    }
+
+    /// Like [`MetricsRegistry::record_event`], but builds the detail only
+    /// when the registry is enabled, so a disabled registry allocates
+    /// nothing for it.
+    pub fn record_event_with(&self, kind: EventKind, detail: impl FnOnce() -> String) {
         if self.enabled.load(Ordering::Relaxed) {
-            self.events.push(kind, detail.into());
+            self.events.push(kind, detail());
         }
     }
 
@@ -307,7 +379,7 @@ impl MetricsRegistry {
             .counters
             .lock()
             .iter()
-            .map(|(name, v)| (name.clone(), v.load(Ordering::Relaxed)))
+            .map(|(name, cells)| (name.clone(), stripe_total(cells, |s| &s.value)))
             .collect();
         counters.insert("obs.events_dropped".to_string(), self.events.dropped());
         let gauges = self
@@ -320,20 +392,7 @@ impl MetricsRegistry {
             .histograms
             .lock()
             .iter()
-            .map(|(name, inner)| {
-                let counts: Vec<u64> =
-                    inner.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-                (
-                    name.clone(),
-                    HistogramSnapshot::from_raw(
-                        counts,
-                        inner.overflow.load(Ordering::Relaxed),
-                        inner.sum.load(Ordering::Relaxed),
-                        inner.count.load(Ordering::Relaxed),
-                        inner.max.load(Ordering::Relaxed),
-                    ),
-                )
-            })
+            .map(|(name, cells)| (name.clone(), histogram_snapshot(cells)))
             .collect();
         RegistrySnapshot {
             counters,
@@ -357,6 +416,69 @@ mod tests {
         assert_eq!(bucket_bound(3), 10);
         assert_eq!(bucket_bound(4), 20);
         assert_eq!(bucket_bound(HISTOGRAM_BUCKETS - 1), 500_000_000_000);
+    }
+
+    #[test]
+    fn bucket_table_matches_bucket_bound_and_the_linear_scan() {
+        for (i, &bound) in BUCKET_BOUNDS.iter().enumerate() {
+            assert_eq!(bound, bucket_bound(i), "bucket {i}");
+        }
+        let scan = |value: u64| (0..HISTOGRAM_BUCKETS).find(|&i| value <= bucket_bound(i));
+        let mut probes = vec![0, u64::MAX];
+        for &bound in &BUCKET_BOUNDS {
+            probes.extend([bound, bound + 1]);
+        }
+        for value in probes {
+            assert_eq!(bucket_index(value), scan(value), "value {value}");
+        }
+        assert_eq!(bucket_index(u64::MAX), None);
+    }
+
+    #[test]
+    fn concurrent_recording_is_exact_across_stripes() {
+        const OWN_VALUES: [u64; 4] = [1, 10, 100, 1000];
+        const THREADS: u64 = OWN_VALUES.len() as u64;
+        const PER_THREAD: u64 = 100_000;
+        let reg = MetricsRegistry::new();
+        let counter = reg.counter("hits");
+        let histogram = reg.histogram("lat");
+        let start = std::sync::Barrier::new(OWN_VALUES.len());
+        std::thread::scope(|scope| {
+            for own in OWN_VALUES {
+                let (counter, histogram, start) = (&counter, &histogram, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        counter.inc();
+                        counter.add(2);
+                        // Half into a bucket only this thread hits, half
+                        // into one every thread hits.
+                        histogram.record(if i % 2 == 0 { own } else { 7 });
+                    }
+                });
+            }
+        });
+        let n = THREADS * PER_THREAD;
+        assert_eq!(counter.get(), 3 * n);
+        assert_eq!(histogram.count(), n);
+        let expected_sum = (PER_THREAD / 2) * OWN_VALUES.iter().sum::<u64>() + (n / 2) * 7;
+        assert_eq!(histogram.sum(), expected_sum);
+        let snap = histogram.snapshot();
+        assert_eq!(snap.max, 1000);
+        assert_eq!((snap.count, snap.sum), (n, expected_sum));
+        let bucket = |bound: u64| {
+            snap.buckets.iter().find(|(b, _)| *b == bound).map(|(_, c)| *c)
+        };
+        // 7 lands in the (5, 10] bucket together with the second thread's 10s.
+        assert_eq!(bucket(1), Some(PER_THREAD / 2));
+        assert_eq!(bucket(10), Some(PER_THREAD / 2 + n / 2));
+        assert_eq!(bucket(100), Some(PER_THREAD / 2));
+        assert_eq!(bucket(1000), Some(PER_THREAD / 2));
+        assert_eq!(snap.buckets.iter().map(|(_, c)| *c).sum::<u64>(), n);
+        // The registry-wide snapshot reads the same cells as the handles.
+        let all = reg.snapshot();
+        assert_eq!(all.counters["hits"], counter.get());
+        assert_eq!(all.histograms["lat"], snap);
     }
 
     #[test]

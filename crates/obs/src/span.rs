@@ -1,5 +1,6 @@
 //! RAII stage timers with a thread-local nesting stack.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -44,14 +45,18 @@ impl Stopwatch {
 /// nanoseconds into the named histogram of the registry it was opened
 /// against. Spans nest: the thread-local stack tracks enclosing stage
 /// names, exposed via [`Span::path`] and [`current_path`].
-pub struct Span {
+///
+/// A span opened by name owns its histogram handle (`Span<'static>`); one
+/// opened through a [`SpanHandle`] borrows the handle's, so entering it
+/// touches no reference count.
+pub struct Span<'a> {
     name: &'static str,
     start: Option<Instant>,
-    histogram: Histogram,
+    histogram: Cow<'a, Histogram>,
     depth: usize,
 }
 
-impl std::fmt::Debug for Span {
+impl std::fmt::Debug for Span<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Span")
             .field("name", &self.name)
@@ -61,7 +66,7 @@ impl std::fmt::Debug for Span {
 }
 
 /// Opens a span on the global registry (see [`span_in`]).
-pub fn span(name: &'static str) -> Span {
+pub fn span(name: &'static str) -> Span<'static> {
     span_in(crate::global(), name)
 }
 
@@ -71,12 +76,12 @@ pub fn span(name: &'static str) -> Span {
 /// drop is a near-no-op — unless tracing ([`crate::set_tracing`]) is on, in
 /// which case the clock is read so the slice can land on the trace
 /// timeline.
-pub fn span_in(registry: &crate::MetricsRegistry, name: &'static str) -> Span {
-    open_span(registry.histogram(name), registry.is_enabled(), name)
+pub fn span_in(registry: &crate::MetricsRegistry, name: &'static str) -> Span<'static> {
+    open_span(Cow::Owned(registry.histogram(name)), name)
 }
 
-fn open_span(histogram: Histogram, recording: bool, name: &'static str) -> Span {
-    let start = (recording
+fn open_span<'a>(histogram: Cow<'a, Histogram>, name: &'static str) -> Span<'a> {
+    let start = (histogram.is_enabled()
         || crate::trace::tracing_enabled()
         || crate::profile::profiling_enabled())
     .then(Instant::now);
@@ -108,9 +113,10 @@ impl SpanHandle {
         SpanHandle { name, histogram: registry.histogram(name) }
     }
 
-    /// Opens a span without touching the registry lock.
-    pub fn enter(&self) -> Span {
-        open_span(self.histogram.clone(), self.histogram.is_enabled(), self.name)
+    /// Opens a span without touching the registry lock or the handle's
+    /// reference counts.
+    pub fn enter(&self) -> Span<'_> {
+        open_span(Cow::Borrowed(&self.histogram), self.name)
     }
 }
 
@@ -119,7 +125,7 @@ pub fn current_path() -> String {
     SPAN_STACK.with(|stack| stack.borrow().join("/"))
 }
 
-impl Span {
+impl Span<'_> {
     /// This span's stage name.
     pub fn name(&self) -> &'static str {
         self.name
@@ -136,7 +142,7 @@ impl Span {
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
         let elapsed = self.start.map(|s| s.elapsed());
         if let Some(elapsed) = elapsed {

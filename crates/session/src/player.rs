@@ -12,6 +12,8 @@
 //! disabled) a fault-free session consumes exactly the same RNG stream as
 //! before this machinery existed.
 
+use std::sync::OnceLock;
+
 use crate::live::LiveWindow;
 use vmp_abr::algorithm::{AbrAlgorithm, AbrState};
 use vmp_abr::network::NetworkModel;
@@ -293,7 +295,8 @@ pub struct SessionOutcome {
 }
 
 /// Cached handles into the global metrics registry, resolved once per
-/// player so the per-chunk hot loop never takes the registry lock.
+/// process so neither building a player nor its per-chunk hot loop takes
+/// the registry lock.
 struct SessionMetrics {
     play_span: vmp_obs::SpanHandle,
     sessions: vmp_obs::Counter,
@@ -310,8 +313,9 @@ struct SessionMetrics {
 }
 
 impl SessionMetrics {
-    fn new() -> SessionMetrics {
-        SessionMetrics {
+    fn get() -> &'static SessionMetrics {
+        static METRICS: OnceLock<SessionMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| SessionMetrics {
             play_span: vmp_obs::SpanHandle::new("session.play"),
             sessions: vmp_obs::counter("session.sessions"),
             chunks_fetched: vmp_obs::counter("session.chunks_fetched"),
@@ -324,7 +328,7 @@ impl SessionMetrics {
             timeouts: vmp_obs::counter("session.timeouts"),
             manifest_retries: vmp_obs::counter("session.manifest_retries"),
             fatal_exits: vmp_obs::counter("session.fatal_exits"),
-        }
+        })
     }
 }
 
@@ -353,7 +357,7 @@ pub struct Player<'a> {
     config: PlaybackConfig,
     network: NetworkModel,
     abr: &'a dyn AbrAlgorithm,
-    metrics: SessionMetrics,
+    metrics: &'static SessionMetrics,
 }
 
 impl std::fmt::Debug for Player<'_> {
@@ -373,7 +377,7 @@ impl<'a> Player<'a> {
         abr: &'a dyn AbrAlgorithm,
     ) -> Result<Player<'a>, String> {
         config.validate()?;
-        Ok(Player { config, network, abr, metrics: SessionMetrics::new() })
+        Ok(Player { config, network, abr, metrics: SessionMetrics::get() })
     }
 
     /// Plays a single-CDN session with ideal (always-hit) edges.
@@ -495,9 +499,9 @@ impl<'a> Player<'a> {
                             }
                             cdn_switches += 1;
                             self.metrics.cdn_switches.inc();
-                            vmp_obs::event(
+                            vmp_obs::event_with(
                                 vmp_obs::EventKind::CdnSwitch,
-                                format!("manifest: failover to {next:?} after fetch failures"),
+                                || format!("manifest: failover to {next:?} after fetch failures"),
                             );
                             trace_emit(TraceEventKind::CdnSwitch, clock, next, 0, 0.0);
                             attempt = 0;
@@ -508,9 +512,9 @@ impl<'a> Player<'a> {
                 if !switched {
                     exit = ExitCause::FatalCdnFailure;
                     self.metrics.fatal_exits.inc();
-                    vmp_obs::event(
+                    vmp_obs::event_with(
                         vmp_obs::EventKind::SessionFatal,
-                        format!("manifest unavailable on {cdn:?}, no failover left"),
+                        || format!("manifest unavailable on {cdn:?}, no failover left"),
                     );
                     trace_emit(TraceEventKind::Fatal, clock, cdn, 4, 0.0);
                     break;
@@ -533,9 +537,9 @@ impl<'a> Player<'a> {
                         }
                         cdn_switches += 1;
                         self.metrics.cdn_switches.inc();
-                        vmp_obs::event(
+                        vmp_obs::event_with(
                             vmp_obs::EventKind::CdnSwitch,
-                            format!("chunk {chunk_index}: failover to {next:?}"),
+                            || format!("chunk {chunk_index}: failover to {next:?}"),
                         );
                         trace_emit(TraceEventKind::CdnSwitch, clock, next, 0, 0.0);
                         predictor.reset();
@@ -651,9 +655,9 @@ impl<'a> Player<'a> {
                             }
                             cdn_switches += 1;
                             self.metrics.cdn_switches.inc();
-                            vmp_obs::event(
+                            vmp_obs::event_with(
                                 vmp_obs::EventKind::CdnSwitch,
-                                format!(
+                                || format!(
                                     "chunk {chunk_index}: failover to {next:?} after {}",
                                     failure.label()
                                 ),
@@ -677,9 +681,9 @@ impl<'a> Player<'a> {
                     // failing still counts against QoE.
                     exit = ExitCause::FatalCdnFailure;
                     self.metrics.fatal_exits.inc();
-                    vmp_obs::event(
+                    vmp_obs::event_with(
                         vmp_obs::EventKind::SessionFatal,
-                        format!("chunk {chunk_index}: {} with no failover left", e.label()),
+                        || format!("chunk {chunk_index}: {} with no failover left", e.label()),
                     );
                     trace_emit(TraceEventKind::Fatal, clock, cdn, e.trace_code(), 0.0);
                     if started {
@@ -721,13 +725,13 @@ impl<'a> Player<'a> {
                     rebuffer += Seconds(-after_drain);
                     buffer = Seconds::ZERO;
                     self.metrics.rebuffer_events.inc();
-                    vmp_obs::event(
+                    vmp_obs::event_with(
                         vmp_obs::EventKind::RebufferStart,
-                        format!("chunk {chunk_index}: buffer empty on {cdn:?}"),
+                        || format!("chunk {chunk_index}: buffer empty on {cdn:?}"),
                     );
-                    vmp_obs::event(
+                    vmp_obs::event_with(
                         vmp_obs::EventKind::RebufferStop,
-                        format!("chunk {chunk_index}: stalled {:.3}s", -after_drain),
+                        || format!("chunk {chunk_index}: stalled {:.3}s", -after_drain),
                     );
                     session_trace::emit(
                         TraceEventKind::Rebuffer,
