@@ -1,8 +1,8 @@
 //! Segmented columnar storage and the shared group-by kernel.
 //!
-//! The row store ([`crate::store::ViewStore`]) keeps every ingested
-//! [`SampledView`] for compatibility iteration, but all §4–§6 aggregations
-//! run over the *columns* built here at ingest: one [`Segment`] per
+//! Ingest ([`crate::store::IngestPipeline`]) reads each [`SampledView`]
+//! once and keeps only the *columns* built here, which every §4–§6
+//! aggregation runs over: one [`Segment`] per
 //! snapshot, holding dense per-row arrays of dictionary codes (enum
 //! dimensions as small integers, players interned into a string
 //! dictionary, CDN sets as a 36-bit mask) plus the two `f64` measures
@@ -59,12 +59,12 @@ pub const NO_OWNER: u32 = u32::MAX;
 // Segments.
 // ---------------------------------------------------------------------------
 
-/// One snapshot's views in columnar form. Rows appear in ingest order (the
-/// row store's order), so scans reproduce the reference iteration exactly.
+/// One snapshot's views in columnar form. Rows appear in ingest order, so
+/// scans reproduce the reference's iteration over the same views exactly.
 #[derive(Debug)]
 pub struct Segment {
     snapshot: SnapshotId,
-    /// Row range in the backing row store.
+    /// Logical row range in the whole ingest stream.
     rows: Range<usize>,
     publisher: Vec<u32>,
     device: Vec<u8>,
@@ -160,7 +160,8 @@ impl Segment {
         self.publisher.is_empty()
     }
 
-    /// Row range in the backing row store.
+    /// Logical row range in the whole ingest stream (there is no backing
+    /// row store; the range only orders segments and sizes them).
     pub fn rows(&self) -> Range<usize> {
         self.rows.clone()
     }

@@ -20,10 +20,10 @@
 //! Modules: [`store`] (ingest, segment build, zero-copy masked views),
 //! [`columns`] (segments, publisher masks, the group-by/rollup kernel and
 //! its snapshot-parallel drivers), [`query`] (row-oriented reference
-//! aggregations), [`perpub`] (counts-per-publisher distributions, view-hour
-//! bucketing, weighted averages over time), [`complexity`] (§5 metrics and
-//! log-log fits), [`report`] (plain-text table/series rendering used by the
-//! `repro` binary and EXPERIMENTS.md).
+//! aggregations over caller-owned views), [`perpub`] (counts-per-publisher
+//! distributions, view-hour bucketing, weighted averages over time),
+//! [`complexity`] (§5 metrics and log-log fits), [`report`] (plain-text
+//! table/series rendering used by the `repro` binary and EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -40,7 +40,7 @@ pub mod store;
 pub use columns::{DimColumn, DimSpec, PublisherMask, Segment, SegmentSource, ShareMetric};
 pub use complexity::{complexity_fit, ComplexityMeasure, ComplexityPoint};
 pub use perpub::{count_histogram, counts_by_size_bucket, counts_per_publisher, CountsOverTime};
-pub use query::{publisher_share_by, vh_share_by, views_share_by};
+pub use query::{publisher_share_by, vh_share_by, views_share_by, ViewRef};
 pub use report::{Series, Table};
 pub use segstore::{SegmentMeta, SegmentStore, SpillConfig};
-pub use store::{IngestOptions, IngestPipeline, MaskedStore, ViewRef, ViewStore};
+pub use store::{IngestOptions, IngestPipeline, MaskedStore, ViewStore};

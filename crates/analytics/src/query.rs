@@ -16,6 +16,9 @@
 //! figures run on the columnar kernel in [`crate::columns`], and the
 //! equivalence property tests assert the two agree bit for bit on every
 //! dimension, masked or not. Keep both sides in sync when semantics change.
+//! The store keeps no rows, so the reference iterates views its caller
+//! owns, each wrapped in a [`ViewRef`] that classifies the manifest URL
+//! with the classifier ingest uses.
 
 use std::collections::{BTreeMap, BTreeSet};
 use vmp_core::cdn::CdnName;
@@ -23,8 +26,35 @@ use vmp_core::device::DeviceModel;
 use vmp_core::ids::PublisherId;
 use vmp_core::platform::{BrowserTech, Platform};
 use vmp_core::protocol::StreamingProtocol;
+use vmp_core::view::SampledView;
 
-use crate::store::ViewRef;
+/// A view with its ingest-time derived dimensions.
+#[derive(Debug, Clone, Copy)]
+pub struct ViewRef<'a> {
+    /// The underlying weighted sample.
+    pub view: &'a SampledView,
+    /// Protocol inferred from the manifest URL (Table 1); `None` when the
+    /// URL is unclassifiable.
+    pub protocol: Option<StreamingProtocol>,
+}
+
+impl<'a> ViewRef<'a> {
+    /// Derives the view's dimensions exactly as ingest does: the protocol
+    /// comes from [`vmp_manifest::classify`] on the manifest URL.
+    pub fn new(view: &'a SampledView) -> ViewRef<'a> {
+        ViewRef { view, protocol: vmp_manifest::classify(&view.record.manifest_url) }
+    }
+
+    /// Weighted view-hours of this sample.
+    pub fn hours(&self) -> f64 {
+        self.view.weighted_hours()
+    }
+
+    /// Weighted view count of this sample.
+    pub fn count(&self) -> f64 {
+        self.view.weight
+    }
+}
 
 /// Percentage (0–100) of total view-hours per dimension value.
 pub fn vh_share_by<'a, V: Ord + Clone>(
@@ -202,23 +232,27 @@ pub fn browser_tech_dim(v: &ViewRef<'_>) -> Vec<BrowserTech> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{tests::test_view, ViewStore};
+    use crate::store::tests::test_view;
 
-    fn store() -> ViewStore {
-        ViewStore::ingest(vec![
+    fn refs(views: &[SampledView]) -> impl Iterator<Item = ViewRef<'_>> + Clone {
+        views.iter().map(ViewRef::new)
+    }
+
+    fn views() -> Vec<SampledView> {
+        vec![
             // Publisher 0: HLS-heavy, one DASH view.
             test_view(0, 0, "https://h/p/a.m3u8", 2.0, 1.0),
             test_view(0, 0, "https://h/p/b.m3u8", 2.0, 1.0),
             test_view(0, 0, "https://h/p/c.mpd", 1.0, 1.0),
             // Publisher 1: DASH only, high weight.
             test_view(0, 1, "https://h/p/d.mpd", 1.0, 5.0),
-        ])
+        ]
     }
 
     #[test]
     fn vh_share_sums_to_100() {
-        let s = store();
-        let shares = vh_share_by(s.all(), protocol_dim);
+        let s = views();
+        let shares = vh_share_by(refs(&s), protocol_dim);
         let total: f64 = shares.values().sum();
         assert!((total - 100.0).abs() < 1e-9);
         // HLS hours: 4; DASH hours: 1 + 5 = 6.
@@ -228,8 +262,8 @@ mod tests {
 
     #[test]
     fn views_share_uses_weights_not_hours() {
-        let s = store();
-        let shares = views_share_by(s.all(), protocol_dim);
+        let s = views();
+        let shares = views_share_by(refs(&s), protocol_dim);
         // Views: HLS 2, DASH 1 + 5 = 6; total 8.
         assert!((shares[&StreamingProtocol::Hls] - 25.0).abs() < 1e-9);
         assert!((shares[&StreamingProtocol::Dash] - 75.0).abs() < 1e-9);
@@ -237,8 +271,8 @@ mod tests {
 
     #[test]
     fn publisher_share_counts_publishers_not_traffic() {
-        let s = store();
-        let shares = publisher_share_by(s.all(), protocol_dim, 0.01);
+        let s = views();
+        let shares = publisher_share_by(refs(&s), protocol_dim, 0.01);
         // Both publishers serve DASH; only publisher 0 serves HLS.
         assert!((shares[&StreamingProtocol::Dash] - 100.0).abs() < 1e-9);
         assert!((shares[&StreamingProtocol::Hls] - 50.0).abs() < 1e-9);
@@ -246,9 +280,9 @@ mod tests {
 
     #[test]
     fn min_traffic_share_filters_noise() {
-        let s = store();
+        let s = views();
         // Publisher 0's DASH share is 1/5 = 20%; a 30% floor drops it.
-        let shares = publisher_share_by(s.all(), protocol_dim, 0.30);
+        let shares = publisher_share_by(refs(&s), protocol_dim, 0.30);
         assert!((shares[&StreamingProtocol::Dash] - 50.0).abs() < 1e-9);
     }
 
@@ -257,16 +291,16 @@ mod tests {
         use vmp_core::ids::CdnId;
         let mut v = test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0);
         v.record.cdns = vec![CdnId::new(0), CdnId::new(1)]; // A and B
-        let s = ViewStore::ingest(vec![v]);
-        let shares = vh_share_by(s.all(), cdn_dim);
+        let s = vec![v];
+        let shares = vh_share_by(refs(&s), cdn_dim);
         assert!((shares[&CdnName::A] - 50.0).abs() < 1e-9);
         assert!((shares[&CdnName::B] - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn per_publisher_value_share_excludes_nonsupporters() {
-        let s = store();
-        let hls = per_publisher_value_share(s.all(), protocol_dim, &StreamingProtocol::Hls);
+        let s = views();
+        let hls = per_publisher_value_share(refs(&s), protocol_dim, &StreamingProtocol::Hls);
         // Only publisher 0 appears; its HLS share is 80%.
         assert_eq!(hls.len(), 1);
         assert!((hls[0] - 80.0).abs() < 1e-9);
@@ -274,8 +308,8 @@ mod tests {
 
     #[test]
     fn empty_input_is_safe() {
-        let s = ViewStore::ingest(vec![]);
-        assert!(vh_share_by(s.all(), protocol_dim).is_empty());
-        assert!(publisher_share_by(s.all(), protocol_dim, 0.01).is_empty());
+        let s = Vec::new();
+        assert!(vh_share_by(refs(&s), protocol_dim).is_empty());
+        assert!(publisher_share_by(refs(&s), protocol_dim, 0.01).is_empty());
     }
 }

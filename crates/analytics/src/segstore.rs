@@ -40,8 +40,8 @@ pub(crate) const BYTES_PER_ROW: usize = 45;
 pub struct SegmentMeta {
     /// The snapshot the segment holds.
     pub snapshot: SnapshotId,
-    /// Logical row range in the ingest stream (also the index range into
-    /// the retained row vector when rows are kept).
+    /// Logical row range in the ingest stream (no row vector backs it;
+    /// the spill block header records its start).
     pub rows: Range<usize>,
 }
 

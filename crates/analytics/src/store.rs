@@ -1,4 +1,5 @@
-//! Telemetry ingestion: the incremental pipeline, row storage, masked views.
+//! Telemetry ingestion: the incremental pipeline, the segment store,
+//! masked views.
 //!
 //! Ingest is a streaming pipeline ([`IngestPipeline`]): views arrive in
 //! snapshot-ascending order (the generator's shard-merged stream order, or
@@ -6,12 +7,13 @@
 //! classified once, player identities are interned into a store-wide
 //! dictionary, and one columnar [`Segment`] is built incrementally per
 //! snapshot. A segment seals the moment its snapshot completes and moves
-//! into the [`SegmentStore`] — resident at default scale, spilled to disk
-//! in out-of-core runs ([`IngestOptions::spill`]) — so ingest never holds
-//! more than one open segment's columns plus (optionally) the retained
-//! rows. Aggregations run over the segments (see [`crate::columns`]);
-//! [`ViewRef`] iteration remains as the compatibility surface for
-//! row-at-a-time consumers and the reference queries in [`crate::query`].
+//! into the [`SegmentStore`] — resident, or spilled to disk when
+//! [`IngestOptions::spill`] names a directory — so ingest never holds more
+//! than one open segment's columns. The columnar segments are the only
+//! place ingested telemetry lives: a view is read once, by reference, to
+//! build its row of columns, and the spent batch is freed. Every
+//! aggregation runs over the segments (see [`crate::columns`]); the
+//! row-at-a-time reference in [`crate::query`] reads rows its caller owns.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,28 +27,6 @@ use vmp_core::view::{PlayerIdentity, SampledView};
 use crate::columns::{PublisherMask, Segment, SegmentSource, NO_CODE};
 use crate::segstore::{SegmentMeta, SegmentStore, SpillConfig};
 
-/// A view with its ingest-time derived dimensions.
-#[derive(Debug, Clone, Copy)]
-pub struct ViewRef<'a> {
-    /// The underlying weighted sample.
-    pub view: &'a SampledView,
-    /// Protocol inferred from the manifest URL (Table 1); `None` when the
-    /// URL is unclassifiable.
-    pub protocol: Option<StreamingProtocol>,
-}
-
-impl<'a> ViewRef<'a> {
-    /// Weighted view-hours of this sample.
-    pub fn hours(&self) -> f64 {
-        self.view.weighted_hours()
-    }
-
-    /// Weighted view count of this sample.
-    pub fn count(&self) -> f64 {
-        self.view.weight
-    }
-}
-
 /// Whether the `miss_index`-th unclassifiable manifest of an ingest
 /// (1-based) gets a logged event. Every 256th miss starting from the first
 /// — the sampling is a pure function of the pipeline-local miss count, so a
@@ -59,34 +39,20 @@ fn miss_sampled(miss_index: u64) -> bool {
 /// How an [`IngestPipeline`] stores what it ingests.
 #[derive(Debug, Default)]
 pub struct IngestOptions {
-    /// Drop the raw rows after their columns are built (out-of-core runs).
-    /// Row-level accessors ([`ViewStore::at`], [`ViewStore::all`]) become a
-    /// loud error; every columnar query is unaffected.
+    /// Inert: ingest never keeps the raw rows, whatever this says, and
+    /// nothing reads it. The field stays only because the end-to-end
+    /// benchmark's frozen `product.rs` still names it.
     pub drop_rows: bool,
     /// Spill sealed segments to disk instead of keeping them resident.
     pub spill: Option<SpillConfig>,
 }
 
-/// Where the raw rows of a store live.
-#[derive(Debug)]
-enum RowState {
-    /// Rows (ingest order, snapshot-major) plus their derived protocol
-    /// codes, parallel to the segments' logical row ranges.
-    Retained { views: Vec<SampledView>, protocols: Vec<u8> },
-    /// Rows were dropped at ingest ([`IngestOptions::drop_rows`]); only the
-    /// count survives.
-    Dropped { count: usize },
-}
-
 /// The incremental ingest pipeline: feed snapshot-ascending view batches,
-/// get a [`ViewStore`] out. Peak memory is one open segment's columns (plus
-/// the retained rows unless [`IngestOptions::drop_rows`] is set) — the full
-/// dataset never has to exist in memory at once.
+/// get a [`ViewStore`] out. Peak memory is one open segment's columns plus
+/// the batch in hand — the full dataset never has to exist in memory at
+/// once.
 #[derive(Debug)]
 pub struct IngestPipeline {
-    drop_rows: bool,
-    views: Vec<SampledView>,
-    protocols: Vec<u8>,
     total_rows: usize,
     segstore: SegmentStore,
     open: Option<Segment>,
@@ -108,9 +74,6 @@ impl IngestPipeline {
         let ingest_span = vmp_obs::span("analytics.ingest");
         let columns_span = vmp_obs::span("analytics.columns.build");
         IngestPipeline {
-            drop_rows: options.drop_rows,
-            views: Vec::new(),
-            protocols: Vec::new(),
             total_rows: 0,
             segstore: SegmentStore::new(options.spill),
             open: None,
@@ -133,12 +96,17 @@ impl IngestPipeline {
     /// error, because it would silently split a snapshot across segments.
     pub fn push_batch(&mut self, views: Vec<SampledView>) {
         vmp_obs::counter("analytics.rows_ingested").add(views.len() as u64);
-        for v in views {
+        for v in &views {
             self.push_one(v);
         }
+        // The spent batch is freed here, once, not row by row inside the
+        // loop: the rows were allocated by generator workers that are still
+        // allocating, and interleaving their frees with the column build
+        // measured three times the cost per view.
+        drop(views);
     }
 
-    fn push_one(&mut self, v: SampledView) {
+    fn push_one(&mut self, v: &SampledView) {
         let snap = v.record.snapshot;
         let need_new = match &self.open {
             None => true,
@@ -172,13 +140,9 @@ impl IngestPipeline {
         }
         let player_code = self.player_code(&v.record.player);
         if let Some(seg) = &mut self.open {
-            seg.push_row(&v, code, player_code);
+            seg.push_row(v, code, player_code);
         }
         self.total_rows += 1;
-        if !self.drop_rows {
-            self.views.push(v);
-            self.protocols.push(code);
-        }
     }
 
     fn player_code(&mut self, player: &PlayerIdentity) -> u32 {
@@ -218,13 +182,7 @@ impl IngestPipeline {
         vmp_obs::counter("analytics.segments_built").add(self.segstore.len() as u64);
         drop(self.columns_span.take());
         drop(self.ingest_span.take());
-        let rows = if self.drop_rows {
-            RowState::Dropped { count: self.total_rows }
-        } else {
-            RowState::Retained { views: self.views, protocols: self.protocols }
-        };
         ViewStore {
-            rows,
             total_rows: self.total_rows,
             segstore: self.segstore,
             player_keys: self.player_keys,
@@ -233,11 +191,9 @@ impl IngestPipeline {
 }
 
 /// The telemetry store: per-snapshot columnar segments (resident or
-/// spilled) plus — unless dropped at ingest — the raw rows for
-/// compatibility iteration.
+/// spilled) and the player dictionary their codes index.
 #[derive(Debug)]
 pub struct ViewStore {
-    rows: RowState,
     total_rows: usize,
     segstore: SegmentStore,
     /// Player dictionary: code (index) → canonical player key (SDK build
@@ -267,7 +223,7 @@ impl ViewStore {
         pipeline.finish()
     }
 
-    /// Number of ingested samples (rows dropped at ingest still count).
+    /// Number of ingested samples.
     pub fn len(&self) -> usize {
         self.total_rows
     }
@@ -275,11 +231,6 @@ impl ViewStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.total_rows == 0
-    }
-
-    /// Whether the raw rows were dropped at ingest.
-    pub fn rows_dropped(&self) -> bool {
-        matches!(self.rows, RowState::Dropped { .. })
     }
 
     /// Whether sealed segments live on disk.
@@ -330,53 +281,6 @@ impl ViewStore {
     /// The latest snapshot with data (the paper's "latest snapshot").
     pub fn latest_snapshot(&self) -> Option<SnapshotId> {
         self.segstore.metas().last().map(|m| m.snapshot)
-    }
-
-    /// The retained rows and their protocol codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the rows were dropped at ingest — row-level iteration on
-    /// an out-of-core store is a misuse that would otherwise silently yield
-    /// nothing.
-    fn row_slices(&self) -> (&[SampledView], &[u8]) {
-        match &self.rows {
-            RowState::Retained { views, protocols } => (views, protocols),
-            RowState::Dropped { count } => {
-                assert!(
-                    *count == 0,
-                    "row-level access on a store ingested with drop_rows (out-of-core \
-                     run); use the columnar queries instead"
-                );
-                (&[], &[])
-            }
-        }
-    }
-
-    /// Iterates one snapshot's views. Requires retained rows (see
-    /// [`row_slices`](Self::row_slices)).
-    pub fn at(&self, snapshot: SnapshotId) -> impl Iterator<Item = ViewRef<'_>> + Clone {
-        let (views, protocols) = self.row_slices();
-        let range = self
-            .segstore
-            .metas()
-            .iter()
-            .find(|m| m.snapshot == snapshot)
-            .map(|m| m.rows.clone())
-            .unwrap_or(0..0);
-        views[range.clone()]
-            .iter()
-            .zip(&protocols[range])
-            .map(|(view, &code)| ViewRef { view, protocol: StreamingProtocol::from_code(code) })
-    }
-
-    /// Iterates everything, snapshot-major. Requires retained rows.
-    pub fn all(&self) -> impl Iterator<Item = ViewRef<'_>> + Clone {
-        let (views, protocols) = self.row_slices();
-        views
-            .iter()
-            .zip(protocols)
-            .map(|(view, &code)| ViewRef { view, protocol: StreamingProtocol::from_code(code) })
     }
 
     /// Total weighted view-hours at one snapshot.
@@ -463,18 +367,6 @@ impl<'a> MaskedStore<'a> {
     pub fn latest_snapshot(&self) -> Option<SnapshotId> {
         self.snapshots().last().copied()
     }
-
-    /// Iterates one snapshot's surviving views.
-    pub fn at(&self, snapshot: SnapshotId) -> impl Iterator<Item = ViewRef<'_>> + Clone {
-        let mask = &self.mask;
-        self.store.at(snapshot).filter(move |v| !mask.excludes(v.view.record.publisher.raw()))
-    }
-
-    /// Iterates all surviving views, snapshot-major.
-    pub fn all(&self) -> impl Iterator<Item = ViewRef<'_>> + Clone {
-        let mask = &self.mask;
-        self.store.all().filter(move |v| !mask.excludes(v.view.record.publisher.raw()))
-    }
 }
 
 impl SegmentSource for MaskedStore<'_> {
@@ -500,6 +392,7 @@ impl SegmentSource for MaskedStore<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::columns::{group_hours_by, PLATFORM};
     use vmp_core::content::ContentClass;
     use vmp_core::device::DeviceModel;
     use vmp_core::geo::{ConnectionType, Isp, Region};
@@ -548,9 +441,10 @@ pub(crate) mod tests {
         ]);
         assert_eq!(store.len(), 3);
         assert_eq!(store.snapshots().len(), 2);
-        assert_eq!(store.at(SnapshotId::new(3).unwrap()).count(), 2);
-        assert_eq!(store.at(SnapshotId::new(1).unwrap()).count(), 1);
-        assert_eq!(store.at(SnapshotId::new(9).unwrap()).count(), 0);
+        let rows_at = |s: u32| store.segment(SnapshotId::new(s).unwrap()).map(|seg| seg.len());
+        assert_eq!(rows_at(3), Some(2));
+        assert_eq!(rows_at(1), Some(1));
+        assert_eq!(rows_at(9), None);
         assert_eq!(store.latest_snapshot(), SnapshotId::new(3));
     }
 
@@ -561,10 +455,11 @@ pub(crate) mod tests {
             test_view(0, 0, "https://h/p/a.mpd", 1.0, 1.0),
             test_view(0, 0, "https://h/p/opaque", 1.0, 1.0),
         ]);
-        let protos: Vec<_> = store.all().map(|v| v.protocol).collect();
-        assert!(protos.contains(&Some(StreamingProtocol::Hls)));
-        assert!(protos.contains(&Some(StreamingProtocol::Dash)));
-        assert!(protos.contains(&None));
+        let seg = store.segment(SnapshotId::FIRST).unwrap();
+        assert_eq!(
+            seg.protocols(),
+            &[StreamingProtocol::Hls.code(), StreamingProtocol::Dash.code(), NO_CODE]
+        );
     }
 
     #[test]
@@ -654,9 +549,9 @@ pub(crate) mod tests {
         // re-ingest of the survivors would make it.
         assert_eq!(masked.snapshots(), vec![SnapshotId::FIRST]);
         assert_eq!(masked.latest_snapshot(), Some(SnapshotId::FIRST));
-        let pubs: Vec<u32> =
-            masked.all().map(|v| v.view.record.publisher.raw()).collect();
-        assert_eq!(pubs, vec![0]);
+        // The survivor is publisher 0's one-hour view, not publisher 1's.
+        let hours = group_hours_by(&masked, SnapshotId::FIRST, PLATFORM);
+        assert_eq!(hours.values().sum::<f64>(), 1.0);
 
         let none = store.excluding(&[PublisherId::new(0), PublisherId::new(1)]);
         assert!(none.is_empty());
@@ -707,30 +602,5 @@ pub(crate) mod tests {
         let mut pipeline = IngestPipeline::new(IngestOptions::default());
         pipeline.push_batch(vec![test_view(2, 0, "https://h/p/a.m3u8", 1.0, 1.0)]);
         pipeline.push_batch(vec![test_view(1, 0, "https://h/p/b.m3u8", 1.0, 1.0)]);
-    }
-
-    #[test]
-    fn dropped_rows_keep_columnar_queries_working() {
-        let store = ViewStore::ingest_with(
-            vec![
-                test_view(0, 0, "https://h/p/a.m3u8", 1.5, 2.0),
-                test_view(1, 1, "https://h/p/b.mpd", 0.5, 4.0),
-            ],
-            IngestOptions { drop_rows: true, spill: None },
-        );
-        assert_eq!(store.len(), 2);
-        assert!(store.rows_dropped());
-        assert!((store.total_hours_at(SnapshotId::FIRST) - 3.0).abs() < 1e-9);
-        assert_eq!(store.snapshots().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "drop_rows")]
-    fn row_access_after_drop_rows_is_loud() {
-        let store = ViewStore::ingest_with(
-            vec![test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0)],
-            IngestOptions { drop_rows: true, spill: None },
-        );
-        let _ = store.all().count();
     }
 }

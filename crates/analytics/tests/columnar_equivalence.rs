@@ -7,9 +7,9 @@
 
 use proptest::prelude::*;
 use vmp_analytics::columns::{
-    self, BROWSER_TECH, CDN, CLASS, CONNECTION, DEVICE, ISP, PLATFORM, PROTOCOL, REGION,
+    self, BROWSER_TECH, CDN, CLASS, CONNECTION, DEVICE, ISP, NO_CODE, PLATFORM, PROTOCOL, REGION,
 };
-use vmp_analytics::query;
+use vmp_analytics::query::{self, ViewRef};
 use vmp_analytics::store::ViewStore;
 use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
@@ -132,72 +132,70 @@ proptest! {
             .filter(|v| !excluded.contains(&v.record.publisher))
             .cloned()
             .collect();
-        let reingested = ViewStore::ingest(survivors);
-        prop_assert_eq!(masked.len(), reingested.len());
+        prop_assert_eq!(masked.len(), survivors.len());
+        let reingested = ViewStore::ingest(survivors.clone());
 
-        // One macro arm per source so `store`/`masked` keep their own types;
-        // the row reference runs on the same source's compat iterator.
+        // The reference reads the rows this test owns: ingest stable-sorts
+        // by snapshot, so filtering the input by snapshot yields a
+        // segment's rows in store order. `$rows` is a closure handing out a
+        // fresh iterator over them.
         macro_rules! check_dim {
-            ($source:expr, $snap:expr, $spec:expr, $extract:expr) => {{
+            ($source:expr, $rows:ident, $snap:expr, $spec:expr, $extract:expr) => {{
                 prop_assert_eq!(
                     columns::vh_share($source, $snap, $spec),
-                    query::vh_share_by($source.at($snap), $extract)
+                    query::vh_share_by($rows(), $extract)
                 );
                 prop_assert_eq!(
                     columns::views_share($source, $snap, $spec),
-                    query::views_share_by($source.at($snap), $extract)
+                    query::views_share_by($rows(), $extract)
                 );
                 prop_assert_eq!(
                     columns::publisher_share($source, $snap, $spec, 0.05),
-                    query::publisher_share_by($source.at($snap), $extract, 0.05)
+                    query::publisher_share_by($rows(), $extract, 0.05)
                 );
                 prop_assert_eq!(
                     columns::per_publisher_values($source, $snap, $spec, 0.05),
-                    query::per_publisher_values($source.at($snap), $extract, 0.05)
+                    query::per_publisher_values($rows(), $extract, 0.05)
                 );
             }};
         }
         macro_rules! check_all_dims {
-            ($source:expr, $snap:expr) => {{
-                check_dim!($source, $snap, PROTOCOL, query::protocol_dim);
-                check_dim!($source, $snap, PLATFORM, query::platform_dim);
-                check_dim!($source, $snap, DEVICE, query::device_dim);
-                check_dim!($source, $snap, BROWSER_TECH, query::browser_tech_dim);
-                check_dim!($source, $snap, CDN, query::cdn_dim);
-                check_dim!($source, $snap, REGION, |v: &vmp_analytics::store::ViewRef<'_>| {
+            ($source:expr, $views:expr, $snap:expr) => {{
+                let rows =
+                    || $views.iter().filter(|v| v.record.snapshot == $snap).map(ViewRef::new);
+                check_dim!($source, rows, $snap, PROTOCOL, query::protocol_dim);
+                check_dim!($source, rows, $snap, PLATFORM, query::platform_dim);
+                check_dim!($source, rows, $snap, DEVICE, query::device_dim);
+                check_dim!($source, rows, $snap, BROWSER_TECH, query::browser_tech_dim);
+                check_dim!($source, rows, $snap, CDN, query::cdn_dim);
+                check_dim!($source, rows, $snap, REGION, |v: &ViewRef<'_>| {
                     vec![v.view.record.region]
                 });
-                check_dim!($source, $snap, ISP, |v: &vmp_analytics::store::ViewRef<'_>| {
-                    vec![v.view.record.isp]
-                });
-                check_dim!($source, $snap, CONNECTION, |v: &vmp_analytics::store::ViewRef<'_>| {
+                check_dim!($source, rows, $snap, ISP, |v: &ViewRef<'_>| vec![v.view.record.isp]);
+                check_dim!($source, rows, $snap, CONNECTION, |v: &ViewRef<'_>| {
                     vec![v.view.record.connection]
                 });
-                check_dim!($source, $snap, CLASS, |v: &vmp_analytics::store::ViewRef<'_>| {
+                check_dim!($source, rows, $snap, CLASS, |v: &ViewRef<'_>| {
                     vec![v.view.record.class]
                 });
                 prop_assert_eq!(
                     columns::value_share($source, $snap, PROTOCOL, &StreamingProtocol::Hls),
                     query::per_publisher_value_share(
-                        $source.at($snap),
+                        rows(),
                         query::protocol_dim,
                         &StreamingProtocol::Hls
                     )
                 );
                 prop_assert_eq!(
                     columns::value_share($source, $snap, CDN, &CdnName::A),
-                    query::per_publisher_value_share(
-                        $source.at($snap),
-                        query::cdn_dim,
-                        &CdnName::A
-                    )
+                    query::per_publisher_value_share(rows(), query::cdn_dim, &CdnName::A)
                 );
             }};
         }
 
         for snap in (0..5).filter_map(SnapshotId::new) {
-            check_all_dims!(&store, snap);
-            check_all_dims!(&masked, snap);
+            check_all_dims!(&store, views, snap);
+            check_all_dims!(&masked, survivors, snap);
             // Zero-copy masking ≡ filtering the rows and re-ingesting.
             prop_assert_eq!(
                 columns::vh_share(&masked, snap, PLATFORM),
@@ -220,20 +218,18 @@ proptest! {
         prop_assert_eq!(columns::group_hours_all(&store, PLATFORM), folded);
     }
 
-    /// Masked iteration preserves the exact surviving rows in order.
+    /// The oracle and the protocol column classify alike: for every
+    /// ingested row, `ViewRef::new` derives the code the segment stores.
     #[test]
-    fn masked_iteration_matches_filtered_rows(views in batch()) {
+    fn oracle_protocol_matches_protocol_column(views in batch()) {
         let store = ViewStore::ingest(views.clone());
-        let excluded = [PublisherId::new(0), PublisherId::new(5)];
-        let masked = store.excluding(&excluded);
-        let kept: Vec<&SampledView> = masked.all().map(|v| v.view).collect();
-        let sorted = {
-            let mut s = views;
-            s.sort_by_key(|v| v.record.snapshot);
-            s
-        };
-        let expected: Vec<&SampledView> =
-            sorted.iter().filter(|v| !excluded.contains(&v.record.publisher)).collect();
-        prop_assert_eq!(kept, expected);
+        for seg in store.iter_segments() {
+            let expected: Vec<u8> = views
+                .iter()
+                .filter(|v| v.record.snapshot == seg.snapshot())
+                .map(|v| ViewRef::new(v).protocol.map_or(NO_CODE, StreamingProtocol::code))
+                .collect();
+            prop_assert_eq!(seg.protocols(), expected.as_slice());
+        }
     }
 }

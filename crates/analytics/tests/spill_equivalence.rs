@@ -144,8 +144,8 @@ proptest! {
         let spilled = ViewStore::ingest_with(
             views,
             IngestOptions {
-                drop_rows: true,
                 spill: Some(SpillConfig { dir: dir.clone(), hot_budget_bytes: 0 }),
+                ..IngestOptions::default()
             },
         );
         prop_assert!(spilled.spill_enabled());

@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vmp_experiments::{run, ReproContext, Scale, ALL_EXPERIMENTS};
-use vmp_synth::ecosystem::{Dataset, EcosystemConfig};
+use vmp_synth::ecosystem::EcosystemConfig;
+use vmp_synth::stream::ViewStream;
 
 fn bench_generate(c: &mut Criterion) {
     let mut group = c.benchmark_group("generate");
@@ -13,7 +14,14 @@ fn bench_generate(c: &mut Criterion) {
     config.publishers = 40;
     config.snapshot_stride = 18;
     group.bench_function("ecosystem_small", |b| {
-        b.iter(|| Dataset::generate(black_box(config.clone())))
+        b.iter(|| {
+            let mut stream = ViewStream::new(black_box(config.clone()));
+            let mut views = 0usize;
+            while let Some(batch) = stream.next_batch() {
+                views += black_box(batch.views).len();
+            }
+            views
+        })
     });
     group.finish();
 }

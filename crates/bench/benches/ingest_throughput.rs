@@ -1,8 +1,8 @@
 //! Streaming ingest throughput: a pre-generated batch stream pushed through
-//! [`IngestPipeline`], in each of its three operating modes — rows retained
-//! (the `--scale 1` byte-identical path), rows dropped (out-of-core columnar
-//! mode), and rows dropped with sealed segments spilling to disk. Each
-//! iteration ingests the full corpus, so views/sec is `corpus size /
+//! [`IngestPipeline`] with sealed segments kept resident
+//! (`stream_drop_rows`, named from when keeping the rows was the
+//! alternative) and spilling to disk (`stream_spill`). Each iteration
+//! ingests the full corpus, so views/sec is `corpus size /
 //! (median_ns * 1e-9)`; representative numbers live in EXPERIMENTS.md and
 //! DESIGN.md §"Out-of-core pipeline".
 
@@ -45,17 +45,8 @@ fn bench_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest");
     group.sample_size(20);
 
-    group.bench_function("stream_retained", |b| {
-        b.iter(|| black_box(ingest_all(&batches, IngestOptions::default())))
-    });
-
     group.bench_function("stream_drop_rows", |b| {
-        b.iter(|| {
-            black_box(ingest_all(
-                &batches,
-                IngestOptions { drop_rows: true, spill: None },
-            ))
-        })
+        b.iter(|| black_box(ingest_all(&batches, IngestOptions::default())))
     });
 
     group.bench_function("stream_spill", |b| {
@@ -67,7 +58,7 @@ fn bench_ingest(c: &mut Criterion) {
             let spill = SpillConfig { dir: dir.clone(), hot_budget_bytes: 0 };
             black_box(ingest_all(
                 &batches,
-                IngestOptions { drop_rows: true, spill: Some(spill) },
+                IngestOptions { spill: Some(spill), ..IngestOptions::default() },
             ))
         })
     });

@@ -1,44 +1,36 @@
-//! Store scan microbenchmarks: the columnar kernel vs the row-at-a-time
-//! reference on the same ingested telemetry, plus zero-copy masked views vs
-//! the old clone-and-re-ingest filtering. The refactor's acceptance bar is
-//! ≥ 2× on the full-store rollup.
+//! Store scan microbenchmarks: the columnar kernel over ingested
+//! telemetry — full-store rollup, one-snapshot shares, and the zero-copy
+//! masked view.
 //!
 //! Run with `cargo bench --bench store_scan`; representative numbers live
 //! in EXPERIMENTS.md and DESIGN.md §"Columnar analytics store".
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vmp_analytics::columns::{self, CDN, PLATFORM, PROTOCOL};
-use vmp_analytics::query;
-use vmp_analytics::store::ViewStore;
+use vmp_analytics::store::{IngestOptions, IngestPipeline, ViewStore};
 use vmp_core::ids::PublisherId;
-use vmp_synth::ecosystem::{Dataset, EcosystemConfig};
+use vmp_synth::ecosystem::EcosystemConfig;
+use vmp_synth::stream::ViewStream;
 
 fn scan_context() -> (ViewStore, Vec<PublisherId>) {
     let mut config = EcosystemConfig::small();
     config.publishers = 60;
     config.snapshot_stride = 6;
-    let mut dataset = Dataset::generate(config);
-    let excluded = dataset.largest_publishers(3);
-    (ViewStore::ingest(dataset.take_views()), excluded)
+    let mut stream = ViewStream::new(config);
+    let mut pipeline = IngestPipeline::new(IngestOptions::default());
+    while let Some(batch) = stream.next_batch() {
+        pipeline.push_batch(batch.views);
+    }
+    let excluded = stream.into_dataset().largest_publishers(3);
+    (pipeline.finish(), excluded)
 }
 
-/// Full-store view-hour rollup over every snapshot: hand-rolled row loop
-/// (the pre-refactor shape) vs the shared columnar kernel.
+/// Full-store view-hour rollup over every snapshot.
 fn bench_full_rollup(c: &mut Criterion) {
     let (store, _) = scan_context();
     let mut group = c.benchmark_group("store_scan/full_rollup");
     group.sample_size(20);
 
-    group.bench_function("rows", |b| {
-        b.iter(|| {
-            let mut total = 0.0f64;
-            for snapshot in black_box(&store).snapshots() {
-                let shares = query::vh_share_by(store.at(snapshot), query::platform_dim);
-                total += shares.values().sum::<f64>();
-            }
-            black_box(total)
-        })
-    });
     group.bench_function("columns", |b| {
         b.iter(|| {
             let hours = columns::group_hours_all(black_box(&store), PLATFORM);
@@ -48,21 +40,15 @@ fn bench_full_rollup(c: &mut Criterion) {
     group.finish();
 }
 
-/// One-snapshot share queries across dimensions, rows vs columns.
+/// One-snapshot share queries across dimensions.
 fn bench_snapshot_shares(c: &mut Criterion) {
     let (store, _) = scan_context();
     let last = store.latest_snapshot().expect("store has data");
     let mut group = c.benchmark_group("store_scan/snapshot_share");
     group.sample_size(20);
 
-    group.bench_function("rows_protocol", |b| {
-        b.iter(|| black_box(query::vh_share_by(store.at(black_box(last)), query::protocol_dim)))
-    });
     group.bench_function("columns_protocol", |b| {
         b.iter(|| black_box(columns::vh_share(&store, black_box(last), PROTOCOL)))
-    });
-    group.bench_function("rows_cdn", |b| {
-        b.iter(|| black_box(query::vh_share_by(store.at(black_box(last)), query::cdn_dim)))
     });
     group.bench_function("columns_cdn", |b| {
         b.iter(|| black_box(columns::vh_share(&store, black_box(last), CDN)))
@@ -70,24 +56,12 @@ fn bench_snapshot_shares(c: &mut Criterion) {
     group.finish();
 }
 
-/// Publisher-filtered scan: zero-copy bitmask view vs the old
-/// clone-every-row re-ingest.
+/// Publisher-filtered scan through the zero-copy bitmask view.
 fn bench_masked_scan(c: &mut Criterion) {
     let (store, excluded) = scan_context();
     let mut group = c.benchmark_group("store_scan/masked");
     group.sample_size(20);
 
-    group.bench_function("clone_reingest", |b| {
-        b.iter(|| {
-            let survivors: Vec<_> = store
-                .all()
-                .filter(|v| !excluded.contains(&v.view.record.publisher))
-                .map(|v| v.view.clone())
-                .collect();
-            let filtered = ViewStore::ingest(survivors);
-            black_box(columns::group_hours_all(&filtered, PLATFORM))
-        })
-    });
     group.bench_function("bitmask_view", |b| {
         b.iter(|| {
             let masked = store.excluding(black_box(&excluded));

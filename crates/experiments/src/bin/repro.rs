@@ -9,11 +9,11 @@
 //! With no IDs (or the alias `all`), runs everything in paper order.
 //! `--quick` uses the reduced ecosystem (CI-sized); the default is the full
 //! EXPERIMENTS.md run. `--scale N` multiplies the view volume (1 = the
-//! paper's default ≈1.2M samples); above 1 the run goes out-of-core —
-//! generation streams straight into ingest, raw rows are dropped after the
-//! columnar build, and sealed segments spill to a process-unique temp
-//! directory under an LRU hot cache, so RSS stays roughly flat while the
-//! row count grows 100×+. `--seed N` overrides the master seed;
+//! paper's default ≈1.2M samples). At every scale generation streams
+//! straight into ingest and only the columnar segments are kept; above 1
+//! this binary also hands ingest a process-unique temp directory, so sealed
+//! segments spill to it under an LRU hot cache and RSS stays roughly flat
+//! while the row count grows 100×+. `--seed N` overrides the master seed;
 //! `--experiment ID` is equivalent to a bare ID; `--metrics PATH` dumps a
 //! JSON snapshot of the observability registry after the run; `--trace
 //! PATH` records every span, monitor window sample, and alert as Chrome

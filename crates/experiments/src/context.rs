@@ -1,13 +1,12 @@
 //! Shared experiment context: one generated ecosystem + ingested telemetry.
 //!
-//! Generation and ingest run as one streaming pipeline: the sharded
-//! [`ViewStream`] hands fixed-size view batches straight to the analytics
-//! [`IngestPipeline`], so the full view vector never exists in memory. At
-//! the default volume (`scale_factor == 1`) the rows are retained and every
-//! segment stays resident — byte-identical to the old materialize-then-sort
-//! ingest. At larger volumes (`repro --scale N`) the raw rows are dropped
-//! after their columns are built and sealed segments spill to disk, keeping
-//! RSS roughly flat in the scale factor.
+//! Generation and ingest run as one streaming pipeline, the same at every
+//! volume: the sharded [`ViewStream`] hands fixed-size view batches straight
+//! to the analytics [`IngestPipeline`], which keeps only the columnar
+//! segments it builds from them, so the full view vector never exists in
+//! memory. The view-volume multiplier (`repro --scale N`) only changes how
+//! many views the stream generates; passing a spill directory moves sealed
+//! segments to disk, keeping RSS roughly flat in the scale factor.
 
 use std::path::PathBuf;
 
@@ -28,8 +27,7 @@ pub enum Scale {
 
 /// The context shared by all ecosystem-driven experiments.
 pub struct ReproContext {
-    /// The generated ecosystem (views streamed into the store at ingest —
-    /// row accessors on the dataset fail loudly).
+    /// The generated ecosystem's metadata (the views went into the store).
     pub dataset: Dataset,
     /// Ingested telemetry.
     pub store: ViewStore,
@@ -60,12 +58,11 @@ impl ReproContext {
     }
 
     /// Full control: view-volume multiplier (`repro --scale N`) and an
-    /// explicit spill directory. `scale_factor > 1` drops raw rows after
-    /// the columnar build (columnar queries are unaffected; row iteration
-    /// becomes a loud error); a spill directory additionally moves sealed
-    /// segments to disk under an LRU hot cache. Library code never picks
-    /// the directory itself — the binary does, so no `env` reads happen
-    /// outside `crates/obs`.
+    /// explicit spill directory. The multiplier scales how many views are
+    /// generated and nothing else; a spill directory moves sealed segments
+    /// to disk under an LRU hot cache. Library code never picks the
+    /// directory itself — the binary does, so no `env` reads happen outside
+    /// `crates/obs`.
     pub fn with_options(
         scale: Scale,
         seed: Option<u64>,
@@ -84,10 +81,8 @@ impl ReproContext {
             config.seed = seed;
         }
         config.view_gen.volume_scale = scale_factor;
-        let options = IngestOptions {
-            drop_rows: scale_factor > 1,
-            spill: spill_dir.map(SpillConfig::new),
-        };
+        let options =
+            IngestOptions { spill: spill_dir.map(SpillConfig::new), ..IngestOptions::default() };
         let mut stream = ViewStream::new(config);
         let mut pipeline = IngestPipeline::new(options);
         {
@@ -123,6 +118,24 @@ impl ReproContext {
 mod tests {
     use super::*;
 
+    /// Column-for-column equality of two stores' segments.
+    fn assert_same_columns(a: &ViewStore, b: &ViewStore) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.snapshots(), b.snapshots());
+        for (a, b) in a.iter_segments().zip(b.iter_segments()) {
+            assert_eq!(a.publishers(), b.publishers());
+            assert_eq!(a.protocols(), b.protocols());
+            assert_eq!(a.players(), b.players());
+            assert_eq!(a.cdn_masks(), b.cdn_masks());
+            assert_eq!(a.hours(), b.hours());
+            assert_eq!(a.weights(), b.weights());
+        }
+    }
+
+    fn spill_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("vmp-spill-test-{tag}-{}", std::process::id()))
+    }
+
     #[test]
     fn quick_context_builds() {
         let ctx = ReproContext::new(Scale::Quick);
@@ -138,47 +151,56 @@ mod tests {
         let ctx = ReproContext::new(Scale::Quick);
         let excluded = ctx.dash_first_publishers();
         let filtered = ctx.store_excluding(&excluded);
-        assert!(filtered.len() < ctx.store.len());
-        for v in filtered.all() {
-            assert!(!excluded.contains(&v.view.record.publisher));
-        }
+        let excluded_rows: usize = ctx
+            .store
+            .iter_segments()
+            .map(|seg| {
+                seg.publishers()
+                    .iter()
+                    .filter(|&&p| excluded.contains(&PublisherId::new(p)))
+                    .count()
+            })
+            .sum();
+        assert!(excluded_rows > 0);
+        assert_eq!(filtered.len() + excluded_rows, ctx.store.len());
     }
 
-    /// The streaming context must see exactly the views a materialized
-    /// generation produces, in the same order.
+    /// The streaming context must see exactly the views a collected stream
+    /// holds, in the same order.
     #[test]
-    fn streamed_ingest_matches_materialized_ingest() {
+    fn streamed_ingest_matches_collected_ingest() {
         let ctx = ReproContext::new(Scale::Quick);
-        let mut dataset = Dataset::generate(EcosystemConfig::small());
-        let reference = ViewStore::ingest(dataset.take_views());
-        assert_eq!(ctx.store.len(), reference.len());
-        assert_eq!(ctx.store.snapshots(), reference.snapshots());
-        for (a, b) in ctx.store.iter_segments().zip(reference.iter_segments()) {
-            assert_eq!(a.publishers(), b.publishers());
-            assert_eq!(a.protocols(), b.protocols());
-            assert_eq!(a.players(), b.players());
-            assert_eq!(a.cdn_masks(), b.cdn_masks());
-            assert_eq!(a.hours(), b.hours());
-            assert_eq!(a.weights(), b.weights());
+        let mut stream = ViewStream::new(EcosystemConfig::small());
+        let mut views = Vec::new();
+        while let Some(batch) = stream.next_batch() {
+            views.extend(batch.views);
         }
+        assert_same_columns(&ctx.store, &ViewStore::ingest(views));
     }
 
-    /// Out-of-core mode: rows dropped, segments spilled, columnar results
-    /// identical to the resident run.
+    /// Spilled segments carry exactly the resident run's columns.
     #[test]
     fn spilled_context_matches_resident_context() {
         let resident = ReproContext::new(Scale::Quick);
-        let dir = std::env::temp_dir()
-            .join(format!("vmp-spill-test-{}", std::process::id()));
+        let dir = spill_dir("s1");
         let spilled = ReproContext::with_options(Scale::Quick, None, 1, Some(dir.clone()));
         assert!(spilled.store.spill_enabled());
-        for (a, b) in resident.store.iter_segments().zip(spilled.store.iter_segments()) {
-            assert_eq!(a.publishers(), b.publishers());
-            assert_eq!(a.hours(), b.hours());
-            assert_eq!(a.weights(), b.weights());
-        }
+        assert_same_columns(&resident.store, &spilled.store);
         drop(spilled);
         // The spill directory is cleaned up when the store drops.
         assert!(!dir.exists());
+    }
+
+    /// Scale > 1 is the same path with more views: resident (no spill
+    /// directory) and spilled runs agree column for column.
+    #[test]
+    fn scale_2_resident_matches_scale_2_spilled() {
+        let resident = ReproContext::with_options(Scale::Quick, None, 2, None);
+        assert!(!resident.store.spill_enabled());
+        assert_eq!(resident.scale_factor, 2);
+        let spilled =
+            ReproContext::with_options(Scale::Quick, None, 2, Some(spill_dir("s2")));
+        assert!(spilled.store.spill_enabled());
+        assert_same_columns(&resident.store, &spilled.store);
     }
 }

@@ -1,12 +1,54 @@
 //! Shared plumbing for figure drivers.
 //!
-//! Everything here runs on the columnar kernel: a figure names a
+//! The store-backed helpers run on the columnar kernel: a figure names a
 //! [`DimSpec`] instead of a row extractor, and any [`SegmentSource`] —
-//! the full store or a masked view — can back a series.
+//! the full store or a masked view — can back a series. The scenario
+//! drivers (`resilience`, `monitor`, `live_event`) share their static
+//! fixtures and their replay-fingerprint fold here.
 
 use std::fmt::Display;
 use vmp_analytics::columns::{self, DimSpec, SegmentSource, ShareMetric};
 use vmp_analytics::report::Series;
+use vmp_cdn::strategy::{CdnAssignment, CdnScope, CdnStrategy};
+use vmp_core::cdn::CdnName;
+use vmp_core::ladder::BitrateLadder;
+
+use crate::result::Check;
+
+/// One FNV-1a step over `bytes`: the fold behind every scenario's replay
+/// fingerprint (seeded with the 64-bit offset basis).
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    let mut h = hash;
+    for b in bytes {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The scenarios' static fixtures, whose construction is fallible only on
+/// programmer error.
+#[derive(Debug)]
+pub struct ScenarioSetup {
+    /// The five-rung 400–6400 kbps ladder every scenario session plays.
+    pub ladder: BitrateLadder,
+    /// Equal-weight, all-scope strategy over the scenario's CDNs.
+    pub strategy: CdnStrategy,
+}
+
+/// Builds the fixtures for a scenario delivering over `cdns`.
+pub fn scenario_setup(cdns: &[CdnName]) -> Option<ScenarioSetup> {
+    let ladder = BitrateLadder::from_bitrates(&[400, 800, 1600, 3200, 6400]).ok()?;
+    let assignments =
+        cdns.iter().map(|&cdn| CdnAssignment { cdn, weight: 1.0, scope: CdnScope::All }).collect();
+    let strategy = CdnStrategy::new(assignments).ok()?;
+    Some(ScenarioSetup { ladder, strategy })
+}
+
+/// The failed check a scenario reports when [`scenario_setup`] is `None`.
+pub fn setup_failed() -> Check {
+    Check::new("static fixtures construct", false, "ladder/strategy construction failed")
+}
 
 /// Which share to plot over time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::figures::helpers::{fnv1a, scenario_setup, setup_failed, ScenarioSetup};
 use crate::result::{Check, ExperimentResult};
 use vmp_abr::algorithm::ThroughputRule;
 use vmp_abr::network::{NetworkModel, NetworkProfile};
@@ -26,10 +27,8 @@ use vmp_cdn::capacity::{CapacityConfig, EdgeCapacity};
 use vmp_cdn::edge::EdgeCluster;
 use vmp_cdn::routing::Router;
 use vmp_cdn::shield::OriginShield;
-use vmp_cdn::strategy::{CdnAssignment, CdnScope, CdnStrategy};
 use vmp_core::cdn::CdnName;
 use vmp_core::geo::ConnectionType;
-use vmp_core::ladder::BitrateLadder;
 use vmp_core::units::{Bytes, Seconds};
 use vmp_faults::{FaultInjector, FaultProfile, RetryPolicy};
 use vmp_monitor::{score_alerts, Cell, HealthMonitor};
@@ -143,32 +142,6 @@ impl CohortQoe {
     }
 }
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Static fixtures whose construction is fallible only on programmer error.
-struct Setup {
-    ladder: BitrateLadder,
-    strategy: CdnStrategy,
-}
-
-fn setup() -> Option<Setup> {
-    let ladder = BitrateLadder::from_bitrates(&[400, 800, 1600, 3200, 6400]).ok()?;
-    let strategy = CdnStrategy::new(vec![
-        CdnAssignment { cdn: CdnName::A, weight: 1.0, scope: CdnScope::All },
-        CdnAssignment { cdn: CdnName::B, weight: 1.0, scope: CdnScope::All },
-        CdnAssignment { cdn: CdnName::C, weight: 1.0, scope: CdnScope::All },
-    ])
-    .ok()?;
-    Some(Setup { ladder, strategy })
-}
-
 /// The shared event timeline: the channel has been live since t=0, so the
 /// media sequence (and every viewer's chunk keys) advance from the start
 /// of the virtual clock.
@@ -190,7 +163,7 @@ fn brownout() -> FaultProfile {
 /// Plays the full event population under the surge-protection stack and
 /// grades the monitor's alert stream against `profile` (None = control).
 fn run_arm(
-    stp: &Setup,
+    stp: &ScenarioSetup,
     seed: u64,
     arm: u64,
     label: &'static str,
@@ -373,12 +346,8 @@ pub fn run(seed: u64) -> ExperimentResult {
         "live_event",
         "Scenario: flash-crowd live event under admission control, origin shield, and retry budgets",
     );
-    let Some(stp) = setup() else {
-        result.checks.push(Check::new(
-            "static fixtures construct",
-            false,
-            "ladder/strategy construction failed",
-        ));
+    let Some(stp) = scenario_setup(&[CdnName::A, CdnName::B, CdnName::C]) else {
+        result.checks.push(setup_failed());
         return result;
     };
 

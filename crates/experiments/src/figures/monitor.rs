@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::figures::helpers::{fnv1a, scenario_setup, setup_failed, ScenarioSetup};
 use crate::result::{Check, ExperimentResult};
 use vmp_abr::algorithm::ThroughputRule;
 use vmp_abr::network::{NetworkModel, NetworkProfile};
@@ -19,10 +20,8 @@ use vmp_analytics::report::Table;
 use vmp_cdn::broker::{Broker, BrokerPolicy};
 use vmp_cdn::edge::EdgeCluster;
 use vmp_cdn::routing::Router;
-use vmp_cdn::strategy::{CdnAssignment, CdnScope, CdnStrategy};
 use vmp_core::cdn::CdnName;
 use vmp_core::geo::ConnectionType;
-use vmp_core::ladder::BitrateLadder;
 use vmp_core::units::{Bytes, Seconds};
 use vmp_faults::{BreakerConfig, FaultInjector, FaultProfile, RetryPolicy};
 use vmp_monitor::{score_alerts, Cell, HealthMonitor};
@@ -70,32 +69,14 @@ struct ArmReport {
     fingerprint: u64,
 }
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn ladder() -> BitrateLadder {
-    BitrateLadder::from_bitrates(&[400, 800, 1600, 3200, 6400]).expect("static ladder")
-}
-
-fn strategy() -> CdnStrategy {
-    CdnStrategy::new(vec![
-        CdnAssignment { cdn: CdnName::A, weight: 1.0, scope: CdnScope::All },
-        CdnAssignment { cdn: CdnName::B, weight: 1.0, scope: CdnScope::All },
-        CdnAssignment { cdn: CdnName::C, weight: 1.0, scope: CdnScope::All },
-    ])
-    .expect("valid strategy")
-}
+/// The three CDNs the population is delivered over.
+const CDNS: [CdnName; 3] = [CdnName::A, CdnName::B, CdnName::C];
 
 /// Plays the staggered population under `profile` (already shifted) with
 /// failover off, streaming every completion into `sink` in fault-clock
 /// order — the order a central collector would ingest them.
 fn run_population(
+    stp: &ScenarioSetup,
     seed: u64,
     arm: u64,
     profile: Option<&FaultProfile>,
@@ -106,7 +87,7 @@ fn run_population(
     vmp_session::hooks::trace_epoch();
     let injector = profile.map(|p| FaultInjector::new(p.clone()));
     let horizon = profile.map(|p| p.horizon()).unwrap_or(Seconds(2100.0));
-    let strategy = strategy();
+    let strategy = &stp.strategy;
     let broker = Broker::with_breaker(BrokerPolicy::Weighted, BreakerConfig::default());
     let routers: BTreeMap<CdnName, Router> = strategy
         .cdns()
@@ -126,8 +107,11 @@ fn run_population(
         let network =
             NetworkModel::new(NetworkProfile::for_connection(ConnectionType::Wifi, 1.0));
         let region = i % REGIONS;
-        let mut config =
-            PlaybackConfig::vod(ladder(), Seconds::from_minutes(4.0), Seconds::from_minutes(1.0));
+        let mut config = PlaybackConfig::vod(
+            stp.ladder.clone(),
+            Seconds::from_minutes(4.0),
+            Seconds::from_minutes(1.0),
+        );
         config.start_offset = Seconds(horizon.0 * i as f64 / SESSIONS as f64);
         if profile.is_some() {
             config.retry = RetryPolicy::resilient();
@@ -137,7 +121,7 @@ fn run_population(
         let mut infra = infrastructure_fn(&routers, &mut edges, region, injector.as_ref());
         let mut ctx = MultiCdnContext {
             broker: &broker,
-            strategy: &strategy,
+            strategy,
             failure_probability: 0.0,
             failover_enabled: false, // damage must stay attributed to the faulted CDN
             health_gate: false,
@@ -180,9 +164,15 @@ fn run_population(
 }
 
 /// Runs one faulted arm end to end and grades the alert stream.
-fn run_arm(seed: u64, arm: u64, label: &'static str, profile: &FaultProfile) -> ArmReport {
+fn run_arm(
+    stp: &ScenarioSetup,
+    seed: u64,
+    arm: u64,
+    label: &'static str,
+    profile: &FaultProfile,
+) -> ArmReport {
     let mut monitor = HealthMonitor::with_defaults();
-    run_population(seed, arm, Some(profile), &mut monitor);
+    run_population(stp, seed, arm, Some(profile), &mut monitor);
     monitor.finish();
 
     let score = score_alerts(monitor.alerts(), profile, SLACK);
@@ -221,9 +211,13 @@ pub fn presets() -> [(&'static str, CdnName, FaultProfile); 3] {
 /// ids in the `TRACE_ID_BASE + preset * ARM_STRIDE` namespace; the
 /// trace-exemplar integration test drives this directly.
 pub fn preset_alerts(seed: u64, preset: usize) -> Vec<vmp_monitor::Alert> {
+    let Some(stp) = scenario_setup(&CDNS) else {
+        return Vec::new();
+    };
     let (_, _, profile) = &presets()[preset];
     let mut monitor = HealthMonitor::with_defaults();
-    run_population(seed, preset as u64, Some(&profile.shifted(BASELINE_SHIFT)), &mut monitor);
+    let shifted = profile.shifted(BASELINE_SHIFT);
+    run_population(&stp, seed, preset as u64, Some(&shifted), &mut monitor);
     monitor.finish();
     monitor.alerts().to_vec()
 }
@@ -251,22 +245,26 @@ pub fn run(seed: u64) -> ExperimentResult {
         "Scenario: streaming health plane graded against fault-injection ground truth",
     );
 
+    let Some(stp) = scenario_setup(&CDNS) else {
+        result.checks.push(setup_failed());
+        return result;
+    };
     let presets = presets();
 
     let mut arms: Vec<(CdnName, ArmReport)> = Vec::new();
     for (arm, (label, target, profile)) in presets.iter().enumerate() {
         arms.push((
             *target,
-            run_arm(seed, arm as u64, label, &profile.shifted(BASELINE_SHIFT)),
+            run_arm(&stp, seed, arm as u64, label, &profile.shifted(BASELINE_SHIFT)),
         ));
     }
-    let scoped = run_arm(seed, 3, "outage(B) in region 1", &scoped_profile());
+    let scoped = run_arm(&stp, seed, 3, "outage(B) in region 1", &scoped_profile());
     let replay =
-        run_arm(seed, 4, "cdn_brownout(A) replay", &presets[0].2.shifted(BASELINE_SHIFT));
+        run_arm(&stp, seed, 4, "cdn_brownout(A) replay", &presets[0].2.shifted(BASELINE_SHIFT));
 
     // Fault-free control: the identical population with no injector.
     let mut control = HealthMonitor::with_defaults();
-    run_population(seed, 5, None, &mut control);
+    run_population(&stp, seed, 5, None, &mut control);
     control.finish();
     let control_alerts = control.alerts().len();
 

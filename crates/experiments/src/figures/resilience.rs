@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::figures::helpers::{fnv1a, scenario_setup, setup_failed, ScenarioSetup};
 use crate::result::{Check, ExperimentResult};
 use vmp_abr::algorithm::ThroughputRule;
 use vmp_abr::network::{NetworkModel, NetworkProfile};
@@ -22,10 +23,8 @@ use vmp_analytics::report::{Series, Table};
 use vmp_cdn::broker::{Broker, BrokerPolicy};
 use vmp_cdn::edge::EdgeCluster;
 use vmp_cdn::routing::Router;
-use vmp_cdn::strategy::{CdnAssignment, CdnScope, CdnStrategy};
 use vmp_core::cdn::CdnName;
 use vmp_core::geo::ConnectionType;
-use vmp_core::ladder::BitrateLadder;
 use vmp_core::units::{Bytes, Seconds};
 use vmp_faults::{BreakerConfig, FaultInjector, FaultProfile, RetryPolicy};
 use vmp_monitor::HealthMonitor;
@@ -76,31 +75,11 @@ impl ArmStats {
     }
 }
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn ladder() -> BitrateLadder {
-    BitrateLadder::from_bitrates(&[400, 800, 1600, 3200, 6400]).expect("static ladder")
-}
-
-fn strategy() -> CdnStrategy {
-    CdnStrategy::new(vec![
-        CdnAssignment { cdn: CdnName::A, weight: 1.0, scope: CdnScope::All },
-        CdnAssignment { cdn: CdnName::B, weight: 1.0, scope: CdnScope::All },
-    ])
-    .expect("valid strategy")
-}
-
 /// Runs one arm: the full staggered session population against fresh
 /// infrastructure, with the given failover/health-gate switches. `faulted`
 /// selects the brownout plan versus a clean (no-fault) baseline.
 fn run_arm(
+    stp: &ScenarioSetup,
     seed: u64,
     label: &'static str,
     faulted: bool,
@@ -110,7 +89,7 @@ fn run_arm(
     let profile = FaultProfile::cdn_brownout(CdnName::A);
     let horizon = profile.horizon();
     let injector = faulted.then(|| FaultInjector::new(profile));
-    let strategy = strategy();
+    let strategy = &stp.strategy;
     let broker = Broker::with_breaker(BrokerPolicy::Weighted, BreakerConfig::default());
     let routers: BTreeMap<CdnName, Router> = strategy
         .cdns()
@@ -145,8 +124,11 @@ fn run_arm(
         let network =
             NetworkModel::new(NetworkProfile::for_connection(ConnectionType::Wifi, 1.0));
         let offset = Seconds(horizon.0 * i as f64 / SESSIONS as f64);
-        let mut config =
-            PlaybackConfig::vod(ladder(), Seconds::from_minutes(20.0), Seconds::from_minutes(5.0));
+        let mut config = PlaybackConfig::vod(
+            stp.ladder.clone(),
+            Seconds::from_minutes(20.0),
+            Seconds::from_minutes(5.0),
+        );
         config.start_offset = offset;
         // The armed timeout + bounded-retry policy is what a resilient
         // player ships; the clean baseline keeps the stock policy so it
@@ -158,7 +140,7 @@ fn run_arm(
         let mut infra = infrastructure_fn(&routers, &mut edges, i % REGIONS, injector.as_ref());
         let mut ctx = MultiCdnContext {
             broker: &broker,
-            strategy: &strategy,
+            strategy,
             failure_probability: 0.0, // incidents come from the fault plan only
             failover_enabled,
             health_gate,
@@ -225,10 +207,14 @@ pub fn run(seed: u64) -> ExperimentResult {
         "Scenario: CDN brownout with failover disabled vs enabled (seeded fault plan)",
     );
 
-    let disabled = run_arm(seed, "failover off", true, false, false);
-    let enabled = run_arm(seed, "failover on", true, true, true);
-    let replay = run_arm(seed, "failover on (replay)", true, true, true);
-    let clean = run_arm(seed, "no faults", false, true, true);
+    let Some(stp) = scenario_setup(&[CdnName::A, CdnName::B]) else {
+        result.checks.push(setup_failed());
+        return result;
+    };
+    let disabled = run_arm(&stp, seed, "failover off", true, false, false);
+    let enabled = run_arm(&stp, seed, "failover on", true, true, true);
+    let replay = run_arm(&stp, seed, "failover on (replay)", true, true, true);
+    let clean = run_arm(&stp, seed, "no faults", false, true, true);
 
     let mut table = Table::new(
         "Brownout on CDN A: weighted 2-CDN strategy, 240 staggered sessions per arm",

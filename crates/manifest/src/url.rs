@@ -30,17 +30,19 @@ pub fn classify(url: &str) -> Option<StreamingProtocol> {
     if trimmed.is_empty() {
         return None;
     }
-    // Rule 1 (footnote 5): the RTMP family is identified by scheme.
-    let lower = trimmed.to_ascii_lowercase();
+    // Rule 1 (footnote 5): the RTMP family is identified by scheme. All
+    // matching is ASCII-case-insensitive on the borrowed string: ingest
+    // calls this once per view, so it must not allocate.
     for scheme in ["rtmp://", "rtmps://", "rtmpe://", "rtmpt://"] {
-        if lower.starts_with(scheme) {
+        let prefix = trimmed.as_bytes().get(..scheme.len());
+        if prefix.is_some_and(|p| p.eq_ignore_ascii_case(scheme.as_bytes())) {
             return Some(StreamingProtocol::Rtmp);
         }
     }
     // Strip scheme, query and fragment; keep only the path.
-    let without_scheme = match lower.find("://") {
-        Some(i) => &lower[i + 3..],
-        None => lower.as_str(),
+    let without_scheme = match trimmed.find("://") {
+        Some(i) => &trimmed[i + 3..],
+        None => trimmed,
     };
     let path_end = without_scheme
         .find(['?', '#'])
@@ -55,7 +57,7 @@ pub fn classify(url: &str) -> Option<StreamingProtocol> {
     for segment in segments {
         if let Some(ext) = extension_of(segment) {
             for proto in StreamingProtocol::ALL {
-                if proto.manifest_extensions().contains(&ext) {
+                if proto.manifest_extensions().iter().any(|e| e.eq_ignore_ascii_case(ext)) {
                     if proto == StreamingProtocol::Progressive {
                         // Keep scanning: a later segment may carry a real
                         // manifest extension (rare, but be precise).

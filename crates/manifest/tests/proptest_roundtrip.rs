@@ -118,4 +118,20 @@ proptest! {
     fn classifier_never_panics(url in "\\PC*") {
         let _ = classify(&url);
     }
+
+    /// Classification ignores ASCII case, for generated URLs (which always
+    /// classify) and for arbitrary strings (which mostly do not).
+    #[test]
+    fn classifier_ignores_ascii_case(
+        proto_idx in 0usize..6,
+        token in "[a-zA-Z0-9]{4,12}",
+        arbitrary in "\\PC*",
+    ) {
+        let generated =
+            manifest_url(StreamingProtocol::ALL[proto_idx], "Edge.Example.NET", "p7", &token);
+        for u in [generated, arbitrary] {
+            prop_assert_eq!(classify(&u), classify(&u.to_ascii_uppercase()));
+            prop_assert_eq!(classify(&u), classify(&u.to_ascii_lowercase()));
+        }
+    }
 }

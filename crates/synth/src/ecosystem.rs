@@ -1,11 +1,13 @@
-//! The ecosystem orchestrator: population → planes → weighted view samples.
+//! The ecosystem's configuration and metadata: what parameterizes a
+//! generation run ([`EcosystemConfig`]) and what is left of it besides the
+//! views ([`Dataset`]: publisher profiles, syndication graph, snapshot
+//! list). The views themselves only ever exist as the batches of a
+//! [`ViewStream`](crate::stream::ViewStream).
 
 use vmp_core::ids::PublisherId;
 use vmp_core::time::SnapshotId;
-use vmp_core::view::SampledView;
 
 use crate::publisher_gen::PublisherProfile;
-use crate::stream::ViewStream;
 use crate::syndigraph::SyndicationGraph;
 use crate::views::ViewGenConfig;
 
@@ -55,20 +57,12 @@ impl EcosystemConfig {
     }
 }
 
-/// Where a dataset's sampled views live. Once they are handed to analytics
-/// by move ([`Dataset::take_views`] or the streaming pipeline), the state
-/// flips to [`ViewState::HandedOut`] and every row accessor fails loudly
-/// instead of silently yielding nothing.
-#[derive(Debug)]
-enum ViewState {
-    /// The views are resident in the dataset.
-    Present(Vec<SampledView>),
-    /// The views were moved out (ingested or streamed); row accessors are
-    /// an error.
-    HandedOut,
-}
-
-/// The generated dataset: the synthetic stand-in for the Conviva telemetry.
+/// The generated ecosystem's metadata: the synthetic stand-in for what the
+/// measurement platform knows about its publishers. The sampled views are
+/// not part of it — [`ViewStream`](crate::stream::ViewStream) is the one
+/// way to get views, and
+/// [`ViewStream::into_dataset`](crate::stream::ViewStream::into_dataset)
+/// the one way to get a `Dataset`.
 #[derive(Debug)]
 pub struct Dataset {
     /// The configuration that produced it.
@@ -77,40 +71,11 @@ pub struct Dataset {
     pub profiles: Vec<PublisherProfile>,
     /// The syndication graph.
     pub graph: SyndicationGraph,
-    /// All weighted view samples across the generated snapshots — or the
-    /// explicit handed-out marker after [`take_views`](Self::take_views).
-    views: ViewState,
     /// Which snapshots were generated.
     pub snapshots: Vec<SnapshotId>,
 }
 
 impl Dataset {
-    /// Generates the full dataset by draining a [`ViewStream`] — the same
-    /// sharded generation the out-of-core pipeline uses, collected into a
-    /// resident vector for row-level consumers and tests.
-    pub fn generate(config: EcosystemConfig) -> Dataset {
-        let mut stream = ViewStream::new(config);
-        let mut views: Vec<SampledView> = Vec::new();
-        while let Some(batch) = stream.next_batch() {
-            views.extend(batch.views);
-        }
-        let mut dataset = stream.into_dataset();
-        dataset.views = ViewState::Present(views);
-        dataset
-    }
-
-    /// Assembles a dataset whose views were delivered elsewhere (the
-    /// streaming pipeline): profiles, graph and snapshot list are resident,
-    /// row accessors fail loudly.
-    pub(crate) fn without_views(
-        config: EcosystemConfig,
-        profiles: Vec<PublisherProfile>,
-        graph: SyndicationGraph,
-        snapshots: Vec<SnapshotId>,
-    ) -> Dataset {
-        Dataset { config, profiles, graph, views: ViewState::HandedOut, snapshots }
-    }
-
     /// The three largest publishers by final view-hours (the Fig 2(c)/6(b)
     /// exclusion set).
     pub fn largest_publishers(&self, n: usize) -> Vec<PublisherId> {
@@ -123,67 +88,21 @@ impl Dataset {
     pub fn profile(&self, id: PublisherId) -> Option<&PublisherProfile> {
         self.profiles.get(id.index())
     }
-
-    /// Whether the views were moved out (ingested or streamed).
-    pub fn views_taken(&self) -> bool {
-        matches!(self.views, ViewState::HandedOut)
-    }
-
-    /// The resident sampled views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the views were already handed to analytics
-    /// ([`take_views`](Self::take_views) or the streaming pipeline) —
-    /// misuse that used to silently yield nothing.
-    pub fn views(&self) -> &[SampledView] {
-        assert!(
-            !self.views_taken(),
-            "dataset views were already handed to analytics (take_views or the streaming \
-             pipeline); query the ViewStore instead of the dataset"
-        );
-        match &self.views {
-            ViewState::Present(views) => views,
-            ViewState::HandedOut => &[],
-        }
-    }
-
-    /// Moves the sampled views out — for handing to analytics ingest by
-    /// move instead of cloning the whole batch. Profiles, graph and
-    /// snapshot list stay behind; the dataset enters the handed-out state
-    /// and any later row access ([`views`](Self::views),
-    /// [`views_at`](Self::views_at), or a second `take_views`) panics with
-    /// a clear message instead of silently yielding nothing.
-    pub fn take_views(&mut self) -> Vec<SampledView> {
-        assert!(
-            !self.views_taken(),
-            "dataset views were already handed to analytics; take_views may only be called \
-             once"
-        );
-        match std::mem::replace(&mut self.views, ViewState::HandedOut) {
-            ViewState::Present(views) => views,
-            ViewState::HandedOut => Vec::new(),
-        }
-    }
-
-    /// Views belonging to one snapshot. Panics after the views were handed
-    /// out (see [`views`](Self::views)).
-    pub fn views_at(&self, snapshot: SnapshotId) -> impl Iterator<Item = &SampledView> {
-        self.views().iter().filter(move |v| v.record.snapshot == snapshot)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::tests::drain;
+    use crate::stream::ViewStream;
 
     #[test]
     fn small_dataset_generates_and_is_deterministic() {
-        let a = Dataset::generate(EcosystemConfig::small());
-        let b = Dataset::generate(EcosystemConfig::small());
-        assert_eq!(a.views().len(), b.views().len());
-        assert!(!a.views().is_empty());
-        for (x, y) in a.views().iter().take(500).zip(b.views().iter().take(500)) {
+        let (a, _) = drain(EcosystemConfig::small());
+        let (b, _) = drain(EcosystemConfig::small());
+        assert_eq!(a.len(), b.len());
+        assert!(!a.is_empty());
+        for (x, y) in a.iter().take(500).zip(b.iter().take(500)) {
             assert_eq!(x.record, y.record);
             assert_eq!(x.weight, y.weight);
         }
@@ -195,26 +114,28 @@ mod tests {
         c1.threads = 1;
         let mut c8 = EcosystemConfig::small();
         c8.threads = 8;
-        let a = Dataset::generate(c1);
-        let b = Dataset::generate(c8);
-        assert_eq!(a.views().len(), b.views().len());
-        for (x, y) in a.views().iter().zip(b.views()) {
+        let (a, da) = drain(c1);
+        let (b, db) = drain(c8);
+        assert_eq!(da.snapshots, db.snapshots);
+        assert_eq!(da.largest_publishers(3), db.largest_publishers(3));
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.record, y.record);
         }
     }
 
     #[test]
     fn last_snapshot_is_always_present() {
-        let d = Dataset::generate(EcosystemConfig::small());
+        let (views, d) = drain(EcosystemConfig::small());
         assert!(d.snapshots.contains(&SnapshotId::LAST));
-        assert!(d.views_at(SnapshotId::LAST).count() > 0);
+        assert!(views.iter().any(|v| v.record.snapshot == SnapshotId::LAST));
     }
 
     #[test]
     fn every_publisher_contributes_views() {
-        let d = Dataset::generate(EcosystemConfig::small());
+        let (views, d) = drain(EcosystemConfig::small());
         let mut seen = vec![false; d.profiles.len()];
-        for v in d.views() {
+        for v in &views {
             seen[v.record.publisher.index()] = true;
         }
         assert!(seen.iter().all(|s| *s));
@@ -222,36 +143,9 @@ mod tests {
 
     #[test]
     fn largest_publishers_are_dash_first() {
-        let d = Dataset::generate(EcosystemConfig::small());
+        let d = ViewStream::new(EcosystemConfig::small()).into_dataset();
         for id in d.largest_publishers(crate::trends::DASH_FIRST_PUBLISHERS) {
             assert!(d.profile(id).unwrap().dash_first);
         }
-    }
-
-    #[test]
-    fn take_views_flips_to_handed_out() {
-        let mut d = Dataset::generate(EcosystemConfig::small());
-        assert!(!d.views_taken());
-        let views = d.take_views();
-        assert!(!views.is_empty());
-        assert!(d.views_taken());
-    }
-
-    /// The old footgun: `views_at` after `take_views` silently yielded
-    /// nothing. It is now a loud error.
-    #[test]
-    #[should_panic(expected = "already handed to analytics")]
-    fn views_at_after_take_views_is_loud() {
-        let mut d = Dataset::generate(EcosystemConfig::small());
-        let _views = d.take_views();
-        let _ = d.views_at(SnapshotId::LAST).count();
-    }
-
-    #[test]
-    #[should_panic(expected = "may only be called once")]
-    fn double_take_views_is_loud() {
-        let mut d = Dataset::generate(EcosystemConfig::small());
-        let _first = d.take_views();
-        let _second = d.take_views();
     }
 }

@@ -19,7 +19,8 @@
 //! * [`publisher_gen`] — per-publisher static profile and per-snapshot
 //!   management-plane configuration;
 //! * [`views`] — weighted view-sample generation for one snapshot;
-//! * [`ecosystem`] — the orchestrator producing a [`Dataset`];
+//! * [`stream`] — the sharded generator: the one producer of views;
+//! * [`ecosystem`] — the run's configuration and its metadata ([`Dataset`]);
 //! * [`syndigraph`] — the owner↔syndicator graph (§6 / Fig 14).
 
 #![forbid(unsafe_code)]

@@ -8,13 +8,19 @@
 
 use vmp::analytics::columns::{publisher_share, vh_share, CDN, PLATFORM, PROTOCOL};
 use vmp::analytics::perpub::{count_histogram, counts_per_publisher};
-use vmp::analytics::store::ViewStore;
-use vmp::synth::ecosystem::{Dataset, EcosystemConfig};
+use vmp::analytics::store::{IngestOptions, IngestPipeline};
+use vmp::synth::ecosystem::EcosystemConfig;
+use vmp::synth::stream::ViewStream;
 
 fn main() {
     let started = std::time::Instant::now();
-    let mut dataset = Dataset::generate(EcosystemConfig::small());
-    let store = ViewStore::ingest(dataset.take_views());
+    let mut stream = ViewStream::new(EcosystemConfig::small());
+    let mut pipeline = IngestPipeline::new(IngestOptions::default());
+    while let Some(batch) = stream.next_batch() {
+        pipeline.push_batch(batch.views);
+    }
+    let store = pipeline.finish();
+    let dataset = stream.into_dataset();
     let last = store.latest_snapshot().expect("dataset has views");
     println!(
         "generated {} publishers / {} weighted samples in {:.1}s; reporting {last}",

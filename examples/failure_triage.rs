@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use vmp::abr::algorithm::ThroughputRule;
 use vmp::abr::network::{NetworkModel, NetworkProfile};
 use vmp::analytics::complexity::{complexity_fit, complexity_points, ComplexityMeasure};
-use vmp::analytics::store::ViewStore;
+use vmp::analytics::store::{IngestOptions, IngestPipeline};
 use vmp::cdn::broker::{Broker, BrokerPolicy};
 use vmp::cdn::edge::EdgeCluster;
 use vmp::cdn::routing::Router;
@@ -29,7 +29,8 @@ use vmp::monitor::HealthMonitor;
 use vmp::session::hooks::{CompletionSink, SessionEnd};
 use vmp::session::player::{infrastructure_fn, MultiCdnContext, PlaybackConfig, Player};
 use vmp::stats::Rng;
-use vmp::synth::ecosystem::{Dataset, EcosystemConfig};
+use vmp::synth::ecosystem::EcosystemConfig;
+use vmp::synth::stream::ViewStream;
 
 /// Sessions in the live triage population, staggered across the horizon.
 const SESSIONS: usize = 900;
@@ -45,8 +46,12 @@ fn main() {
 /// Part 1 — how big is the haystack? The per-publisher management-plane
 /// combination count the engineer would otherwise search by hand.
 fn search_space() {
-    let dataset = Dataset::generate(EcosystemConfig::small());
-    let store = ViewStore::ingest(dataset.views().to_vec());
+    let mut stream = ViewStream::new(EcosystemConfig::small());
+    let mut pipeline = IngestPipeline::new(IngestOptions::default());
+    while let Some(batch) = stream.next_batch() {
+        pipeline.push_batch(batch.views);
+    }
+    let store = pipeline.finish();
     let last = store.latest_snapshot().expect("dataset has views");
 
     let points = complexity_points(&store, last, ComplexityMeasure::Combinations, &|_| 1);

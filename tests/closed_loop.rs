@@ -52,44 +52,60 @@ fn telemetry_protocol_inference_matches_generation_intent() {
     // Generate a small ecosystem and verify that analytics' URL-derived
     // protocol is always one the publisher's management plane packaged
     // (the generator's intent never leaks any other way).
-    use vmp::analytics::store::ViewStore;
-    use vmp::synth::ecosystem::{Dataset, EcosystemConfig};
+    use vmp::analytics::store::{IngestOptions, IngestPipeline};
+    use vmp::synth::ecosystem::EcosystemConfig;
+    use vmp::synth::stream::ViewStream;
 
     let mut config = EcosystemConfig::small();
     config.publishers = 40;
     config.snapshot_stride = 18;
-    let dataset = Dataset::generate(config);
-    let store = ViewStore::ingest(dataset.views().to_vec());
+    let mut stream = ViewStream::new(config);
+    let mut pipeline = IngestPipeline::new(IngestOptions::default());
+    while let Some(batch) = stream.next_batch() {
+        pipeline.push_batch(batch.views);
+    }
+    let store = pipeline.finish();
+    let dataset = stream.into_dataset();
     let mut checked = 0;
-    for v in store.all() {
-        let protocol = v.protocol.expect("generated URLs always classify");
-        let profile = dataset.profile(v.view.record.publisher).expect("known publisher");
-        let plane = profile.plane(v.view.record.snapshot);
-        assert!(
-            plane.protocols.contains(&protocol) || protocol == plane.protocols[0],
-            "{protocol} not in {:?}",
-            plane.protocols
-        );
-        checked += 1;
+    for seg in store.iter_segments() {
+        for (&code, &publisher) in seg.protocols().iter().zip(seg.publishers()) {
+            let protocol =
+                StreamingProtocol::from_code(code).expect("generated URLs always classify");
+            let profile = dataset.profile(PublisherId::new(publisher)).expect("known publisher");
+            let plane = profile.plane(seg.snapshot());
+            assert!(
+                plane.protocols.contains(&protocol) || protocol == plane.protocols[0],
+                "{protocol} not in {:?}",
+                plane.protocols
+            );
+            checked += 1;
+        }
     }
     assert!(checked > 1000, "too few views checked: {checked}");
 }
 
 #[test]
 fn weighted_view_hours_equal_management_plane_targets() {
-    use vmp::synth::ecosystem::{Dataset, EcosystemConfig};
+    use std::collections::BTreeMap;
+    use vmp::synth::ecosystem::EcosystemConfig;
+    use vmp::synth::stream::ViewStream;
+
     let mut config = EcosystemConfig::small();
     config.publishers = 20;
     config.snapshot_stride = 30;
-    let dataset = Dataset::generate(config);
+    let mut stream = ViewStream::new(config);
+    let mut totals: BTreeMap<(SnapshotId, PublisherId), f64> = BTreeMap::new();
+    while let Some(batch) = stream.next_batch() {
+        for v in &batch.views {
+            *totals.entry((v.record.snapshot, v.record.publisher)).or_insert(0.0) +=
+                v.weighted_hours();
+        }
+    }
+    let dataset = stream.into_dataset();
     for snapshot in &dataset.snapshots {
         for profile in &dataset.profiles {
             let target = profile.plane(*snapshot).vh_day * 2.0;
-            let total: f64 = dataset
-                .views_at(*snapshot)
-                .filter(|v| v.record.publisher == profile.publisher.id)
-                .map(|v| v.weighted_hours())
-                .sum();
+            let total = totals.get(&(*snapshot, profile.publisher.id)).copied().unwrap_or(0.0);
             assert!(
                 (total / target - 1.0).abs() < 1e-6,
                 "{}: {total} vs target {target}",
