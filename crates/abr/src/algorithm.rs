@@ -41,9 +41,15 @@ pub struct ThroughputRule {
     pub safety: f64,
 }
 
+impl ThroughputRule {
+    /// The default tuning, as a constant: `&ThroughputRule::DEFAULT` is a
+    /// `&'static dyn AbrAlgorithm` with no allocation.
+    pub const DEFAULT: ThroughputRule = ThroughputRule { safety: 0.8 };
+}
+
 impl Default for ThroughputRule {
     fn default() -> Self {
-        ThroughputRule { safety: 0.8 }
+        ThroughputRule::DEFAULT
     }
 }
 
@@ -72,9 +78,14 @@ pub struct Bba {
     pub cushion: Seconds,
 }
 
+impl Bba {
+    /// The default tuning, as a constant (see [`ThroughputRule::DEFAULT`]).
+    pub const DEFAULT: Bba = Bba { reservoir: Seconds(10.0), cushion: Seconds(40.0) };
+}
+
 impl Default for Bba {
     fn default() -> Self {
-        Bba { reservoir: Seconds(10.0), cushion: Seconds(40.0) }
+        Bba::DEFAULT
     }
 }
 
@@ -105,9 +116,14 @@ pub struct Bola {
     pub buffer_target: Seconds,
 }
 
+impl Bola {
+    /// The default tuning, as a constant (see [`ThroughputRule::DEFAULT`]).
+    pub const DEFAULT: Bola = Bola { buffer_target: Seconds(25.0) };
+}
+
 impl Default for Bola {
     fn default() -> Self {
-        Bola { buffer_target: Seconds(25.0) }
+        Bola::DEFAULT
     }
 }
 
@@ -115,10 +131,9 @@ impl AbrAlgorithm for Bola {
     fn choose(&self, ladder: &BitrateLadder, state: &AbrState) -> Kbps {
         let rungs = ladder.rungs();
         let min_b = rungs[0].bitrate.0 as f64;
-        // Utilities: log of bitrate relative to the lowest rung.
-        let utilities: Vec<f64> =
-            rungs.iter().map(|r| (r.bitrate.0 as f64 / min_b).ln()).collect();
-        let max_utility = *utilities.last().expect("non-empty ladder");
+        // Utility: log of bitrate relative to the lowest rung.
+        let utility = |bitrate: Kbps| (bitrate.0 as f64 / min_b).ln();
+        let max_utility = utility(ladder.max().bitrate);
         let chunk = state.chunk_duration.0.max(0.1);
         // Derive V and gamma so the highest rung is picked exactly at the
         // buffer target (standard BOLA-U parameterization).
@@ -127,8 +142,9 @@ impl AbrAlgorithm for Bola {
         let buffer_chunks = state.buffer.0 / chunk;
         let mut best = rungs[0].bitrate;
         let mut best_score = f64::MIN;
-        for (rung, utility) in rungs.iter().zip(&utilities) {
-            let score = (v * (utility + gamma) - buffer_chunks) / (rung.bitrate.0 as f64);
+        for rung in rungs {
+            let score =
+                (v * (utility(rung.bitrate) + gamma) - buffer_chunks) / (rung.bitrate.0 as f64);
             if score > best_score {
                 best_score = score;
                 best = rung.bitrate;

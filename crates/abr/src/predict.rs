@@ -58,7 +58,7 @@ impl HarmonicMeanPredictor {
     /// Creates a predictor over the last `window ≥ 1` chunks.
     pub fn new(window: usize) -> HarmonicMeanPredictor {
         assert!(window >= 1, "window must be at least 1");
-        HarmonicMeanPredictor { window, history: VecDeque::new() }
+        HarmonicMeanPredictor { window, history: VecDeque::with_capacity(window) }
     }
 }
 

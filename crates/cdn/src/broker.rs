@@ -14,9 +14,10 @@
 //! half-opens after a cooldown on the virtual clock, admitting probe
 //! traffic again.
 
-use crate::strategy::CdnStrategy;
+use crate::strategy::{CdnAssignment, CdnStrategy};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
 use vmp_core::units::Seconds;
@@ -39,6 +40,31 @@ struct Score {
     samples: u64,
 }
 
+/// Counters every broker bumps, resolved once per process: generation
+/// builds a broker per (publisher, snapshot) cell, and five registry
+/// lookups per cell are five lock round-trips nobody needs.
+#[derive(Debug)]
+struct BrokerMetrics {
+    selections: vmp_obs::Counter,
+    failovers: vmp_obs::Counter,
+    reports: vmp_obs::Counter,
+    circuit_trips: vmp_obs::Counter,
+    quarantine_skips: vmp_obs::Counter,
+}
+
+impl BrokerMetrics {
+    fn get() -> &'static BrokerMetrics {
+        static METRICS: OnceLock<BrokerMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| BrokerMetrics {
+            selections: vmp_obs::counter("cdn.broker_selections"),
+            failovers: vmp_obs::counter("cdn.broker_failovers"),
+            reports: vmp_obs::counter("cdn.broker_qoe_reports"),
+            circuit_trips: vmp_obs::counter("cdn.circuit_trips"),
+            quarantine_skips: vmp_obs::counter("cdn.quarantine_skips"),
+        })
+    }
+}
+
 /// A CDN broker shared across concurrent sessions (hence the mutex; the
 /// paper's broker aggregates telemetry from all clients).
 #[derive(Debug)]
@@ -52,11 +78,7 @@ pub struct Broker {
     alpha: f64,
     /// Exploration probability under [`BrokerPolicy::QoeAware`].
     epsilon: f64,
-    obs_selections: vmp_obs::Counter,
-    obs_failovers: vmp_obs::Counter,
-    obs_reports: vmp_obs::Counter,
-    obs_circuit_trips: vmp_obs::Counter,
-    obs_quarantine_skips: vmp_obs::Counter,
+    metrics: &'static BrokerMetrics,
 }
 
 impl Broker {
@@ -74,11 +96,7 @@ impl Broker {
             breaker_config,
             alpha: 0.2,
             epsilon: 0.1,
-            obs_selections: vmp_obs::counter("cdn.broker_selections"),
-            obs_failovers: vmp_obs::counter("cdn.broker_failovers"),
-            obs_reports: vmp_obs::counter("cdn.broker_qoe_reports"),
-            obs_circuit_trips: vmp_obs::counter("cdn.circuit_trips"),
-            obs_quarantine_skips: vmp_obs::counter("cdn.quarantine_skips"),
+            metrics: BrokerMetrics::get(),
         }
     }
 
@@ -111,38 +129,82 @@ impl Broker {
         now: Seconds,
         rng: &mut Rng,
     ) -> Option<CdnName> {
-        let mut eligible = strategy.eligible(class);
+        self.select_from(&strategy.eligible(class), None, now, rng)
+    }
+
+    /// [`Broker::select_at`] for a caller that selects many views under one
+    /// strategy and prepared the class's eligible list once: `eligible` is
+    /// [`CdnStrategy::eligible`] for the class and `table` is
+    /// `Discrete::new` over its weights, in order. Same draws, same
+    /// counters and the same health gate as `select_at`.
+    pub fn select_prepared(
+        &self,
+        eligible: &[CdnAssignment],
+        table: &Discrete,
+        now: Seconds,
+        rng: &mut Rng,
+    ) -> Option<CdnName> {
+        self.select_from(eligible, Some(table), now, rng)
+    }
+
+    /// Selection over an eligible list; `table`, when given, is the
+    /// weighted table of the *whole* list.
+    fn select_from(
+        &self,
+        eligible: &[CdnAssignment],
+        table: Option<&Discrete>,
+        now: Seconds,
+        rng: &mut Rng,
+    ) -> Option<CdnName> {
         if eligible.is_empty() {
             return None;
         }
-        let healthy: Vec<_> = eligible
-            .iter()
-            .copied()
-            .filter(|a| !self.quarantined(a.cdn, now))
-            .collect();
-        if healthy.is_empty() {
-            self.obs_quarantine_skips.inc();
-        } else {
-            if healthy.len() < eligible.len() {
-                self.obs_quarantine_skips.inc();
+        // One lock for the whole gate. `Some` once a quarantined CDN has
+        // been seen; a broker that never recorded a failure allocates
+        // nothing here.
+        let mut healthy: Option<Vec<CdnAssignment>> = None;
+        {
+            let mut breakers = self.breakers.lock();
+            if !breakers.is_empty() {
+                for (i, a) in eligible.iter().enumerate() {
+                    let open = breakers.get_mut(&a.cdn).is_some_and(|b| !b.allows(now));
+                    match (&mut healthy, open) {
+                        (None, true) => healthy = Some(eligible[..i].to_vec()),
+                        (Some(h), false) => h.push(*a),
+                        _ => {}
+                    }
+                }
             }
-            eligible = healthy;
         }
-        self.obs_selections.inc();
+        // The prepared table covers the whole list, so it survives only
+        // when the gate removed nothing.
+        let (pool, table) = match &healthy {
+            None => (eligible, table),
+            Some(h) => {
+                self.metrics.quarantine_skips.inc();
+                // Everything quarantined: the gate stands aside.
+                if h.is_empty() { (eligible, table) } else { (h.as_slice(), None) }
+            }
+        };
+        self.metrics.selections.inc();
         match self.policy {
             BrokerPolicy::Weighted => {
-                let weights: Vec<f64> = eligible.iter().map(|a| a.weight).collect();
-                let dist = Discrete::new(&weights).ok()?;
-                Some(eligible[dist.sample(rng)].cdn)
+                let index = match table {
+                    Some(table) => table.sample(rng),
+                    None => {
+                        let weights: Vec<f64> = pool.iter().map(|a| a.weight).collect();
+                        Discrete::new(&weights).ok()?.sample(rng)
+                    }
+                };
+                Some(pool[index].cdn)
             }
             BrokerPolicy::QoeAware => {
                 if rng.chance(self.epsilon) {
                     // Explore uniformly.
-                    return Some(rng.choose(&eligible).cdn);
+                    return Some(rng.choose(pool).cdn);
                 }
                 let scores = self.scores.lock();
-                eligible
-                    .iter()
+                pool.iter()
                     .max_by(|a, b| {
                         let sa = scores.get(&a.cdn).map(|s| s.value).unwrap_or(f64::MAX);
                         let sb = scores.get(&b.cdn).map(|s| s.value).unwrap_or(f64::MAX);
@@ -200,7 +262,7 @@ impl Broker {
             .copied()
             .filter(|a| !self.quarantined(a.cdn, now))
             .collect();
-        self.obs_failovers.inc();
+        self.metrics.failovers.inc();
         let pool = if healthy.is_empty() { &alternatives } else { &healthy };
         Some(rng.choose(pool).cdn)
     }
@@ -214,7 +276,7 @@ impl Broker {
             .entry(cdn)
             .or_insert_with(|| CircuitBreaker::new(self.breaker_config));
         if breaker.record_failure(now) {
-            self.obs_circuit_trips.inc();
+            self.metrics.circuit_trips.inc();
             vmp_obs::event(
                 vmp_obs::EventKind::CircuitOpen,
                 format!("{cdn:?} quarantined at t={:.0}s until t={:.0}s", now.0, breaker.open_until().0),
@@ -269,7 +331,7 @@ impl Broker {
         if !score.is_finite() {
             return;
         }
-        self.obs_reports.inc();
+        self.metrics.reports.inc();
         let mut scores = self.scores.lock();
         let entry = scores.entry(cdn).or_default();
         if entry.samples == 0 {
@@ -396,6 +458,40 @@ mod tests {
             broker.failover_at(&s, ContentClass::Vod, CdnName::B, Seconds(10.0), &mut rng),
             Some(CdnName::A)
         );
+    }
+
+    #[test]
+    fn prepared_selection_matches_select_at() {
+        let s = CdnStrategy::new(vec![
+            CdnAssignment { cdn: CdnName::A, weight: 3.0, scope: CdnScope::All },
+            CdnAssignment { cdn: CdnName::B, weight: 1.0, scope: CdnScope::All },
+            CdnAssignment { cdn: CdnName::C, weight: 2.0, scope: CdnScope::All },
+        ])
+        .unwrap();
+        let eligible = s.eligible(ContentClass::Vod);
+        let weights: Vec<f64> = eligible.iter().map(|a| a.weight).collect();
+        let table = Discrete::new(&weights).unwrap();
+        let broker = Broker::new(BrokerPolicy::Weighted);
+        // Nothing quarantined, then B, then every CDN.
+        for quarantine in [&[][..], &[CdnName::B][..], &[CdnName::A, CdnName::C][..]] {
+            for cdn in quarantine {
+                for t in 0..3 {
+                    broker.record_fetch_failure(*cdn, Seconds(t as f64));
+                }
+            }
+            let mut plain = Rng::seed_from(31);
+            let mut prepared = Rng::seed_from(31);
+            for _ in 0..200 {
+                let now = Seconds(10.0);
+                assert_eq!(
+                    broker.select_prepared(&eligible, &table, now, &mut prepared),
+                    broker.select_at(&s, ContentClass::Vod, now, &mut plain),
+                );
+            }
+            assert_eq!(plain, prepared, "same number of draws");
+        }
+        let empty = Discrete::new_or_unit(&[]);
+        assert_eq!(broker.select_prepared(&[], &empty, Seconds::ZERO, &mut Rng::seed_from(1)), None);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::protocol::Codec;
 use crate::units::Kbps;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A video frame size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -87,6 +88,9 @@ impl fmt::Display for LadderRung {
 
 /// An ordered bitrate ladder (ascending by bitrate, unique bitrates).
 ///
+/// The rungs are immutable once built and shared: cloning a ladder (every
+/// playback session takes its own) copies a pointer, not the rungs.
+///
 /// ```
 /// use vmp_core::ladder::BitrateLadder;
 /// use vmp_core::units::Kbps;
@@ -99,7 +103,7 @@ impl fmt::Display for LadderRung {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BitrateLadder {
-    rungs: Vec<LadderRung>,
+    rungs: Arc<[LadderRung]>,
 }
 
 impl BitrateLadder {
@@ -113,7 +117,7 @@ impl BitrateLadder {
         if rungs.windows(2).any(|w| w[0].bitrate == w[1].bitrate) {
             return Err(crate::error::CoreError::invalid("duplicate bitrate in ladder"));
         }
-        Ok(BitrateLadder { rungs })
+        Ok(BitrateLadder { rungs: rungs.into() })
     }
 
     /// Convenience: an all-H.264 ladder from bare bitrates.

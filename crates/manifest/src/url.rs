@@ -88,32 +88,31 @@ fn extension_of(segment: &str) -> Option<&str> {
 
 /// Builds the manifest URL that the packager publishes for a presentation
 /// on a given CDN host. Mirrors the URL shapes of Table 1.
+///
+/// The result is allocated once at its exact length (`capacity == len`):
+/// generation builds one per view and ingest pipelines hold them by the
+/// hundred thousand, so slack capacity is resident memory.
 pub fn manifest_url(
     protocol: StreamingProtocol,
     cdn_host: &str,
     publisher_prefix: &str,
     content_token: &str,
 ) -> String {
-    match protocol {
-        StreamingProtocol::Hls => {
-            format!("https://{cdn_host}/{publisher_prefix}/{content_token}/master.m3u8")
-        }
-        StreamingProtocol::Dash => {
-            format!("https://{cdn_host}/{publisher_prefix}/{content_token}.mpd")
-        }
-        StreamingProtocol::SmoothStreaming => {
-            format!("https://{cdn_host}/{publisher_prefix}/{content_token}.ism/manifest")
-        }
-        StreamingProtocol::Hds => {
-            format!("https://{cdn_host}/{publisher_prefix}/cache/{content_token}.f4m")
-        }
-        StreamingProtocol::Rtmp => {
-            format!("rtmp://{cdn_host}/live/{publisher_prefix}/{content_token}")
-        }
-        StreamingProtocol::Progressive => {
-            format!("https://{cdn_host}/{publisher_prefix}/{content_token}.mp4")
-        }
+    // scheme, host, `to_prefix`, prefix, `to_token`, token, suffix.
+    let (scheme, to_prefix, to_token, suffix) = match protocol {
+        StreamingProtocol::Hls => ("https://", "/", "/", "/master.m3u8"),
+        StreamingProtocol::Dash => ("https://", "/", "/", ".mpd"),
+        StreamingProtocol::SmoothStreaming => ("https://", "/", "/", ".ism/manifest"),
+        StreamingProtocol::Hds => ("https://", "/", "/cache/", ".f4m"),
+        StreamingProtocol::Rtmp => ("rtmp://", "/live/", "/", ""),
+        StreamingProtocol::Progressive => ("https://", "/", "/", ".mp4"),
+    };
+    let parts = [scheme, cdn_host, to_prefix, publisher_prefix, to_token, content_token, suffix];
+    let mut url = String::with_capacity(parts.iter().map(|part| part.len()).sum());
+    for part in parts {
+        url.push_str(part);
     }
+    url
 }
 
 #[cfg(test)]
@@ -212,6 +211,36 @@ mod tests {
         // Hosts contain dots; ".net" etc. must not classify.
         assert_eq!(classify("https://cdn.example.net/"), None);
         assert_eq!(classify("https://cdn.m3u8.example.net/api"), None);
+    }
+
+    /// Reference rendering: Table 1's URL shapes as `format!` strings.
+    fn formatted(protocol: StreamingProtocol, host: &str, prefix: &str, token: &str) -> String {
+        match protocol {
+            StreamingProtocol::Hls => format!("https://{host}/{prefix}/{token}/master.m3u8"),
+            StreamingProtocol::Dash => format!("https://{host}/{prefix}/{token}.mpd"),
+            StreamingProtocol::SmoothStreaming => {
+                format!("https://{host}/{prefix}/{token}.ism/manifest")
+            }
+            StreamingProtocol::Hds => format!("https://{host}/{prefix}/cache/{token}.f4m"),
+            StreamingProtocol::Rtmp => format!("rtmp://{host}/live/{prefix}/{token}"),
+            StreamingProtocol::Progressive => format!("https://{host}/{prefix}/{token}.mp4"),
+        }
+    }
+
+    #[test]
+    fn urls_equal_the_formatted_rendering_and_are_sized_exactly() {
+        use vmp_core::cdn::CdnName;
+        // A minor CDN's host is the one built at run time; the last token
+        // is a title rank above 0xff_ffff, wider than the 6-digit padding.
+        for host in [CdnName::A.host(), CdnName::Minor(17).host()] {
+            for token in ["v00002a", format!("v{:06x}", 0x0100_0000_u32).as_str()] {
+                for protocol in StreamingProtocol::ALL {
+                    let url = manifest_url(protocol, &host, "p0042", token);
+                    assert_eq!(url, formatted(protocol, &host, "p0042", token));
+                    assert_eq!(url.capacity(), url.len(), "slack in {url}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -447,7 +447,10 @@ impl<'a> Player<'a> {
 
         let mut cdn = initial_cdn;
         let mut cdns = vec![cdn];
-        let mut bitrates_used = Vec::new();
+        // One entry per chunk of the target; sized once (the float-to-int
+        // cast saturates, and a NaN target plays nothing).
+        let mut bitrates_used =
+            Vec::with_capacity((target.0 / cfg.chunk_duration.0).ceil() as usize);
         let mut buffer = Seconds::ZERO;
         let mut started = false;
         let mut startup_delay = Seconds::ZERO;

@@ -71,17 +71,24 @@ pub struct TelemetryBuilder {
 impl TelemetryBuilder {
     /// Stamps the outcome with context into a complete record.
     pub fn build(&self, client: &ClientContext, outcome: &SessionOutcome) -> ViewRecord {
+        self.clone().into_record(client, outcome)
+    }
+
+    /// [`TelemetryBuilder::build`] for a builder made for one view: the
+    /// manifest URL and the advertised ladder move into the record instead
+    /// of being copied.
+    pub fn into_record(self, client: &ClientContext, outcome: &SessionOutcome) -> ViewRecord {
         ViewRecord {
             session: self.session,
             snapshot: self.snapshot,
             publisher: self.publisher,
             video: self.video,
-            manifest_url: self.manifest_url.clone(),
+            manifest_url: self.manifest_url,
             device: client.device,
             os: client.device.os(),
             player: client.player_identity(),
             cdns: outcome.cdns.iter().map(|c| c.id()).collect(),
-            available_bitrates: self.available_bitrates.clone(),
+            available_bitrates: self.available_bitrates,
             viewing_time: outcome.qoe.played,
             class: self.class,
             ownership: self.ownership,
@@ -154,6 +161,21 @@ mod tests {
                 assert_eq!(build.version, SdkVersion::new(9, 1));
             }
             _ => panic!("app platform must report an SDK"),
+        }
+    }
+
+    #[test]
+    fn consuming_path_equals_build() {
+        for device in [DeviceModel::Roku, DeviceModel::DesktopBrowser(BrowserTech::Html5)] {
+            let client = ClientContext {
+                device,
+                sdk_version: SdkVersion::new(9, 1),
+                region: Region::UsOther,
+                isp: Isp::Z,
+                connection: ConnectionType::Wired,
+            };
+            let built = builder().build(&client, &outcome());
+            assert_eq!(builder().into_record(&client, &outcome()), built);
         }
     }
 

@@ -11,7 +11,7 @@
 //! the median, best, and worst ns/iter to stdout. Good enough to compare
 //! orders of magnitude (the use here: instrumentation overhead numbers).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
@@ -100,6 +100,14 @@ impl Bencher {
             black_box(routine());
         }
         self.nanos = start.elapsed().as_nanos();
+    }
+
+    /// Lets `routine` do its own timing: it is told how many iterations
+    /// are wanted and returns how long that many took (criterion's
+    /// `iter_custom`). For routines whose natural unit of work is a batch
+    /// of iterations.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        self.nanos = routine(self.iters).as_nanos();
     }
 }
 

@@ -19,6 +19,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A JSON value tree. Integers keep 64-bit precision (as in serde_json);
 /// floats use the shortest round-trip decimal rendering.
@@ -260,6 +261,17 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .iter()
             .map(T::from_json)
             .collect()
+    }
+}
+
+impl<T: Serialize> Serialize for Arc<[T]> {
+    fn to_json(&self) -> Json {
+        self[..].to_json()
+    }
+}
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Vec::<T>::from_json(v).map(Arc::from)
     }
 }
 

@@ -6,10 +6,35 @@
 //! (Horvitz–Thompson; see `vmp_core::view::SampledView`). Every sample runs
 //! a short real playback session (ABR + Markov network + broker-selected
 //! CDN) so QoE fields come from the simulated data path, not a formula.
+//!
+//! # The cell plan
+//!
+//! A cell has 25–700 × `volume_scale` views, and every sampling table they
+//! draw from is the same for all of them. [`generate_views`] therefore
+//! compiles a private [`CellPlan`] once at the top of the call, and the
+//! per-view loop only *samples* from it. The plan owns what is a pure
+//! function of `(plane, profile, snapshot)`:
+//!
+//! * built eagerly — the platform, region and title tables, one
+//!   [`DeviceTable`] and one duration `LogNormal` per supported platform,
+//!   the broker's eligible list and weighted table per content class, the
+//!   `p{id:04}` URL prefix and the ladder's bare bitrates;
+//! * filled on first use, in small linear-scan vectors (a cell meets at
+//!   most 16 devices, a few dozen network keys and 5 CDNs) — the protocol
+//!   table per device, the `NetworkModel` template per
+//!   `(connection, isp, cdn)` and the host string per CDN.
+//!
+//! **Invariant.** The plan may cache anything; it may never reorder, add or
+//! drop an RNG draw. A lazily built entry is built from the cell's
+//! constants only, never from the RNG, so *when* it is built cannot matter.
+//! `crates/synth/tests/kernel_identity.rs` pins the delivered bytes, and
+//! the unit tests below compare every table against a per-view reference
+//! that builds it from scratch for each draw (the `#[cfg(test)]` oracles).
 
 use vmp_abr::algorithm::{AbrAlgorithm, Bba, Bola, ThroughputRule};
 use vmp_abr::network::{NetworkModel, NetworkProfile};
 use vmp_cdn::broker::{Broker, BrokerPolicy};
+use vmp_cdn::strategy::{CdnAssignment, CdnStrategy};
 use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
@@ -20,11 +45,12 @@ use vmp_core::protocol::StreamingProtocol;
 use vmp_core::publisher::SyndicationRole;
 use vmp_core::sdk::SdkVersion;
 use vmp_core::time::SnapshotId;
-use vmp_core::units::Seconds;
+use vmp_core::units::{Kbps, Seconds};
 use vmp_core::view::{OwnershipFlag, SampledView};
 use vmp_faults::{FaultInjector, FaultProfile, RetryPolicy};
 use vmp_session::player::{PlaybackConfig, Player};
 use vmp_session::telemetry::{ClientContext, TelemetryBuilder};
+use vmp_stats::curves::Trend;
 use vmp_stats::{Discrete, Distribution, LogNormal, Rng, Zipf};
 
 use crate::publisher_gen::{PublisherProfile, SnapshotPlane};
@@ -76,46 +102,40 @@ pub fn generate_views(
     session_base: u32,
     rng: &mut Rng,
 ) -> Vec<SampledView> {
-    let t = snapshot.progress();
     // Two-day window target view-hours.
     let target_vh = plane.vh_day * 2.0;
     let n = ((plane.vh_day / trends::X_VIEW_HOURS).powf(0.45) * 30.0) as usize;
-    let n = n.clamp(cfg.min_samples, cfg.max_samples) * cfg.volume_scale.max(1) as usize;
+    // Both bounds are public and independent: a floor above the ceiling
+    // wins rather than tripping `clamp`'s assertion.
+    let n = n.clamp(cfg.min_samples, cfg.max_samples.max(cfg.min_samples))
+        * cfg.volume_scale.max(1) as usize;
 
-    let platform_dist = Discrete::new_or_unit(&plane.platform_weights);
-    let title_dist =
-        Zipf::new(plane.titles.clamp(1, 5_000) as usize, 0.8).unwrap_or_else(|_| Zipf::unit());
+    let mut plan = CellPlan::new(profile, plane, snapshot.progress());
     let broker = Broker::new(BrokerPolicy::Weighted);
     let faults = cfg.faults.as_ref().map(|p| FaultInjector::new(p.clone()));
+    let mut token = String::new();
 
-    let mut raw: Vec<(SampledView, f64)> = Vec::with_capacity(n);
+    let mut views: Vec<SampledView> = Vec::with_capacity(n);
     let mut total_hours = 0.0f64;
 
     for i in 0..n {
-        let platform = plane.platforms[platform_dist.sample(rng)];
-        let device = sample_device(platform, t, rng);
+        let platform_index = plan.platform.sample(rng);
+        let platform = plane.platforms[platform_index];
+        let device = plan.platforms[platform_index].devices.sample(rng);
         let class = sample_class(profile, device, rng);
-        let protocol = sample_protocol(plane, profile, device, t, rng);
-        let cdn = broker
-            .select(&plane.strategy, class, rng)
-            .or_else(|| plane.strategy.cdns().first().copied())
-            .unwrap_or(CdnName::A);
+        let protocol = plan.sample_protocol(device, rng);
+        let cdn = plan.select_cdn(&broker, class, rng);
 
         // Duration (hours) from the per-platform model, floored at 30 s.
-        let (median, spread) = trends::duration_model(platform);
-        let duration_dist = LogNormal::clamped_median_spread(median, spread);
-        let hours = duration_dist.sample(rng).clamp(30.0 / 3600.0, 6.0);
+        let hours = plan.platforms[platform_index].duration.sample(rng).clamp(30.0 / 3600.0, 6.0);
         let watch = Seconds::from_hours(hours);
 
-        let region = sample_region(rng);
+        let region = Region::ALL[plan.region.sample(rng)];
         let isp = *rng.choose(&Isp::ALL);
         let connection = sample_connection(platform, rng);
 
         // Real (truncated) playback for the QoE fields.
-        let quality = cdn_quality(cdn, isp, t);
-        let network = NetworkModel::new(
-            NetworkProfile::for_connection(connection, 1.0).scaled(quality),
-        );
+        let network = plan.network(connection, isp, cdn);
         let sim_watch = Seconds(watch.0.min(cfg.sim_media_cap.0.max(6.0)));
         let content = Seconds(watch.0 * rng.range_f64(1.0, 2.5));
         let mut playback = match class {
@@ -129,11 +149,10 @@ pub fn generate_views(
             playback.start_offset =
                 Seconds(injector.profile().horizon().0 * (i as f64 / n as f64));
         }
-        let abr = abr_for_device(device);
         let start_clock = playback.start_offset;
         // `vod`/`live` configs always validate; skip the view rather than
         // panic if that invariant ever breaks.
-        let Ok(mut player) = Player::new(playback, network, abr.as_ref()) else {
+        let Ok(mut player) = Player::new(playback, network, abr_for_device(device)) else {
             continue;
         };
         // Speculative wide-event trace: a no-op scope unless the run armed
@@ -156,11 +175,8 @@ pub fn generate_views(
 
         // Ownership: syndicators serve licensed content most of the time.
         let ownership = sample_ownership(profile, graph, rng);
-        let video_rank = title_dist.sample(rng) as u32;
-
-        let token = format!("v{video_rank:06x}");
-        let prefix = format!("p{:04}", profile.publisher.id.raw());
-        let manifest_url = vmp_manifest::manifest_url(protocol, &cdn.host(), &prefix, &token);
+        let video_rank = plan.titles.sample(rng) as u32;
+        write_video_token(&mut token, video_rank);
 
         let client = ClientContext {
             device,
@@ -174,26 +190,183 @@ pub fn generate_views(
             snapshot,
             publisher: profile.publisher.id,
             video: VideoId::new(video_rank),
-            manifest_url,
-            available_bitrates: plane.ladder.bitrates(),
+            manifest_url: plan.manifest_url(protocol, cdn, &token),
+            available_bitrates: plan.bitrates.clone(),
             class,
             ownership,
         };
-        let mut record = builder.build(&client, &outcome);
+        let mut record = builder.into_record(&client, &outcome);
         record.viewing_time = watch;
 
         total_hours += hours;
-        raw.push((SampledView { record, weight: 0.0 }, hours));
+        views.push(SampledView { record, weight: 0.0 });
     }
 
     // Weight so the weighted view-hours hit the target exactly.
     let weight = if total_hours > 0.0 { target_vh / total_hours } else { 0.0 };
-    raw.into_iter()
-        .map(|(mut s, _)| {
-            s.weight = weight;
-            s
+    for view in &mut views {
+        view.weight = weight;
+    }
+    views
+}
+
+/// Everything about a cell that does not depend on the view: see the
+/// module docs for what is in it and the invariant it keeps.
+struct CellPlan<'a> {
+    profile: &'a PublisherProfile,
+    plane: &'a SnapshotPlane,
+    /// Study progress of the cell's snapshot, `[0, 1]`.
+    t: f64,
+    /// Over `plane.platforms`.
+    platform: Discrete,
+    /// Aligned with `plane.platforms`.
+    platforms: Vec<PlatformPlan>,
+    /// Over `Region::ALL`.
+    region: Discrete,
+    /// Over the publisher's catalogue, most popular first.
+    titles: Zipf,
+    /// Per device met so far: its weighted table over `plane.protocols`,
+    /// or `None` when the device plays nothing the publisher packages.
+    protocols: Vec<(DeviceModel, Option<Discrete>)>,
+    /// Per network key met so far: a session's bandwidth process in its
+    /// starting state, cloned into each player.
+    networks: Vec<((ConnectionType, Isp, CdnName), NetworkModel)>,
+    /// Broker selection per class; `None` when no CDN admits the class.
+    vod: Option<ClassSelection>,
+    live: Option<ClassSelection>,
+    /// Host string per CDN met so far.
+    hosts: Vec<(CdnName, String)>,
+    /// `p{publisher id:04}`, the publisher's URL path prefix.
+    prefix: String,
+    /// The ladder as advertised in every record.
+    bitrates: Vec<Kbps>,
+}
+
+/// Per supported platform: which device, and how long the view lasts.
+struct PlatformPlan {
+    devices: DeviceTable,
+    /// View duration in hours.
+    duration: LogNormal,
+}
+
+/// The CDNs a class may use and the weighted table over them, as
+/// [`Broker::select_prepared`] takes them.
+struct ClassSelection {
+    eligible: Vec<CdnAssignment>,
+    table: Discrete,
+}
+
+impl ClassSelection {
+    fn prepare(strategy: &CdnStrategy, class: ContentClass) -> Option<ClassSelection> {
+        let eligible = strategy.eligible(class);
+        let weights: Vec<f64> = eligible.iter().map(|a| a.weight).collect();
+        let table = Discrete::new(&weights).ok()?;
+        Some(ClassSelection { eligible, table })
+    }
+}
+
+impl<'a> CellPlan<'a> {
+    fn new(profile: &'a PublisherProfile, plane: &'a SnapshotPlane, t: f64) -> CellPlan<'a> {
+        let platforms = plane
+            .platforms
+            .iter()
+            .map(|platform| {
+                let (median, spread) = trends::duration_model(*platform);
+                PlatformPlan {
+                    devices: DeviceTable::for_platform(*platform, t),
+                    duration: LogNormal::clamped_median_spread(median, spread),
+                }
+            })
+            .collect();
+        CellPlan {
+            profile,
+            plane,
+            t,
+            platform: Discrete::new_or_unit(&plane.platform_weights),
+            platforms,
+            region: region_table(),
+            titles: Zipf::new(plane.titles.clamp(1, 5_000) as usize, 0.8)
+                .unwrap_or_else(|_| Zipf::unit()),
+            protocols: Vec::new(),
+            networks: Vec::new(),
+            vod: ClassSelection::prepare(&plane.strategy, ContentClass::Vod),
+            live: ClassSelection::prepare(&plane.strategy, ContentClass::Live),
+            hosts: Vec::new(),
+            prefix: format!("p{:04}", profile.publisher.id.raw()),
+            bitrates: plane.ladder.bitrates(),
+        }
+    }
+
+    /// One draw when the device can play something the publisher
+    /// packages, none otherwise.
+    fn sample_protocol(&mut self, device: DeviceModel, rng: &mut Rng) -> StreamingProtocol {
+        let (plane, profile, t) = (self.plane, self.profile, self.t);
+        let table = memo(&mut self.protocols, device, || protocol_table(plane, profile, device, t));
+        match table {
+            Some(table) => plane.protocols[table.sample(rng)],
+            // Device can't play anything the publisher packages (e.g. a
+            // Silverlight view at a DASH/HLS-only publisher): fall back to
+            // the publisher's primary protocol — never to a protocol
+            // outside its management plane, which would corrupt the
+            // support analyses.
+            None => plane.protocols.first().copied().unwrap_or(StreamingProtocol::Hls),
+        }
+    }
+
+    /// The broker's pick for a new view of `class` content; the strategy's
+    /// first CDN when no CDN admits the class.
+    fn select_cdn(&self, broker: &Broker, class: ContentClass, rng: &mut Rng) -> CdnName {
+        let selection = match class {
+            ContentClass::Vod => &self.vod,
+            ContentClass::Live => &self.live,
+        };
+        selection
+            .as_ref()
+            .and_then(|s| broker.select_prepared(&s.eligible, &s.table, Seconds::ZERO, rng))
+            .or_else(|| self.plane.strategy.assignments().first().map(|a| a.cdn))
+            .unwrap_or(CdnName::A)
+    }
+
+    /// A fresh bandwidth process for a session on this access network and
+    /// CDN.
+    fn network(&mut self, connection: ConnectionType, isp: Isp, cdn: CdnName) -> NetworkModel {
+        let t = self.t;
+        memo(&mut self.networks, (connection, isp, cdn), || {
+            let quality = cdn_quality(cdn, isp, t);
+            NetworkModel::new(NetworkProfile::for_connection(connection, 1.0).scaled(quality))
         })
-        .collect()
+        .clone()
+    }
+
+    fn manifest_url(&mut self, protocol: StreamingProtocol, cdn: CdnName, token: &str) -> String {
+        let host = memo(&mut self.hosts, cdn, || cdn.host());
+        vmp_manifest::manifest_url(protocol, host, &self.prefix, token)
+    }
+}
+
+/// The value cached under `key`, made on first use. A linear scan: the
+/// caches of a cell hold a handful of keys.
+fn memo<K: PartialEq, V>(cache: &mut Vec<(K, V)>, key: K, make: impl FnOnce() -> V) -> &V {
+    let index = match cache.iter().position(|(cached, _)| *cached == key) {
+        Some(index) => index,
+        None => {
+            cache.push((key, make()));
+            cache.len() - 1
+        }
+    };
+    &cache[index].1
+}
+
+/// Renders `v{rank:06x}` into `token` without the formatting machinery.
+fn write_video_token(token: &mut String, rank: u32) {
+    const HEX: [char; 16] =
+        ['0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd', 'e', 'f'];
+    token.clear();
+    token.push('v');
+    let digits = (u32::BITS - rank.leading_zeros()).div_ceil(4).max(6);
+    for digit in (0..digits).rev() {
+        token.push(HEX[(rank >> (4 * digit) & 0xf) as usize]);
+    }
 }
 
 /// Per-(CDN, ISP, time) delivery quality factor. CDN A's edge degrades over
@@ -217,51 +390,76 @@ pub fn cdn_quality(cdn: CdnName, isp: Isp, t: f64) -> f64 {
     cdn_factor * isp_factor
 }
 
-fn sample_device(platform: Platform, t: f64, rng: &mut Rng) -> DeviceModel {
-    match platform {
-        Platform::Browser => {
-            // 12% of browser views come from mobile browsers (§4.2 counts
-            // them under the Browser platform).
-            if rng.chance(0.12) {
-                return DeviceModel::MobileBrowser;
+/// Standalone set-top boxes, in the order of their share table.
+static SETTOP_DEVICES: [DeviceModel; 4] =
+    [DeviceModel::Roku, DeviceModel::AppleTv, DeviceModel::FireTv, DeviceModel::Chromecast];
+
+/// Smart TVs, in the order of their share table.
+static SMARTTV_DEVICES: [DeviceModel; 3] =
+    [DeviceModel::SamsungTv, DeviceModel::LgTv, DeviceModel::VizioTv];
+
+/// The within-platform device mix at one point of the study.
+enum DeviceTable {
+    /// 12% of browser views come from mobile browsers (§4.2 counts them
+    /// under the Browser platform); the rest follow the desktop
+    /// player-technology mix, over `BrowserTech::ALL`.
+    Browser(Discrete),
+    /// Android's share of app views; 30% of either OS are tablets.
+    MobileApp { android: f64 },
+    /// One weighted draw over a fixed device list.
+    Listed(&'static [DeviceModel], Discrete),
+    /// 60% Xbox.
+    GameConsole,
+}
+
+impl DeviceTable {
+    fn for_platform(platform: Platform, t: f64) -> DeviceTable {
+        let listed = |devices: &'static [DeviceModel], share: fn(DeviceModel) -> Trend| {
+            let weights: Vec<f64> = devices.iter().map(|d| share(*d).at(t).max(0.0)).collect();
+            DeviceTable::Listed(devices, Discrete::new_or_unit(&weights))
+        };
+        match platform {
+            Platform::Browser => {
+                let weights: Vec<f64> = BrowserTech::ALL
+                    .iter()
+                    .map(|tech| trends::browser_tech_share(*tech).at(t).max(0.0))
+                    .collect();
+                DeviceTable::Browser(Discrete::new_or_unit(&weights))
             }
-            let weights: Vec<f64> = BrowserTech::ALL
-                .iter()
-                .map(|tech| trends::browser_tech_share(*tech).at(t).max(0.0))
-                .collect();
-            let dist = Discrete::new_or_unit(&weights);
-            DeviceModel::DesktopBrowser(BrowserTech::ALL[dist.sample(rng)])
-        }
-        Platform::MobileApp => {
-            let android = rng.chance(trends::mobile_device_share(true).prob_at(t));
-            let tablet = rng.chance(0.30);
-            match (android, tablet) {
-                (true, true) => DeviceModel::AndroidTablet,
-                (true, false) => DeviceModel::AndroidPhone,
-                (false, true) => DeviceModel::IPad,
-                (false, false) => DeviceModel::IPhone,
+            Platform::MobileApp => {
+                DeviceTable::MobileApp { android: trends::mobile_device_share(true).prob_at(t) }
             }
+            Platform::SetTopBox => listed(&SETTOP_DEVICES, trends::settop_device_share),
+            Platform::SmartTv => listed(&SMARTTV_DEVICES, trends::smarttv_device_share),
+            Platform::GameConsole => DeviceTable::GameConsole,
         }
-        Platform::SetTopBox => {
-            let devices =
-                [DeviceModel::Roku, DeviceModel::AppleTv, DeviceModel::FireTv, DeviceModel::Chromecast];
-            let weights: Vec<f64> =
-                devices.iter().map(|d| trends::settop_device_share(*d).at(t).max(0.0)).collect();
-            let dist = Discrete::new_or_unit(&weights);
-            devices[dist.sample(rng)]
-        }
-        Platform::SmartTv => {
-            let devices = [DeviceModel::SamsungTv, DeviceModel::LgTv, DeviceModel::VizioTv];
-            let weights: Vec<f64> =
-                devices.iter().map(|d| trends::smarttv_device_share(*d).at(t).max(0.0)).collect();
-            let dist = Discrete::new_or_unit(&weights);
-            devices[dist.sample(rng)]
-        }
-        Platform::GameConsole => {
-            if rng.chance(0.6) {
-                DeviceModel::Xbox
-            } else {
-                DeviceModel::PlayStation
+    }
+
+    fn sample(&self, rng: &mut Rng) -> DeviceModel {
+        match self {
+            DeviceTable::Browser(tech) => {
+                if rng.chance(0.12) {
+                    return DeviceModel::MobileBrowser;
+                }
+                DeviceModel::DesktopBrowser(BrowserTech::ALL[tech.sample(rng)])
+            }
+            DeviceTable::MobileApp { android } => {
+                let android = rng.chance(*android);
+                let tablet = rng.chance(0.30);
+                match (android, tablet) {
+                    (true, true) => DeviceModel::AndroidTablet,
+                    (true, false) => DeviceModel::AndroidPhone,
+                    (false, true) => DeviceModel::IPad,
+                    (false, false) => DeviceModel::IPhone,
+                }
+            }
+            DeviceTable::Listed(devices, table) => devices[table.sample(rng)],
+            DeviceTable::GameConsole => {
+                if rng.chance(0.6) {
+                    DeviceModel::Xbox
+                } else {
+                    DeviceModel::PlayStation
+                }
             }
         }
     }
@@ -278,27 +476,23 @@ fn sample_class(profile: &PublisherProfile, device: DeviceModel, rng: &mut Rng) 
     }
 }
 
-fn sample_protocol(
+/// The device's weighted table over `plane.protocols`; `None` when every
+/// weight is zero.
+fn protocol_table(
     plane: &SnapshotPlane,
     profile: &PublisherProfile,
     device: DeviceModel,
     t: f64,
-    rng: &mut Rng,
-) -> StreamingProtocol {
-    let mut weights = Vec::with_capacity(plane.protocols.len());
-    for proto in &plane.protocols {
-        let device_w = trends::device_protocol_weight(device, *proto);
-        let pref = trends::protocol_preference(*proto, profile.dash_first, t);
-        weights.push(device_w * pref);
-    }
-    match Discrete::new(&weights) {
-        Ok(dist) => plane.protocols[dist.sample(rng)],
-        // Device can't play anything the publisher packages (e.g. a
-        // Silverlight view at a DASH/HLS-only publisher): fall back to the
-        // publisher's primary protocol — never to a protocol outside its
-        // management plane, which would corrupt the support analyses.
-        Err(_) => plane.protocols.first().copied().unwrap_or(StreamingProtocol::Hls),
-    }
+) -> Option<Discrete> {
+    let weights: Vec<f64> = plane
+        .protocols
+        .iter()
+        .map(|proto| {
+            trends::device_protocol_weight(device, *proto)
+                * trends::protocol_preference(*proto, profile.dash_first, t)
+        })
+        .collect();
+    Discrete::new(&weights).ok()
 }
 
 fn sample_ownership(
@@ -319,9 +513,9 @@ fn sample_ownership(
     OwnershipFlag::Owned
 }
 
-fn sample_region(rng: &mut Rng) -> Region {
-    let dist = Discrete::new_or_unit(&[0.10, 0.38, 0.22, 0.15, 0.10, 0.05]);
-    Region::ALL[dist.sample(rng)]
+/// Client regions, over `Region::ALL`.
+fn region_table() -> Discrete {
+    Discrete::new_or_unit(&[0.10, 0.38, 0.22, 0.15, 0.10, 0.05])
 }
 
 fn sample_connection(platform: Platform, rng: &mut Rng) -> ConnectionType {
@@ -361,17 +555,15 @@ fn sample_sdk_version(plane: &SnapshotPlane, rng: &mut Rng) -> SdkVersion {
     SdkVersion::new(effective, effective % 3)
 }
 
-fn abr_for_device(device: DeviceModel) -> Box<dyn AbrAlgorithm> {
+fn abr_for_device(device: DeviceModel) -> &'static dyn AbrAlgorithm {
     // Different SDKs ship different adaptation logic (§2).
     match device {
         DeviceModel::IPhone | DeviceModel::IPad | DeviceModel::AppleTv => {
-            Box::new(ThroughputRule { safety: 0.85 })
+            &ThroughputRule { safety: 0.85 }
         }
-        DeviceModel::Roku | DeviceModel::FireTv | DeviceModel::Chromecast => {
-            Box::new(Bba::default())
-        }
-        DeviceModel::AndroidPhone | DeviceModel::AndroidTablet => Box::new(Bola::default()),
-        _ => Box::new(ThroughputRule::default()),
+        DeviceModel::Roku | DeviceModel::FireTv | DeviceModel::Chromecast => &Bba::DEFAULT,
+        DeviceModel::AndroidPhone | DeviceModel::AndroidTablet => &Bola::DEFAULT,
+        _ => &ThroughputRule::DEFAULT,
     }
 }
 
@@ -399,6 +591,208 @@ mod tests {
             faults: None,
             volume_scale: 1,
         }
+    }
+
+    // The per-view constructors the plan replaced, kept verbatim as the
+    // oracles the plan's tables are compared against.
+
+    fn sample_device(platform: Platform, t: f64, rng: &mut Rng) -> DeviceModel {
+        match platform {
+            Platform::Browser => {
+                // 12% of browser views come from mobile browsers (§4.2 counts
+                // them under the Browser platform).
+                if rng.chance(0.12) {
+                    return DeviceModel::MobileBrowser;
+                }
+                let weights: Vec<f64> = BrowserTech::ALL
+                    .iter()
+                    .map(|tech| trends::browser_tech_share(*tech).at(t).max(0.0))
+                    .collect();
+                let dist = Discrete::new_or_unit(&weights);
+                DeviceModel::DesktopBrowser(BrowserTech::ALL[dist.sample(rng)])
+            }
+            Platform::MobileApp => {
+                let android = rng.chance(trends::mobile_device_share(true).prob_at(t));
+                let tablet = rng.chance(0.30);
+                match (android, tablet) {
+                    (true, true) => DeviceModel::AndroidTablet,
+                    (true, false) => DeviceModel::AndroidPhone,
+                    (false, true) => DeviceModel::IPad,
+                    (false, false) => DeviceModel::IPhone,
+                }
+            }
+            Platform::SetTopBox => {
+                let devices =
+                    [DeviceModel::Roku, DeviceModel::AppleTv, DeviceModel::FireTv, DeviceModel::Chromecast];
+                let weights: Vec<f64> =
+                    devices.iter().map(|d| trends::settop_device_share(*d).at(t).max(0.0)).collect();
+                let dist = Discrete::new_or_unit(&weights);
+                devices[dist.sample(rng)]
+            }
+            Platform::SmartTv => {
+                let devices = [DeviceModel::SamsungTv, DeviceModel::LgTv, DeviceModel::VizioTv];
+                let weights: Vec<f64> =
+                    devices.iter().map(|d| trends::smarttv_device_share(*d).at(t).max(0.0)).collect();
+                let dist = Discrete::new_or_unit(&weights);
+                devices[dist.sample(rng)]
+            }
+            Platform::GameConsole => {
+                if rng.chance(0.6) {
+                    DeviceModel::Xbox
+                } else {
+                    DeviceModel::PlayStation
+                }
+            }
+        }
+    }
+
+    fn sample_protocol(
+        plane: &SnapshotPlane,
+        profile: &PublisherProfile,
+        device: DeviceModel,
+        t: f64,
+        rng: &mut Rng,
+    ) -> StreamingProtocol {
+        let mut weights = Vec::with_capacity(plane.protocols.len());
+        for proto in &plane.protocols {
+            let device_w = trends::device_protocol_weight(device, *proto);
+            let pref = trends::protocol_preference(*proto, profile.dash_first, t);
+            weights.push(device_w * pref);
+        }
+        match Discrete::new(&weights) {
+            Ok(dist) => plane.protocols[dist.sample(rng)],
+            // Device can't play anything the publisher packages (e.g. a
+            // Silverlight view at a DASH/HLS-only publisher): fall back to the
+            // publisher's primary protocol — never to a protocol outside its
+            // management plane, which would corrupt the support analyses.
+            Err(_) => plane.protocols.first().copied().unwrap_or(StreamingProtocol::Hls),
+        }
+    }
+
+    fn sample_region(rng: &mut Rng) -> Region {
+        let dist = Discrete::new_or_unit(&[0.10, 0.38, 0.22, 0.15, 0.10, 0.05]);
+        Region::ALL[dist.sample(rng)]
+    }
+
+    /// Study-progress grid, end points included.
+    const T_GRID: [f64; 6] = [0.0, 0.13, 0.35, 0.5, 0.77, 1.0];
+
+    #[test]
+    fn device_tables_match_the_per_view_reference() {
+        for platform in Platform::ALL {
+            for t in T_GRID {
+                let table = DeviceTable::for_platform(platform, t);
+                let mut planned = Rng::seed_from(41);
+                let mut reference = planned.clone();
+                for _ in 0..300 {
+                    assert_eq!(
+                        table.sample(&mut planned),
+                        sample_device(platform, t, &mut reference),
+                        "{platform:?} at t={t}"
+                    );
+                }
+                assert_eq!(planned, reference, "{platform:?} at t={t}: draw counts differ");
+            }
+        }
+    }
+
+    #[test]
+    fn protocol_tables_match_the_per_view_reference() {
+        let mut pop_rng = Rng::seed_from(43);
+        let mut fallbacks = 0;
+        for id in 0..12 {
+            let mut profile = PublisherProfile::generate(PublisherId::new(id), &mut pop_rng);
+            if id % 4 == 0 {
+                profile.set_dash_first();
+            }
+            for snapshot in [SnapshotId::new(0).unwrap(), SnapshotId::new(20).unwrap(), SnapshotId::LAST] {
+                let plane = profile.plane(snapshot);
+                let t = snapshot.progress();
+                let mut plan = CellPlan::new(&profile, &plane, t);
+                let mut planned = Rng::seed_from(47);
+                let mut reference = planned.clone();
+                // Twice over the catalogue: the second pass hits the memo.
+                for device in DeviceModel::ALL.iter().chain(&DeviceModel::ALL) {
+                    let before = planned.clone();
+                    assert_eq!(
+                        plan.sample_protocol(*device, &mut planned),
+                        sample_protocol(&plane, &profile, *device, t, &mut reference),
+                        "{device:?} at publisher {id}, {snapshot:?}"
+                    );
+                    assert_eq!(planned, reference, "{device:?}: draw counts differ");
+                    if planned == before {
+                        fallbacks += 1;
+                    }
+                }
+                assert_eq!(plan.protocols.len(), DeviceModel::ALL.len());
+            }
+        }
+        assert!(fallbacks > 0, "no device hit the nothing-playable fallback");
+    }
+
+    #[test]
+    fn region_table_matches_the_per_view_reference() {
+        let table = region_table();
+        let mut planned = Rng::seed_from(53);
+        let mut reference = planned.clone();
+        for _ in 0..500 {
+            assert_eq!(Region::ALL[table.sample(&mut planned)], sample_region(&mut reference));
+        }
+        assert_eq!(planned, reference);
+    }
+
+    #[test]
+    fn cdn_selection_matches_the_per_view_reference() {
+        use vmp_cdn::strategy::CdnScope;
+        let (profile, mut plane, _) = setup(13);
+        // The generated strategy, then one whose only CDN carries no live.
+        let vod_only = CdnStrategy::new(vec![CdnAssignment {
+            cdn: CdnName::B,
+            weight: 1.0,
+            scope: CdnScope::VodOnly,
+        }])
+        .unwrap();
+        for strategy in [plane.strategy.clone(), vod_only] {
+            plane.strategy = strategy;
+            let plan = CellPlan::new(&profile, &plane, 1.0);
+            let broker = Broker::new(BrokerPolicy::Weighted);
+            let mut planned = Rng::seed_from(59);
+            let mut reference = planned.clone();
+            for class in ContentClass::ALL.iter().cycle().take(200) {
+                let expected = broker
+                    .select(&plane.strategy, *class, &mut reference)
+                    .or_else(|| plane.strategy.cdns().first().copied())
+                    .unwrap_or(CdnName::A);
+                assert_eq!(plan.select_cdn(&broker, *class, &mut planned), expected);
+                assert_eq!(planned, reference, "{class:?}: draw counts differ");
+            }
+        }
+        // No CDN admits live: the first CDN, and no draw.
+        let plan = CellPlan::new(&profile, &plane, 1.0);
+        assert!(plan.live.is_none());
+        let mut rng = Rng::seed_from(61);
+        let untouched = rng.clone();
+        let broker = Broker::new(BrokerPolicy::Weighted);
+        assert_eq!(plan.select_cdn(&broker, ContentClass::Live, &mut rng), CdnName::B);
+        assert_eq!(rng, untouched);
+    }
+
+    #[test]
+    fn video_token_matches_the_formatted_rendering() {
+        let mut token = String::from("stale");
+        for rank in [0, 1, 0x2a, 4_999, 0xff_ffff, 0x100_0000, 0xdead_beef, u32::MAX] {
+            write_video_token(&mut token, rank);
+            assert_eq!(token, format!("v{rank:06x}"));
+        }
+    }
+
+    #[test]
+    fn a_floor_above_the_ceiling_generates_the_floor() {
+        let (profile, plane, graph) = setup(15);
+        let cfg = ViewGenConfig { min_samples: 50, max_samples: 20, ..small_cfg() };
+        let mut rng = Rng::seed_from(16);
+        let views = generate_views(&profile, &plane, &graph, &cfg, SnapshotId::LAST, 0, &mut rng);
+        assert_eq!(views.len(), 50);
     }
 
     #[test]
