@@ -3,17 +3,19 @@
 //! The store-backed helpers run on the columnar kernel: a figure names a
 //! [`DimSpec`] instead of a row extractor, and any [`SegmentSource`] —
 //! the full store or a masked view — can back a series. The scenario
-//! drivers (`resilience`, `monitor`, `live_event`) share their static
-//! fixtures and their replay-fingerprint fold here.
+//! drivers (`resilience`, `monitor`, `live_event`) share the grading of a
+//! cohort's alert stream and their replay-fingerprint fold here.
 
 use std::fmt::Display;
 use vmp_analytics::columns::{self, DimSpec, SegmentSource, ShareMetric};
 use vmp_analytics::report::Series;
-use vmp_cdn::strategy::{CdnAssignment, CdnScope, CdnStrategy};
-use vmp_core::cdn::CdnName;
-use vmp_core::ladder::BitrateLadder;
+use vmp_core::units::Seconds;
+use vmp_faults::FaultProfile;
+use vmp_monitor::{score_alerts, Alert, Cell, HealthMonitor};
+use vmp_session::cohort::deliver_in_end_order;
+use vmp_session::hooks::SessionEnd;
 
-use crate::result::Check;
+use crate::result::{Check, ExperimentResult};
 
 /// One FNV-1a step over `bytes`: the fold behind every scenario's replay
 /// fingerprint (seeded with the 64-bit offset basis).
@@ -26,28 +28,77 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The scenarios' static fixtures, whose construction is fallible only on
-/// programmer error.
+/// Runs a scenario body over a fresh result. A cohort that cannot be built
+/// (the runner's construction error) is reported as a failed check, never
+/// as a panic or a silently smaller population.
+pub fn scenario(
+    id: &str,
+    title: &str,
+    body: impl FnOnce(&mut ExperimentResult) -> Result<(), String>,
+) -> ExperimentResult {
+    let mut result = ExperimentResult::new(id, title);
+    if let Err(error) = body(&mut result) {
+        result.checks.push(Check::new("scenario cohorts construct", false, error));
+    }
+    result
+}
+
+/// Credit window past a fault's end when scoring alerts: sessions that
+/// absorbed the fault but only finished (and were only counted) after it
+/// cleared, plus the sliding window's retention of their damage.
+pub const SCORING_SLACK: Seconds = Seconds(600.0);
+
+/// The health plane's verdict on one cohort.
 #[derive(Debug)]
-pub struct ScenarioSetup {
-    /// The five-rung 400–6400 kbps ladder every scenario session plays.
-    pub ladder: BitrateLadder,
-    /// Equal-weight, all-scope strategy over the scenario's CDNs.
-    pub strategy: CdnStrategy,
+pub struct AlertGrade {
+    /// The alerts raised over the completion stream, in raise order.
+    pub alerts: Vec<Alert>,
+    /// Share of alerts a scheduled fault window explains.
+    pub precision: f64,
+    /// Share of scorable fault windows some alert caught.
+    pub recall: f64,
+    /// Mean seconds from a window opening to its first alert.
+    pub ttd: Option<f64>,
+    /// Top-ranked culprit, rendered.
+    pub top_culprit: Option<String>,
+    /// Top-ranked culprit cell, for localization checks.
+    pub top_cell: Option<Cell>,
+    /// FNV-1a over the full alert stream and culprit ranking.
+    pub fingerprint: u64,
 }
 
-/// Builds the fixtures for a scenario delivering over `cdns`.
-pub fn scenario_setup(cdns: &[CdnName]) -> Option<ScenarioSetup> {
-    let ladder = BitrateLadder::from_bitrates(&[400, 800, 1600, 3200, 6400]).ok()?;
-    let assignments =
-        cdns.iter().map(|&cdn| CdnAssignment { cdn, weight: 1.0, scope: CdnScope::All }).collect();
-    let strategy = CdnStrategy::new(assignments).ok()?;
-    Some(ScenarioSetup { ladder, strategy })
-}
-
-/// The failed check a scenario reports when [`scenario_setup`] is `None`.
-pub fn setup_failed() -> Check {
-    Check::new("static fixtures construct", false, "ladder/strategy construction failed")
+/// Streams a cohort's completions into a fresh health monitor, in
+/// fault-clock end order, and scores the alert stream against the injected
+/// plan itself (`None` = nothing injected, or reported rather than scored).
+pub fn grade_alerts(ends: &[SessionEnd], profile: Option<&FaultProfile>) -> AlertGrade {
+    let mut monitor = HealthMonitor::with_defaults();
+    deliver_in_end_order(ends, &mut monitor);
+    monitor.finish();
+    let (precision, recall, ttd) = match profile {
+        Some(p) => {
+            let score = score_alerts(monitor.alerts(), p, SCORING_SLACK);
+            (score.precision(), score.recall(), score.mean_time_to_detect())
+        }
+        // A silent detector under no faults is perfectly precise.
+        None => (1.0, 1.0, None),
+    };
+    let culprits = monitor.culprits();
+    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+    for alert in monitor.alerts() {
+        fingerprint = fnv1a(fingerprint, alert.to_string().as_bytes());
+    }
+    for culprit in &culprits {
+        fingerprint = fnv1a(fingerprint, culprit.describe().as_bytes());
+    }
+    AlertGrade {
+        alerts: monitor.alerts().to_vec(),
+        precision,
+        recall,
+        ttd,
+        top_culprit: culprits.first().map(|c| c.describe()),
+        top_cell: culprits.first().map(|c| c.cell),
+        fingerprint,
+    }
 }
 
 /// Which share to plot over time.

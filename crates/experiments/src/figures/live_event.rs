@@ -14,32 +14,25 @@
 //! storm. Everything runs on the virtual clock and seeded RNG; a replay
 //! fingerprint pins byte-identical reruns.
 
-use std::collections::BTreeMap;
-
-use crate::figures::helpers::{fnv1a, scenario_setup, setup_failed, ScenarioSetup};
+use crate::figures::helpers::{fnv1a, grade_alerts, scenario, AlertGrade};
 use crate::result::{Check, ExperimentResult};
-use vmp_abr::algorithm::ThroughputRule;
-use vmp_abr::network::{NetworkModel, NetworkProfile};
 use vmp_analytics::report::Table;
-use vmp_cdn::broker::{Broker, BrokerPolicy};
 use vmp_cdn::budget::{BudgetConfig, RetryBudget};
 use vmp_cdn::capacity::{CapacityConfig, EdgeCapacity};
-use vmp_cdn::edge::EdgeCluster;
-use vmp_cdn::routing::Router;
 use vmp_cdn::shield::OriginShield;
 use vmp_core::cdn::CdnName;
-use vmp_core::geo::ConnectionType;
-use vmp_core::units::{Bytes, Seconds};
-use vmp_faults::{FaultInjector, FaultProfile, RetryPolicy};
-use vmp_monitor::{score_alerts, Cell, HealthMonitor};
-use vmp_session::hooks::{CompletionSink, SessionEnd};
-use vmp_session::live::{surge_infrastructure_fn, LiveWindow, SurgeLayer};
-use vmp_session::player::{MultiCdnContext, PlaybackConfig, Player};
+use vmp_core::units::Seconds;
+use vmp_faults::FaultProfile;
+use vmp_session::cohort::CohortSpec;
+use vmp_session::live::{LiveWindow, SurgeLayer};
 use vmp_stats::Rng;
 use vmp_synth::live::JoinStorm;
 
 /// Viewers in the event population (trickle + storm).
 const SESSIONS: usize = 1200;
+
+/// The three CDNs the event is delivered over.
+const CDNS: [CdnName; 3] = [CdnName::A, CdnName::B, CdnName::C];
 
 /// Edge regions per CDN; sessions rotate through them.
 const REGIONS: usize = 3;
@@ -76,10 +69,6 @@ const BROWNOUT_START: Seconds = Seconds(1380.0);
 /// Brownout length.
 const BROWNOUT_LEN: Seconds = Seconds(360.0);
 
-/// Scoring slack past a fault window's end (sessions that absorbed the
-/// fault but completed after it cleared).
-const SLACK: Seconds = Seconds(600.0);
-
 /// Shared retry budget per CDN: burst of 150 retries, 1/s sustained.
 const BUDGET: BudgetConfig = BudgetConfig { capacity: 150.0, refill_per_sec: 1.0 };
 
@@ -96,12 +85,8 @@ const SHIELD_WINDOW: Seconds = Seconds(1.0);
 /// One graded arm.
 struct ArmReport {
     label: &'static str,
-    alerts: usize,
-    precision: f64,
-    recall: f64,
-    ttd: Option<f64>,
-    top_culprit: Option<String>,
-    top_cell: Option<Cell>,
+    /// The monitor's verdict; its fingerprint also folds the surge counters.
+    health: AlertGrade,
     shed: u64,
     coalesced: u64,
     origin_fetches: u64,
@@ -111,8 +96,6 @@ struct ArmReport {
     budget_bound: u64,
     /// QoE aggregates for [pre-kickoff, in-event] cohorts.
     cohorts: [CohortQoe; 2],
-    /// FNV-1a over the alert stream, culprit ranking, and surge counters.
-    fingerprint: u64,
 }
 
 /// QoE distribution summary for one arrival cohort.
@@ -163,44 +146,19 @@ fn brownout() -> FaultProfile {
 /// Plays the full event population under the surge-protection stack and
 /// grades the monitor's alert stream against `profile` (None = control).
 fn run_arm(
-    stp: &ScenarioSetup,
     seed: u64,
     arm: u64,
     label: &'static str,
     profile: Option<&FaultProfile>,
-) -> ArmReport {
-    // Fresh exemplar epoch per arm (see figures/monitor::run_population).
-    vmp_session::hooks::trace_epoch();
-    let injector = profile.map(|p| FaultInjector::new(p.clone()));
-    let broker = Broker::new(BrokerPolicy::Weighted);
-    let routers: BTreeMap<CdnName, Router> = stp
-        .strategy
-        .cdns()
-        .iter()
-        .map(|c| (*c, Router::for_cdn(*c, 8)))
-        .collect();
-    let mut edges: BTreeMap<CdnName, EdgeCluster> = stp
-        .strategy
-        .cdns()
-        .iter()
-        .map(|c| (*c, EdgeCluster::new(REGIONS, Bytes(2_000_000_000))))
-        .collect();
+) -> Result<ArmReport, String> {
     let mut surge = SurgeLayer {
-        capacity: stp
-            .strategy
-            .cdns()
+        capacity: CDNS
             .iter()
             .filter_map(|c| EdgeCapacity::new(REGIONS, CAPACITY).ok().map(|cap| (*c, cap)))
             .collect(),
-        shields: stp
-            .strategy
-            .cdns()
-            .iter()
-            .map(|c| (*c, OriginShield::new(SHIELD_WINDOW)))
-            .collect(),
+        shields: CDNS.iter().map(|c| (*c, OriginShield::new(SHIELD_WINDOW))).collect(),
     };
     let budget = RetryBudget::new(BUDGET);
-    let abr = ThroughputRule::default();
 
     // Correlated arrivals: a 100× join storm peaking at kickoff, sampled
     // once per arm from its own deterministic stream.
@@ -208,49 +166,26 @@ fn run_arm(
     let mut arrival_rng = Rng::seed_from(seed ^ 0x11FE_A221);
     let arrivals = storm.sample_arrivals(SESSIONS, Seconds::ZERO, ARRIVAL_END, &mut arrival_rng);
 
-    let mut ends: Vec<SessionEnd> = Vec::with_capacity(SESSIONS);
-    for (i, start) in arrivals.iter().enumerate() {
-        let mut rng = Rng::seed_from(seed ^ 0x11FE_5708).fork(i as u64);
-        let network =
-            NetworkModel::new(NetworkProfile::for_connection(ConnectionType::Wifi, 1.0));
-        let region = i % REGIONS;
+    let ends = CohortSpec {
+        cdns: &CDNS,
+        regions: REGIONS,
+        publishers: PUBLISHERS,
         // The "event" outlives every viewer; each watches WATCH from the
         // live edge at their arrival.
-        let mut config = PlaybackConfig::live(stp.ladder.clone(), Seconds(3600.0), WATCH);
-        config.start_offset = *start;
-        config.live_window = Some(live_window());
-        if profile.is_some() {
-            config.retry = RetryPolicy::resilient();
-        }
-        let mut player = match Player::new(config, network, &abr) {
-            Ok(p) => p,
-            Err(_) => continue,
-        };
-        let mut infra =
-            surge_infrastructure_fn(&routers, &mut edges, region, injector.as_ref(), &mut surge);
-        let mut ctx = MultiCdnContext {
-            broker: &broker,
-            strategy: &stp.strategy,
-            failure_probability: 0.0,
-            failover_enabled: false, // damage must stay attributed to the faulted CDN
-            health_gate: false,
-            faults: injector.as_ref(),
-            retry_budget: Some(&budget),
-            infrastructure: &mut infra,
-        };
+        content: Seconds(3600.0),
+        watch: WATCH,
+        live_window: Some(live_window()),
+        arrivals: &arrivals,
+        rng_salt: 0x11FE_5708,
+        faults: profile,
+        failover: false, // damage must stay attributed to the faulted CDN
+        surge: Some(&mut surge),
+        retry_budget: Some(&budget),
         // Scenario-private session-trace id namespace with a per-arm
         // stride (see figures/monitor).
-        let trace = vmp_session::hooks::trace_begin(
-            TRACE_ID_BASE + arm * ARM_STRIDE + i as u64,
-            Some(i as u64 % PUBLISHERS),
-            None,
-            Some(region),
-            *start,
-        );
-        let out = player.play_multi_cdn(&mut ctx, &mut rng);
-        vmp_session::hooks::trace_finish(trace, &out);
-        ends.push(SessionEnd::new(out).in_region(region).for_publisher(i as u64 % PUBLISHERS));
+        trace_id_base: Some(TRACE_ID_BASE + arm * ARM_STRIDE),
     }
+    .run(seed)?;
 
     // QoE distributions by arrival cohort: pre-kickoff trickle vs in-event
     // flash crowd (the storm ramp starts 120 s before kickoff).
@@ -273,88 +208,43 @@ fn run_arm(
             c.mean_startup /= c.views as f64;
         }
     }
-    let horizon = ends
-        .iter()
-        .map(|e| e.end_clock().0)
-        .fold(0.0f64, f64::max);
+    let horizon = ends.iter().map(|e| e.end_clock().0).fold(0.0f64, f64::max);
 
-    // Completions stream into the monitor in fault-clock end order, as a
-    // central collector would ingest them (index tie-break for determinism).
-    let mut order: Vec<usize> = (0..ends.len()).collect();
-    order.sort_by(|a, b| {
-        ends[*a]
-            .end_clock()
-            .0
-            .partial_cmp(&ends[*b].end_clock().0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    });
-    let mut monitor = HealthMonitor::with_defaults();
-    for i in order {
-        monitor.on_session_end(&ends[i]);
-    }
-    monitor.finish();
-
-    let (precision, recall, ttd) = match profile {
-        Some(p) => {
-            let score = score_alerts(monitor.alerts(), p, SLACK);
-            (score.precision(), score.recall(), score.mean_time_to_detect())
-        }
-        // A silent detector under no faults is perfectly precise.
-        None => (1.0, 1.0, None),
-    };
-    let culprits = monitor.culprits();
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for alert in monitor.alerts() {
-        fingerprint = fnv1a(fingerprint, alert.to_string().as_bytes());
-    }
-    for culprit in &culprits {
-        fingerprint = fnv1a(fingerprint, culprit.describe().as_bytes());
-    }
+    let mut health = grade_alerts(&ends, profile);
+    let origin_fetches = surge.shields.values().map(|s| s.origin_fetches()).sum::<u64>();
     let counters = format!(
-        "shed={} coalesced={} origin={} granted={} denied={}",
+        "shed={} coalesced={} origin={origin_fetches} granted={} denied={}",
         surge.total_shed(),
         surge.total_coalesced(),
-        surge.shields.values().map(|s| s.origin_fetches()).sum::<u64>(),
         budget.granted(),
         budget.denied()
     );
-    fingerprint = fnv1a(fingerprint, counters.as_bytes());
+    health.fingerprint = fnv1a(health.fingerprint, counters.as_bytes());
 
-    ArmReport {
+    Ok(ArmReport {
         label,
-        alerts: monitor.alerts().len(),
-        precision,
-        recall,
-        ttd,
-        top_culprit: culprits.first().map(|c| c.describe()),
-        top_cell: culprits.first().map(|c| c.cell),
+        health,
         shed: surge.total_shed(),
         coalesced: surge.total_coalesced(),
-        origin_fetches: surge.shields.values().map(|s| s.origin_fetches()).sum(),
+        origin_fetches,
         budget_granted: budget.granted(),
         budget_denied: budget.denied(),
         budget_bound: 3 * budget.max_grants(Seconds(horizon)),
         cohorts,
-        fingerprint,
-    }
+    })
 }
 
 /// Runs the scenario for a master seed (`repro --seed N`).
 pub fn run(seed: u64) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "live_event",
-        "Scenario: flash-crowd live event under admission control, origin shield, and retry budgets",
-    );
-    let Some(stp) = scenario_setup(&[CdnName::A, CdnName::B, CdnName::C]) else {
-        result.checks.push(setup_failed());
-        return result;
-    };
+    let title = "Scenario: flash-crowd live event under admission control, origin shield, and retry budgets";
+    scenario("live_event", title, |result| report(seed, result))
+}
 
+fn report(seed: u64, result: &mut ExperimentResult) -> Result<(), String> {
     let profile = brownout();
-    let control = run_arm(&stp, seed, 0, "control (storm, no faults)", None);
-    let fault = run_arm(&stp, seed, 1, "brownout(A) mid-event", Some(&profile));
-    let replay = run_arm(&stp, seed, 2, "brownout(A) replay", Some(&profile));
+    let control = run_arm(seed, 0, "control (storm, no faults)", None)?;
+    let fault = run_arm(seed, 1, "brownout(A) mid-event", Some(&profile))?;
+    let replay = run_arm(seed, 2, "brownout(A) replay", Some(&profile))?;
 
     let mut table = Table::new(
         "Surge scorecard: 1200 viewers, 100x join storm at kickoff, failover off",
@@ -366,15 +256,15 @@ pub fn run(seed: u64) -> ExperimentResult {
     for arm in [&control, &fault] {
         table.row(vec![
             arm.label.to_string(),
-            arm.alerts.to_string(),
-            format!("{:.3}", arm.precision),
-            format!("{:.3}", arm.recall),
-            arm.ttd.map(|d| format!("{d:.0}s")).unwrap_or_else(|| "-".to_string()),
+            arm.health.alerts.len().to_string(),
+            format!("{:.3}", arm.health.precision),
+            format!("{:.3}", arm.health.recall),
+            arm.health.ttd.map(|d| format!("{d:.0}s")).unwrap_or_else(|| "-".to_string()),
             arm.shed.to_string(),
             arm.coalesced.to_string(),
             arm.origin_fetches.to_string(),
             format!("{}/{}", arm.budget_granted, arm.budget_denied),
-            arm.top_culprit.clone().unwrap_or_else(|| "-".to_string()),
+            arm.health.top_culprit.clone().unwrap_or_else(|| "-".to_string()),
         ]);
     }
     result.tables.push(table);
@@ -392,8 +282,8 @@ pub fn run(seed: u64) -> ExperimentResult {
 
     result.checks.push(Check::new(
         "control raises zero alerts through the 100x join storm",
-        control.alerts == 0,
-        format!("{} alerts in the fault-free control", control.alerts),
+        control.health.alerts.is_empty(),
+        format!("{} alerts in the fault-free control", control.health.alerts.len()),
     ));
     let control_fatals: usize = control.cohorts.iter().map(|c| c.fatals).sum();
     let control_join_failures: usize = control.cohorts.iter().map(|c| c.join_failures).sum();
@@ -418,23 +308,23 @@ pub fn run(seed: u64) -> ExperimentResult {
     ));
     result.checks.push(Check::new(
         "brownout arm raises alerts",
-        fault.alerts > 0,
-        format!("{} alerts", fault.alerts),
+        !fault.health.alerts.is_empty(),
+        format!("{} alerts", fault.health.alerts.len()),
     ));
     result.checks.push(Check::new(
         "brownout precision >= 0.9",
-        fault.precision >= 0.9,
-        format!("precision {:.3} over {} alerts", fault.precision, fault.alerts),
+        fault.health.precision >= 0.9,
+        format!("precision {:.3} over {} alerts", fault.health.precision, fault.health.alerts.len()),
     ));
     result.checks.push(Check::new(
         "brownout recall >= 0.9",
-        fault.recall >= 0.9,
-        format!("recall {:.3}", fault.recall),
+        fault.health.recall >= 0.9,
+        format!("recall {:.3}", fault.health.recall),
     ));
     result.checks.push(Check::new(
         "brownout localizes CDN A",
-        fault.top_cell.map(|c| c.cdn()) == Some(Some(CdnName::A)),
-        fault.top_culprit.clone().unwrap_or_else(|| "no culprit ranked".to_string()),
+        fault.health.top_cell.map(|c| c.cdn()) == Some(Some(CdnName::A)),
+        fault.health.top_culprit.clone().unwrap_or_else(|| "no culprit ranked".to_string()),
     ));
     result.checks.push(Check::new(
         "brownout retry pressure sheds at least as much as the storm alone",
@@ -456,8 +346,8 @@ pub fn run(seed: u64) -> ExperimentResult {
     ));
     result.checks.push(Check::new(
         "same seed replays the event bit-identically",
-        fault.fingerprint == replay.fingerprint,
-        format!("fingerprint {:#018x} vs {:#018x}", fault.fingerprint, replay.fingerprint),
+        fault.health.fingerprint == replay.health.fingerprint,
+        format!("fingerprint {:#018x} vs {:#018x}", fault.health.fingerprint, replay.health.fingerprint),
     ));
 
     result.notes.push(format!(
@@ -482,27 +372,5 @@ pub fn run(seed: u64) -> ExperimentResult {
          browning-out CDN"
             .to_string(),
     );
-
-    result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The ISSUE's acceptance seed: control silent, brownout localized,
-    /// budget bound held — at seed 7 specifically.
-    #[test]
-    fn surge_scenario_passes_ground_truth_at_seed_7() {
-        let result = run(7);
-        assert!(result.all_passed(), "failed checks: {:?}", result.failures());
-    }
-
-    #[test]
-    fn surge_scenario_is_deterministic() {
-        let a = run(0x11FE_5EED);
-        assert!(a.all_passed(), "failed checks: {:?}", a.failures());
-        let b = run(0x11FE_5EED);
-        assert_eq!(a.tables, b.tables);
-    }
+    Ok(())
 }

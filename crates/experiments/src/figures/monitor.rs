@@ -2,7 +2,7 @@
 //!
 //! Every preset fault plan is replayed against a three-CDN population with
 //! failover *disabled*, so damage lands on (and stays attributed to) the
-//! faulted CDN. Completions stream into a [`HealthMonitor`] the moment they
+//! faulted CDN. Completions stream into a `HealthMonitor` the moment they
 //! finish — sorted only by fault-clock end time, as a real collector would
 //! see them — and the alert stream is scored against the injected plan
 //! itself: precision, recall, and time-to-detect, with the ranked culprit
@@ -10,24 +10,15 @@
 //! misbehaved. A fault-free control must stay perfectly silent, and the
 //! whole pipeline is seed-deterministic, which a replay fingerprint pins.
 
-use std::collections::BTreeMap;
-
-use crate::figures::helpers::{fnv1a, scenario_setup, setup_failed, ScenarioSetup};
+use crate::figures::helpers::{grade_alerts, scenario, AlertGrade, SCORING_SLACK};
 use crate::result::{Check, ExperimentResult};
-use vmp_abr::algorithm::ThroughputRule;
-use vmp_abr::network::{NetworkModel, NetworkProfile};
 use vmp_analytics::report::Table;
-use vmp_cdn::broker::{Broker, BrokerPolicy};
-use vmp_cdn::edge::EdgeCluster;
-use vmp_cdn::routing::Router;
 use vmp_core::cdn::CdnName;
-use vmp_core::geo::ConnectionType;
-use vmp_core::units::{Bytes, Seconds};
-use vmp_faults::{BreakerConfig, FaultInjector, FaultProfile, RetryPolicy};
-use vmp_monitor::{score_alerts, Cell, HealthMonitor};
-use vmp_session::hooks::{CompletionSink, SessionEnd};
-use vmp_session::player::{infrastructure_fn, MultiCdnContext, PlaybackConfig, Player};
-use vmp_stats::Rng;
+use vmp_core::units::Seconds;
+use vmp_faults::FaultProfile;
+use vmp_monitor::Cell;
+use vmp_session::cohort::{stagger, CohortSpec};
+use vmp_session::hooks::SessionEnd;
 
 /// Sessions per arm, staggered across the (shifted) fault horizon.
 const SESSIONS: usize = 1680;
@@ -50,150 +41,38 @@ const ARM_STRIDE: u64 = 100_000;
 /// the first ten minutes of completions are guaranteed fault-free).
 const BASELINE_SHIFT: Seconds = Seconds(600.0);
 
-/// Credit window past a fault's end: sessions that absorbed the fault but
-/// only finished (and were only counted) after it cleared, plus the sliding
-/// window's retention of their damage.
-const SLACK: Seconds = Seconds(600.0);
-
-/// One graded arm.
-struct ArmReport {
-    label: &'static str,
-    alerts: usize,
-    precision: f64,
-    recall: f64,
-    ttd: Option<f64>,
-    top_culprit: Option<String>,
-    /// Top culprit cell, for localization checks.
-    top_cell: Option<Cell>,
-    /// FNV-1a over the full alert stream and culprit ranking.
-    fingerprint: u64,
-}
-
-/// The three CDNs the population is delivered over.
-const CDNS: [CdnName; 3] = [CdnName::A, CdnName::B, CdnName::C];
-
 /// Plays the staggered population under `profile` (already shifted) with
-/// failover off, streaming every completion into `sink` in fault-clock
-/// order — the order a central collector would ingest them.
+/// failover off, so damage stays attributed to the faulted CDN.
 fn run_population(
-    stp: &ScenarioSetup,
     seed: u64,
     arm: u64,
     profile: Option<&FaultProfile>,
-    sink: &mut dyn CompletionSink,
-) {
-    // Each arm replays the same fault-clock range; a fresh exemplar epoch
-    // keeps this arm's alerts from citing a previous arm's look-alikes.
-    vmp_session::hooks::trace_epoch();
-    let injector = profile.map(|p| FaultInjector::new(p.clone()));
+) -> Result<Vec<SessionEnd>, String> {
     let horizon = profile.map(|p| p.horizon()).unwrap_or(Seconds(2100.0));
-    let strategy = &stp.strategy;
-    let broker = Broker::with_breaker(BrokerPolicy::Weighted, BreakerConfig::default());
-    let routers: BTreeMap<CdnName, Router> = strategy
-        .cdns()
-        .iter()
-        .map(|c| (*c, Router::for_cdn(*c, 8)))
-        .collect();
-    let mut edges: BTreeMap<CdnName, EdgeCluster> = strategy
-        .cdns()
-        .iter()
-        .map(|c| (*c, EdgeCluster::new(REGIONS, Bytes(2_000_000_000))))
-        .collect();
-    let abr = ThroughputRule::default();
-
-    let mut ends: Vec<SessionEnd> = Vec::with_capacity(SESSIONS);
-    for i in 0..SESSIONS {
-        let mut rng = Rng::seed_from(seed ^ 0x0B5E_44E5).fork(i as u64);
-        let network =
-            NetworkModel::new(NetworkProfile::for_connection(ConnectionType::Wifi, 1.0));
-        let region = i % REGIONS;
-        let mut config = PlaybackConfig::vod(
-            stp.ladder.clone(),
-            Seconds::from_minutes(4.0),
-            Seconds::from_minutes(1.0),
-        );
-        config.start_offset = Seconds(horizon.0 * i as f64 / SESSIONS as f64);
-        if profile.is_some() {
-            config.retry = RetryPolicy::resilient();
-        }
-        let start_offset = config.start_offset;
-        let mut player = Player::new(config, network, &abr).expect("valid config");
-        let mut infra = infrastructure_fn(&routers, &mut edges, region, injector.as_ref());
-        let mut ctx = MultiCdnContext {
-            broker: &broker,
-            strategy,
-            failure_probability: 0.0,
-            failover_enabled: false, // damage must stay attributed to the faulted CDN
-            health_gate: false,
-            faults: injector.as_ref(),
-            retry_budget: None,
-            infrastructure: &mut infra,
-        };
+    CohortSpec {
+        cdns: &[CdnName::A, CdnName::B, CdnName::C],
+        regions: REGIONS,
+        publishers: PUBLISHERS,
+        content: Seconds::from_minutes(4.0),
+        watch: Seconds::from_minutes(1.0),
+        arrivals: &stagger(SESSIONS, horizon),
+        rng_salt: 0x0B5E_44E5,
+        faults: profile,
+        failover: false, // damage must stay attributed to the faulted CDN
         // Session-trace ids live in a scenario-private namespace so a full
         // `repro --session-trace` run cannot collide them with the synth
         // pipeline's telemetry session ids, and each arm gets its own
         // sub-range so replayed arms don't alias the originals.
-        let trace = vmp_session::hooks::trace_begin(
-            TRACE_ID_BASE + arm * ARM_STRIDE + i as u64,
-            Some(i as u64 % PUBLISHERS),
-            None,
-            Some(region),
-            start_offset,
-        );
-        let out = player.play_multi_cdn(&mut ctx, &mut rng);
-        vmp_session::hooks::trace_finish(trace, &out);
-        ends.push(SessionEnd::new(out).in_region(region).for_publisher(i as u64 % PUBLISHERS));
+        trace_id_base: Some(TRACE_ID_BASE + arm * ARM_STRIDE),
+        ..CohortSpec::default()
     }
-
-    // Completions reach the collector in end-time order, not start order
-    // (sessions that died mid-outage finish early). The index tie-break
-    // keeps same-instant ends deterministic; the monitor itself is
-    // order-insensitive within a tick.
-    let mut order: Vec<usize> = (0..ends.len()).collect();
-    order.sort_by(|a, b| {
-        ends[*a]
-            .end_clock()
-            .0
-            .partial_cmp(&ends[*b].end_clock().0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    });
-    for i in order {
-        sink.on_session_end(&ends[i]);
-    }
+    .run(seed)
 }
 
-/// Runs one faulted arm end to end and grades the alert stream.
-fn run_arm(
-    stp: &ScenarioSetup,
-    seed: u64,
-    arm: u64,
-    label: &'static str,
-    profile: &FaultProfile,
-) -> ArmReport {
-    let mut monitor = HealthMonitor::with_defaults();
-    run_population(stp, seed, arm, Some(profile), &mut monitor);
-    monitor.finish();
-
-    let score = score_alerts(monitor.alerts(), profile, SLACK);
-    let culprits = monitor.culprits();
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for alert in monitor.alerts() {
-        fingerprint = fnv1a(fingerprint, alert.to_string().as_bytes());
-    }
-    for culprit in &culprits {
-        fingerprint = fnv1a(fingerprint, culprit.describe().as_bytes());
-    }
-    ArmReport {
-        label,
-        alerts: monitor.alerts().len(),
-        precision: score.precision(),
-        recall: score.recall(),
-        ttd: score.mean_time_to_detect(),
-        top_culprit: culprits.first().map(|c| c.describe()),
-        top_cell: culprits.first().map(|c| c.cell),
-        fingerprint,
-    }
+/// Runs one faulted arm end to end and grades the alert stream against
+/// the plan that was injected.
+fn run_arm(seed: u64, arm: u64, profile: &FaultProfile) -> Result<AlertGrade, String> {
+    Ok(grade_alerts(&run_population(seed, arm, Some(profile))?, Some(profile)))
 }
 
 /// The three preset fault plans the scenario grades, with the CDN each
@@ -211,15 +90,12 @@ pub fn presets() -> [(&'static str, CdnName, FaultProfile); 3] {
 /// ids in the `TRACE_ID_BASE + preset * ARM_STRIDE` namespace; the
 /// trace-exemplar integration test drives this directly.
 pub fn preset_alerts(seed: u64, preset: usize) -> Vec<vmp_monitor::Alert> {
-    let Some(stp) = scenario_setup(&CDNS) else {
+    let Some((_, _, profile)) = presets().into_iter().nth(preset) else {
         return Vec::new();
     };
-    let (_, _, profile) = &presets()[preset];
-    let mut monitor = HealthMonitor::with_defaults();
-    let shifted = profile.shifted(BASELINE_SHIFT);
-    run_population(&stp, seed, preset as u64, Some(&shifted), &mut monitor);
-    monitor.finish();
-    monitor.alerts().to_vec()
+    run_population(seed, preset as u64, Some(&profile.shifted(BASELINE_SHIFT)))
+        .map(|ends| grade_alerts(&ends, None).alerts)
+        .unwrap_or_default()
 }
 
 /// Start of the session-trace id range [`preset_alerts`] uses for a preset.
@@ -240,42 +116,31 @@ fn scoped_profile() -> FaultProfile {
 /// Runs the scenario for a master seed (`repro --seed N`; the ecosystem
 /// default otherwise).
 pub fn run(seed: u64) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "monitor",
-        "Scenario: streaming health plane graded against fault-injection ground truth",
-    );
+    let title = "Scenario: streaming health plane graded against fault-injection ground truth";
+    scenario("monitor", title, |result| report(seed, result))
+}
 
-    let Some(stp) = scenario_setup(&CDNS) else {
-        result.checks.push(setup_failed());
-        return result;
-    };
+fn report(seed: u64, result: &mut ExperimentResult) -> Result<(), String> {
     let presets = presets();
-
-    let mut arms: Vec<(CdnName, ArmReport)> = Vec::new();
-    for (arm, (label, target, profile)) in presets.iter().enumerate() {
-        arms.push((
-            *target,
-            run_arm(&stp, seed, arm as u64, label, &profile.shifted(BASELINE_SHIFT)),
-        ));
+    let mut arms = Vec::new();
+    for (arm, (label, target, profile)) in (0u64..).zip(&presets) {
+        arms.push((*label, *target, run_arm(seed, arm, &profile.shifted(BASELINE_SHIFT))?));
     }
-    let scoped = run_arm(&stp, seed, 3, "outage(B) in region 1", &scoped_profile());
-    let replay =
-        run_arm(&stp, seed, 4, "cdn_brownout(A) replay", &presets[0].2.shifted(BASELINE_SHIFT));
-
+    let scoped = run_arm(seed, 3, &scoped_profile())?;
+    let [(_, _, brownout), ..] = &presets;
+    let replay = run_arm(seed, 4, &brownout.shifted(BASELINE_SHIFT))?;
     // Fault-free control: the identical population with no injector.
-    let mut control = HealthMonitor::with_defaults();
-    run_population(&stp, seed, 5, None, &mut control);
-    control.finish();
-    let control_alerts = control.alerts().len();
+    let control_alerts = grade_alerts(&run_population(seed, 5, None)?, None).alerts.len();
 
     let mut table = Table::new(
         "Detector scorecard: 1680 staggered sessions per arm, failover off, alerts vs plan",
         vec!["arm", "alerts", "precision", "recall", "time-to-detect", "top culprit"],
     );
-    for arm in arms.iter().map(|(_, a)| a).chain([&scoped]) {
+    let rows = arms.iter().map(|(label, _, arm)| (*label, arm));
+    for (label, arm) in rows.chain([("outage(B) in region 1", &scoped)]) {
         table.row(vec![
-            arm.label.to_string(),
-            arm.alerts.to_string(),
+            label.to_string(),
+            arm.alerts.len().to_string(),
             format!("{:.3}", arm.precision),
             format!("{:.3}", arm.recall),
             arm.ttd.map(|d| format!("{d:.0}s")).unwrap_or_else(|| "-".to_string()),
@@ -292,19 +157,19 @@ pub fn run(seed: u64) -> ExperimentResult {
     ]);
     result.tables.push(table);
 
-    for (target, arm) in &arms {
+    for (label, target, arm) in &arms {
         result.checks.push(Check::new(
-            format!("{} raises alerts", arm.label),
-            arm.alerts > 0,
-            format!("{} alerts", arm.alerts),
+            format!("{label} raises alerts"),
+            !arm.alerts.is_empty(),
+            format!("{} alerts", arm.alerts.len()),
         ));
         result.checks.push(Check::new(
-            format!("{} precision >= 0.9", arm.label),
+            format!("{label} precision >= 0.9"),
             arm.precision >= 0.9,
-            format!("precision {:.3} over {} alerts", arm.precision, arm.alerts),
+            format!("precision {:.3} over {} alerts", arm.precision, arm.alerts.len()),
         ));
         result.checks.push(Check::new(
-            format!("{} localizes the faulted CDN", arm.label),
+            format!("{label} localizes the faulted CDN"),
             arm.top_cell.map(|c| c.cdn()) == Some(Some(*target)),
             arm.top_culprit.clone().unwrap_or_else(|| "no culprit ranked".to_string()),
         ));
@@ -319,10 +184,15 @@ pub fn run(seed: u64) -> ExperimentResult {
         control_alerts == 0,
         format!("{control_alerts} alerts without faults"),
     ));
+    let original = arms.first().map(|(_, _, arm)| arm.fingerprint);
     result.checks.push(Check::new(
         "same seed replays the alert stream bit-identically",
-        arms[0].1.fingerprint == replay.fingerprint,
-        format!("fingerprint {:#018x} vs {:#018x}", arms[0].1.fingerprint, replay.fingerprint),
+        original == Some(replay.fingerprint),
+        format!(
+            "fingerprint {:#018x} vs {:#018x}",
+            original.unwrap_or_default(),
+            replay.fingerprint
+        ),
     ));
 
     result.notes.push(format!(
@@ -330,7 +200,7 @@ pub fn run(seed: u64) -> ExperimentResult {
          failover and health gating are off so symptoms stay attributed to the \
          faulted CDN; scoring slack {}s covers sessions that absorbed a fault but \
          completed after it cleared; master seed {seed:#x}",
-        BASELINE_SHIFT.0, SLACK.0
+        BASELINE_SHIFT.0, SCORING_SLACK.0
     ));
     result.notes.push(
         "precision counts an alert as true when a scheduled non-instant window \
@@ -339,27 +209,5 @@ pub fn run(seed: u64) -> ExperimentResult {
          via the ranked culprit list"
             .to_string(),
     );
-
-    result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The ISSUE's acceptance seed: every preset must be detected and
-    /// localized at seed 7 specifically.
-    #[test]
-    fn all_presets_detected_and_localized_at_seed_7() {
-        let result = run(7);
-        assert!(result.all_passed(), "failed checks: {:?}", result.failures());
-    }
-
-    #[test]
-    fn monitor_scenario_is_deterministic() {
-        let a = run(0x5EED_CAFE);
-        assert!(a.all_passed(), "failed checks: {:?}", a.failures());
-        let b = run(0x5EED_CAFE);
-        assert_eq!(a.tables, b.tables);
-    }
+    Ok(())
 }

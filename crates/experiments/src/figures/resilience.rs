@@ -13,26 +13,13 @@
 //! incidents, retries, and failovers, which the determinism check asserts
 //! by fingerprinting two independent runs of the enabled arm.
 
-use std::collections::BTreeMap;
-
-use crate::figures::helpers::{fnv1a, scenario_setup, setup_failed, ScenarioSetup};
+use crate::figures::helpers::{fnv1a, grade_alerts, scenario, AlertGrade};
 use crate::result::{Check, ExperimentResult};
-use vmp_abr::algorithm::ThroughputRule;
-use vmp_abr::network::{NetworkModel, NetworkProfile};
 use vmp_analytics::report::{Series, Table};
-use vmp_cdn::broker::{Broker, BrokerPolicy};
-use vmp_cdn::edge::EdgeCluster;
-use vmp_cdn::routing::Router;
 use vmp_core::cdn::CdnName;
-use vmp_core::geo::ConnectionType;
-use vmp_core::units::{Bytes, Seconds};
-use vmp_faults::{BreakerConfig, FaultInjector, FaultProfile, RetryPolicy};
-use vmp_monitor::HealthMonitor;
-use vmp_session::hooks::{CompletionSink, SessionEnd};
-use vmp_session::player::{
-    infrastructure_fn, ExitCause, MultiCdnContext, PlaybackConfig, Player,
-};
-use vmp_stats::Rng;
+use vmp_core::units::Seconds;
+use vmp_faults::FaultProfile;
+use vmp_session::cohort::{stagger, CohortSpec};
 
 /// Sessions per arm, staggered across the fault-plan horizon.
 const SESSIONS: usize = 240;
@@ -54,11 +41,9 @@ struct ArmStats {
     /// FNV-1a over every session's outcome summary: byte-identical runs
     /// produce identical fingerprints.
     fingerprint: u64,
-    /// Alerts the streaming health plane raised over this arm's completion
+    /// What the streaming health plane made of this arm's completion
     /// stream (passive tap — the monitor never perturbs sessions).
-    monitor_alerts: usize,
-    /// Top-ranked culprit behind those alerts, if any.
-    monitor_culprit: Option<String>,
+    health: AlertGrade,
 }
 
 impl ArmStats {
@@ -76,32 +61,29 @@ impl ArmStats {
 }
 
 /// Runs one arm: the full staggered session population against fresh
-/// infrastructure, with the given failover/health-gate switches. `faulted`
-/// selects the brownout plan versus a clean (no-fault) baseline.
+/// infrastructure, with broker failover + health gating off or on.
+/// `faulted` selects the brownout plan versus a clean (no-fault) baseline.
 fn run_arm(
-    stp: &ScenarioSetup,
     seed: u64,
     label: &'static str,
     faulted: bool,
-    failover_enabled: bool,
-    health_gate: bool,
-) -> ArmStats {
+    failover: bool,
+) -> Result<ArmStats, String> {
     let profile = FaultProfile::cdn_brownout(CdnName::A);
     let horizon = profile.horizon();
-    let injector = faulted.then(|| FaultInjector::new(profile));
-    let strategy = &stp.strategy;
-    let broker = Broker::with_breaker(BrokerPolicy::Weighted, BreakerConfig::default());
-    let routers: BTreeMap<CdnName, Router> = strategy
-        .cdns()
-        .iter()
-        .map(|c| (*c, Router::for_cdn(*c, 8)))
-        .collect();
-    let mut edges: BTreeMap<CdnName, EdgeCluster> = strategy
-        .cdns()
-        .iter()
-        .map(|c| (*c, EdgeCluster::new(REGIONS, Bytes(2_000_000_000))))
-        .collect();
-    let abr = ThroughputRule::default();
+    let arrivals = stagger(SESSIONS, horizon);
+    let ends = CohortSpec {
+        cdns: &[CdnName::A, CdnName::B],
+        regions: REGIONS,
+        content: Seconds::from_minutes(20.0),
+        watch: Seconds::from_minutes(5.0),
+        arrivals: &arrivals,
+        rng_salt: 0x5111_E27C,
+        faults: faulted.then_some(&profile),
+        failover,
+        ..CohortSpec::default()
+    }
+    .run(seed)?;
 
     let buckets = (horizon.0 / 300.0).ceil() as usize;
     let mut stats = ArmStats {
@@ -114,43 +96,17 @@ fn run_arm(
         cdn_switches: 0,
         fatal_by_bucket: vec![0.0; buckets.max(1)],
         fingerprint: 0xcbf2_9ce4_8422_2325,
-        monitor_alerts: 0,
-        monitor_culprit: None,
+        // Passive health-plane tap: stream the completions into a monitor in
+        // fault-clock end order (the order a central collector sees). With a
+        // 20-minute session length the first completions already carry fault
+        // damage, so no pre-incident baseline exists and the faulted arms are
+        // reported, not graded — the `monitor` scenario does the grading with
+        // a population shaped for it. The clean arm must stay silent.
+        health: grade_alerts(&ends, None),
     };
-
-    let mut ends: Vec<SessionEnd> = Vec::with_capacity(SESSIONS);
-    for i in 0..SESSIONS {
-        let mut rng = Rng::seed_from(seed ^ 0x5111_E27C).fork(i as u64);
-        let network =
-            NetworkModel::new(NetworkProfile::for_connection(ConnectionType::Wifi, 1.0));
-        let offset = Seconds(horizon.0 * i as f64 / SESSIONS as f64);
-        let mut config = PlaybackConfig::vod(
-            stp.ladder.clone(),
-            Seconds::from_minutes(20.0),
-            Seconds::from_minutes(5.0),
-        );
-        config.start_offset = offset;
-        // The armed timeout + bounded-retry policy is what a resilient
-        // player ships; the clean baseline keeps the stock policy so it
-        // matches historical fault-free behaviour exactly.
-        if faulted {
-            config.retry = RetryPolicy::resilient();
-        }
-        let mut player = Player::new(config, network, &abr).expect("valid config");
-        let mut infra = infrastructure_fn(&routers, &mut edges, i % REGIONS, injector.as_ref());
-        let mut ctx = MultiCdnContext {
-            broker: &broker,
-            strategy,
-            failure_probability: 0.0, // incidents come from the fault plan only
-            failover_enabled,
-            health_gate,
-            faults: injector.as_ref(),
-            retry_budget: None,
-            infrastructure: &mut infra,
-        };
-        let out = player.play_multi_cdn(&mut ctx, &mut rng);
-
-        if out.exit == ExitCause::FatalCdnFailure {
+    for (i, (end, offset)) in ends.iter().zip(&arrivals).enumerate() {
+        let out = &end.outcome;
+        if end.is_fatal() {
             stats.fatal += 1;
             let bucket = ((offset.0 / 300.0) as usize).min(stats.fatal_by_bucket.len() - 1);
             stats.fatal_by_bucket[bucket] += 1.0;
@@ -171,50 +127,22 @@ fn run_arm(
             out.cdns,
         );
         stats.fingerprint = fnv1a(stats.fingerprint, summary.as_bytes());
-        ends.push(SessionEnd::new(out).in_region(i % REGIONS));
     }
-
-    // Passive health-plane tap: stream the completions into a monitor in
-    // fault-clock end order (the order a central collector sees). With a
-    // 20-minute session length the first completions already carry fault
-    // damage, so no pre-incident baseline exists and the faulted arms are
-    // reported, not graded — the `monitor` scenario does the grading with a
-    // population shaped for it. The clean arm must stay silent.
-    let mut order: Vec<usize> = (0..ends.len()).collect();
-    order.sort_by(|a, b| {
-        ends[*a]
-            .end_clock()
-            .0
-            .partial_cmp(&ends[*b].end_clock().0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    });
-    let mut monitor = HealthMonitor::with_defaults();
-    for i in order {
-        monitor.on_session_end(&ends[i]);
-    }
-    monitor.finish();
-    stats.monitor_alerts = monitor.alerts().len();
-    stats.monitor_culprit = monitor.culprits().first().map(|c| c.describe());
-    stats
+    Ok(stats)
 }
 
 /// Runs the scenario for a master seed (`repro --seed N`; the ecosystem
 /// default otherwise).
 pub fn run(seed: u64) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "resilience",
-        "Scenario: CDN brownout with failover disabled vs enabled (seeded fault plan)",
-    );
+    let title = "Scenario: CDN brownout with failover disabled vs enabled (seeded fault plan)";
+    scenario("resilience", title, |result| report(seed, result))
+}
 
-    let Some(stp) = scenario_setup(&[CdnName::A, CdnName::B]) else {
-        result.checks.push(setup_failed());
-        return result;
-    };
-    let disabled = run_arm(&stp, seed, "failover off", true, false, false);
-    let enabled = run_arm(&stp, seed, "failover on", true, true, true);
-    let replay = run_arm(&stp, seed, "failover on (replay)", true, true, true);
-    let clean = run_arm(&stp, seed, "no faults", false, true, true);
+fn report(seed: u64, result: &mut ExperimentResult) -> Result<(), String> {
+    let disabled = run_arm(seed, "failover off", true, false)?;
+    let enabled = run_arm(seed, "failover on", true, true)?;
+    let replay = run_arm(seed, "failover on (replay)", true, true)?;
+    let clean = run_arm(seed, "no faults", false, true)?;
 
     let mut table = Table::new(
         "Brownout on CDN A: weighted 2-CDN strategy, 240 staggered sessions per arm",
@@ -250,8 +178,8 @@ pub fn run(seed: u64) -> ExperimentResult {
     for arm in [&disabled, &enabled, &clean] {
         health.row(vec![
             arm.label.to_string(),
-            arm.monitor_alerts.to_string(),
-            arm.monitor_culprit.clone().unwrap_or_else(|| "-".to_string()),
+            arm.health.alerts.len().to_string(),
+            arm.health.top_culprit.clone().unwrap_or_else(|| "-".to_string()),
         ]);
     }
     result.tables.push(health);
@@ -317,14 +245,14 @@ pub fn run(seed: u64) -> ExperimentResult {
     ));
     result.checks.push(Check::new(
         "health plane stays silent on the fault-free arm",
-        clean.monitor_alerts == 0,
-        format!("{} alerts over the clean completion stream", clean.monitor_alerts),
+        clean.health.alerts.is_empty(),
+        format!("{} alerts over the clean completion stream", clean.health.alerts.len()),
     ));
     result.checks.push(Check::new(
         "health plane localizes the brownout without failover",
-        disabled.monitor_alerts > 0
-            && disabled.monitor_culprit.as_deref().is_some_and(|c| c.starts_with("cdn=A")),
-        disabled.monitor_culprit.clone().unwrap_or_else(|| "no culprit ranked".to_string()),
+        !disabled.health.alerts.is_empty()
+            && disabled.health.top_culprit.as_deref().is_some_and(|c| c.starts_with("cdn=A")),
+        disabled.health.top_culprit.clone().unwrap_or_else(|| "no culprit ranked".to_string()),
     ));
 
     result.notes.push(format!(
@@ -339,20 +267,5 @@ pub fn run(seed: u64) -> ExperimentResult {
          delivered bitrate is the robust damage signal"
             .to_string(),
     );
-
-    result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resilience_checks_pass_and_replay_is_deterministic() {
-        let a = run(0x5EED_CAFE);
-        assert!(a.all_passed(), "failed checks: {:?}", a.failures());
-        let b = run(0x5EED_CAFE);
-        // Tables embed every aggregate; equal tables mean an identical run.
-        assert_eq!(a.tables, b.tables);
-    }
+    Ok(())
 }

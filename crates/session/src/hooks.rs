@@ -86,15 +86,6 @@ pub fn trace_begin(
     )
 }
 
-/// Starts a new session-trace exemplar epoch. Harnesses that replay
-/// several populations over the same fault-clock range (scenario arms,
-/// replays, controls) call this before each population so alert exemplar
-/// queries only see the population that raised the alert. No-op when
-/// tracing is off.
-pub fn trace_epoch() {
-    vmp_obs::session_trace::next_epoch();
-}
-
 /// Completes a trace scope from a finished outcome, offering the session
 /// to the tail sampler. The primary-CDN tag follows [`SessionEnd`]'s
 /// attribution (first CDN used), and the rebuffer ratio follows the
@@ -125,12 +116,12 @@ impl<F: FnMut(&SessionEnd)> CompletionSink for F {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vmp_core::qoe::QoeSummary;
     use vmp_core::units::Kbps;
 
-    fn outcome(exit: ExitCause, downloaded: f64) -> SessionOutcome {
+    pub(crate) fn outcome(exit: ExitCause, downloaded: f64) -> SessionOutcome {
         SessionOutcome {
             qoe: QoeSummary {
                 avg_bitrate: Kbps(1200),
@@ -168,15 +159,5 @@ mod tests {
         let end = SessionEnd::new(outcome(ExitCause::FatalCdnFailure, 60.0));
         assert!(end.is_fatal());
         assert!(!end.join_failed());
-    }
-
-    #[test]
-    fn closures_are_sinks() {
-        let mut seen = 0u32;
-        {
-            let mut sink = |_e: &SessionEnd| seen += 1;
-            sink.on_session_end(&SessionEnd::new(outcome(ExitCause::Completed, 10.0)));
-        }
-        assert_eq!(seen, 1);
     }
 }

@@ -15,13 +15,15 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
+pub mod cohort;
 pub mod hooks;
 pub mod live;
 pub mod player;
 pub mod telemetry;
 
+pub use cohort::{deliver_in_end_order, stagger, CohortSpec};
 pub use hooks::{CompletionSink, SessionEnd};
-pub use live::{surge_infrastructure_fn, LiveWindow, SurgeLayer};
+pub use live::{LiveWindow, SurgeLayer};
 pub use player::{
     infrastructure_fn, ChunkRequest, ChunkServe, ExitCause, MultiCdnContext, PlaybackConfig,
     Player, SessionOutcome,

@@ -1,5 +1,5 @@
-//! Live-event playback state: the sliding window and the surge-protected
-//! delivery path.
+//! Live-event playback state: the sliding window and the surge-protection
+//! layer of the delivery path.
 //!
 //! A live event changes the shape of the workload in three correlated ways
 //! that VoD never exhibits:
@@ -15,28 +15,21 @@
 //! 3. **Arrivals are correlated.** Viewers join in a storm around the
 //!    event start (modeled in `vmp-synth`), not as a memoryless trickle.
 //!
-//! [`LiveWindow`] carries the event timeline into the player, and
-//! [`surge_infrastructure_fn`] wraps the standard per-CDN infrastructure
-//! with the overload-protection layer from `vmp-cdn`: admission control
-//! ([`EdgeCapacity`]), origin-shield coalescing ([`OriginShield`]) — the
-//! shared retry budget is wired separately through
+//! [`LiveWindow`] carries the event timeline into the player, and a
+//! [`SurgeLayer`] passed to [`infrastructure_fn`](crate::player::infrastructure_fn)
+//! switches on the overload-protection stages from `vmp-cdn`: admission
+//! control ([`EdgeCapacity`]) and origin-shield coalescing
+//! ([`OriginShield`]) — the shared retry budget is wired separately through
 //! [`MultiCdnContext::retry_budget`](crate::player::MultiCdnContext).
 
 use std::collections::BTreeMap;
 use vmp_cdn::capacity::EdgeCapacity;
-use vmp_cdn::edge::{CacheOutcome, EdgeCluster};
-use vmp_cdn::error::FetchError;
-use vmp_cdn::routing::Router;
 use vmp_cdn::shield::OriginShield;
 use vmp_core::cdn::CdnName;
 use vmp_core::units::{Kbps, Seconds};
-use vmp_faults::FaultInjector;
 use vmp_manifest::hls::{write_live_media, MediaPlaylist};
 use vmp_manifest::types::ManifestError;
 use vmp_manifest::types::MediaPresentation;
-use vmp_stats::Rng;
-
-use crate::player::{ChunkRequest, ChunkServe};
 
 /// The shared timeline of one live event: when it starts, how fast the
 /// encoder publishes, and how many segments the manifest window advertises.
@@ -131,103 +124,6 @@ impl SurgeLayer {
     /// Total coalesced origin requests across all CDNs.
     pub fn total_coalesced(&self) -> u64 {
         self.shields.values().map(|s| s.coalesced()).sum()
-    }
-}
-
-/// Builds a [`MultiCdnContext::infrastructure`](crate::player::MultiCdnContext)
-/// closure for a surge cohort: the standard fault-aware delivery path of
-/// [`infrastructure_fn`](crate::player::infrastructure_fn) with the
-/// overload-protection layer threaded in. Order per request: scheduled
-/// outage → pending cache flushes → **admission control** (over-capacity
-/// requests shed with [`FetchError::Shed`], new joins first) → anycast
-/// routing → **origin shield** (a miss that races an in-flight origin
-/// fetch coalesces instead of hitting the origin) → edge fetch → origin
-/// error burst → degraded-throughput multiplier.
-///
-/// RNG discipline matches the base closure: the surge layer itself never
-/// draws from the RNG, so a cohort with generous capacity and no faults
-/// consumes exactly the stream the unprotected path would.
-pub fn surge_infrastructure_fn<'a>(
-    routers: &'a BTreeMap<CdnName, Router>,
-    edges: &'a mut BTreeMap<CdnName, EdgeCluster>,
-    region_index: usize,
-    faults: Option<&'a FaultInjector>,
-    surge: &'a mut SurgeLayer,
-) -> impl FnMut(&ChunkRequest, &mut Rng) -> Result<ChunkServe, FetchError> + 'a {
-    let mut last_flush: BTreeMap<CdnName, Seconds> = BTreeMap::new();
-    move |req, rng| {
-        let cdn = req.cdn;
-        let region = Some(region_index);
-        if let Some(fi) = faults {
-            if fi.outage_in(cdn, region, req.clock) {
-                return Err(FetchError::Outage { cdn });
-            }
-            let since = last_flush.get(&cdn).copied().unwrap_or(Seconds::ZERO);
-            if fi.cache_flush_between_in(cdn, region, since, req.clock) {
-                if let Some(e) = edges.get_mut(&cdn) {
-                    e.flush_all();
-                }
-            }
-            last_flush.insert(cdn, req.clock);
-        }
-        if let Some(capacity) = surge.capacity.get_mut(&cdn) {
-            if !capacity.admit(region_index, req.clock, req.joining) {
-                vmp_obs::session_trace::emit(
-                    vmp_obs::session_trace::TraceEventKind::Shed,
-                    req.clock.0,
-                    cdn.dense_index() as u8,
-                    u32::from(req.joining),
-                    0.0,
-                );
-                return Err(FetchError::Shed { cdn });
-            }
-        }
-        let reset = routers
-            .get(&cdn)
-            .map(|r| r.route_chunk(req.key, rng).connection_reset)
-            .unwrap_or(false);
-        let edge_key = req.key ^ (cdn.dense_index() as u64) << 56;
-        if let Some(shield) = surge.shields.get_mut(&cdn) {
-            if shield.coalesce(edge_key, req.clock) {
-                // An origin fetch for this chunk is already in flight:
-                // wait on it instead of stampeding the origin. The payload
-                // is byte-identical to the leader's, and origin-error
-                // bursts cannot strike a request that never reaches the
-                // origin.
-                let throughput_factor =
-                    faults.map(|fi| fi.throughput_factor_in(cdn, region, req.clock)).unwrap_or(1.0);
-                vmp_obs::session_trace::emit(
-                    vmp_obs::session_trace::TraceEventKind::Coalesce,
-                    req.clock.0,
-                    cdn.dense_index() as u8,
-                    0,
-                    0.0,
-                );
-                return Ok(ChunkServe {
-                    cache: CacheOutcome::Miss,
-                    coalesced: true,
-                    connection_reset: reset,
-                    throughput_factor,
-                });
-            }
-        }
-        let cache = match edges.get_mut(&cdn) {
-            Some(e) => e.fetch(region_index, edge_key, req.size)?,
-            None => CacheOutcome::Hit,
-        };
-        if cache == CacheOutcome::Miss {
-            if let Some(shield) = surge.shields.get_mut(&cdn) {
-                shield.begin_fetch(edge_key, req.clock);
-            }
-            if let Some(fi) = faults {
-                if fi.origin_error_in(cdn, region, req.clock, rng) {
-                    return Err(FetchError::OriginUnavailable { cdn });
-                }
-            }
-        }
-        let throughput_factor =
-            faults.map(|fi| fi.throughput_factor_in(cdn, region, req.clock)).unwrap_or(1.0);
-        Ok(ChunkServe { cache, coalesced: false, connection_reset: reset, throughput_factor })
     }
 }
 

@@ -12,9 +12,10 @@
 //! disabled) a fault-free session consumes exactly the same RNG stream as
 //! before this machinery existed.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use crate::live::LiveWindow;
+use crate::live::{LiveWindow, SurgeLayer};
 use vmp_abr::algorithm::{AbrAlgorithm, AbrState};
 use vmp_abr::network::NetworkModel;
 use vmp_abr::predict::{HarmonicMeanPredictor, ThroughputPredictor};
@@ -216,24 +217,31 @@ pub enum ExitCause {
     FatalCdnFailure,
 }
 
-/// Builds a [`MultiCdnContext::infrastructure`] closure from per-CDN routers
-/// and edge clusters, with optional fault injection. Exposed so callers
-/// (synth, experiments) don't repeat the plumbing.
+/// Builds the one [`MultiCdnContext::infrastructure`] closure: the ordered
+/// delivery pipeline every chunk request passes through, over per-CDN
+/// routers and edge clusters. Exposed so callers (the cohort runner,
+/// examples) don't repeat the plumbing.
 ///
-/// Under faults, the closure checks (in order): scheduled outage, pending
-/// edge-cache flushes since the last request, anycast routing, the edge
-/// fetch itself, origin error bursts (only on a cache miss — a hit never
-/// touches the origin), and the degraded-throughput multiplier. Fault
-/// queries draw from the RNG only inside active probabilistic windows, so a
-/// `faults: None` closure consumes the same RNG stream as the pre-fault
-/// implementation.
+/// Order per request: scheduled outage → pending edge-cache flushes since
+/// the last request → **admission control** (over-capacity requests shed
+/// with [`FetchError::Shed`], new joins first) → anycast routing → **origin
+/// shield** (a miss that races an in-flight origin fetch coalesces instead
+/// of hitting the origin) → edge fetch → origin error burst (only on a
+/// cache miss — a hit never touches the origin) → degraded-throughput
+/// multiplier. The two stages in bold run iff a [`SurgeLayer`] is passed.
+///
+/// RNG discipline: fault queries draw only inside active probabilistic
+/// windows and the surge layer never draws, so `faults: None` consumes the
+/// same stream as the pre-fault implementation, and a surge layer with
+/// nothing to shed or coalesce consumes the same stream as `surge: None`.
 pub fn infrastructure_fn<'a>(
-    routers: &'a std::collections::BTreeMap<CdnName, Router>,
-    edges: &'a mut std::collections::BTreeMap<CdnName, EdgeCluster>,
+    routers: &'a BTreeMap<CdnName, Router>,
+    edges: &'a mut BTreeMap<CdnName, EdgeCluster>,
     region_index: usize,
     faults: Option<&'a FaultInjector>,
+    mut surge: Option<&'a mut SurgeLayer>,
 ) -> impl FnMut(&ChunkRequest, &mut Rng) -> Result<ChunkServe, FetchError> + 'a {
-    let mut last_flush: std::collections::BTreeMap<CdnName, Seconds> = std::collections::BTreeMap::new();
+    let mut last_flush: BTreeMap<CdnName, Seconds> = BTreeMap::new();
     move |req, rng| {
         let cdn = req.cdn;
         let region = Some(region_index);
@@ -249,15 +257,37 @@ pub fn infrastructure_fn<'a>(
             }
             last_flush.insert(cdn, req.clock);
         }
+        let (capacity, mut shield) = match surge.as_deref_mut() {
+            Some(s) => (s.capacity.get_mut(&cdn), s.shields.get_mut(&cdn)),
+            None => (None, None),
+        };
+        if capacity.is_some_and(|c| !c.admit(region_index, req.clock, req.joining)) {
+            trace_emit(TraceEventKind::Shed, req.clock, cdn, u32::from(req.joining), 0.0);
+            return Err(FetchError::Shed { cdn });
+        }
         let reset = routers
             .get(&cdn)
             .map(|r| r.route_chunk(req.key, rng).connection_reset)
             .unwrap_or(false);
-        let cache = match edges.get_mut(&cdn) {
-            Some(e) => e.fetch(region_index, req.key ^ (cdn.dense_index() as u64) << 56, req.size)?,
-            None => CacheOutcome::Hit,
+        let edge_key = req.key ^ (cdn.dense_index() as u64) << 56;
+        // An origin fetch for this chunk already in flight: wait on it
+        // instead of stampeding the origin. The payload is byte-identical
+        // to the leader's, and origin-error bursts cannot strike a request
+        // that never reaches the origin.
+        let coalesced = shield.as_mut().is_some_and(|s| s.coalesce(edge_key, req.clock));
+        let cache = if coalesced {
+            trace_emit(TraceEventKind::Coalesce, req.clock, cdn, 0, 0.0);
+            CacheOutcome::Miss
+        } else {
+            match edges.get_mut(&cdn) {
+                Some(e) => e.fetch(region_index, edge_key, req.size)?,
+                None => CacheOutcome::Hit,
+            }
         };
-        if cache == CacheOutcome::Miss {
+        if cache == CacheOutcome::Miss && !coalesced {
+            if let Some(s) = shield {
+                s.begin_fetch(edge_key, req.clock);
+            }
             if let Some(fi) = faults {
                 if fi.origin_error_in(cdn, region, req.clock, rng) {
                     return Err(FetchError::OriginUnavailable { cdn });
@@ -266,7 +296,7 @@ pub fn infrastructure_fn<'a>(
         }
         let throughput_factor =
             faults.map(|fi| fi.throughput_factor_in(cdn, region, req.clock)).unwrap_or(1.0);
-        Ok(ChunkServe { cache, coalesced: false, connection_reset: reset, throughput_factor })
+        Ok(ChunkServe { cache, coalesced, connection_reset: reset, throughput_factor })
     }
 }
 
@@ -940,6 +970,51 @@ mod tests {
         let out = player.play_multi_cdn(&mut ctx, &mut rng);
         assert!(out.qoe.cdn_switches > 0, "expected at least one failover");
         assert_eq!(out.cdns.len(), 2);
+    }
+
+    /// The delivery closure's RNG claim: the surge stages never draw, so a
+    /// layer with nothing to shed or coalesce is indistinguishable from
+    /// none — over shared edges, under faults, with failover on.
+    #[test]
+    fn an_empty_surge_layer_is_the_same_pipeline() {
+        let cdns = [CdnName::A, CdnName::B, CdnName::C];
+        let assignments = cdns.map(|cdn| CdnAssignment { cdn, weight: 1.0, scope: CdnScope::All });
+        let strategy = CdnStrategy::new(assignments.to_vec()).unwrap();
+        let injector = FaultInjector::new(FaultProfile::cdn_brownout(CdnName::A));
+        let routers = BTreeMap::from(cdns.map(|c| (c, Router::for_cdn(c, 8))));
+        let abr = ThroughputRule::default();
+        let play_cohort = |mut surge: Option<SurgeLayer>| {
+            let broker = Broker::new(BrokerPolicy::Weighted);
+            let mut edges = BTreeMap::from(cdns.map(|c| (c, EdgeCluster::new(3, Bytes(50_000_000)))));
+            let mut rng = Rng::seed_from(37);
+            let outcomes: Vec<SessionOutcome> = (0..40usize)
+                .map(|i| {
+                    let mut cfg = PlaybackConfig::vod(ladder(), Seconds(240.0), Seconds(60.0));
+                    cfg.start_offset = Seconds(45.0 * i as f64);
+                    cfg.retry = RetryPolicy::resilient();
+                    let mut player = Player::new(cfg, network(1.0), &abr).unwrap();
+                    let faults = Some(&injector);
+                    let mut infra =
+                        infrastructure_fn(&routers, &mut edges, i % 3, faults, surge.as_mut());
+                    let mut ctx = MultiCdnContext {
+                        broker: &broker,
+                        strategy: &strategy,
+                        failure_probability: 0.0,
+                        failover_enabled: true,
+                        health_gate: true,
+                        faults,
+                        retry_budget: None,
+                        infrastructure: &mut infra,
+                    };
+                    player.play_multi_cdn(&mut ctx, &mut rng)
+                })
+                .collect();
+            (outcomes, rng)
+        };
+        let bare = play_cohort(None);
+        let empty = SurgeLayer { capacity: BTreeMap::new(), shields: BTreeMap::new() };
+        assert_eq!(bare, play_cohort(Some(empty)), "outcomes and final RNG state");
+        assert!(bare.0.iter().any(|out| out.retries > 0), "the brownout must bite");
     }
 
     #[test]

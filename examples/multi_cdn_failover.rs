@@ -69,7 +69,7 @@ fn main() {
             Seconds::from_minutes(30.0),
         );
         let mut player = Player::new(config, network, &abr).expect("valid config");
-        let mut infra = infrastructure_fn(&routers, &mut edges, session % 4, None);
+        let mut infra = infrastructure_fn(&routers, &mut edges, session % 4, None, None);
         let mut ctx = MultiCdnContext {
             broker: &broker,
             strategy: &strategy,
