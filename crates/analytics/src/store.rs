@@ -27,15 +27,6 @@ use vmp_core::view::{PlayerIdentity, SampledView};
 use crate::columns::{PublisherMask, Segment, SegmentSource, NO_CODE};
 use crate::segstore::{SegmentMeta, SegmentStore, SpillConfig};
 
-/// Whether the `miss_index`-th unclassifiable manifest of an ingest
-/// (1-based) gets a logged event. Every 256th miss starting from the first
-/// — the sampling is a pure function of the pipeline-local miss count, so a
-/// given input stream always logs the same rows no matter what was ingested
-/// before it.
-fn miss_sampled(miss_index: u64) -> bool {
-    miss_index % 256 == 1
-}
-
 /// How an [`IngestPipeline`] stores what it ingests.
 #[derive(Debug, Default)]
 pub struct IngestOptions {
@@ -129,14 +120,6 @@ impl IngestPipeline {
         let code = proto.map_or(NO_CODE, StreamingProtocol::code);
         if proto.is_none() {
             self.misses += 1;
-            // Sampled: unclassifiable URLs are common by design (§5,
-            // Table 1 lists opaque manifest schemes).
-            if miss_sampled(self.misses) {
-                vmp_obs::event(
-                    vmp_obs::EventKind::ManifestParseError,
-                    format!("unclassifiable manifest url: {}", v.record.manifest_url),
-                );
-            }
         }
         let player_code = self.player_code(&v.record.player);
         if let Some(seg) = &mut self.open {
@@ -556,17 +539,6 @@ pub(crate) mod tests {
         let none = store.excluding(&[PublisherId::new(0), PublisherId::new(1)]);
         assert!(none.is_empty());
         assert!(none.snapshots().is_empty());
-    }
-
-    #[test]
-    fn miss_sampling_is_batch_local() {
-        // 1-based: the first miss of every batch logs, then every 256th.
-        assert!(miss_sampled(1));
-        assert!(!miss_sampled(2));
-        assert!(!miss_sampled(256));
-        assert!(miss_sampled(257));
-        assert!(!miss_sampled(258));
-        assert!(miss_sampled(513));
     }
 
     /// The streaming pipeline fed batch-by-batch must produce the same

@@ -81,14 +81,6 @@ fn bench_registry(c: &mut Criterion) {
     group.bench_function("counter_lookup_by_name", |b| {
         b.iter(|| black_box(reg.counter(black_box("bench.lookup"))))
     });
-
-    group.bench_function("event_record", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            reg.record_event(vmp_obs::EventKind::Other, format!("e{i}"));
-        })
-    });
     group.finish();
 }
 
@@ -109,9 +101,8 @@ fn while_hammered(hammer: impl Fn() + Sync, measure: impl FnOnce()) {
 /// The enabled arms above, re-measured while another thread records into
 /// the same instrument. Striping gives each thread its own cache lines, so
 /// the counter and histogram arms should sit within 3x of their uncontended
-/// twins (`obs/counter/inc_enabled`, `obs/histogram/record_enabled`); an
-/// event push still shares the sequence allocator, so it gets 5x of
-/// `obs/registry/event_record`. CI gates these ratios.
+/// twins (`obs/counter/inc_enabled`, `obs/histogram/record_enabled`). CI
+/// gates these ratios.
 fn bench_contended(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs/contended");
     group.sample_size(30);
@@ -134,19 +125,6 @@ fn bench_contended(c: &mut Criterion) {
                 b.iter(|| {
                     v = v.wrapping_add(977) % 1_000_000;
                     black_box(&hist).record(black_box(v));
-                })
-            });
-        },
-    );
-
-    while_hammered(
-        || reg.record_event(vmp_obs::EventKind::Other, String::new()),
-        || {
-            group.bench_function("event_push", |b| {
-                let mut i = 0u64;
-                b.iter(|| {
-                    i += 1;
-                    reg.record_event(vmp_obs::EventKind::Other, format!("e{i}"));
                 })
             });
         },

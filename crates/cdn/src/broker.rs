@@ -268,8 +268,8 @@ impl Broker {
     }
 
     /// Records a fetch failure against `cdn` at virtual time `now`,
-    /// feeding its circuit breaker. Emits a `CircuitOpen` event and bumps
-    /// `cdn.circuit_trips` when this failure trips the breaker.
+    /// feeding its circuit breaker. Bumps `cdn.circuit_trips` and emits a
+    /// `BreakerOpen` session-trace event when this failure trips the breaker.
     pub fn record_fetch_failure(&self, cdn: CdnName, now: Seconds) {
         let mut breakers = self.breakers.lock();
         let breaker = breakers
@@ -277,10 +277,6 @@ impl Broker {
             .or_insert_with(|| CircuitBreaker::new(self.breaker_config));
         if breaker.record_failure(now) {
             self.metrics.circuit_trips.inc();
-            vmp_obs::event(
-                vmp_obs::EventKind::CircuitOpen,
-                format!("{cdn:?} quarantined at t={:.0}s until t={:.0}s", now.0, breaker.open_until().0),
-            );
             vmp_obs::session_trace::emit(
                 vmp_obs::session_trace::TraceEventKind::BreakerOpen,
                 now.0,

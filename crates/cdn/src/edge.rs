@@ -75,11 +75,6 @@ impl EdgeCache {
         }
         self.misses += 1;
         self.obs_misses.inc();
-        // Sampled 1-in-64: a full dataset produces millions of misses and
-        // the ring only keeps the newest ~1k events anyway.
-        if self.misses % 64 == 1 {
-            vmp_obs::event(vmp_obs::EventKind::CacheMiss, format!("chunk key {key:#018x}"));
-        }
         if size > self.capacity {
             return CacheOutcome::Miss;
         }

@@ -50,7 +50,7 @@ pub enum FetchError {
 }
 
 impl FetchError {
-    /// Stable lowercase label used in metrics and event details.
+    /// Stable lowercase label of the error class.
     pub fn label(&self) -> &'static str {
         match self {
             FetchError::RegionOutOfRange { .. } => "region_out_of_range",

@@ -344,10 +344,9 @@ fn main() {
             std::process::exit(2);
         }
         eprintln!(
-            "wrote {path} ({} counters, {} histograms, {} events)",
+            "wrote {path} ({} counters, {} histograms)",
             snapshot.counters.len(),
-            snapshot.histograms.len(),
-            snapshot.events.len()
+            snapshot.histograms.len()
         );
     }
 

@@ -45,8 +45,6 @@ pub struct ExperimentSummary {
 /// Drop and saturation counters that would otherwise hide in raw metrics.
 #[derive(Debug, Clone, Serialize)]
 pub struct Diagnostics {
-    /// Events evicted from the obs ring buffer (`obs.events_dropped`).
-    pub events_dropped: u64,
     /// Trace events retained by the Chrome-trace collector.
     pub trace_events: u64,
     /// Trace events discarded because the collector was at capacity.
@@ -62,16 +60,9 @@ impl Diagnostics {
     /// Collects drop/saturation state from the global collectors, deriving
     /// a warning line per nonzero loss counter.
     pub fn collect(results: &[ExperimentResult], timeline_dropped: u64) -> Diagnostics {
-        let events_dropped = vmp_obs::global().events_dropped();
         let trace_dropped = vmp_obs::trace_dropped();
         let trace_events = vmp_obs::trace_events().len() as u64;
         let mut warnings = Vec::new();
-        if events_dropped > 0 {
-            warnings.push(format!(
-                "obs event ring dropped {events_dropped} events — oldest pipeline events \
-                 are missing from the snapshot (raise the ring capacity to keep them)"
-            ));
-        }
         if trace_dropped > 0 {
             warnings.push(format!(
                 "trace collector saturated: {trace_dropped} events dropped at capacity — \
@@ -88,7 +79,7 @@ impl Diagnostics {
         if failed > 0 {
             warnings.push(format!("{failed} experiment check(s) failed"));
         }
-        Diagnostics { events_dropped, trace_events, trace_dropped, timeline_dropped, warnings }
+        Diagnostics { trace_events, trace_dropped, timeline_dropped, warnings }
     }
 }
 
@@ -264,8 +255,7 @@ impl RunReport {
         }
 
         md.push_str(&format!(
-            "\n## Diagnostics\n\nevents dropped {} · trace events {} (dropped {}) · timeline evicted {}\n",
-            self.diagnostics.events_dropped,
+            "\n## Diagnostics\n\ntrace events {} (dropped {}) · timeline evicted {}\n",
             self.diagnostics.trace_events,
             self.diagnostics.trace_dropped,
             self.diagnostics.timeline_dropped,
@@ -395,8 +385,7 @@ pub fn validate_report(doc: &serde_json::Value) -> Vec<String> {
     let diagnostics_ok = doc
         .get("diagnostics")
         .map(|d| {
-            d.get("events_dropped").and_then(|v| v.as_u64()).is_some()
-                && d.get("trace_dropped").and_then(|v| v.as_u64()).is_some()
+            d.get("trace_dropped").and_then(|v| v.as_u64()).is_some()
                 && d.get("warnings").and_then(|v| v.as_array()).is_some()
         })
         .unwrap_or(false);

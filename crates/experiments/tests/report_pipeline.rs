@@ -78,17 +78,29 @@ fn report_is_schema_valid_and_stages_cover_wall_time() {
     assert_eq!(summary.get("scale").and_then(Value::as_str), Some("standalone"));
     let experiments = summary.get("experiments").and_then(Value::as_array).expect("experiments");
     assert_eq!(experiments.len(), 2);
-    let dropped = summary
-        .get("diagnostics")
-        .and_then(|d| d.get("events_dropped"))
-        .and_then(Value::as_u64)
-        .expect("diagnostics.events_dropped");
+    // Every stderr warning line is one of `diagnostics.warnings`, and each
+    // loss counter raises its warning exactly when it is nonzero.
+    let diagnostics = summary.get("diagnostics").expect("diagnostics");
+    let warnings: Vec<&str> = diagnostics
+        .get("warnings")
+        .and_then(Value::as_array)
+        .expect("diagnostics.warnings")
+        .iter()
+        .map(|w| w.as_str().expect("warning text"))
+        .collect();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        dropped > 0,
-        stderr.contains("event ring dropped"),
-        "stderr drop warning must match diagnostics (dropped={dropped}): {stderr}"
-    );
+    let printed: Vec<&str> = stderr.lines().filter_map(|l| l.strip_prefix("warning: ")).collect();
+    assert_eq!(printed, warnings, "stderr warnings must be diagnostics.warnings: {stderr}");
+    for (counter, phrase) in
+        [("trace_dropped", "trace collector saturated"), ("timeline_dropped", "timeline ring evicted")]
+    {
+        let lost = diagnostics.get(counter).and_then(Value::as_u64).expect(counter);
+        assert_eq!(
+            lost > 0,
+            warnings.iter().any(|w| w.contains(phrase)),
+            "`{phrase}` warning must match diagnostics.{counter} = {lost}: {stderr}"
+        );
+    }
 }
 
 /// Replaces every timing-valued field with zero, in place: wall times,

@@ -2,12 +2,11 @@
 //!
 //! [`FaultInjector`] answers the same pure queries as the profile but
 //! counts every injected fault into `vmp-obs` (`faults.injected` plus a
-//! per-kind breakdown) and emits one `FaultStart`/`FaultStop` event per
-//! window transition, so a `--metrics` dump shows exactly which incidents a
-//! run replayed. Counting never touches the RNG, so observability does not
-//! perturb determinism.
+//! per-kind breakdown), so a `--metrics` dump shows how often each kind of
+//! incident hit a session; the incident windows themselves are the static
+//! [`FaultProfile::windows`]. Counting is lock-free and never touches the
+//! RNG, so observability does not perturb determinism.
 
-use parking_lot::Mutex;
 use vmp_core::cdn::CdnName;
 use vmp_core::units::Seconds;
 use vmp_stats::Rng;
@@ -17,8 +16,6 @@ use crate::profile::FaultProfile;
 /// A fault profile wired into the metrics registry.
 pub struct FaultInjector {
     profile: FaultProfile,
-    /// Per-window (start announced, stop announced) flags.
-    announced: Mutex<Vec<(bool, bool)>>,
     injected: vmp_obs::Counter,
     outages: vmp_obs::Counter,
     degraded: vmp_obs::Counter,
@@ -36,10 +33,8 @@ impl std::fmt::Debug for FaultInjector {
 impl FaultInjector {
     /// Wraps a profile.
     pub fn new(profile: FaultProfile) -> FaultInjector {
-        let announced = Mutex::new(vec![(false, false); profile.windows().len()]);
         FaultInjector {
             profile,
-            announced,
             injected: vmp_obs::counter("faults.injected"),
             outages: vmp_obs::counter("faults.outage_hits"),
             degraded: vmp_obs::counter("faults.degraded_hits"),
@@ -54,31 +49,6 @@ impl FaultInjector {
         &self.profile
     }
 
-    /// Emits `FaultStart`/`FaultStop` events for windows whose boundaries
-    /// the fault clock has passed. Sessions observe the timeline out of
-    /// order (staggered start offsets), so each boundary announces once,
-    /// at the first query at-or-after it.
-    fn announce(&self, t: Seconds) {
-        let mut flags = self.announced.lock();
-        for (i, w) in self.profile.windows().iter().enumerate() {
-            let (started, stopped) = flags[i];
-            if !started && t.0 >= w.start.0 {
-                flags[i].0 = true;
-                vmp_obs::event(
-                    vmp_obs::EventKind::FaultStart,
-                    format!("{} on {} at t={:.0}s (for {:.0}s)", w.kind.label(), cdn_label(w.cdn), w.start.0, w.duration.0),
-                );
-            }
-            if !stopped && t.0 >= w.end().0 && w.duration.0 > 0.0 {
-                flags[i].1 = true;
-                vmp_obs::event(
-                    vmp_obs::EventKind::FaultStop,
-                    format!("{} on {} cleared at t={:.0}s", w.kind.label(), cdn_label(w.cdn), w.end().0),
-                );
-            }
-        }
-    }
-
     /// Whether a hard outage of `cdn` is active at `t`; counted when it is.
     pub fn outage(&self, cdn: CdnName, t: Seconds) -> bool {
         self.outage_in(cdn, None, t)
@@ -86,7 +56,6 @@ impl FaultInjector {
 
     /// Region-scoped variant of [`outage`](Self::outage).
     pub fn outage_in(&self, cdn: CdnName, region: Option<usize>, t: Seconds) -> bool {
-        self.announce(t);
         let hit = self.profile.outage_active_in(cdn, region, t);
         if hit {
             self.injected.inc();
@@ -133,7 +102,6 @@ impl FaultInjector {
 
     /// Whether a manifest fetch fails at `t`; counted when it does.
     pub fn manifest_failure(&self, cdn: CdnName, t: Seconds, rng: &mut Rng) -> bool {
-        self.announce(t);
         let hit = self.profile.manifest_failure(cdn, t, rng);
         if hit {
             self.injected.inc();
@@ -161,13 +129,6 @@ impl FaultInjector {
             self.cache_flushes.inc();
         }
         hit
-    }
-}
-
-fn cdn_label(cdn: Option<CdnName>) -> String {
-    match cdn {
-        Some(c) => format!("{c:?}"),
-        None => "all CDNs".into(),
     }
 }
 

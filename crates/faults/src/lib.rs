@@ -13,8 +13,8 @@
 //!   timeline and evaluated by pure `(fault_clock, rng)` lookups. Identical
 //!   seeds replay identical incidents, bit for bit.
 //! * [`injector`] — the [`FaultInjector`]: a profile wrapped with `vmp-obs`
-//!   counters (`faults.injected`, per-kind breakdowns) and outage start/stop
-//!   events, so injected incidents are visible in `--metrics` dumps.
+//!   counters (`faults.injected`, per-kind breakdowns), so injected
+//!   incidents are visible in `--metrics` dumps.
 //! * [`retry`] — [`RetryPolicy`]: bounded exponential backoff with
 //!   deterministic jitter drawn from the session RNG. The schedule is
 //!   monotone non-decreasing and capped by construction.

@@ -37,19 +37,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Stable lowercase label used in metrics and events.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::Outage => "outage",
-            FaultKind::DegradedThroughput { .. } => "degraded_throughput",
-            FaultKind::EdgeCacheFlush => "edge_cache_flush",
-            FaultKind::OriginErrorBurst { .. } => "origin_error_burst",
-            FaultKind::ManifestFailure { .. } => "manifest_failure",
-        }
-    }
-}
-
 /// One scheduled incident: a kind, a target CDN (or all CDNs), an optional
 /// edge-region scope, and a half-open activity interval
 /// `[start, start + duration)` on the fault timeline.

@@ -13,7 +13,7 @@ pub enum RuleId {
     /// Panic policy: `.unwrap()` / `.expect("…")` / `panic!`-family /
     /// integer-literal slice indexing in library code.
     D2,
-    /// Metric-name registry: every obs metric/span/event name must match
+    /// Metric-name registry: every obs metric/span name must match
     /// `crates/obs/METRICS.md` exactly — no typos, duplicates, or
     /// undocumented names.
     D3,
@@ -91,7 +91,7 @@ impl RuleId {
                  indexing in library code (ratcheted via lint-baseline.json)"
             }
             RuleId::D3 => {
-                "metric registry: obs metric/span/event names must match \
+                "metric registry: obs metric/span names must match \
                  crates/obs/METRICS.md (no typos, duplicates, or undocumented names)"
             }
             RuleId::D4 => "unsafe hygiene: #![forbid(unsafe_code)] in every non-shim crate root",

@@ -10,7 +10,7 @@
 //! |------|-----------|
 //! | `D1` | no ambient clocks/env reads outside `crates/obs` and bin entrypoints; no `HashMap`/`HashSet` in figure paths |
 //! | `D2` | no `.unwrap()` / `.expect("…")` / `panic!`-family / literal indexing in library code (ratcheted) |
-//! | `D3` | every obs metric/span/event name matches `crates/obs/METRICS.md` |
+//! | `D3` | every obs metric/span name matches `crates/obs/METRICS.md` |
 //! | `D4` | `#![forbid(unsafe_code)]` in every non-shim crate root |
 //! | `D5` | every `// vmp-lint: allow(...)` pragma suppresses something |
 //! | `C1` | the interprocedural lock-order graph is acyclic; no re-acquisition of a held lock |

@@ -220,7 +220,7 @@ pub fn check_panic_policy(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) {
 }
 
 /// Registry entry kinds accepted in `crates/obs/METRICS.md`.
-const REGISTRY_KINDS: [&str; 5] = ["counter", "gauge", "histogram", "span", "event"];
+const REGISTRY_KINDS: [&str; 4] = ["counter", "gauge", "histogram", "span"];
 
 /// A parsed `METRICS.md` row.
 #[derive(Debug)]
@@ -233,8 +233,8 @@ struct RegistryEntry {
 /// D3 — metric-name registry.
 ///
 /// Extracts every literal obs name — `counter("…")`, `gauge("…")`,
-/// `histogram("…")`, `span("…")`, `EventKind::Variant` — from non-test
-/// source and cross-checks `crates/obs/METRICS.md`:
+/// `histogram("…")`, `span("…")` — from non-test source and cross-checks
+/// `crates/obs/METRICS.md`:
 /// no undocumented names, no kind mismatches, no duplicate registry rows,
 /// and no registry rows whose name never appears in source.
 pub fn check_metric_registry(
@@ -313,15 +313,6 @@ pub fn check_metric_registry(
                         None
                     }
                 }
-                "EventKind" => {
-                    if seq_at(file, &code, ci + 1, &[":", ":"]) {
-                        tok(file, &code, ci + 3)
-                            .filter(|v| v.kind == TokKind::Ident)
-                            .map(|v| ("event", v.text.to_string(), *v))
-                    } else {
-                        None
-                    }
-                }
                 _ => None,
             };
             let Some((kind, name, at)) = used_kind else { continue };
@@ -358,9 +349,8 @@ pub fn check_metric_registry(
     }
 
     // Stale-doc check: a registered name must appear as a string literal
-    // (or EventKind variant) somewhere in non-test source. Names created
-    // indirectly (span-by-experiment-id, the synthetic obs.events_dropped
-    // counter) satisfy this via their defining literal.
+    // somewhere in non-test source. Names created indirectly
+    // (span-by-experiment-id) satisfy this via their defining literal.
     let mut seen_literals: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for file in sources {
         if file.class == FileClass::TestOrBench {
@@ -370,14 +360,8 @@ pub fn check_metric_registry(
             if file.in_test[i] {
                 continue;
             }
-            match t.kind {
-                TokKind::Str => {
-                    seen_literals.insert(strip_quotes(t.text));
-                }
-                TokKind::Ident => {
-                    seen_literals.insert(t.text.to_string());
-                }
-                _ => {}
+            if t.kind == TokKind::Str {
+                seen_literals.insert(strip_quotes(t.text));
             }
         }
     }

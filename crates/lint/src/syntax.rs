@@ -184,7 +184,7 @@ pub struct Model {
     pub files: Vec<FileSyntax>,
     /// Short qualifier per file (file stem, crate name for lib/mod/main).
     pub stems: Vec<String>,
-    /// Crate directory per file (`crates/obs/src/events.rs` -> `obs`),
+    /// Crate directory per file (`crates/obs/src/metrics.rs` -> `obs`),
     /// empty when the file is not under `crates/`.
     pub crate_dirs: Vec<String>,
     /// Every function item, in (file, token) order.

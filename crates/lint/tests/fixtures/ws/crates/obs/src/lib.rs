@@ -31,6 +31,4 @@ pub fn record() {
     histogram("app.stage"); // a span IS a histogram: compatible
     counter("app.latency_us"); //~ ERROR D3
     counter("app.unregistered"); //~ ERROR D3
-    event(EventKind::Started);
-    event(EventKind::Bogus); //~ ERROR D3
 }

@@ -328,7 +328,6 @@ impl HealthMonitor {
         for mut alert in raised {
             self.metric_alerts.inc();
             attach_exemplars(&mut alert);
-            vmp_obs::event(vmp_obs::EventKind::Alert, alert.to_string());
             if tracing {
                 vmp_obs::trace_instant(
                     "monitor.alert",

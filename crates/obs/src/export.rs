@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::events::Event;
 use crate::metrics::bucket_bound;
 
 /// Point-in-time value of one counter. (Alias kept for API clarity: the
@@ -110,10 +109,6 @@ pub struct RegistrySnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram distributions by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Newest retained events, oldest first.
-    pub events: Vec<Event>,
-    /// Events lost to ring-buffer eviction.
-    pub events_dropped: u64,
 }
 
 impl RegistrySnapshot {

@@ -13,16 +13,19 @@
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99 estimation;
 //! - [`span`]: RAII stage timers recording latencies into histograms,
 //!   nesting tracked via a thread-local span stack;
-//! - [`EventSink`] + [`RingBufferSink`]: bounded recorder for structured
-//!   pipeline events (rebuffer start/stop, CDN switch, cache miss,
-//!   manifest parse errors);
 //! - [`RegistrySnapshot`]: point-in-time export, JSON via `serde_json`
-//!   or Prometheus exposition text.
+//!   or Prometheus exposition text;
+//! - [`session_trace`]: the one per-session event record — a 32-byte
+//!   `Copy` [`SessionEvent`] (kind, fault-clock stamp, CDN, code, value)
+//!   appended to the session's wide event and kept or dropped whole by the
+//!   reservoir's policy (every anomalous session, a sample of normal ones);
+//! - [`trace`], [`profile`], [`sampler`]: Chrome-trace collector, span
+//!   profile (folded stacks) and resource timeline for a run.
 //!
 //! Handles are cheap clones around `Arc`'d atomics and are meant to be
-//! looked up once and cached in hot-path structs. Counters, histograms and
-//! the event ring are striped per thread slot, so a recording is one
-//! uncontended relaxed RMW however many shards record at once. Every handle
+//! looked up once and cached in hot-path structs. Counters and histograms
+//! are striped per thread slot, so a recording is one uncontended relaxed
+//! RMW however many shards record at once. Every handle
 //! carries the registry's shared enabled flag, so a disabled counter
 //! increment is one relaxed load plus a branch (see
 //! `crates/bench/benches/obs_overhead.rs`).
@@ -30,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-mod events;
 mod export;
 mod metrics;
 pub mod profile;
@@ -39,7 +41,6 @@ pub mod session_trace;
 mod span;
 pub mod trace;
 
-pub use events::{Event, EventKind, EventSink, RingBufferSink};
 pub use export::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{
@@ -89,17 +90,6 @@ pub fn gauge(name: &str) -> Gauge {
 /// Convenience: a histogram handle from the global registry.
 pub fn histogram(name: &str) -> Histogram {
     global().histogram(name)
-}
-
-/// Convenience: records a structured event into the global registry's sink.
-pub fn event(kind: EventKind, detail: impl Into<String>) {
-    global().record_event(kind, detail);
-}
-
-/// Like [`event`], but builds the detail string only when the global
-/// registry is enabled — use it wherever the detail is a `format!`.
-pub fn event_with(kind: EventKind, detail: impl FnOnce() -> String) {
-    global().record_event_with(kind, detail);
 }
 
 /// Convenience: a point-in-time snapshot of the global registry.

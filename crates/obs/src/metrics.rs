@@ -11,13 +11,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::events::{Event, EventKind, RingBufferSink};
 use crate::export::{HistogramSnapshot, RegistrySnapshot};
 
-/// Cells per striped instrument (and rings per event sink). Threads beyond
-/// this many share cells, which stays exact — every write is an atomic
-/// RMW — and only costs the contention striping otherwise removes.
-pub(crate) const STRIPES: usize = 8;
+/// Cells per striped instrument. Threads beyond this many share cells,
+/// which stays exact — every write is an atomic RMW — and only costs the
+/// contention striping otherwise removes.
+const STRIPES: usize = 8;
 
 /// Hands out stripe slots round-robin, one per thread on first use.
 static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
@@ -28,7 +27,7 @@ thread_local! {
 
 /// The calling thread's stripe slot, in `0..STRIPES`.
 #[inline]
-pub(crate) fn stripe_slot() -> usize {
+fn stripe_slot() -> usize {
     STRIPE.with(|slot| *slot)
 }
 
@@ -272,7 +271,7 @@ fn resolve<T: Default>(table: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> A
     }
 }
 
-/// A registry of named metrics plus a bounded event sink.
+/// A registry of named metrics.
 ///
 /// Lookup (`counter`/`gauge`/`histogram`) takes a short mutex on the name
 /// table and hands back a clonable handle bound to the underlying atomics;
@@ -283,14 +282,12 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<CounterCells>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
-    events: RingBufferSink,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("enabled", &self.enabled.load(Ordering::Relaxed))
-            .field("events", &self.events)
             .finish_non_exhaustive()
     }
 }
@@ -302,20 +299,13 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry with a 1024-event ring.
+    /// An enabled, empty registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry::with_event_capacity(1024)
-    }
-
-    /// An enabled registry whose event ring keeps the newest `capacity`
-    /// events.
-    pub fn with_event_capacity(capacity: usize) -> MetricsRegistry {
         MetricsRegistry {
             enabled: Arc::new(AtomicBool::new(true)),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            events: RingBufferSink::new(capacity),
         }
     }
 
@@ -344,44 +334,14 @@ impl MetricsRegistry {
         Histogram { cells: resolve(&self.histograms, name), enabled: self.enabled.clone() }
     }
 
-    /// Records a structured event into the bounded ring (dropped when the
-    /// registry is disabled).
-    pub fn record_event(&self, kind: EventKind, detail: impl Into<String>) {
-        self.record_event_with(kind, || detail.into());
-    }
-
-    /// Like [`MetricsRegistry::record_event`], but builds the detail only
-    /// when the registry is enabled, so a disabled registry allocates
-    /// nothing for it.
-    pub fn record_event_with(&self, kind: EventKind, detail: impl FnOnce() -> String) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.events.push(kind, detail());
-        }
-    }
-
-    /// The newest retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.drain_copy()
-    }
-
-    /// Number of events discarded because the ring was full.
-    pub fn events_dropped(&self) -> u64 {
-        self.events.dropped()
-    }
-
-    /// Point-in-time copy of every metric and the retained events.
-    ///
-    /// The ring-buffer eviction count is surfaced as a synthetic
-    /// `obs.events_dropped` counter so silent event loss is visible in both
-    /// the JSON and Prometheus renderings, not just the dedicated field.
+    /// Point-in-time copy of every metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut counters: BTreeMap<String, u64> = self
+        let counters = self
             .counters
             .lock()
             .iter()
             .map(|(name, cells)| (name.clone(), stripe_total(cells, |s| &s.value)))
             .collect();
-        counters.insert("obs.events_dropped".to_string(), self.events.dropped());
         let gauges = self
             .gauges
             .lock()
@@ -394,13 +354,7 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, cells)| (name.clone(), histogram_snapshot(cells)))
             .collect();
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-            events: self.events.drain_copy(),
-            events_dropped: self.events.dropped(),
-        }
+        RegistrySnapshot { counters, gauges, histograms }
     }
 }
 
@@ -503,10 +457,8 @@ mod tests {
         reg.set_enabled(false);
         c.inc();
         h.record(42);
-        reg.record_event(EventKind::CacheMiss, "edge");
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
-        assert!(reg.events().is_empty());
         reg.set_enabled(true);
         c.inc();
         assert_eq!(c.get(), 1);

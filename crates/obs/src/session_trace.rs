@@ -277,8 +277,8 @@ impl SessionTrace {
         let session =
             v.get("session").and_then(Value::as_u64).ok_or("missing `session`")?;
         let publisher = v.get("publisher").and_then(Value::as_u64).unwrap_or(NO_PUBLISHER);
-        let cdn = v.get("cdn").and_then(Value::as_u64).map_or(NO_CDN, |c| c as u8);
-        let region = v.get("region").and_then(Value::as_u64).map_or(NO_REGION, |r| r as u8);
+        let cdn = v.get("cdn").map_or(Ok(NO_CDN), |c| dense_index(c, "cdn"))?;
+        let region = v.get("region").map_or(Ok(NO_REGION), |r| dense_index(r, "region"))?;
         let start_clock = v.get("start").and_then(Value::as_f64).ok_or("missing `start`")?;
         let end_clock = v.get("end").and_then(Value::as_f64).ok_or("missing `end`")?;
         let fatal = match v.get("exit").and_then(Value::as_str) {
@@ -310,9 +310,12 @@ impl SessionTrace {
             let clock = clock_v.as_f64().ok_or("non-numeric event clock")?;
             let cdn = match cdn_v {
                 Value::Null => NO_CDN,
-                other => other.as_u64().ok_or("bad event cdn")? as u8,
+                other => dense_index(other, "event cdn")?,
             };
-            let code = code_v.as_u64().ok_or("bad event code")? as u32;
+            let code = code_v
+                .as_u64()
+                .and_then(|c| u32::try_from(c).ok())
+                .ok_or("bad event code")?;
             let value = value_v.as_f64().ok_or("bad event value")?;
             events.push(SessionEvent { kind, clock, cdn, code, value });
         }
@@ -329,6 +332,16 @@ impl SessionTrace {
             events,
         })
     }
+}
+
+/// A CDN or region index read back from JSON: an integer below the `u8`
+/// "none" sentinel ([`NO_CDN`] / [`NO_REGION`]), which the writer renders
+/// as an absent field or `null` and never as a number.
+fn dense_index(v: &Value, field: &str) -> Result<u8, String> {
+    v.as_u64()
+        .and_then(|n| u8::try_from(n).ok())
+        .filter(|&n| n != u8::MAX)
+        .ok_or_else(|| format!("bad `{field}`"))
 }
 
 /// Appends a float at microsecond (6-decimal) fixed precision via integer

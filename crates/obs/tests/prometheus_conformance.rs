@@ -3,13 +3,11 @@
 //! The exporter must produce what a real scraper can ingest: one `# TYPE`
 //! line per metric family, histogram buckets as *cumulative* counts with
 //! increasing `le` bounds terminated by `+Inf`, matching `_sum`/`_count`
-//! series, and sanitized metric names. Plus the satellite guarantee: ring
-//! buffer event loss is visible as an `obs.events_dropped` counter in both
-//! the JSON and Prometheus renderings.
+//! series, and sanitized metric names.
 
 use std::collections::BTreeMap;
 
-use vmp_obs::{EventKind, MetricsRegistry};
+use vmp_obs::MetricsRegistry;
 
 /// Parses `name{labels} value` / `name value` sample lines.
 fn parse_samples(text: &str) -> Vec<(String, Option<String>, f64)> {
@@ -110,24 +108,4 @@ fn every_family_has_a_type_line_and_sanitized_name() {
             .unwrap_or(&name);
         assert!(type_lines.contains_key(family), "sample {name} has no # TYPE line");
     }
-}
-
-#[test]
-fn ring_overflow_surfaces_as_events_dropped_counter() {
-    let reg = MetricsRegistry::with_event_capacity(4);
-    for i in 0..10 {
-        reg.record_event(EventKind::CacheMiss, format!("chunk-{i}"));
-    }
-    let snap = reg.snapshot();
-    assert_eq!(snap.events_dropped, 6);
-    // Satellite guarantee: the loss is a first-class counter in the JSON
-    // counters map and the Prometheus text, not just a side field.
-    assert_eq!(snap.counters.get("obs.events_dropped"), Some(&6));
-    let text = snap.to_prometheus();
-    assert!(text.contains("# TYPE obs_events_dropped counter"));
-    assert!(text.contains("obs_events_dropped 6"));
-
-    // And it is present (at zero) even before anything is lost.
-    let clean = MetricsRegistry::new().snapshot();
-    assert_eq!(clean.counters.get("obs.events_dropped"), Some(&0));
 }

@@ -1,6 +1,7 @@
 //! Property tests for the session-trace sampling plane: arrival-order
-//! invariance, reservoir byte bounds, the tail-keep guarantee, and JSONL
-//! round-trips of the `vmp-session-trace/1` schema.
+//! invariance, reservoir byte bounds, the tail-keep guarantee, JSONL
+//! round-trips of the `vmp-session-trace/1` schema, and a reader that
+//! rejects what it cannot represent instead of panicking or wrapping.
 
 use proptest::prelude::*;
 use serde_json::Value;
@@ -79,6 +80,93 @@ fn collect(cfg: TraceConfig, traces: &[SessionTrace], order: &[usize]) -> TraceR
         c.offer(traces[i].clone());
     }
     c.into_report()
+}
+
+/// A valid trace line with the given primary CDN and region and, on its
+/// first event, the given CDN and code.
+fn trace_line(cdn: u64, region: u64, event_cdn: u64, code: u64) -> Value {
+    let text = format!(
+        "{{\"session\":7,\"publisher\":3,\"cdn\":{cdn},\"region\":{region},\"start\":0.0,\
+         \"end\":30.0,\"exit\":\"completed\",\"rebuffer_ratio\":0.1,\"anomaly\":[\"rebuffer\"],\
+         \"events\":[[\"retry\",1.5,{event_cdn},{code},0.25],[\"rebuffer\",2.0,null,0,1.0]]}}"
+    );
+    serde_json::from_str(&text).expect("line json")
+}
+
+/// An arbitrary JSON tree: every scalar kind over its whole magnitude
+/// range, the strings the reader matches on, and containers keyed by the
+/// schema's own field names.
+fn arbitrary_value(s: &mut u64, depth: u32) -> Value {
+    const WORDS: [&str; 8] =
+        ["session", "cdn", "events", "exit", "fatal", "rebuffer", "chunk_fetch", "\u{0}é"];
+    let word = |s: &mut u64| WORDS[(mix(s) % WORDS.len() as u64) as usize].to_string();
+    match mix(s) % if depth == 0 { 6 } else { 8 } {
+        0 => Value::Null,
+        1 => Value::Bool(mix(s) & 1 == 1),
+        2 => Value::U64(mix(s) >> (mix(s) % 64)),
+        3 => Value::I64(-((mix(s) >> 1 >> (mix(s) % 63)) as i64) - 1),
+        4 => Value::F64(f64::from_bits(mix(s))),
+        5 => Value::Str(word(s)),
+        6 => Value::Array((0..mix(s) % 7).map(|_| arbitrary_value(s, depth - 1)).collect()),
+        _ => Value::Object(
+            (0..mix(s) % 7).map(|_| (word(s), arbitrary_value(s, depth - 1))).collect(),
+        ),
+    }
+}
+
+/// Replaces one node of `v`, picked by a random walk from the root, with
+/// an arbitrary tree, so every field the reader looks at gets hit.
+fn corrupt(v: &mut Value, s: &mut u64) {
+    let children: Vec<&mut Value> = match v {
+        Value::Object(fields) => fields.iter_mut().map(|(_, child)| child).collect(),
+        Value::Array(items) => items.iter_mut().collect(),
+        _ => Vec::new(),
+    };
+    let n = children.len() as u64;
+    match children.into_iter().nth((mix(s) % (n + 1)) as usize) {
+        Some(child) if !mix(s).is_multiple_of(4) => corrupt(child, s),
+        _ => *v = arbitrary_value(s, 3),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The reader is total: handed a wholly arbitrary tree, a valid line
+    /// with one node corrupted, or whatever arbitrary text parses to, it
+    /// returns — and what it accepts it can render again.
+    #[test]
+    fn from_json_never_panics(seed in 0u64..u64::MAX, text in "\\PC{0,80}") {
+        let mut s = seed | 1;
+        let mut corrupted = trace_line(2, 1, 3, 404);
+        corrupt(&mut corrupted, &mut s);
+        let mut trees = vec![arbitrary_value(&mut s, 3), corrupted];
+        trees.extend(serde_json::from_str::<Value>(&text).ok());
+        for tree in &trees {
+            if let Ok(trace) = SessionTrace::from_json(tree) {
+                prop_assert!(trace.to_jsonl().starts_with("{\"session\":"));
+            }
+        }
+    }
+
+    /// An id or code too wide for its field is an error naming the field,
+    /// never a wrapped value that reads as some other CDN, region or error
+    /// class; the widest value that fits reads back as itself.
+    #[test]
+    fn out_of_range_ids_and_codes_are_rejected(raw in 0u64..=u64::MAX, shift in 0u32..64) {
+        let parse = |line: Value| SessionTrace::from_json(&line);
+        let (id_max, code_max) = (u64::from(NO_CDN) - 1, u64::from(u32::MAX));
+        let fits = parse(trace_line(id_max, id_max, id_max, code_max)).expect("in range");
+        prop_assert_eq!((fits.cdn, fits.region), (NO_CDN - 1, NO_REGION - 1));
+        prop_assert_eq!((fits.events[0].cdn, fits.events[0].code), (NO_CDN - 1, u32::MAX));
+
+        let over = (raw >> shift).saturating_add(1);
+        let (id, code) = (id_max.saturating_add(over), code_max.saturating_add(over));
+        prop_assert_eq!(parse(trace_line(id, 0, 0, 0)), Err("bad `cdn`".to_string()));
+        prop_assert_eq!(parse(trace_line(0, id, 0, 0)), Err("bad `region`".to_string()));
+        prop_assert_eq!(parse(trace_line(0, 0, id, 0)), Err("bad `event cdn`".to_string()));
+        prop_assert_eq!(parse(trace_line(0, 0, 0, code)), Err("bad event code".to_string()));
+    }
 }
 
 proptest! {

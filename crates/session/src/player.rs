@@ -532,10 +532,6 @@ impl<'a> Player<'a> {
                             }
                             cdn_switches += 1;
                             self.metrics.cdn_switches.inc();
-                            vmp_obs::event_with(
-                                vmp_obs::EventKind::CdnSwitch,
-                                || format!("manifest: failover to {next:?} after fetch failures"),
-                            );
                             trace_emit(TraceEventKind::CdnSwitch, clock, next, 0, 0.0);
                             attempt = 0;
                             switched = true;
@@ -545,10 +541,6 @@ impl<'a> Player<'a> {
                 if !switched {
                     exit = ExitCause::FatalCdnFailure;
                     self.metrics.fatal_exits.inc();
-                    vmp_obs::event_with(
-                        vmp_obs::EventKind::SessionFatal,
-                        || format!("manifest unavailable on {cdn:?}, no failover left"),
-                    );
                     trace_emit(TraceEventKind::Fatal, clock, cdn, 4, 0.0);
                     break;
                 }
@@ -570,10 +562,6 @@ impl<'a> Player<'a> {
                         }
                         cdn_switches += 1;
                         self.metrics.cdn_switches.inc();
-                        vmp_obs::event_with(
-                            vmp_obs::EventKind::CdnSwitch,
-                            || format!("chunk {chunk_index}: failover to {next:?}"),
-                        );
                         trace_emit(TraceEventKind::CdnSwitch, clock, next, 0, 0.0);
                         predictor.reset();
                     }
@@ -688,13 +676,6 @@ impl<'a> Player<'a> {
                             }
                             cdn_switches += 1;
                             self.metrics.cdn_switches.inc();
-                            vmp_obs::event_with(
-                                vmp_obs::EventKind::CdnSwitch,
-                                || format!(
-                                    "chunk {chunk_index}: failover to {next:?} after {}",
-                                    failure.label()
-                                ),
-                            );
                             trace_emit(TraceEventKind::CdnSwitch, clock, next, 0, 0.0);
                             predictor.reset();
                             attempt = 0;
@@ -714,10 +695,6 @@ impl<'a> Player<'a> {
                     // failing still counts against QoE.
                     exit = ExitCause::FatalCdnFailure;
                     self.metrics.fatal_exits.inc();
-                    vmp_obs::event_with(
-                        vmp_obs::EventKind::SessionFatal,
-                        || format!("chunk {chunk_index}: {} with no failover left", e.label()),
-                    );
                     trace_emit(TraceEventKind::Fatal, clock, cdn, e.trace_code(), 0.0);
                     if started {
                         rebuffer += chunk_wait;
@@ -758,14 +735,6 @@ impl<'a> Player<'a> {
                     rebuffer += Seconds(-after_drain);
                     buffer = Seconds::ZERO;
                     self.metrics.rebuffer_events.inc();
-                    vmp_obs::event_with(
-                        vmp_obs::EventKind::RebufferStart,
-                        || format!("chunk {chunk_index}: buffer empty on {cdn:?}"),
-                    );
-                    vmp_obs::event_with(
-                        vmp_obs::EventKind::RebufferStop,
-                        || format!("chunk {chunk_index}: stalled {:.3}s", -after_drain),
-                    );
                     session_trace::emit(
                         TraceEventKind::Rebuffer,
                         clock.0,
