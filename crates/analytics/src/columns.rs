@@ -979,20 +979,6 @@ pub fn value_share<S: SegmentSource + ?Sized, V: Ord>(
         .collect()
 }
 
-/// Weighted top-k dimension values by view-hours at one snapshot
-/// (descending; ties break toward the smaller value for determinism).
-pub fn top_hours_by<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-    k: usize,
-) -> Vec<(V, f64)> {
-    let mut entries: Vec<(V, f64)> = group_hours_by(source, snapshot, spec).into_iter().collect();
-    entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    entries.truncate(k);
-    entries
-}
-
 // ---------------------------------------------------------------------------
 // Store-level (multi-snapshot) queries.
 // ---------------------------------------------------------------------------

@@ -295,16 +295,6 @@ impl Broker {
         }
     }
 
-    /// Timestamped success path: identical to
-    /// [`Broker::record_fetch_success`] except the outcome also feeds the
-    /// breaker's rolling failure-rate window (meaningful when the breaker
-    /// config arms a `FailureRateTrip`).
-    pub fn record_fetch_success_at(&self, cdn: CdnName, now: Seconds) {
-        if let Some(b) = self.breakers.lock().get_mut(&cdn) {
-            b.record_success_at(now);
-        }
-    }
-
     /// Whether `cdn` is currently quarantined (breaker open) at `now`.
     /// Advances `Open → HalfOpen` transitions as a side effect, so a query
     /// after the cooldown admits probe traffic.

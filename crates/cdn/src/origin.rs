@@ -109,15 +109,6 @@ impl OriginStore {
         self.entries.iter().map(|e| e.bytes).sum()
     }
 
-    /// Bytes attributable to one publisher.
-    pub fn publisher_bytes(&self, publisher: PublisherId) -> Bytes {
-        self.entries
-            .iter()
-            .filter(|e| e.publisher == publisher)
-            .map(|e| e.bytes)
-            .sum()
-    }
-
     /// Savings if the CDN deduplicates copies of the same content whose
     /// bitrates are within `tolerance` (relative, e.g. 0.05 = 5%).
     ///

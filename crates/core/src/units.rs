@@ -192,12 +192,6 @@ impl ViewHours {
     /// Zero view-hours.
     pub const ZERO: ViewHours = ViewHours(0.0);
 
-    /// Builds from a media duration.
-    #[inline]
-    pub fn from_seconds(s: Seconds) -> Self {
-        ViewHours(s.hours())
-    }
-
     /// Fraction of `total` represented by `self`, in percent (0–100).
     /// Returns 0 when `total` is zero.
     pub fn percent_of(self, total: ViewHours) -> f64 {

@@ -101,11 +101,6 @@ impl ViewRecord {
         self.viewing_time.hours()
     }
 
-    /// Primary CDN (the one that served the first chunk), if any.
-    pub fn primary_cdn(&self) -> Option<CdnId> {
-        self.cdns.first().copied()
-    }
-
     /// Highest advertised bitrate, if the ladder is non-empty.
     pub fn top_bitrate(&self) -> Option<Kbps> {
         self.available_bitrates.iter().copied().max()
@@ -168,14 +163,6 @@ mod tests {
     #[test]
     fn view_hours_from_viewing_time() {
         assert!((sample().view_hours() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn primary_cdn_is_first() {
-        assert_eq!(sample().primary_cdn(), Some(CdnId::new(0)));
-        let mut v = sample();
-        v.cdns.clear();
-        assert_eq!(v.primary_cdn(), None);
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //! When every requested ID is standalone (ablations and scenarios such as
 //! `resilience` or `monitor`), the ecosystem is not generated at all.
 //!
-//! Drop/saturation diagnostics (obs event-ring evictions, trace-collector
-//! saturation, timeline evictions) are always surfaced on stderr when
-//! nonzero, and embedded in `--json` / `--report` output.
+//! Drop/saturation diagnostics (trace-collector saturation, timeline
+//! evictions) are always surfaced on stderr when nonzero, and embedded in
+//! `--json` / `--report` output.
 
 use serde::Serialize;
 use vmp_experiments::{

@@ -54,6 +54,15 @@ fn report_is_schema_valid_and_stages_cover_wall_time() {
         (stage_total - wall).abs() <= 0.05 * wall,
         "stage total {stage_total}s must be within 5% of wall {wall}s"
     );
+    // `validate_report` only types these two; the sampler must also have
+    // observed the run.
+    let samples = report.get("timeline").and_then(|t| t.get("samples")).and_then(Value::as_array);
+    assert!(samples.is_some_and(|s| !s.is_empty()), "resource timeline must carry samples");
+    #[cfg(target_os = "linux")]
+    assert!(
+        report.get("peak_rss_bytes").and_then(Value::as_u64).is_some_and(|rss| rss > 0),
+        "sampler must observe a nonzero RSS"
+    );
 
     // The Markdown twin landed next to it.
     let md = std::fs::read_to_string(dir.join("report.md")).expect("markdown twin");

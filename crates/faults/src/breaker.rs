@@ -2,46 +2,21 @@
 //!
 //! §2's brokers provide "monitoring and fault isolation" even for
 //! single-CDN publishers; the isolation half is this state machine. After
-//! `failure_threshold` *consecutive* fetch failures — or, when a
-//! [`FailureRateTrip`] is configured, when the rolling failure *rate*
-//! crosses its threshold — the breaker opens and the CDN is quarantined:
-//! selection and failover skip it. After `cooldown` virtual seconds it
-//! half-opens and admits a *bounded* number of probes
+//! `failure_threshold` *consecutive* fetch failures the breaker opens and
+//! the CDN is quarantined: selection and failover skip it. After `cooldown`
+//! virtual seconds it half-opens and admits a *bounded* number of probes
 //! (`half_open_max_probes`); one success closes it, one failure re-opens it
 //! for another cooldown.
 //!
 //! The probe cap matters under surge: before it existed, `allows` admitted
 //! *all* traffic in `HalfOpen`, so a flash crowd would slam a recovering
 //! CDN with thousands of simultaneous "probes" and knock it straight back
-//! over. The rate trip matters for the same reason in the other direction:
-//! under a 100× join storm, a degraded CDN can keep interleaving enough
-//! successes that no failure streak ever reaches `failure_threshold`, while
-//! its overall failure rate is catastrophic.
+//! over.
 //!
 //! Time is a caller-supplied virtual clock ([`Seconds`]), never wall time,
 //! so breaker behaviour replays exactly under the same seed.
 
 use vmp_core::units::Seconds;
-
-/// Failure-*rate* tripping: open when the failure fraction over a rolling
-/// window crosses `threshold`, regardless of interleaved successes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailureRateTrip {
-    /// Failure fraction in `[0, 1]` that trips the breaker.
-    pub threshold: f64,
-    /// Minimum outcomes observed in the window before the rate is trusted
-    /// (guards against tripping on one unlucky request).
-    pub min_samples: u32,
-    /// Rolling window width (virtual seconds). Internally tracked as two
-    /// half-width buckets, so the effective horizon is `window`..`2×window`.
-    pub window: Seconds,
-}
-
-impl Default for FailureRateTrip {
-    fn default() -> FailureRateTrip {
-        FailureRateTrip { threshold: 0.5, min_samples: 20, window: Seconds(60.0) }
-    }
-}
 
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,28 +29,11 @@ pub struct BreakerConfig {
     /// [`CircuitBreaker::allows`] calls report the CDN as unavailable until
     /// a probe outcome arrives (success closes, failure re-opens).
     pub half_open_max_probes: u32,
-    /// Optional failure-rate trip layered over the consecutive-failure
-    /// counter. `None` (the default) keeps the original streak-only
-    /// behaviour and records nothing extra.
-    pub failure_rate: Option<FailureRateTrip>,
 }
 
 impl Default for BreakerConfig {
     fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Seconds(120.0),
-            half_open_max_probes: 3,
-            failure_rate: None,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// A surge-hardened config: rate tripping armed with the given
-    /// parameters on top of the default streak behaviour.
-    pub fn with_rate_trip(rate: FailureRateTrip) -> BreakerConfig {
-        BreakerConfig { failure_rate: Some(rate), ..BreakerConfig::default() }
+        BreakerConfig { failure_threshold: 3, cooldown: Seconds(120.0), half_open_max_probes: 3 }
     }
 }
 
@@ -88,13 +46,6 @@ pub enum BreakerState {
     Open,
     /// Cooldown elapsed; a bounded number of probes admitted.
     HalfOpen,
-}
-
-/// Outcome counts for one rolling-rate bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct RateBucket {
-    failures: u32,
-    total: u32,
 }
 
 /// Per-CDN circuit breaker.
@@ -112,12 +63,6 @@ pub struct CircuitBreaker {
     /// batch is armed so an unlucky breaker cannot stay quarantined
     /// forever.
     half_open_since: Seconds,
-    /// Rolling-rate bookkeeping (only touched when `failure_rate` is set):
-    /// the start of the current half-window bucket, plus the current and
-    /// previous bucket counts.
-    rate_bucket_start: Seconds,
-    rate_current: RateBucket,
-    rate_previous: RateBucket,
 }
 
 impl CircuitBreaker {
@@ -131,9 +76,6 @@ impl CircuitBreaker {
             trips: 0,
             probes_admitted: 0,
             half_open_since: Seconds::ZERO,
-            rate_bucket_start: Seconds::ZERO,
-            rate_current: RateBucket::default(),
-            rate_previous: RateBucket::default(),
         }
     }
 
@@ -180,10 +122,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                self.note_outcome(now, true);
-                if self.consecutive_failures >= self.config.failure_threshold
-                    || self.rate_tripped()
-                {
+                if self.consecutive_failures >= self.config.failure_threshold {
                     self.trip(now);
                     return true;
                 }
@@ -202,16 +141,8 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a successful fetch at virtual time `now`: closes a half-open
-    /// breaker and resets the consecutive-failure count. The timestamp only
-    /// feeds the rolling failure-rate window.
-    pub fn record_success_at(&mut self, now: Seconds) {
-        self.note_outcome(now, false);
-        self.record_success();
-    }
-
-    /// Records a successful fetch without a timestamp (legacy path; the
-    /// rolling rate window, if armed, books it into the current bucket).
+    /// Records a successful fetch: closes a half-open breaker and resets
+    /// the consecutive-failure count.
     pub fn record_success(&mut self) {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
@@ -220,46 +151,11 @@ impl CircuitBreaker {
         }
     }
 
-    /// Books one outcome into the rolling-rate window. No-op unless a
-    /// [`FailureRateTrip`] is configured, so streak-only breakers carry no
-    /// extra state changes.
-    fn note_outcome(&mut self, now: Seconds, failed: bool) {
-        let Some(rate) = self.config.failure_rate else { return };
-        // Two half-width buckets: when `now` passes the current bucket,
-        // rotate. Out-of-order timestamps (session-ordered simulation) just
-        // land in the current bucket.
-        let width = (rate.window.0 / 2.0).max(1e-9);
-        if now.0 >= self.rate_bucket_start.0 + width {
-            self.rate_previous = self.rate_current;
-            self.rate_current = RateBucket::default();
-            // Skip ahead far enough that `now` lands in the new bucket; a
-            // long quiet gap also clears the previous bucket.
-            if now.0 >= self.rate_bucket_start.0 + 2.0 * width {
-                self.rate_previous = RateBucket::default();
-            }
-            self.rate_bucket_start = Seconds((now.0 / width).floor() * width);
-        }
-        self.rate_current.total += 1;
-        if failed {
-            self.rate_current.failures += 1;
-        }
-    }
-
-    /// Whether the rolling failure rate crosses the configured threshold.
-    fn rate_tripped(&self) -> bool {
-        let Some(rate) = self.config.failure_rate else { return false };
-        let failures = self.rate_current.failures + self.rate_previous.failures;
-        let total = self.rate_current.total + self.rate_previous.total;
-        total >= rate.min_samples && failures as f64 / total as f64 >= rate.threshold
-    }
-
     fn trip(&mut self, now: Seconds) {
         self.state = BreakerState::Open;
         self.open_until = Seconds(now.0 + self.config.cooldown.0);
         self.consecutive_failures = 0;
         self.probes_admitted = 0;
-        self.rate_current = RateBucket::default();
-        self.rate_previous = RateBucket::default();
         self.trips += 1;
     }
 
@@ -396,75 +292,5 @@ mod tests {
         // A full cooldown later with no verdict: fresh bounded batch.
         assert_eq!((0..10).filter(|_| b.allows(Seconds(160.0))).count(), 3);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn rate_trip_fires_despite_interleaved_successes() {
-        let mut b = CircuitBreaker::new(BreakerConfig::with_rate_trip(FailureRateTrip {
-            threshold: 0.5,
-            min_samples: 10,
-            window: Seconds(60.0),
-        }));
-        // Alternate success/failure/failure: the streak never reaches the
-        // consecutive threshold of 3, but the rate is 2/3.
-        let mut tripped = false;
-        for i in 0..30u32 {
-            let t = Seconds(i as f64);
-            if i % 3 == 0 {
-                b.record_success_at(t);
-            } else {
-                tripped |= b.record_failure(t);
-            }
-            if tripped {
-                break;
-            }
-        }
-        assert!(tripped, "failure rate 2/3 over >= 10 samples must trip");
-        assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn rate_trip_respects_min_samples() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 100, // streak trip effectively off
-            failure_rate: Some(FailureRateTrip {
-                threshold: 0.5,
-                min_samples: 10,
-                window: Seconds(60.0),
-            }),
-            ..BreakerConfig::default()
-        });
-        // 5 failures alone are under min_samples: no trip.
-        for i in 0..5u32 {
-            assert!(!b.record_failure(Seconds(i as f64)));
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-        // 5 more cross min_samples at rate 1.0: trip.
-        let mut tripped = false;
-        for i in 5..10u32 {
-            tripped |= b.record_failure(Seconds(i as f64));
-        }
-        assert!(tripped);
-    }
-
-    #[test]
-    fn rate_window_forgets_old_outcomes() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 100,
-            failure_rate: Some(FailureRateTrip {
-                threshold: 0.5,
-                min_samples: 4,
-                window: Seconds(60.0),
-            }),
-            ..BreakerConfig::default()
-        });
-        // Three early failures, then a long quiet gap.
-        for i in 0..3u32 {
-            assert!(!b.record_failure(Seconds(i as f64)));
-        }
-        // 500s later the old bucket has rotated out; one fresh failure is
-        // 1/1 but below min_samples, so still no trip.
-        assert!(!b.record_failure(Seconds(500.0)));
-        assert_eq!(b.state(), BreakerState::Closed);
     }
 }

@@ -19,8 +19,7 @@
 //!   deterministic jitter drawn from the session RNG. The schedule is
 //!   monotone non-decreasing and capped by construction.
 //! * [`breaker`] — [`CircuitBreaker`]: the broker-side health gate that
-//!   quarantines a CDN after consecutive fetch failures (or, with a
-//!   [`FailureRateTrip`] armed, a rolling failure rate) and half-opens it
+//!   quarantines a CDN after consecutive fetch failures and half-opens it
 //!   after a cooldown for a bounded probe batch.
 //!
 //! Everything here is pure state + a caller-supplied clock: no wall time,
@@ -36,7 +35,7 @@ pub mod injector;
 pub mod profile;
 pub mod retry;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, FailureRateTrip};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use injector::FaultInjector;
 pub use profile::{FaultKind, FaultProfile, FaultProfileBuilder, FaultWindow};
 pub use retry::RetryPolicy;

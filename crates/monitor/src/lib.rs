@@ -238,23 +238,6 @@ impl HealthMonitor {
             + self.publishers.len()
     }
 
-    /// The current window aggregate for `cell`, if it has ever seen a view.
-    pub fn window_of(&self, cell: &Cell) -> Option<WindowStats> {
-        let tick = self.current_tick?;
-        let state = match cell {
-            Cell::Cdn(c) => self.cdns[c.dense_index()].as_deref(),
-            Cell::Region(r) => self.regions.get(*r).and_then(|s| s.as_deref()),
-            Cell::CdnRegion(c, r) if *r < self.config.max_regions => {
-                self.pairs[c.dense_index() * self.config.max_regions + r].as_deref()
-            }
-            Cell::CdnRegion(..) => None,
-            Cell::Publisher(p) => {
-                self.publishers.iter().find(|(id, _)| id == p).map(|(_, s)| s)
-            }
-        }?;
-        Some(state.ring.aggregate(tick))
-    }
-
     fn tick_of(&self, clock: Seconds) -> u64 {
         (clock.0.max(0.0) / self.config.bucket.0) as u64
     }

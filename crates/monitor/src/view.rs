@@ -2,13 +2,11 @@
 
 use vmp_core::cdn::CdnName;
 use vmp_core::units::Seconds;
-use vmp_core::view::ViewRecord;
 use vmp_session::hooks::SessionEnd;
 
 /// One finished view, reduced to exactly the fields the health plane
-/// aggregates. Built from a live [`SessionEnd`] (streaming path) or an
-/// archived [`ViewRecord`] (replay path); either way, ingesting it is a
-/// handful of adds — no allocation, no locks.
+/// aggregates. Built from a live [`SessionEnd`]; ingesting it is a handful
+/// of adds — no allocation, no locks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewEnd {
     /// Primary (first-assigned) CDN — the attribution target.
@@ -49,30 +47,6 @@ impl ViewEnd {
             retries: end.outcome.retries,
             fatal: end.is_fatal(),
             join_failed: end.join_failed(),
-        }
-    }
-
-    /// Builds the observation from an archived view record. Records carry
-    /// no exit cause or retry counts, so a zero-play view is read as a join
-    /// failure and retries as zero — the replay path sees QoE anomalies
-    /// (rebuffering, bitrate drops, join failures) but not attempt counts.
-    pub fn from_record(record: &ViewRecord, end_clock: Seconds) -> ViewEnd {
-        let cdn = record
-            .primary_cdn()
-            .and_then(|id| CdnName::from_dense_index(id.raw() as usize))
-            .unwrap_or(CdnName::A);
-        let played = record.qoe.played.0;
-        ViewEnd {
-            cdn,
-            region: Some(record.region.code() as usize),
-            publisher: Some(record.publisher.raw() as u64),
-            end_clock,
-            played,
-            rebuffer: record.qoe.rebuffer_time.0,
-            bitrate_kbps: record.qoe.avg_bitrate.0 as f64,
-            retries: 0,
-            fatal: played <= 0.0,
-            join_failed: played <= 0.0,
         }
     }
 }

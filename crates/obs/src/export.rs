@@ -1,17 +1,10 @@
-//! Snapshot types and their JSON / Prometheus renderings.
+//! Snapshot types and their JSON rendering.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::bucket_bound;
-
-/// Point-in-time value of one counter. (Alias kept for API clarity: the
-/// registry exports counters as plain name → value pairs.)
-pub type CounterSnapshot = u64;
-
-/// Point-in-time value of one gauge.
-pub type GaugeSnapshot = i64;
 
 /// Frozen distribution of one histogram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -122,33 +115,6 @@ impl RegistrySnapshot {
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_default()
     }
-
-    /// Prometheus text exposition format (metric names have '.' rewritten
-    /// to '_'; histograms emit cumulative `le` buckets plus `_sum`/`_count`).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let name = promname(name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            let name = promname(name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let name = promname(name);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for &(bound, count) in &h.buckets {
-                cumulative += count;
-                out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{name}_sum {}\n", h.sum));
-            out.push_str(&format!("{name}_count {}\n", h.count));
-        }
-        out
-    }
 }
 
 /// Exclusive lower edge of the bucket with inclusive upper bound `bound`
@@ -162,12 +128,6 @@ fn series_lower_edge(bound: u64) -> u64 {
     } else {
         bound / 2
     }
-}
-
-fn promname(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 #[cfg(test)]
@@ -194,23 +154,6 @@ mod tests {
         let snap = reg.histogram("empty").snapshot();
         assert_eq!(snap.quantile(0.5), 0.0);
         assert_eq!(snap.mean(), 0.0);
-    }
-
-    #[test]
-    fn prometheus_text_has_types_and_cumulative_buckets() {
-        let reg = MetricsRegistry::new();
-        reg.counter("cdn.cache_hits").add(3);
-        reg.gauge("session.buffer_ms").set(1500);
-        let h = reg.histogram("session.chunk_ns");
-        h.record(4);
-        h.record(40);
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE cdn_cache_hits counter"));
-        assert!(text.contains("cdn_cache_hits 3"));
-        assert!(text.contains("# TYPE session_buffer_ms gauge"));
-        assert!(text.contains("# TYPE session_chunk_ns histogram"));
-        assert!(text.contains("session_chunk_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("session_chunk_ns_count 2"));
     }
 
     #[test]

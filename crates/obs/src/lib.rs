@@ -3,8 +3,7 @@
 //! Mirrors the paper's management-plane measurement stack (§3: client-side
 //! instrumentation feeding an analytics backend) inside the simulator
 //! itself: every pipeline stage reports into a process-wide
-//! [`MetricsRegistry`] that can be snapshotted and exported as JSON or
-//! Prometheus text.
+//! [`MetricsRegistry`] that can be snapshotted and exported as JSON.
 //!
 //! Built only on `std::sync::atomic` + `parking_lot` — no external
 //! telemetry dependencies:
@@ -13,8 +12,7 @@
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99 estimation;
 //! - [`span`]: RAII stage timers recording latencies into histograms,
 //!   nesting tracked via a thread-local span stack;
-//! - [`RegistrySnapshot`]: point-in-time export, JSON via `serde_json`
-//!   or Prometheus exposition text;
+//! - [`RegistrySnapshot`]: point-in-time export, JSON via `serde_json`;
 //! - [`session_trace`]: the one per-session event record — a 32-byte
 //!   `Copy` [`SessionEvent`] (kind, fault-clock stamp, CDN, code, value)
 //!   appended to the session's wide event and kept or dropped whole by the
@@ -25,9 +23,7 @@
 //! Handles are cheap clones around `Arc`'d atomics and are meant to be
 //! looked up once and cached in hot-path structs. Counters and histograms
 //! are striped per thread slot, so a recording is one uncontended relaxed
-//! RMW however many shards record at once. Every handle
-//! carries the registry's shared enabled flag, so a disabled counter
-//! increment is one relaxed load plus a branch (see
+//! RMW however many shards record at once (see
 //! `crates/bench/benches/obs_overhead.rs`).
 
 #![forbid(unsafe_code)]
@@ -41,7 +37,7 @@ pub mod session_trace;
 mod span;
 pub mod trace;
 
-pub use export::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
+pub use export::{HistogramSnapshot, RegistrySnapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{
     folded_stacks, parse_folded, profile_entries, profiling_enabled, reset_profile, set_profiling,
@@ -67,14 +63,6 @@ static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 /// The process-wide registry used by all instrumented crates.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// Enables or disables all recording through the global registry.
-///
-/// Disabled handles degrade to a single relaxed atomic load; metric values
-/// recorded while disabled are lost, not buffered.
-pub fn set_enabled(enabled: bool) {
-    global().set_enabled(enabled);
 }
 
 /// Convenience: a counter handle from the global registry.

@@ -6,7 +6,7 @@
 //! shards bumping the same counter therefore never write the same line.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -123,13 +123,10 @@ fn histogram_snapshot(cells: &HistogramCells) -> HistogramSnapshot {
 /// A monotonically increasing named counter.
 ///
 /// Cheap to clone; cache one per hot path rather than re-looking it up by
-/// name. `inc`/`add` are one relaxed RMW on the calling thread's stripe;
-/// when the owning registry is disabled they are a relaxed load and a
-/// branch.
+/// name. `inc`/`add` are one relaxed RMW on the calling thread's stripe.
 #[derive(Clone)]
 pub struct Counter {
     cells: Arc<CounterCells>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Counter {
@@ -142,9 +139,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cells[stripe_slot()].value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cells[stripe_slot()].value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value (the sum over stripes).
@@ -163,24 +158,19 @@ impl std::fmt::Debug for Counter {
 #[derive(Clone)]
 pub struct Gauge {
     value: Arc<AtomicI64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Gauge {
     /// Sets the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Moves the level by `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -206,15 +196,11 @@ impl std::fmt::Debug for Gauge {
 #[derive(Clone)]
 pub struct Histogram {
     cells: Arc<HistogramCells>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Histogram {
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let stripe = &self.cells[stripe_slot()];
         match bucket_index(value) {
             Some(i) => stripe.counts[i].fetch_add(1, Ordering::Relaxed),
@@ -228,12 +214,6 @@ impl Histogram {
     /// Records a duration as nanoseconds (the convention spans use).
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Whether the owning registry currently records (used by cached span
-    /// handles to decide if the clock needs reading).
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Total number of observations.
@@ -275,10 +255,8 @@ fn resolve<T: Default>(table: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> A
 ///
 /// Lookup (`counter`/`gauge`/`histogram`) takes a short mutex on the name
 /// table and hands back a clonable handle bound to the underlying atomics;
-/// all recording after that is lock-free. The shared enabled flag turns
-/// every handle into a near-no-op when cleared.
+/// all recording after that is lock-free.
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     counters: Mutex<BTreeMap<String, Arc<CounterCells>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
@@ -286,9 +264,7 @@ pub struct MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+        f.debug_struct("MetricsRegistry").finish_non_exhaustive()
     }
 }
 
@@ -299,39 +275,28 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            enabled: Arc::new(AtomicBool::new(true)),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Turns all recording through this registry's handles on or off.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Handle to the counter `name`, creating it at zero if new.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter { cells: resolve(&self.counters, name), enabled: self.enabled.clone() }
+        Counter { cells: resolve(&self.counters, name) }
     }
 
     /// Handle to the gauge `name`, creating it at zero if new.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge { value: resolve(&self.gauges, name), enabled: self.enabled.clone() }
+        Gauge { value: resolve(&self.gauges, name) }
     }
 
     /// Handle to the histogram `name`, creating it empty if new.
     pub fn histogram(&self, name: &str) -> Histogram {
-        Histogram { cells: resolve(&self.histograms, name), enabled: self.enabled.clone() }
+        Histogram { cells: resolve(&self.histograms, name) }
     }
 
     /// Point-in-time copy of every metric.
@@ -450,18 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("x");
-        let h = reg.histogram("h");
-        reg.set_enabled(false);
-        c.inc();
-        h.record(42);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        reg.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
+    fn a_handle_is_one_pointer() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<Counter>(), word);
+        assert_eq!(std::mem::size_of::<Gauge>(), word);
+        assert_eq!(std::mem::size_of::<Histogram>(), word);
     }
 
     #[test]

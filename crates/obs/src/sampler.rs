@@ -13,8 +13,6 @@
 //!
 //! [`ResourceSampler::stop`] joins the thread and hands back the
 //! [`Timeline`]; the run report embeds it as its time-series section.
-//! Counter *deltas* per interval are computed at export time from the
-//! absolute values stored per sample.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -160,23 +158,6 @@ impl Timeline {
     pub fn peak_rss_bytes(&self) -> u64 {
         self.samples.iter().map(|s| s.rss_bytes).max().unwrap_or(0)
     }
-
-    /// Per-interval delta series for one counter: `(t_us, delta)` pairs
-    /// between consecutive retained samples (rates are deltas over the
-    /// interval, computed at export time from the absolute values).
-    pub fn counter_deltas(&self, name: &str) -> Vec<(u64, u64)> {
-        self.samples
-            .windows(2)
-            .map(|pair| match pair {
-                [prev, next] => {
-                    let before = prev.counters.get(name).copied().unwrap_or(0);
-                    let after = next.counters.get(name).copied().unwrap_or(before);
-                    (next.t_us, after.saturating_sub(before))
-                }
-                _ => (0, 0),
-            })
-            .collect()
-    }
 }
 
 /// Captures one sample from `registry` right now. Public so benchmarks
@@ -305,14 +286,12 @@ mod tests {
     }
 
     #[test]
-    fn counter_deltas_are_per_interval() {
+    fn peak_rss_is_the_max_over_retained_samples() {
         let mut ring = TimelineRing::new(10);
         for (t, v) in [(0u64, 0u64), (10, 4), (20, 4), (30, 9)] {
             ring.push(sample_at(t, v));
         }
         let timeline = ring.into_timeline(10);
-        assert_eq!(timeline.counter_deltas("x"), vec![(10, 4), (20, 0), (30, 5)]);
-        assert_eq!(timeline.counter_deltas("absent"), vec![(10, 0), (20, 0), (30, 0)]);
         assert_eq!(timeline.peak_rss_bytes(), 1030);
     }
 

@@ -38,7 +38,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -781,11 +780,6 @@ impl TraceReport {
         }
         out
     }
-
-    /// Writes [`to_jsonl`](Self::to_jsonl) to a writer.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.to_jsonl().as_bytes())
-    }
 }
 
 // --- global arming ----------------------------------------------------------
@@ -965,20 +959,6 @@ pub fn begin(
 }
 
 impl SessionScope {
-    /// Sets the primary-CDN tag after the fact — harnesses that delegate
-    /// CDN selection to the broker only learn it from the outcome.
-    pub fn set_cdn(&self, cdn: u8) {
-        if !self.armed {
-            return;
-        }
-        TLS.with(|tl| {
-            let tl = &mut *tl.borrow_mut();
-            if tl.recording {
-                tl.meta.cdn = cdn;
-            }
-        });
-    }
-
     /// Completes the session and offers it to the sampler.
     pub fn finish(self, end_clock: f64, fatal: bool, rebuffer_ratio: f64) {
         self.finish_tagged(None, end_clock, fatal, rebuffer_ratio);
@@ -986,8 +966,8 @@ impl SessionScope {
 
     /// [`finish`](Self::finish) that also retags the primary CDN in the
     /// same thread-local access — completion-time attribution (first CDN
-    /// actually used) without a separate [`set_cdn`](Self::set_cdn) call
-    /// on the per-session hot path.
+    /// actually used): harnesses that delegate CDN selection to the broker
+    /// only learn it from the outcome.
     pub fn finish_tagged(
         mut self,
         cdn: Option<u8>,

@@ -51,7 +51,7 @@ impl Stopwatch {
 /// touches no reference count.
 pub struct Span<'a> {
     name: &'static str,
-    start: Option<Instant>,
+    start: Instant,
     histogram: Cow<'a, Histogram>,
     depth: usize,
 }
@@ -71,20 +71,12 @@ pub fn span(name: &'static str) -> Span<'static> {
 }
 
 /// Opens a span recording into `registry`'s histogram `name`.
-///
-/// When the registry is disabled the span skips the clock read entirely and
-/// drop is a near-no-op — unless tracing ([`crate::set_tracing`]) is on, in
-/// which case the clock is read so the slice can land on the trace
-/// timeline.
 pub fn span_in(registry: &crate::MetricsRegistry, name: &'static str) -> Span<'static> {
     open_span(Cow::Owned(registry.histogram(name)), name)
 }
 
 fn open_span<'a>(histogram: Cow<'a, Histogram>, name: &'static str) -> Span<'a> {
-    let start = (histogram.is_enabled()
-        || crate::trace::tracing_enabled()
-        || crate::profile::profiling_enabled())
-    .then(Instant::now);
+    let start = Instant::now();
     let depth = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         stack.push(name);
@@ -144,21 +136,16 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let elapsed = self.start.map(|s| s.elapsed());
-        if let Some(elapsed) = elapsed {
-            if crate::profile::profiling_enabled() {
-                // Fold into the profiler before the stack is truncated so
-                // the full nesting path is still available.
-                SPAN_STACK.with(|stack| {
-                    let stack = stack.borrow();
-                    let top = self.depth.min(stack.len());
-                    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-                    crate::profile::record(
-                        stack.get(..top).unwrap_or_default(),
-                        elapsed_ns,
-                    );
-                });
-            }
+        let elapsed = self.start.elapsed();
+        if crate::profile::profiling_enabled() {
+            // Fold into the profiler before the stack is truncated so
+            // the full nesting path is still available.
+            SPAN_STACK.with(|stack| {
+                let stack = stack.borrow();
+                let top = self.depth.min(stack.len());
+                let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+                crate::profile::record(stack.get(..top).unwrap_or_default(), elapsed_ns);
+            });
         }
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -166,13 +153,11 @@ impl Drop for Span<'_> {
             // early drops: truncate back to this span's parent.
             stack.truncate(self.depth.saturating_sub(1));
         });
-        if let Some(elapsed) = elapsed {
-            self.histogram.record_duration(elapsed);
-            if crate::trace::tracing_enabled() {
-                let dur_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-                let end_us = crate::trace::now_us();
-                crate::trace::record_slice(self.name, end_us.saturating_sub(dur_us), dur_us);
-            }
+        self.histogram.record_duration(elapsed);
+        if crate::trace::tracing_enabled() {
+            let dur_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
+            let end_us = crate::trace::now_us();
+            crate::trace::record_slice(self.name, end_us.saturating_sub(dur_us), dur_us);
         }
     }
 }
@@ -241,15 +226,5 @@ mod tests {
             let _s = handle.enter();
         }
         assert_eq!(reg.histogram("cached.stage").count(), 2);
-    }
-
-    #[test]
-    fn disabled_registry_span_records_nothing() {
-        let reg = MetricsRegistry::new();
-        reg.set_enabled(false);
-        {
-            let _s = span_in(&reg, "quiet");
-        }
-        assert_eq!(reg.histogram("quiet").count(), 0);
     }
 }

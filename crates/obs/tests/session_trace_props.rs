@@ -325,4 +325,31 @@ proptest! {
         }
         prop_assert_eq!(parsed.to_jsonl(), text);
     }
+
+    /// A trace line reads back and renders the same bytes wherever in the
+    /// finite `f64` range its clocks and values lie — the whole floats
+    /// beyond `u64`, which `Display` writes as bare integer literals,
+    /// included.
+    #[test]
+    fn wide_clocks_and_values_round_trip(seed in 0u64..u64::MAX) {
+        let mut s = seed | 1;
+        let mut finite = || loop {
+            let x = f64::from_bits(mix(&mut s));
+            if x.is_finite() {
+                break x;
+            }
+        };
+        let two_64 = 18_446_744_073_709_551_616.0;
+        let mut cases = vec![[two_64, -two_64, 1e300, -1e300]];
+        cases.extend((0..8).map(|_| [finite(), finite(), finite(), finite()]));
+        let mut trace = population(seed, 1).remove(0);
+        for [clock, value, start, end] in cases {
+            (trace.start_clock, trace.end_clock) = (start, end);
+            (trace.events[0].clock, trace.events[0].value) = (clock, value);
+            let text = trace.to_jsonl();
+            let tree: Value = serde_json::from_str(&text).expect("line json");
+            let back = SessionTrace::from_json(&tree).expect("trace parses");
+            prop_assert_eq!(back.to_jsonl(), text);
+        }
+    }
 }

@@ -2,17 +2,13 @@
 //!
 //! The build environment has no network access and no vendored registry, so
 //! the real crate cannot be fetched. This shim exposes the subset of the
-//! `parking_lot` API this workspace uses — `Mutex`, `RwLock` and their
-//! guards — backed by `std::sync`. Semantics differ from upstream in one
-//! deliberate way: lock poisoning is swallowed (parking_lot has no
-//! poisoning), so a panic while holding a lock does not poison it for other
-//! threads.
+//! `parking_lot` API this workspace uses — `Mutex` and its guard — backed
+//! by `std::sync`. Semantics differ from upstream in one deliberate way:
+//! lock poisoning is swallowed (parking_lot has no poisoning), so a panic
+//! while holding a lock does not poison it for other threads.
 
 use std::fmt;
-use std::sync::{
-    Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,
-    RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
-};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 /// A mutual-exclusion primitive (no poisoning, like `parking_lot::Mutex`).
 #[derive(Default)]
@@ -76,74 +72,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (no poisoning, like `parking_lot::RwLock`).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(StdRwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(StdRwLockReadGuard<'a, T>);
-
-/// Exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(StdRwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Creates a reader-writer lock.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(StdRwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Acquires the exclusive write lock.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0.try_read() {
-            Ok(g) => f.debug_tuple("RwLock").field(&&*g).finish(),
-            Err(_) => f.write_str("RwLock(<locked>)"),
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,14 +83,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1]);
-        assert_eq!(l.read().len(), 1);
-        l.write().push(2);
-        assert_eq!(*l.read(), vec![1, 2]);
     }
 
     #[test]

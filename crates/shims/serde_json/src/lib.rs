@@ -308,12 +308,21 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error("invalid number".into()))?;
-        if is_float {
-            text.parse::<f64>().map(Json::F64).map_err(|e| Error(format!("bad number {text}: {e}")))
+        let integer = if is_float {
+            None
         } else if text.starts_with('-') {
-            text.parse::<i64>().map(Json::I64).map_err(|e| Error(format!("bad number {text}: {e}")))
+            text.parse::<i64>().ok().map(Json::I64)
         } else {
-            text.parse::<u64>().map(Json::U64).map_err(|e| Error(format!("bad number {text}: {e}")))
+            text.parse::<u64>().ok().map(Json::U64)
+        };
+        // An integer literal wider than 64 bits reads as a float, as in
+        // upstream `serde_json`.
+        match integer {
+            Some(n) => Ok(n),
+            None => text
+                .parse::<f64>()
+                .map(Json::F64)
+                .map_err(|e| Error(format!("bad number {text}: {e}"))),
         }
     }
 }
@@ -366,6 +375,19 @@ mod tests {
         let neg = i64::MIN;
         let text = to_string(&Json::I64(neg)).unwrap();
         assert_eq!(from_str::<Value>(&text).unwrap(), Json::I64(neg));
+    }
+
+    #[test]
+    fn integers_wider_than_64_bits_read_as_floats() {
+        for (text, want) in [
+            ("18446744073709551616", 18446744073709551616.0),
+            ("-9223372036854775809", -9223372036854775809.0),
+            ("1234567890123456789012345678901234567890", 1.234567890123456789e39),
+        ] {
+            assert_eq!(from_str::<Value>(text).unwrap(), Json::F64(want), "{text}");
+        }
+        assert!(from_str::<Value>("-").is_err());
+        assert!(from_str::<Value>("--1").is_err());
     }
 
     #[test]

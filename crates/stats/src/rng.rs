@@ -107,12 +107,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)` (half-open). Panics on an empty range.
-    pub fn range_u32(&mut self, lo: u32, hi: u32) -> u32 {
-        assert!(lo < hi, "empty range");
-        lo + self.below((hi - lo) as u64) as u32
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.f64()

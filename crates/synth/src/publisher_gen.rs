@@ -217,12 +217,6 @@ impl PublisherProfile {
         self.cdn_jitter = self.cdn_jitter.max(0.35);
     }
 
-    /// Test/debug accessor for the segregation slots.
-    #[doc(hidden)]
-    pub fn debug_segregation_slots(&self) -> (Option<usize>, Option<usize>) {
-        (self.vod_only_slot, self.live_only_slot)
-    }
-
     /// Daily view-hours at study progress `t` (the ecosystem grows over the
     /// window; §3's aggregate is quoted for the last snapshot).
     pub fn vh_day_at(&self, t: f64) -> f64 {

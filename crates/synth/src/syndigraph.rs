@@ -91,16 +91,6 @@ impl SyndicationGraph {
         &self.syndicators
     }
 
-    /// The syndicators carrying `owner`'s content.
-    pub fn syndicators_of(&self, owner: PublisherId) -> impl Iterator<Item = PublisherId> + '_ {
-        self.by_owner.get(&owner).into_iter().flatten().copied()
-    }
-
-    /// The owners whose content `syndicator` carries.
-    pub fn owners_of(&self, syndicator: PublisherId) -> impl Iterator<Item = PublisherId> + '_ {
-        self.by_syndicator.get(&syndicator).into_iter().flatten().copied()
-    }
-
     /// Fraction of the syndicator pool used by each owner — the Fig 14 CDF
     /// input (owners with zero syndicators included).
     pub fn reach_fractions(&self, owners: &[PublisherId]) -> Vec<f64> {
