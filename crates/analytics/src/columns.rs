@@ -256,15 +256,23 @@ impl Segment {
     /// Serializes the segment as one spill block (little-endian, lossless
     /// — `f64` columns round-trip bit for bit, so rollups over a reloaded
     /// segment are byte-identical). Returns the block size in bytes.
-    pub(crate) fn write_block<W: Write>(&self, w: &mut W) -> io::Result<u64> {
+    ///
+    /// Columns cross the `Write` boundary a chunk at a time: each is
+    /// converted through one bounded stack scratch (`SCRATCH_BYTES`) and
+    /// handed over with one `write_all` per chunk, so the writer needs no
+    /// buffering layer and the codec never holds a block-sized copy.
+    pub fn write_block<W: Write>(&self, w: &mut W) -> io::Result<u64> {
         let n = self.publisher.len() as u64;
-        w.write_all(&SPILL_MAGIC)?;
-        let mut bytes = SPILL_MAGIC.len() as u64;
-        for header in [self.snapshot.index() as u64, self.rows.start as u64, n] {
-            w.write_all(&header.to_le_bytes())?;
-            bytes += 8;
+        let len = block_len(n).ok_or_else(|| bad_block("segment too large for one block"))?;
+        let mut header = [0u8; HEADER_BYTES];
+        let words = [self.snapshot.index() as u64, self.rows.start as u64, n];
+        header[..8].copy_from_slice(&SPILL_MAGIC);
+        for (dst, word) in header[8..].chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&word.to_le_bytes());
         }
-        bytes += write_u32s(w, &self.publisher)?;
+        w.write_all(&header)?;
+        let mut scratch = [0u8; SCRATCH_BYTES];
+        write_column(w, &self.publisher, &mut scratch, u32::to_le_bytes)?;
         for col in [
             &self.device,
             &self.platform,
@@ -275,44 +283,53 @@ impl Segment {
             &self.class,
         ] {
             w.write_all(col)?;
-            bytes += col.len() as u64;
         }
-        bytes += write_u32s(w, &self.owner)?;
-        for &v in &self.cdn_mask {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        bytes += 8 * n;
-        for &v in &self.rungs {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        bytes += 2 * n;
-        bytes += write_u32s(w, &self.player)?;
-        for col in [&self.hours, &self.weight] {
-            for &v in col.iter() {
-                w.write_all(&v.to_bits().to_le_bytes())?;
-            }
-            bytes += 8 * n;
-        }
-        Ok(bytes)
+        write_column(w, &self.owner, &mut scratch, u32::to_le_bytes)?;
+        write_column(w, &self.cdn_mask, &mut scratch, u64::to_le_bytes)?;
+        write_column(w, &self.rungs, &mut scratch, u16::to_le_bytes)?;
+        write_column(w, &self.player, &mut scratch, u32::to_le_bytes)?;
+        write_column(w, &self.hours, &mut scratch, f64::to_le_bytes)?;
+        write_column(w, &self.weight, &mut scratch, f64::to_le_bytes)?;
+        Ok(len)
     }
 
-    /// Reads one spill block back into a decoded segment.
-    pub(crate) fn read_block<R: Read>(r: &mut R) -> io::Result<Segment> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if magic != SPILL_MAGIC {
+    /// Reads one spill block of `len` bytes (the block file's length) back
+    /// into a decoded segment.
+    ///
+    /// The header is not trusted: magic, snapshot range, the row count
+    /// against `len` (`32 + 45·n == len`, checked arithmetic — a truncated
+    /// block or trailing bytes fail here) and the logical row range are all
+    /// verified **before** any column is allocated, so a corrupt count can
+    /// neither overflow a capacity nor reserve memory the block cannot fill.
+    pub fn read_block<R: Read>(r: &mut R, len: u64) -> io::Result<Segment> {
+        let mut header = [0u8; HEADER_BYTES];
+        r.read_exact(&mut header)?;
+        if header[..8] != SPILL_MAGIC {
             return Err(bad_block("bad spill block magic"));
         }
-        let snapshot_index = read_u64(r)?;
-        let row_start = read_u64(r)? as usize;
-        let n = read_u64(r)? as usize;
-        let snapshot = u32::try_from(snapshot_index)
+        let word = |i: usize| u64::from_le_bytes(le_array(&header[8 * i..8 * i + 8]));
+        let (snapshot_index, row_start, n) = (word(1), word(2), word(3));
+        let snapshot =
+            u32::try_from(snapshot_index).ok().and_then(SnapshotId::new).ok_or_else(|| {
+                bad_block(format!("spill block snapshot {snapshot_index} out of range"))
+            })?;
+        if block_len(n) != Some(len) {
+            return Err(bad_block(format!(
+                "spill block row count {n} does not match its length of {len} bytes"
+            )));
+        }
+        let rows = usize::try_from(row_start)
             .ok()
-            .and_then(SnapshotId::new)
-            .ok_or_else(|| bad_block("spill block snapshot out of range"))?;
-        let mut seg = Segment::new_open(snapshot, row_start);
-        seg.rows.end = row_start + n;
-        seg.publisher = read_u32s(r, n)?;
+            .zip(usize::try_from(n).ok())
+            .and_then(|(start, n)| Some(start..start.checked_add(n)?))
+            .ok_or_else(|| {
+                bad_block(format!("spill block row range {row_start} + {n} overflows"))
+            })?;
+        let n = rows.len();
+        let mut seg = Segment::new_open(snapshot, rows.start);
+        seg.rows = rows;
+        let mut scratch = [0u8; SCRATCH_BYTES];
+        seg.publisher = read_column(r, n, &mut scratch, u32::from_le_bytes)?;
         for col in [
             &mut seg.device,
             &mut seg.platform,
@@ -326,12 +343,12 @@ impl Segment {
             r.read_exact(&mut buf)?;
             *col = buf;
         }
-        seg.owner = read_u32s(r, n)?;
-        seg.cdn_mask = read_scalars(r, n, u64::from_le_bytes)?;
-        seg.rungs = read_scalars(r, n, u16::from_le_bytes)?;
-        seg.player = read_u32s(r, n)?;
-        seg.hours = read_scalars(r, n, |b| f64::from_bits(u64::from_le_bytes(b)))?;
-        seg.weight = read_scalars(r, n, |b| f64::from_bits(u64::from_le_bytes(b)))?;
+        seg.owner = read_column(r, n, &mut scratch, u32::from_le_bytes)?;
+        seg.cdn_mask = read_column(r, n, &mut scratch, u64::from_le_bytes)?;
+        seg.rungs = read_column(r, n, &mut scratch, u16::from_le_bytes)?;
+        seg.player = read_column(r, n, &mut scratch, u32::from_le_bytes)?;
+        seg.hours = read_column(r, n, &mut scratch, f64::from_le_bytes)?;
+        seg.weight = read_column(r, n, &mut scratch, f64::from_le_bytes)?;
         Ok(seg)
     }
 }
@@ -339,37 +356,64 @@ impl Segment {
 /// Magic + version prefix of one spilled segment block.
 const SPILL_MAGIC: [u8; 8] = *b"VMPSEG1\n";
 
-fn bad_block(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+/// Block header: magic, then snapshot index, first logical row and row
+/// count as little-endian `u64`s.
+const HEADER_BYTES: usize = 32;
+
+/// Size of the codec's conversion scratch. Bounded on purpose: a
+/// whole-block buffer per seal/load showed up as +5 MB of peak RSS on the
+/// out-of-core workload, a stack scratch of this size as nothing.
+const SCRATCH_BYTES: usize = 32 << 10;
+
+/// Exact byte length of a block holding `rows` rows, `None` on overflow.
+fn block_len(rows: u64) -> Option<u64> {
+    rows.checked_mul(crate::segstore::BYTES_PER_ROW as u64)?.checked_add(HEADER_BYTES as u64)
 }
 
-fn write_u32s<W: Write>(w: &mut W, col: &[u32]) -> io::Result<u64> {
-    for &v in col {
-        w.write_all(&v.to_le_bytes())?;
+fn bad_block(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// `bytes` as a fixed-width array (`bytes.len()` must be `N`).
+fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
+/// Writes one fixed-width column: a scratch-full of values is converted to
+/// little-endian bytes, then written with a single call.
+fn write_column<W: Write, T: Copy, const N: usize>(
+    w: &mut W,
+    col: &[T],
+    scratch: &mut [u8; SCRATCH_BYTES],
+    to_le: fn(T) -> [u8; N],
+) -> io::Result<()> {
+    for chunk in col.chunks(SCRATCH_BYTES / N) {
+        let bytes = &mut scratch[..chunk.len() * N];
+        for (dst, &v) in bytes.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&to_le(v));
+        }
+        w.write_all(bytes)?;
     }
-    Ok(4 * col.len() as u64)
+    Ok(())
 }
 
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_u32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u32>> {
-    read_scalars(r, n, u32::from_le_bytes)
-}
-
-fn read_scalars<R: Read, T, const W: usize>(
+/// Reads one fixed-width column of `n` values: a scratch-full of bytes per
+/// `read_exact`, converted in one pass. `n` was checked against the block
+/// length, so the capacity reserved here is what the block really holds.
+fn read_column<R: Read, T, const N: usize>(
     r: &mut R,
     n: usize,
-    decode: impl Fn([u8; W]) -> T,
+    scratch: &mut [u8; SCRATCH_BYTES],
+    from_le: fn([u8; N]) -> T,
 ) -> io::Result<Vec<T>> {
     let mut out = Vec::with_capacity(n);
-    let mut buf = [0u8; W];
-    for _ in 0..n {
-        r.read_exact(&mut buf)?;
-        out.push(decode(buf));
+    while out.len() < n {
+        let take = (n - out.len()).min(SCRATCH_BYTES / N);
+        let bytes = &mut scratch[..take * N];
+        r.read_exact(bytes)?;
+        out.extend(bytes.chunks_exact(N).map(|b| from_le(le_array(b))));
     }
     Ok(out)
 }
@@ -715,6 +759,16 @@ impl PublisherAgg {
         PublisherAgg { totals: vec![0.0; cardinality], seen: vec![false; cardinality], hours: 0.0 }
     }
 
+    /// Adds one row's hours to its code (rows carrying [`NO_CODE`] count
+    /// towards the publisher's hours only).
+    #[inline]
+    fn add_code(&mut self, code: u8, hours: f64) {
+        if code != NO_CODE {
+            self.totals[code as usize] += hours;
+            self.seen[code as usize] = true;
+        }
+    }
+
     /// Hours attributed to one code.
     pub fn code_hours(&self, code: u8) -> f64 {
         self.totals[code as usize]
@@ -743,23 +797,14 @@ pub fn per_publisher_segment(
     mask: Option<&PublisherMask>,
     col: DimColumn,
 ) -> BTreeMap<u32, PublisherAgg> {
-    let card = col.cardinality();
-    let mut per_pub: BTreeMap<u32, PublisherAgg> = BTreeMap::new();
-    let pubs = seg.publishers();
     match col {
         DimColumn::Cdn => {
             let masks = seg.cdn_masks();
-            for i in 0..seg.len() {
-                if !keep(mask, pubs[i]) {
-                    continue;
-                }
-                let h = seg.weighted_hours(i);
-                let e = per_pub.entry(pubs[i]).or_insert_with(|| PublisherAgg::new(card));
-                e.hours += h;
+            per_publisher_runs(seg, mask, col, |e, i, h| {
                 let bits = masks[i];
                 let n = bits.count_ones();
                 if n == 0 {
-                    continue;
+                    return;
                 }
                 let split = h / n as f64;
                 let mut b = bits;
@@ -769,41 +814,51 @@ pub fn per_publisher_segment(
                     e.seen[c] = true;
                     b &= b - 1;
                 }
-            }
+            })
         }
         DimColumn::BrowserTech => {
             let lut = browser_tech_lut();
             let devices = seg.devices();
-            for i in 0..seg.len() {
-                if !keep(mask, pubs[i]) {
-                    continue;
-                }
-                let h = seg.weighted_hours(i);
-                let e = per_pub.entry(pubs[i]).or_insert_with(|| PublisherAgg::new(card));
-                e.hours += h;
-                let c = lut[devices[i] as usize];
-                if c != NO_CODE {
-                    e.totals[c as usize] += h;
-                    e.seen[c as usize] = true;
-                }
-            }
+            per_publisher_runs(seg, mask, col, |e, i, h| {
+                e.add_code(lut[devices[i] as usize], h)
+            })
         }
         _ => {
             let codes = single_codes(seg, col);
-            for i in 0..seg.len() {
-                if !keep(mask, pubs[i]) {
-                    continue;
-                }
-                let h = seg.weighted_hours(i);
-                let e = per_pub.entry(pubs[i]).or_insert_with(|| PublisherAgg::new(card));
+            per_publisher_runs(seg, mask, col, |e, i, h| e.add_code(codes[i], h))
+        }
+    }
+}
+
+/// The run-length loop behind [`per_publisher_segment`]. Delivery is
+/// publisher-ascending inside a snapshot, so one publisher's rows arrive in
+/// runs of hundreds: the mask test and the map lookup happen once per run
+/// `[i, j)`, then `add_row(agg, row, weighted_hours)` sees the run's rows in
+/// row order. Nothing assumes sortedness — a publisher that reappears later
+/// re-finds its entry — so every accumulator still receives exactly the
+/// ordered additions of the row reference (determinism rule 1).
+fn per_publisher_runs(
+    seg: &Segment,
+    mask: Option<&PublisherMask>,
+    col: DimColumn,
+    mut add_row: impl FnMut(&mut PublisherAgg, usize, f64),
+) -> BTreeMap<u32, PublisherAgg> {
+    let card = col.cardinality();
+    let mut per_pub: BTreeMap<u32, PublisherAgg> = BTreeMap::new();
+    let pubs = seg.publishers();
+    let mut i = 0;
+    while i < pubs.len() {
+        let publisher = pubs[i];
+        let j = i + pubs[i..].iter().take_while(|&&p| p == publisher).count();
+        if keep(mask, publisher) {
+            let e = per_pub.entry(publisher).or_insert_with(|| PublisherAgg::new(card));
+            for row in i..j {
+                let h = seg.weighted_hours(row);
                 e.hours += h;
-                let c = codes[i];
-                if c != NO_CODE {
-                    e.totals[c as usize] += h;
-                    e.seen[c as usize] = true;
-                }
+                add_row(e, row, h);
             }
         }
+        i = j;
     }
     per_pub
 }
@@ -1085,4 +1140,198 @@ pub fn group_hours_all<S: SegmentSource + ?Sized, V: Ord>(
 fn note_rollup(rows: u64) {
     vmp_obs::counter("analytics.rollups").inc();
     vmp_obs::counter("analytics.rows_scanned").add(rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The block a hand-built 3-row segment must encode to, byte for byte:
+    /// the on-disk layout is a format, so drift has to fail loudly.
+    #[rustfmt::skip]
+    const PINNED_BLOCK: [u8; 167] = [
+        // magic
+        0x56, 0x4d, 0x50, 0x53, 0x45, 0x47, 0x31, 0x0a,
+        // snapshot 3
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // first logical row 10
+        0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // 3 rows
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // publisher
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x03, 0x02, 0x01,
+        // device
+        0x01, 0x02, 0x03,
+        // platform
+        0x04, 0x05, 0x06,
+        // protocol (NO_CODE in the middle)
+        0x00, 0xff, 0x01,
+        // region
+        0x07, 0x08, 0x09,
+        // isp
+        0x0a, 0x0b, 0x0c,
+        // connection
+        0x0d, 0x0e, 0x0f,
+        // class
+        0x00, 0x01, 0x00,
+        // owner (NO_OWNER, 5, NO_OWNER)
+        0xff, 0xff, 0xff, 0xff, 0x05, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+        // cdn_mask 0x1, 0x8_0000_0001, 0
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // rungs 2, 9, 0x0e0f
+        0x02, 0x00, 0x09, 0x00, 0x0f, 0x0e,
+        // player
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x0d, 0x0c, 0x0b, 0x0a,
+        // hours 0.5, 1.0, -0.0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+        // weight 2.0, 0.125, 1e9
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x65, 0xcd, 0xcd, 0x41,
+    ];
+
+    fn snapshot(index: u32) -> SnapshotId {
+        SnapshotId::new(index).expect("snapshot in the study window")
+    }
+
+    fn pinned_segment() -> Segment {
+        Segment {
+            snapshot: snapshot(3),
+            rows: 10..13,
+            publisher: vec![1, 2, 0x0102_0304],
+            device: vec![1, 2, 3],
+            platform: vec![4, 5, 6],
+            protocol: vec![0, NO_CODE, 1],
+            region: vec![7, 8, 9],
+            isp: vec![10, 11, 12],
+            connection: vec![13, 14, 15],
+            class: vec![0, 1, 0],
+            owner: vec![NO_OWNER, 5, NO_OWNER],
+            cdn_mask: vec![0x1, 0x8_0000_0001, 0],
+            rungs: vec![2, 9, 0x0e0f],
+            player: vec![0, 1, 0x0a0b_0c0d],
+            hours: vec![0.5, 1.0, -0.0],
+            weight: vec![2.0, 0.125, 1e9],
+        }
+    }
+
+    /// `n` rows of distinct pseudo-random values in every column, so a
+    /// value landing in the wrong slot around a scratch seam is visible.
+    fn patterned_segment(n: usize) -> Segment {
+        let mut seg = Segment::new_open(snapshot(5), 1_000);
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..n {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let b = x.to_le_bytes();
+            seg.publisher.push((x >> 32) as u32);
+            seg.device.push(b[0]);
+            seg.platform.push(b[1]);
+            seg.protocol.push(b[2]);
+            seg.region.push(b[3]);
+            seg.isp.push(b[4]);
+            seg.connection.push(b[5]);
+            seg.class.push(b[6]);
+            seg.owner.push((x >> 7) as u32);
+            seg.cdn_mask.push(x.rotate_left(17));
+            seg.rungs.push((x >> 48) as u16);
+            seg.player.push((x >> 13) as u32);
+            seg.hours.push((x >> 11) as f64 / 1024.0);
+            seg.weight.push(-((x >> 40) as f64) / 3.0);
+        }
+        seg.rows.end = 1_000 + n;
+        seg
+    }
+
+    fn encode(seg: &Segment) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let len = seg.write_block(&mut bytes).expect("write to memory");
+        assert_eq!(len, bytes.len() as u64, "write_block reports what it wrote");
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> io::Result<Segment> {
+        Segment::read_block(&mut &bytes[..], bytes.len() as u64)
+    }
+
+    fn assert_identical(a: &Segment, b: &Segment) {
+        assert_eq!(a.snapshot, b.snapshot);
+        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.publisher, b.publisher);
+        assert_eq!(a.device, b.device);
+        assert_eq!(a.platform, b.platform);
+        assert_eq!(a.protocol, b.protocol);
+        assert_eq!(a.region, b.region);
+        assert_eq!(a.isp, b.isp);
+        assert_eq!(a.connection, b.connection);
+        assert_eq!(a.class, b.class);
+        assert_eq!(a.owner, b.owner);
+        assert_eq!(a.cdn_mask, b.cdn_mask);
+        assert_eq!(a.rungs, b.rungs);
+        assert_eq!(a.player, b.player);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.hours), bits(&b.hours));
+        assert_eq!(bits(&a.weight), bits(&b.weight));
+    }
+
+    #[test]
+    fn three_row_block_is_pinned_and_round_trips() {
+        let seg = pinned_segment();
+        let bytes = encode(&seg);
+        assert_eq!(bytes, PINNED_BLOCK);
+        assert_identical(&decode(&bytes).expect("pinned block decodes"), &seg);
+    }
+
+    #[test]
+    fn round_trips_with_every_column_width_on_a_scratch_seam() {
+        let mut counts = vec![0, 1];
+        for width in [2, 4, 8] {
+            let chunk = SCRATCH_BYTES / width;
+            counts.extend([chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1]);
+        }
+        for n in counts {
+            let seg = patterned_segment(n);
+            let bytes = encode(&seg);
+            assert_eq!(bytes.len(), HEADER_BYTES + crate::segstore::BYTES_PER_ROW * n, "n = {n}");
+            assert_identical(&decode(&bytes).expect("round trip"), &seg);
+        }
+    }
+
+    #[test]
+    fn corrupt_blocks_are_rejected_naming_the_mismatch() {
+        let good = encode(&pinned_segment());
+        let with_word = |index: usize, value: u64| {
+            let mut bytes = good.clone();
+            bytes[8 * index..8 * index + 8].copy_from_slice(&value.to_le_bytes());
+            bytes
+        };
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_magic = good.clone();
+        bad_magic[6] = b'2';
+        let cases: [(&str, Vec<u8>, &str); 10] = [
+            ("truncated by one byte", good[..good.len() - 1].to_vec(), "row count"),
+            ("one trailing byte", trailing, "row count"),
+            ("row count u64::MAX", with_word(3, u64::MAX), "row count"),
+            ("45·n overflows", with_word(3, u64::MAX / 45 + 1), "row count"),
+            ("row count far beyond the block", with_word(3, 1 << 40), "row count"),
+            ("row count one short", with_word(3, 2), "row count"),
+            ("bad magic", bad_magic, "magic"),
+            (
+                "snapshot just past the window",
+                with_word(1, u64::from(vmp_core::time::STUDY_SNAPSHOTS)),
+                "snapshot",
+            ),
+            ("snapshot beyond u32", with_word(1, 1 << 40), "snapshot"),
+            ("row range overflows", with_word(2, u64::MAX - 1), "row range"),
+        ];
+        for (what, bytes, names) in cases {
+            let err = decode(&bytes).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains(names), "{what}: {err}");
+        }
+        // A header cut short is an I/O error, not a panic.
+        assert!(decode(&good[..HEADER_BYTES - 1]).is_err());
+        assert!(decode(&[]).is_err());
+    }
 }

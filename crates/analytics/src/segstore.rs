@@ -20,7 +20,6 @@
 //! rather than silently serving partial data.
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -305,26 +304,25 @@ fn touch(lru: &mut Vec<usize>, idx: usize) {
     }
 }
 
-/// Writes one segment's block file, returning its size in bytes.
+/// Writes one segment's block file, returning its size in bytes. The codec
+/// hands the file whole column chunks, so nothing buffers in between.
 fn spill_segment(dir: &Path, path: &Path, seg: &Segment) -> u64 {
     let result = fs::create_dir_all(dir)
         .and_then(|()| File::create(path))
-        .and_then(|file| {
-            let mut w = BufWriter::new(file);
-            let bytes = seg.write_block(&mut w)?;
-            w.flush()?;
-            Ok(bytes)
-        });
+        .and_then(|mut file| seg.write_block(&mut file));
     match result {
         Ok(bytes) => bytes,
         Err(err) => spill_io_failure("writing spill block", path, &err),
     }
 }
 
-/// Reads one segment back from its block file.
+/// Reads one segment back from its block file; the file's length frames
+/// the block (see [`Segment::read_block`]).
 fn read_segment(path: &Path) -> Segment {
-    let result =
-        File::open(path).and_then(|f| Segment::read_block(&mut BufReader::new(f)));
+    let result = File::open(path).and_then(|mut file| {
+        let len = file.metadata()?.len();
+        Segment::read_block(&mut file, len)
+    });
     match result {
         Ok(seg) => seg,
         Err(err) => spill_io_failure("reading spill block", path, &err),

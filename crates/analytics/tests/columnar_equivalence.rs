@@ -113,109 +113,144 @@ fn batch() -> impl Strategy<Value = Vec<SampledView>> {
     })
 }
 
+/// Every share/rollup the kernel computes must equal the row reference
+/// exactly, per snapshot, for every dimension, with and without a
+/// publisher mask (publishers 1 and 4 excluded) — and the masked view must
+/// equal a from-scratch re-ingest of the surviving rows.
+fn assert_matches_row_reference(views: Vec<SampledView>) {
+    let store = ViewStore::ingest(views.clone());
+    prop_assert_eq!(store.len(), views.len());
+
+    let excluded = [PublisherId::new(1), PublisherId::new(4)];
+    let masked = store.excluding(&excluded);
+    let survivors: Vec<SampledView> = views
+        .iter()
+        .filter(|v| !excluded.contains(&v.record.publisher))
+        .cloned()
+        .collect();
+    prop_assert_eq!(masked.len(), survivors.len());
+    let reingested = ViewStore::ingest(survivors.clone());
+
+    // The reference reads the rows this test owns: ingest stable-sorts
+    // by snapshot, so filtering the input by snapshot yields a
+    // segment's rows in store order. `$rows` is a closure handing out a
+    // fresh iterator over them.
+    macro_rules! check_dim {
+        ($source:expr, $rows:ident, $snap:expr, $spec:expr, $extract:expr) => {{
+            prop_assert_eq!(
+                columns::vh_share($source, $snap, $spec),
+                query::vh_share_by($rows(), $extract)
+            );
+            prop_assert_eq!(
+                columns::views_share($source, $snap, $spec),
+                query::views_share_by($rows(), $extract)
+            );
+            prop_assert_eq!(
+                columns::publisher_share($source, $snap, $spec, 0.05),
+                query::publisher_share_by($rows(), $extract, 0.05)
+            );
+            prop_assert_eq!(
+                columns::per_publisher_values($source, $snap, $spec, 0.05),
+                query::per_publisher_values($rows(), $extract, 0.05)
+            );
+        }};
+    }
+    macro_rules! check_all_dims {
+        ($source:expr, $views:expr, $snap:expr) => {{
+            let rows =
+                || $views.iter().filter(|v| v.record.snapshot == $snap).map(ViewRef::new);
+            check_dim!($source, rows, $snap, PROTOCOL, query::protocol_dim);
+            check_dim!($source, rows, $snap, PLATFORM, query::platform_dim);
+            check_dim!($source, rows, $snap, DEVICE, query::device_dim);
+            check_dim!($source, rows, $snap, BROWSER_TECH, query::browser_tech_dim);
+            check_dim!($source, rows, $snap, CDN, query::cdn_dim);
+            check_dim!($source, rows, $snap, REGION, |v: &ViewRef<'_>| {
+                vec![v.view.record.region]
+            });
+            check_dim!($source, rows, $snap, ISP, |v: &ViewRef<'_>| vec![v.view.record.isp]);
+            check_dim!($source, rows, $snap, CONNECTION, |v: &ViewRef<'_>| {
+                vec![v.view.record.connection]
+            });
+            check_dim!($source, rows, $snap, CLASS, |v: &ViewRef<'_>| {
+                vec![v.view.record.class]
+            });
+            prop_assert_eq!(
+                columns::value_share($source, $snap, PROTOCOL, &StreamingProtocol::Hls),
+                query::per_publisher_value_share(
+                    rows(),
+                    query::protocol_dim,
+                    &StreamingProtocol::Hls
+                )
+            );
+            prop_assert_eq!(
+                columns::value_share($source, $snap, CDN, &CdnName::A),
+                query::per_publisher_value_share(rows(), query::cdn_dim, &CdnName::A)
+            );
+        }};
+    }
+
+    for snap in (0..5).filter_map(SnapshotId::new) {
+        check_all_dims!(&store, views, snap);
+        check_all_dims!(&masked, survivors, snap);
+        // Zero-copy masking ≡ filtering the rows and re-ingesting.
+        prop_assert_eq!(
+            columns::vh_share(&masked, snap, PLATFORM),
+            columns::vh_share(&reingested, snap, PLATFORM)
+        );
+        prop_assert_eq!(
+            columns::vh_share(&masked, snap, CDN),
+            columns::vh_share(&reingested, snap, CDN)
+        );
+    }
+
+    // The snapshot-parallel whole-store rollup equals the sequential
+    // per-snapshot reference folded in snapshot order.
+    let mut folded = std::collections::BTreeMap::new();
+    for snap in store.snapshots() {
+        for (v, h) in columns::group_hours_by(&store, snap, PLATFORM) {
+            *folded.entry(v).or_insert(0.0) += h;
+        }
+    }
+    prop_assert_eq!(columns::group_hours_all(&store, PLATFORM), folded);
+}
+
+/// Publisher sequences the run-length per-publisher kernel must not get
+/// wrong, which random batches hit only by chance: a publisher whose rows
+/// come back after another's (`A, B, A`), runs of a single row, and a
+/// masked publisher (1 and 4 are the excluded ones) in the middle of a run.
+#[test]
+fn broken_runs_match_row_reference() {
+    let interleaved = [3, 3, 3, 5, 5, 3, 3, 5, 0, 3];
+    let single_rows = [0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1, 0];
+    let masked_inside = [2, 2, 2, 1, 1, 2, 2, 4, 2, 2, 1];
+    let masked_edges = [4, 6, 6, 6, 1];
+    for pattern in [&interleaved[..], &single_rows, &masked_inside, &masked_edges] {
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut views = Vec::new();
+        for snapshot in 0..2 {
+            for &publisher in pattern {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                views.push(view_from(
+                    snapshot,
+                    publisher,
+                    (x >> 8) as u8 % DeviceModel::CODE_COUNT as u8,
+                    (x >> 16) as usize % URLS.len(),
+                    (x >> 24) % (1 << CdnName::OBSERVED_TOTAL),
+                    x.rotate_left(29),
+                ));
+            }
+        }
+        assert_matches_row_reference(views);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every share/rollup the kernel computes must equal the row reference
-    /// exactly, per snapshot, for every dimension, with and without a
-    /// publisher mask — and the masked view must equal a from-scratch
-    /// re-ingest of the surviving rows.
+    /// Randomized batches against the row reference.
     #[test]
     fn columnar_rollups_match_row_reference(views in batch()) {
-        let store = ViewStore::ingest(views.clone());
-        prop_assert_eq!(store.len(), views.len());
-
-        let excluded = [PublisherId::new(1), PublisherId::new(4)];
-        let masked = store.excluding(&excluded);
-        let survivors: Vec<SampledView> = views
-            .iter()
-            .filter(|v| !excluded.contains(&v.record.publisher))
-            .cloned()
-            .collect();
-        prop_assert_eq!(masked.len(), survivors.len());
-        let reingested = ViewStore::ingest(survivors.clone());
-
-        // The reference reads the rows this test owns: ingest stable-sorts
-        // by snapshot, so filtering the input by snapshot yields a
-        // segment's rows in store order. `$rows` is a closure handing out a
-        // fresh iterator over them.
-        macro_rules! check_dim {
-            ($source:expr, $rows:ident, $snap:expr, $spec:expr, $extract:expr) => {{
-                prop_assert_eq!(
-                    columns::vh_share($source, $snap, $spec),
-                    query::vh_share_by($rows(), $extract)
-                );
-                prop_assert_eq!(
-                    columns::views_share($source, $snap, $spec),
-                    query::views_share_by($rows(), $extract)
-                );
-                prop_assert_eq!(
-                    columns::publisher_share($source, $snap, $spec, 0.05),
-                    query::publisher_share_by($rows(), $extract, 0.05)
-                );
-                prop_assert_eq!(
-                    columns::per_publisher_values($source, $snap, $spec, 0.05),
-                    query::per_publisher_values($rows(), $extract, 0.05)
-                );
-            }};
-        }
-        macro_rules! check_all_dims {
-            ($source:expr, $views:expr, $snap:expr) => {{
-                let rows =
-                    || $views.iter().filter(|v| v.record.snapshot == $snap).map(ViewRef::new);
-                check_dim!($source, rows, $snap, PROTOCOL, query::protocol_dim);
-                check_dim!($source, rows, $snap, PLATFORM, query::platform_dim);
-                check_dim!($source, rows, $snap, DEVICE, query::device_dim);
-                check_dim!($source, rows, $snap, BROWSER_TECH, query::browser_tech_dim);
-                check_dim!($source, rows, $snap, CDN, query::cdn_dim);
-                check_dim!($source, rows, $snap, REGION, |v: &ViewRef<'_>| {
-                    vec![v.view.record.region]
-                });
-                check_dim!($source, rows, $snap, ISP, |v: &ViewRef<'_>| vec![v.view.record.isp]);
-                check_dim!($source, rows, $snap, CONNECTION, |v: &ViewRef<'_>| {
-                    vec![v.view.record.connection]
-                });
-                check_dim!($source, rows, $snap, CLASS, |v: &ViewRef<'_>| {
-                    vec![v.view.record.class]
-                });
-                prop_assert_eq!(
-                    columns::value_share($source, $snap, PROTOCOL, &StreamingProtocol::Hls),
-                    query::per_publisher_value_share(
-                        rows(),
-                        query::protocol_dim,
-                        &StreamingProtocol::Hls
-                    )
-                );
-                prop_assert_eq!(
-                    columns::value_share($source, $snap, CDN, &CdnName::A),
-                    query::per_publisher_value_share(rows(), query::cdn_dim, &CdnName::A)
-                );
-            }};
-        }
-
-        for snap in (0..5).filter_map(SnapshotId::new) {
-            check_all_dims!(&store, views, snap);
-            check_all_dims!(&masked, survivors, snap);
-            // Zero-copy masking ≡ filtering the rows and re-ingesting.
-            prop_assert_eq!(
-                columns::vh_share(&masked, snap, PLATFORM),
-                columns::vh_share(&reingested, snap, PLATFORM)
-            );
-            prop_assert_eq!(
-                columns::vh_share(&masked, snap, CDN),
-                columns::vh_share(&reingested, snap, CDN)
-            );
-        }
-
-        // The snapshot-parallel whole-store rollup equals the sequential
-        // per-snapshot reference folded in snapshot order.
-        let mut folded = std::collections::BTreeMap::new();
-        for snap in store.snapshots() {
-            for (v, h) in columns::group_hours_by(&store, snap, PLATFORM) {
-                *folded.entry(v).or_insert(0.0) += h;
-            }
-        }
-        prop_assert_eq!(columns::group_hours_all(&store, PLATFORM), folded);
+        assert_matches_row_reference(views);
     }
 
     /// The oracle and the protocol column classify alike: for every

@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the substrates: manifest codecs, URL
-//! classification, packaging, chunking, dedup, edge caching and single
-//! playback sessions.
+//! classification, packaging, chunking, dedup, the Fig 18 storage study,
+//! edge caching and single playback sessions.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vmp_abr::algorithm::ThroughputRule;
@@ -19,6 +19,8 @@ use vmp_manifest::{classify, dash, hls};
 use vmp_packaging::package::Packager;
 use vmp_session::player::{PlaybackConfig, Player};
 use vmp_stats::Rng;
+use vmp_syndication::catalogue::CatalogueStudy;
+use vmp_syndication::storage::storage_study;
 
 fn ladder() -> BitrateLadder {
     BitrateLadder::from_bitrates(&[145, 290, 580, 1100, 2200, 3600, 5400, 7000, 8600]).unwrap()
@@ -92,6 +94,15 @@ fn bench_dedup(c: &mut Criterion) {
     });
 }
 
+/// Fig 18 at the paper's size: 24,000 titles × 30 rungs on each of the two
+/// common CDNs, streamed a title at a time.
+fn bench_storage_study(c: &mut Criterion) {
+    let study = CatalogueStudy::paper_setting();
+    c.bench_function("storage_study/paper_setting", |b| {
+        b.iter(|| storage_study(black_box(&study)))
+    });
+}
+
 fn bench_edge_cache(c: &mut Criterion) {
     c.bench_function("edge_cache_fetch", |b| {
         let mut cache = EdgeCache::new(Bytes(1_000_000));
@@ -125,6 +136,7 @@ fn bench_session(c: &mut Criterion) {
 criterion_group!(
     name = substrates;
     config = Criterion::default().sample_size(30);
-    targets = bench_manifest_codecs, bench_packaging, bench_dedup, bench_edge_cache, bench_session
+    targets = bench_manifest_codecs, bench_packaging, bench_dedup, bench_storage_study,
+        bench_edge_cache, bench_session
 );
 criterion_main!(substrates);

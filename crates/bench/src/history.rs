@@ -9,6 +9,11 @@
 //! - `source: "repro"` — a `vmp-report/1` run report (`repro --report`);
 //!   metrics are run/stage/experiment wall seconds plus peak RSS bytes,
 //!   prefixed so the two namespaces never collide.
+//! - `source: "e2ebench"` — end-to-end medians of a BENCHMARK.json A/B set
+//!   (`<workload>.<metric>`, the parent's under `parent.`), written by hand
+//!   next to a Criterion canary until `append` learns to ingest the
+//!   benchmark's result sets; such a row states its host and conditions in
+//!   an extra `conditions` string, which [`parse_history`] ignores.
 //!
 //! Entries carry no ambient clock reads — the caller (the `vmp-bench`
 //! binary or CI) stamps `label`/`recorded_at`, keeping this module usable

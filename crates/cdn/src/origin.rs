@@ -10,7 +10,6 @@
 //! integration (syndicators reusing the owner's copies) would save —
 //! reproducing Fig 18.
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use vmp_core::cdn::CdnName;
 use vmp_core::ids::{PublisherId, VideoId};
@@ -93,10 +92,25 @@ impl OriginStore {
 
     /// Registers a pushed encoding.
     pub fn push(&mut self, entry: OriginEntry) {
+        self.push_all([entry]);
+    }
+
+    /// Registers a batch of pushed encodings; the push counters move once
+    /// per batch, by the same totals.
+    pub fn push_all(&mut self, entries: impl IntoIterator<Item = OriginEntry>) {
+        let before = self.entries.len();
+        self.entries.extend(entries);
+        let added = &self.entries[before..];
         let metrics = OriginMetrics::get();
-        metrics.pushes.inc();
-        metrics.bytes_pushed.add(entry.bytes.0);
-        self.entries.push(entry);
+        metrics.pushes.add(added.len() as u64);
+        metrics.bytes_pushed.add(added.iter().map(|e| e.bytes.0).sum());
+    }
+
+    /// Empties the ledger, keeping its allocation. Dedup clusters never
+    /// cross a [`ContentKey`], so a study can push and measure one title at
+    /// a time through one reused store instead of holding every title.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// All entries.
@@ -121,30 +135,40 @@ impl OriginStore {
     /// clustering does not guarantee. `tolerance = 0` merges only
     /// exactly-equal bitrates.
     pub fn dedup_savings(&self, tolerance: f64) -> Bytes {
-        assert!((0.0..=1.0).contains(&tolerance), "tolerance must be in [0,1]");
-        let mut by_content: BTreeMap<ContentKey, Vec<&OriginEntry>> = BTreeMap::new();
-        for e in &self.entries {
-            by_content.entry(e.content).or_default().push(e);
+        let [saved] = self.dedup_savings_at([tolerance]);
+        saved
+    }
+
+    /// [`dedup_savings`](Self::dedup_savings) at several tolerances over
+    /// one shared regrouping of the ledger (the grouping and the bitrate
+    /// sort do not depend on the tolerance).
+    pub fn dedup_savings_at<const N: usize>(&self, tolerances: [f64; N]) -> [Bytes; N] {
+        for tolerance in tolerances {
+            assert!((0.0..=1.0).contains(&tolerance), "tolerance must be in [0,1]");
         }
-        let mut saved = Bytes::ZERO;
-        for (_, mut group) in by_content {
-            group.sort_by_key(|e| e.bitrate);
-            let mut i = 0;
-            while i < group.len() {
-                // Cluster [i, j): chain while adjacent gaps stay in tolerance.
-                let mut j = i + 1;
-                while j < group.len()
-                    && group[j - 1].bitrate.relative_gap(group[j].bitrate) <= tolerance
-                {
-                    j += 1;
+        // Stable, so copies of one content at one bitrate keep push order.
+        let mut sorted: Vec<&OriginEntry> = self.entries.iter().collect();
+        sorted.sort_by_key(|e| (e.content, e.bitrate));
+        let mut saved = [Bytes::ZERO; N];
+        for group in sorted.chunk_by(|a, b| a.content == b.content) {
+            for (saved, tolerance) in saved.iter_mut().zip(tolerances) {
+                let mut i = 0;
+                while i < group.len() {
+                    // Cluster [i, j): chain while adjacent gaps stay in tolerance.
+                    let mut j = i + 1;
+                    while j < group.len()
+                        && group[j - 1].bitrate.relative_gap(group[j].bitrate) <= tolerance
+                    {
+                        j += 1;
+                    }
+                    let (total, keep) = group[i..j]
+                        .iter()
+                        .fold((Bytes::ZERO, Bytes::ZERO), |(total, keep), e| {
+                            (total + e.bytes, keep.max(e.bytes))
+                        });
+                    *saved += total.saturating_sub(keep);
+                    i = j;
                 }
-                if j - i > 1 {
-                    let cluster = &group[i..j];
-                    let total: Bytes = cluster.iter().map(|e| e.bytes).sum();
-                    let keep = cluster.iter().map(|e| e.bytes).max().expect("non-empty");
-                    saved += total.saturating_sub(keep);
-                }
-                i = j;
             }
         }
         saved

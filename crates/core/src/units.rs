@@ -151,6 +151,12 @@ impl Bytes {
     pub fn saturating_sub(self, rhs: Bytes) -> Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
+
+    /// Saturating addition.
+    #[inline]
+    pub fn saturating_add(self, rhs: Bytes) -> Bytes {
+        Bytes(self.0.saturating_add(rhs.0))
+    }
 }
 
 impl Add for Bytes {

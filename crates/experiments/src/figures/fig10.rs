@@ -12,8 +12,12 @@ use vmp_core::platform::{BrowserTech, Platform};
 ///
 /// Labels are a function of the device model (telemetry sets `os` from the
 /// device), so the whole figure is a device-code column scan: one pass per
-/// segment accumulating each label's hours and the platform total in row
-/// order — the same ordered additions the per-label rescans performed.
+/// segment accumulating each *candidate* label's hours (every label a
+/// device of the platform can carry, sorted) and the platform total in row
+/// order — the same ordered additions the per-label rescans performed. A
+/// candidate becomes a line only if some row carried it, so the line set
+/// and order are the observed labels, sorted, without a discovery pass
+/// over the store.
 fn within_platform_series(
     store: &ViewStore,
     title: &str,
@@ -24,34 +28,25 @@ fn within_platform_series(
     let mut in_platform = [false; DeviceModel::CODE_COUNT];
     let mut label_lut: [Option<String>; DeviceModel::CODE_COUNT] =
         std::array::from_fn(|_| None);
-    for code in 0..DeviceModel::CODE_COUNT as u8 {
+    for (code, (inside, label)) in (0u8..).zip(in_platform.iter_mut().zip(&mut label_lut)) {
         if let Some(device) = DeviceModel::from_code(code) {
             if device.platform() == platform {
-                in_platform[code as usize] = true;
-                label_lut[code as usize] = label_of(device);
+                *inside = true;
+                *label = label_of(device);
             }
         }
     }
-    // Observed labels only, first-occurrence order then sorted — the same
-    // line set and order the row scan produced.
-    let mut labels: Vec<String> = Vec::new();
-    for seg in store.iter_segments() {
-        for &code in seg.devices() {
-            if let Some(l) = &label_lut[code as usize] {
-                if !labels.contains(l) {
-                    labels.push(l.clone());
-                }
-            }
-        }
-    }
+    let mut labels: Vec<String> = label_lut.iter().flatten().cloned().collect();
     labels.sort();
+    labels.dedup();
     let group_of: [Option<usize>; DeviceModel::CODE_COUNT] = std::array::from_fn(|code| {
         label_lut[code].as_ref().and_then(|l| labels.iter().position(|x| x == l))
     });
 
+    let mut observed = vec![false; labels.len()];
     let mut lines: Vec<Vec<(String, f64)>> = vec![Vec::new(); labels.len()];
     for seg in store.iter_segments() {
-        let mut total = 0.0f64;
+        let mut platform_hours = 0.0f64;
         let mut with = vec![0.0f64; labels.len()];
         for (i, &code) in seg.devices().iter().enumerate() {
             let code = code as usize;
@@ -59,18 +54,21 @@ fn within_platform_series(
                 continue;
             }
             let h = seg.weighted_hours(i);
-            total += h;
+            platform_hours += h;
             if let Some(g) = group_of[code] {
+                observed[g] = true;
                 with[g] += h;
             }
         }
         for (g, w) in with.into_iter().enumerate() {
-            let share = if total > 0.0 { 100.0 * w / total } else { 0.0 };
+            let share = if platform_hours > 0.0 { 100.0 * w / platform_hours } else { 0.0 };
             lines[g].push((seg.snapshot().to_string(), share));
         }
     }
-    for (label, points) in labels.into_iter().zip(lines) {
-        series.line(label, points);
+    for ((label, points), seen) in labels.into_iter().zip(lines).zip(observed) {
+        if seen {
+            series.line(label, points);
+        }
     }
     series
 }

@@ -9,11 +9,11 @@
 //!    (5% and 10% tolerance),
 //! 3. savings under integrated syndication (only the owner's copies stay).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use vmp_cdn::origin::{ContentKey, OriginEntry, OriginStore};
 use vmp_core::cdn::CdnName;
-use vmp_core::ids::VideoId;
-use vmp_core::units::Bytes;
+use vmp_core::ids::{PublisherId, VideoId};
+use vmp_core::units::{Bytes, Kbps};
 
 use crate::catalogue::CatalogueStudy;
 
@@ -58,45 +58,59 @@ impl StorageStudyResult {
     }
 }
 
-/// Runs the study: builds each common CDN's origin ledger and measures.
+/// Runs the study on each common CDN, one title at a time.
+///
+/// Dedup clusters and the integrated model never relate copies of
+/// different titles, so each title's pushes (participants × rungs, a few
+/// dozen entries) are measured on their own through one reused ledger and
+/// the four byte totals are summed — integer sums, so the result equals
+/// the whole-catalogue ledger's exactly while memory stays at one title.
 pub fn storage_study(study: &CatalogueStudy) -> StorageStudyResult {
     let duration = study.title_duration;
-    let mut stores: BTreeMap<CdnName, OriginStore> = study
-        .common_cdns()
+    let participants = study.participants();
+    // Ascending, each once: the order the figure lists its CDNs in.
+    let cdns: BTreeSet<CdnName> = study.common_cdns().into_iter().collect();
+    let per_cdn = cdns
         .into_iter()
-        .map(|c| (c, OriginStore::new(c)))
-        .collect();
-
-    for participant in study.participants() {
-        for (cdn, store) in stores.iter_mut() {
-            if !participant.cdns.contains(cdn) {
-                continue;
-            }
+        .map(|cdn| {
+            // What every title pushes to this CDN (publisher, bitrate,
+            // bytes); only the content key differs from title to title.
+            let pushes: Vec<(PublisherId, Kbps, Bytes)> = participants
+                .iter()
+                .filter(|p| p.cdns.contains(&cdn))
+                .flat_map(|p| {
+                    p.ladder
+                        .rungs()
+                        .iter()
+                        .map(|rung| (p.publisher, rung.bitrate, rung.bitrate.bytes_for(duration)))
+                })
+                .collect();
+            let mut result = CdnStorageResult {
+                cdn,
+                total: Bytes::ZERO,
+                saved_5pct: Bytes::ZERO,
+                saved_10pct: Bytes::ZERO,
+                saved_integrated: Bytes::ZERO,
+            };
+            let mut store = OriginStore::new(cdn);
             for title in 0..study.titles {
-                let content = ContentKey {
-                    owner: study.owner.publisher,
-                    video: VideoId::new(title),
-                };
-                for rung in participant.ladder.rungs() {
-                    store.push(OriginEntry {
-                        publisher: participant.publisher,
-                        content,
-                        bitrate: rung.bitrate,
-                        bytes: rung.bitrate.bytes_for(duration),
-                    });
-                }
+                store.clear();
+                let content =
+                    ContentKey { owner: study.owner.publisher, video: VideoId::new(title) };
+                store.push_all(pushes.iter().map(|&(publisher, bitrate, bytes)| OriginEntry {
+                    publisher,
+                    content,
+                    bitrate,
+                    bytes,
+                }));
+                let [saved_5pct, saved_10pct] = store.dedup_savings_at([0.05, 0.10]);
+                result.total = result.total.saturating_add(store.total_bytes());
+                result.saved_5pct = result.saved_5pct.saturating_add(saved_5pct);
+                result.saved_10pct = result.saved_10pct.saturating_add(saved_10pct);
+                result.saved_integrated =
+                    result.saved_integrated.saturating_add(store.integrated_savings());
             }
-        }
-    }
-
-    let per_cdn = stores
-        .into_iter()
-        .map(|(cdn, store)| CdnStorageResult {
-            cdn,
-            total: store.total_bytes(),
-            saved_5pct: store.dedup_savings(0.05),
-            saved_10pct: store.dedup_savings(0.10),
-            saved_integrated: store.integrated_savings(),
+            result
         })
         .collect();
     StorageStudyResult { per_cdn }
@@ -105,6 +119,84 @@ pub fn storage_study(study: &CatalogueStudy) -> StorageStudyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{ladder_of, Participant};
+    use std::collections::BTreeMap;
+    use vmp_core::ids::CatalogueId;
+    use vmp_core::units::Seconds;
+
+    /// The whole-ledger reference: one [`OriginStore`] per common CDN
+    /// holding every participant's copy of every title, measured once —
+    /// the algorithm [`storage_study`] streams title by title.
+    fn whole_ledger_study(study: &CatalogueStudy) -> StorageStudyResult {
+        let mut stores: BTreeMap<CdnName, OriginStore> =
+            study.common_cdns().into_iter().map(|c| (c, OriginStore::new(c))).collect();
+        for participant in study.participants() {
+            for (cdn, store) in stores.iter_mut() {
+                if !participant.cdns.contains(cdn) {
+                    continue;
+                }
+                for title in 0..study.titles {
+                    let content =
+                        ContentKey { owner: study.owner.publisher, video: VideoId::new(title) };
+                    for rung in participant.ladder.rungs() {
+                        store.push(OriginEntry {
+                            publisher: participant.publisher,
+                            content,
+                            bitrate: rung.bitrate,
+                            bytes: rung.bitrate.bytes_for(study.title_duration),
+                        });
+                    }
+                }
+            }
+        }
+        let per_cdn = stores
+            .into_iter()
+            .map(|(cdn, store)| CdnStorageResult {
+                cdn,
+                total: store.total_bytes(),
+                saved_5pct: store.dedup_savings(0.05),
+                saved_10pct: store.dedup_savings(0.10),
+                saved_integrated: store.integrated_savings(),
+            })
+            .collect();
+        StorageStudyResult { per_cdn }
+    }
+
+    /// Four participants with four different ladders; the owner lists its
+    /// CDNs out of order and one of them (E) is not common to everyone.
+    fn uneven_study() -> CatalogueStudy {
+        let participant = |id: u32, label: &'static str, cdns: &[CdnName]| Participant {
+            publisher: PublisherId::new(id),
+            label,
+            ladder: ladder_of(label).expect("static"),
+            cdns: cdns.to_vec(),
+        };
+        CatalogueStudy {
+            catalogue: CatalogueId::new(2),
+            titles: 37,
+            title_duration: Seconds::from_minutes(51.5),
+            owner: participant(0, "O", &[CdnName::B, CdnName::E, CdnName::A]),
+            syndicators: vec![
+                participant(1, "S2", &[CdnName::A, CdnName::B]),
+                participant(2, "S6", &[CdnName::C, CdnName::B, CdnName::A, CdnName::E]),
+                participant(3, "S8", &[CdnName::A, CdnName::D, CdnName::B]),
+            ],
+        }
+    }
+
+    #[test]
+    fn streamed_study_equals_the_whole_ledger() {
+        for study in
+            [CatalogueStudy::test_setting(), CatalogueStudy::paper_setting(), uneven_study()]
+        {
+            let streamed = storage_study(&study);
+            assert_eq!(streamed, whole_ledger_study(&study));
+            assert!(streamed.per_cdn.iter().all(|r| r.saved_5pct > Bytes::ZERO));
+        }
+        let cdns: Vec<CdnName> =
+            storage_study(&uneven_study()).per_cdn.iter().map(|r| r.cdn).collect();
+        assert_eq!(cdns, [CdnName::A, CdnName::B]);
+    }
 
     #[test]
     fn savings_order_matches_fig18() {
