@@ -652,6 +652,13 @@ impl Rollup {
         (0..self.totals.len()).filter(|&i| self.seen[i]).map(|i| (i as u8, self.totals[i]))
     }
 
+    /// Percentage (0–100) of the grand total per decoded value: one
+    /// snapshot's share map, exactly as [`vh_share`] / [`views_share`]
+    /// return it.
+    pub fn shares<V: Ord>(&self, spec: DimSpec<V>) -> BTreeMap<V, f64> {
+        decoded_map(self, spec, true)
+    }
+
     /// Folds another segment's partial in (code order — deterministic for a
     /// fixed merge sequence).
     pub fn merge(&mut self, other: &Rollup) {
@@ -878,13 +885,14 @@ fn decoded_map<V: Ord>(r: &Rollup, spec: DimSpec<V>, normalize: bool) -> BTreeMa
     out
 }
 
-fn publisher_share_segment<V: Ord>(
-    seg: &Segment,
-    mask: Option<&PublisherMask>,
+/// Percentage (0–100) of publishers supporting each value (≥ `floor` of
+/// their hours), from one segment's [`per_publisher_segment`] map — the
+/// reducer behind [`publisher_share`].
+pub fn publisher_shares<V: Ord>(
+    per_pub: &BTreeMap<u32, PublisherAgg>,
     spec: DimSpec<V>,
     floor: f64,
 ) -> BTreeMap<V, f64> {
-    let per_pub = per_publisher_segment(seg, mask, spec.column);
     let n = per_pub.len();
     let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
     for agg in per_pub.values() {
@@ -898,6 +906,17 @@ fn publisher_share_segment<V: Ord>(
             (spec.decode)(code)
                 .map(|v| (v, if n > 0 { 100.0 * c as f64 / n as f64 } else { 0.0 }))
         })
+        .collect()
+}
+
+/// Per-publisher share (0–100) of view-hours carried by one code, from one
+/// segment's [`per_publisher_segment`] map: only publishers with any such
+/// traffic, in publisher order — the reducer behind [`value_share`].
+pub fn value_shares(per_pub: &BTreeMap<u32, PublisherAgg>, code: u8) -> Vec<f64> {
+    per_pub
+        .values()
+        .filter(|agg| agg.hours > 0.0 && agg.code_hours(code) > 0.0)
+        .map(|agg| 100.0 * agg.code_hours(code) / agg.hours)
         .collect()
 }
 
@@ -979,7 +998,8 @@ pub fn publisher_share<S: SegmentSource + ?Sized, V: Ord>(
     match segment_at(source, snapshot) {
         Some(seg) => {
             note_rollup(seg.len() as u64);
-            publisher_share_segment(&seg, source.mask(), spec, min_traffic_share)
+            let per_pub = per_publisher_segment(&seg, source.mask(), spec.column);
+            publisher_shares(&per_pub, spec, min_traffic_share)
         }
         None => BTreeMap::new(),
     }
@@ -1027,11 +1047,7 @@ pub fn value_share<S: SegmentSource + ?Sized, V: Ord>(
         return Vec::new();
     };
     note_rollup(seg.len() as u64);
-    per_publisher_segment(&seg, source.mask(), spec.column)
-        .values()
-        .filter(|agg| agg.hours > 0.0 && agg.code_hours(code) > 0.0)
-        .map(|agg| 100.0 * agg.code_hours(code) / agg.hours)
-        .collect()
+    value_shares(&per_publisher_segment(&seg, source.mask(), spec.column), code)
 }
 
 // ---------------------------------------------------------------------------
@@ -1089,9 +1105,11 @@ where
         .collect()
 }
 
-/// Per-snapshot share maps for one dimension — the engine behind every
-/// share-over-time series. Segments run in parallel; each map is computed
-/// exactly as the snapshot-level query would.
+/// Per-snapshot share maps for one dimension over any source, masked or
+/// not. Segments run in parallel; each map is computed exactly as the
+/// snapshot-level query would. The figures read these maps from their
+/// store's one-pass sweep instead; this store-level form is the reference
+/// the masked-series test compares that sweep against.
 pub fn share_by_snapshot<S, V>(
     source: &S,
     spec: DimSpec<V>,
@@ -1110,7 +1128,9 @@ where
         ShareMetric::Views => {
             decoded_map(&rollup_segment(seg, mask, spec.column, Metric::Views), spec, true)
         }
-        ShareMetric::Publishers { floor } => publisher_share_segment(seg, mask, spec, floor),
+        ShareMetric::Publishers { floor } => {
+            publisher_shares(&per_publisher_segment(seg, mask, spec.column), spec, floor)
+        }
     });
     let rows: u64 = source.live_metas().iter().map(|m| m.len() as u64).sum();
     note_rollup(rows);

@@ -16,6 +16,7 @@ use vmp_core::ids::PublisherId;
 use vmp_core::time::SnapshotId;
 use vmp_stats::regress::{ols_log_log, OlsFit};
 
+use crate::columns::Segment;
 use crate::store::ViewStore;
 
 /// Which complexity measure to compute.
@@ -53,6 +54,82 @@ pub struct ComplexityPoint {
     pub complexity: f64,
 }
 
+/// One publisher's distinct-set sizes at one snapshot: the accumulator all
+/// three measures read, so a scatter of every measure costs one pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PublisherComplexity {
+    /// The publisher.
+    pub publisher: PublisherId,
+    /// Its view-hours in the snapshot.
+    pub view_hours: f64,
+    /// Distinct (CDN, protocol, device-model) triples.
+    pub combinations: usize,
+    /// Distinct protocols (the unclassified sentinel counts as one).
+    pub protocols: usize,
+    /// Distinct player code bases.
+    pub players: usize,
+}
+
+impl PublisherComplexity {
+    /// Every publisher's accumulator over one segment, in publisher order.
+    ///
+    /// Pure column scan: the protocol column already carries the
+    /// unclassified sentinel (`NO_CODE`, the old `u8::MAX` tag), device
+    /// codes are bijective with model strings, CDN bit indexes with raw CDN
+    /// ids, and player dictionary codes with the SDK-build / UA-family keys
+    /// — so every distinct-set cardinality matches the string-keyed
+    /// reference exactly.
+    pub fn of_segment(seg: &Segment) -> Vec<PublisherComplexity> {
+        #[derive(Default)]
+        struct Acc {
+            vh: f64,
+            combos: BTreeSet<(u8, u8, u8)>,
+            protocols: BTreeSet<u8>,
+            players: BTreeSet<u32>,
+        }
+        let mut acc: BTreeMap<u32, Acc> = BTreeMap::new();
+        for i in 0..seg.len() {
+            let entry = acc.entry(seg.publishers()[i]).or_default();
+            entry.vh += seg.weighted_hours(i);
+            let proto = seg.protocols()[i];
+            entry.protocols.insert(proto);
+            let device = seg.devices()[i];
+            let mut bits = seg.cdn_masks()[i];
+            while bits != 0 {
+                entry.combos.insert((bits.trailing_zeros() as u8, proto, device));
+                bits &= bits - 1;
+            }
+            entry.players.insert(seg.players()[i]);
+        }
+        acc.into_iter()
+            .map(|(publisher, a)| PublisherComplexity {
+                publisher: PublisherId::new(publisher),
+                view_hours: a.vh,
+                combinations: a.combos.len(),
+                protocols: a.protocols.len(),
+                players: a.players.len(),
+            })
+            .collect()
+    }
+
+    /// The publisher's scatter point for one measure. `titles_of` gives its
+    /// catalogue size (protocol-titles only).
+    pub fn point(
+        &self,
+        measure: ComplexityMeasure,
+        titles_of: &dyn Fn(PublisherId) -> u64,
+    ) -> ComplexityPoint {
+        let complexity = match measure {
+            ComplexityMeasure::Combinations => self.combinations as f64,
+            ComplexityMeasure::ProtocolTitles => {
+                (titles_of(self.publisher) * self.protocols as u64) as f64
+            }
+            ComplexityMeasure::UniqueSdks => self.players as f64,
+        };
+        ComplexityPoint { publisher: self.publisher, view_hours: self.view_hours, complexity }
+    }
+}
+
 /// Computes the scatter for one measure at one snapshot.
 ///
 /// `titles_of`: the publisher's catalogue size (the paper uses the count of
@@ -65,49 +142,10 @@ pub fn complexity_points(
     measure: ComplexityMeasure,
     titles_of: &dyn Fn(PublisherId) -> u64,
 ) -> Vec<ComplexityPoint> {
-    // Pure column scan: the protocol column already carries the
-    // unclassified sentinel (`NO_CODE`, the old `u8::MAX` tag), device
-    // codes are bijective with model strings, CDN bit indexes with raw CDN
-    // ids, and player dictionary codes with the SDK-build / UA-family keys
-    // — so every distinct-set cardinality matches the string-keyed
-    // reference exactly.
-    #[derive(Default)]
-    struct Acc {
-        vh: f64,
-        combos: BTreeSet<(u8, u8, u8)>,
-        protocols: BTreeSet<u8>,
-        players: BTreeSet<u32>,
-    }
     let Some(seg) = store.segment(snapshot) else {
         return Vec::new();
     };
-    let mut acc: BTreeMap<u32, Acc> = BTreeMap::new();
-    for i in 0..seg.len() {
-        let entry = acc.entry(seg.publishers()[i]).or_default();
-        entry.vh += seg.weighted_hours(i);
-        let proto = seg.protocols()[i];
-        entry.protocols.insert(proto);
-        let device = seg.devices()[i];
-        let mut bits = seg.cdn_masks()[i];
-        while bits != 0 {
-            entry.combos.insert((bits.trailing_zeros() as u8, proto, device));
-            bits &= bits - 1;
-        }
-        entry.players.insert(seg.players()[i]);
-    }
-    acc.into_iter()
-        .map(|(publisher, a)| {
-            let publisher = PublisherId::new(publisher);
-            let complexity = match measure {
-                ComplexityMeasure::Combinations => a.combos.len() as f64,
-                ComplexityMeasure::ProtocolTitles => {
-                    (titles_of(publisher) * a.protocols.len() as u64) as f64
-                }
-                ComplexityMeasure::UniqueSdks => a.players.len() as f64,
-            };
-            ComplexityPoint { publisher, view_hours: a.vh, complexity }
-        })
-        .collect()
+    PublisherComplexity::of_segment(&seg).iter().map(|p| p.point(measure, titles_of)).collect()
 }
 
 /// The Fig 13 log-log fit over a scatter.

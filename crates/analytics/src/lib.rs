@@ -39,7 +39,7 @@ pub mod store;
 
 pub use columns::{DimColumn, DimSpec, PublisherMask, Segment, SegmentSource, ShareMetric};
 pub use complexity::{complexity_fit, ComplexityMeasure, ComplexityPoint};
-pub use perpub::{count_histogram, counts_by_size_bucket, counts_per_publisher, CountsOverTime};
+pub use perpub::{count_histogram, counts_by_size_bucket, counts_per_publisher};
 pub use query::{publisher_share_by, vh_share_by, views_share_by, ViewRef};
 pub use report::{Series, Table};
 pub use segstore::{SegmentMeta, SegmentStore, SpillConfig};

@@ -8,18 +8,17 @@
 //! `X..10^5X` buckets); and
 //! (c) the average and view-hour-weighted average count over time.
 //!
-//! All three run on the columnar kernel: one per-publisher rollup per
-//! segment ([`crate::columns::per_publisher_segment`]), with the
-//! over-time series fanning segments out in parallel
-//! ([`crate::columns::per_segment_map`]) — per-snapshot arithmetic is
-//! single-threaded row-order, so the numbers are identical to the
-//! sequential reference.
+//! All three reduce one segment's per-publisher rollup
+//! ([`crate::columns::per_publisher_segment`]): [`publisher_counts`] and
+//! [`average_counts`] take the map, so a caller that already holds one (the
+//! figures' one-pass sweep) reuses it, and per-snapshot arithmetic stays
+//! single-threaded row order.
 
 use std::collections::BTreeMap;
 use vmp_core::ids::PublisherId;
 use vmp_core::time::SnapshotId;
 
-use crate::columns::{per_publisher_segment, per_segment_map, DimSpec, SegmentSource};
+use crate::columns::{per_publisher_segment, DimSpec, PublisherAgg, SegmentSource};
 
 /// One publisher's count of dimension instances and its view-hours.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,16 +40,28 @@ pub fn counts_per_publisher<S: SegmentSource, V: Ord>(
 ) -> Vec<PublisherCount> {
     let _span = vmp_obs::span("analytics.query.per_publisher");
     match source.store().segment(snapshot) {
-        Some(seg) => per_publisher_segment(&seg, source.mask(), spec.column)
-            .into_iter()
-            .map(|(raw, agg)| PublisherCount {
-                publisher: PublisherId::new(raw),
-                count: agg.supported_count(min_traffic_share).max(1),
-                view_hours: agg.hours,
-            })
-            .collect(),
+        Some(seg) => publisher_counts(
+            &per_publisher_segment(&seg, source.mask(), spec.column),
+            min_traffic_share,
+        ),
         None => Vec::new(),
     }
+}
+
+/// Counts per publisher from one segment's per-publisher rollup, in
+/// publisher order (every publisher counts at least one value).
+pub fn publisher_counts(
+    per_pub: &BTreeMap<u32, PublisherAgg>,
+    min_traffic_share: f64,
+) -> Vec<PublisherCount> {
+    per_pub
+        .iter()
+        .map(|(&raw, agg)| PublisherCount {
+            publisher: PublisherId::new(raw),
+            count: agg.supported_count(min_traffic_share).max(1),
+            view_hours: agg.hours,
+        })
+        .collect()
 }
 
 /// Histogram over counts: `count → (% of publishers, % of view-hours)`
@@ -108,61 +119,29 @@ pub fn counts_by_size_bucket(
         .collect()
 }
 
-/// Average and view-hour-weighted average counts per snapshot
-/// (Fig 3(c), 9(c), 12(c)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountsOverTime {
-    /// (snapshot, plain average, weighted average) triples, ascending.
-    pub points: Vec<(SnapshotId, f64, f64)>,
-}
-
-impl CountsOverTime {
-    /// Computes both averages for every snapshot in the store. Segments run
-    /// in parallel; each snapshot's averages come from its own row-order
-    /// rollup, and points are assembled in ascending snapshot order.
-    pub fn compute<S: SegmentSource, V: Ord>(
-        source: &S,
-        spec: DimSpec<V>,
-        min_traffic_share: f64,
-    ) -> CountsOverTime {
-        let _span = vmp_obs::span("analytics.query.per_publisher");
-        let mask = source.mask();
-        let points = per_segment_map(source, move |seg| {
-            let per_pub = per_publisher_segment(seg, mask, spec.column);
-            if per_pub.is_empty() {
-                return None;
-            }
-            let n = per_pub.len() as f64;
-            let mut count_sum = 0.0f64;
-            let mut vh_sum = 0.0f64;
-            let mut weighted_sum = 0.0f64;
-            for agg in per_pub.values() {
-                let count = agg.supported_count(min_traffic_share).max(1) as f64;
-                count_sum += count;
-                vh_sum += agg.hours;
-                weighted_sum += count * agg.hours;
-            }
-            let avg = count_sum / n;
-            let weighted = if vh_sum > 0.0 { weighted_sum / vh_sum } else { avg };
-            Some((avg, weighted))
-        })
-        .into_iter()
-        .filter_map(|(snapshot, point)| point.map(|(avg, weighted)| (snapshot, avg, weighted)))
-        .collect();
-        CountsOverTime { points }
+/// Plain and view-hour-weighted average count over one segment's
+/// publishers — one snapshot's point of Fig 3(c), 9(c), 12(c); `None` when
+/// the rollup holds no publisher.
+pub fn average_counts(
+    per_pub: &BTreeMap<u32, PublisherAgg>,
+    min_traffic_share: f64,
+) -> Option<(f64, f64)> {
+    if per_pub.is_empty() {
+        return None;
     }
-
-    /// The last point, if any.
-    pub fn last(&self) -> Option<(SnapshotId, f64, f64)> {
-        self.points.last().copied()
+    let n = per_pub.len() as f64;
+    let mut count_sum = 0.0f64;
+    let mut vh_sum = 0.0f64;
+    let mut weighted_sum = 0.0f64;
+    for agg in per_pub.values() {
+        let count = agg.supported_count(min_traffic_share).max(1) as f64;
+        count_sum += count;
+        vh_sum += agg.hours;
+        weighted_sum += count * agg.hours;
     }
-
-    /// Relative growth of (avg, weighted avg) from first to last point.
-    pub fn growth(&self) -> Option<(f64, f64)> {
-        let first = self.points.first()?;
-        let last = self.points.last()?;
-        Some((last.1 / first.1 - 1.0, last.2 / first.2 - 1.0))
-    }
+    let avg = count_sum / n;
+    let weighted = if vh_sum > 0.0 { weighted_sum / vh_sum } else { avg };
+    Some((avg, weighted))
 }
 
 #[cfg(test)]
@@ -201,18 +180,21 @@ mod tests {
     }
 
     #[test]
-    fn averages_over_time() {
+    fn averages_per_snapshot() {
         let s = store();
-        let series = CountsOverTime::compute(&s, PROTOCOL, 0.01);
-        assert_eq!(series.points.len(), 2);
-        let (_, avg0, w0) = series.points[0];
+        let averages: Vec<(f64, f64)> = s
+            .iter_segments()
+            .filter_map(|seg| {
+                average_counts(&per_publisher_segment(&seg, None, PROTOCOL.column), 0.01)
+            })
+            .collect();
+        assert_eq!(averages.len(), 2);
+        let (avg0, w0) = averages[0];
         assert!((avg0 - 1.5).abs() < 1e-9);
         // Weighted: (2×10 + 1×90)/100 = 1.1.
         assert!((w0 - 1.1).abs() < 1e-9);
-        let (_, avg1, _) = series.points[1];
+        let (avg1, _) = averages[1];
         assert!((avg1 - 2.0).abs() < 1e-9);
-        let (g_avg, _) = series.growth().unwrap();
-        assert!(g_avg > 0.3);
     }
 
     #[test]
@@ -241,7 +223,7 @@ mod tests {
         assert!(counts.is_empty());
         assert!(count_histogram(&counts).is_empty());
         assert!(counts_by_size_bucket(&counts, 100.0).is_empty());
-        assert!(CountsOverTime::compute(&s, PROTOCOL, 0.01).points.is_empty());
+        assert_eq!(average_counts(&BTreeMap::new(), 0.01), None);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! aggregation runs over the segments (see [`crate::columns`]); the
 //! row-at-a-time reference in [`crate::query`] reads rows its caller owns.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vmp_core::ids::PublisherId;
 use vmp_core::protocol::StreamingProtocol;
@@ -169,6 +170,7 @@ impl IngestPipeline {
             total_rows: self.total_rows,
             segstore: self.segstore,
             player_keys: self.player_keys,
+            memo: OnceLock::new(),
         }
     }
 }
@@ -182,6 +184,9 @@ pub struct ViewStore {
     /// Player dictionary: code (index) → canonical player key (SDK build
     /// string or user-agent family).
     player_keys: Vec<String>,
+    /// One value derived from every segment, built by the first reader
+    /// that asks (see [`memo`](Self::memo)) and dropped with the store.
+    memo: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 impl Default for ViewStore {
@@ -272,6 +277,16 @@ impl ViewStore {
             Some(seg) => (0..seg.len()).map(|i| seg.weighted_hours(i)).sum(),
             None => 0.0,
         }
+    }
+
+    /// The store's memo: a value derived from its segments, built by
+    /// `build` on the first call and returned by reference from then on, so
+    /// readers that need the same whole-store pass share one. The slot
+    /// holds one value; `None` when it already holds a value of another
+    /// type. Segments are immutable once sealed, so the value never goes
+    /// stale.
+    pub fn memo<T: Any + Send + Sync>(&self, build: impl FnOnce(&ViewStore) -> T) -> Option<&T> {
+        self.memo.get_or_init(|| Box::new(build(self))).downcast_ref()
     }
 
     /// A zero-copy filtered view excluding the given publishers. Scans skip
@@ -539,6 +554,20 @@ pub(crate) mod tests {
         let none = store.excluding(&[PublisherId::new(0), PublisherId::new(1)]);
         assert!(none.is_empty());
         assert!(none.snapshots().is_empty());
+    }
+
+    #[test]
+    fn memo_is_built_once_and_keeps_its_type() {
+        let store = ViewStore::ingest(vec![test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0)]);
+        let mut builds = 0;
+        let mut build = |s: &ViewStore| {
+            builds += 1;
+            s.len()
+        };
+        assert_eq!(store.memo(&mut build), Some(&1));
+        assert_eq!(store.memo(&mut build), Some(&1));
+        assert_eq!(builds, 1, "the second reader gets the first one's value");
+        assert_eq!(store.memo(|_| "a value of another type"), None);
     }
 
     /// The streaming pipeline fed batch-by-batch must produce the same

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use vmp_analytics::segstore::SpillConfig;
-use vmp_analytics::store::{IngestOptions, IngestPipeline, MaskedStore, ViewStore};
+use vmp_analytics::store::{IngestOptions, IngestPipeline, ViewStore};
 use vmp_core::ids::PublisherId;
 use vmp_synth::ecosystem::{Dataset, EcosystemConfig};
 use vmp_synth::stream::ViewStream;
@@ -96,13 +96,6 @@ impl ReproContext {
         ReproContext { dataset, store, scale_factor }
     }
 
-    /// A zero-copy view of the store excluding the given publishers
-    /// (Fig 2(c) / 6(b)) — a bitmask over the same segments, not a
-    /// re-ingested copy.
-    pub fn store_excluding(&self, excluded: &[PublisherId]) -> MaskedStore<'_> {
-        self.store.excluding(excluded)
-    }
-
     /// The DASH-first / largest publishers (paper's anonymized `N`).
     pub fn dash_first_publishers(&self) -> Vec<PublisherId> {
         self.dataset
@@ -150,7 +143,7 @@ mod tests {
     fn exclusion_removes_publishers() {
         let ctx = ReproContext::new(Scale::Quick);
         let excluded = ctx.dash_first_publishers();
-        let filtered = ctx.store_excluding(&excluded);
+        let filtered = ctx.store.excluding(&excluded);
         let excluded_rows: usize = ctx
             .store
             .iter_segments()

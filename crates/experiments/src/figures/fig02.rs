@@ -5,14 +5,18 @@
 //! Plus §4.1's RTMP aside (1.6% → 0.1% of view-hours).
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{endpoints, share_series, ShareKind};
+use crate::figures::helpers::{endpoints, share_series};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::PROTOCOL;
 use vmp_core::protocol::StreamingProtocol;
 
 /// Runs the Fig 2 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig02", "Fig 2: protocol prevalence over 27 months");
+    let sweep = Sweep::of(ctx);
+    if sweep.last_or_fail(&mut result).is_none() {
+        return result;
+    }
     let protocols = [
         StreamingProtocol::Hls,
         StreamingProtocol::Dash,
@@ -22,27 +26,19 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     ];
 
     let a = share_series(
-        &ctx.store,
         "Fig 2(a): % of publishers supporting each protocol",
         &protocols,
-        PROTOCOL,
-        ShareKind::Publishers,
+        &sweep.per_snapshot(|s| Some(&s.protocol.publishers)),
     );
     let b = share_series(
-        &ctx.store,
         "Fig 2(b): % of view-hours by protocol",
         &protocols,
-        PROTOCOL,
-        ShareKind::ViewHours,
+        &sweep.per_snapshot(|s| Some(&s.protocol.hours)),
     );
-    let excluded = ctx.dash_first_publishers();
-    let store_wo = ctx.store_excluding(&excluded);
     let c = share_series(
-        &store_wo,
         "Fig 2(c): % of view-hours by protocol, excluding the large DASH-first publishers",
         &protocols,
-        PROTOCOL,
-        ShareKind::ViewHours,
+        &sweep.per_snapshot(|s| s.protocol_without_dash_first.as_ref()),
     );
 
     // Checks against the paper's endpoints.
@@ -86,7 +82,7 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     result.series.push(c);
     result.notes.push(format!(
         "{} large publishers are excluded in (c) (the paper's confidential N).",
-        excluded.len()
+        ctx.dash_first_publishers().len()
     ));
     result
 }

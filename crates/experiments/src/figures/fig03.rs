@@ -2,13 +2,21 @@
 
 use crate::context::ReproContext;
 use crate::figures::helpers::{counts_figure, endpoints, share_with_at_least};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::PROTOCOL;
 
 /// Runs the Fig 3 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig03", "Fig 3: protocols per publisher");
-    let (hist, buckets, series) = counts_figure(&ctx.store, "protocols", PROTOCOL);
+    let sweep = Sweep::of(ctx);
+    let Some(last) = sweep.last_or_fail(&mut result) else {
+        return result;
+    };
+    let (hist, buckets, series) = counts_figure(
+        "protocols",
+        &last.protocol_counts,
+        &sweep.per_snapshot(|s| s.protocol.average_counts.as_ref()),
+    );
 
     // Paper: 38% of publishers use 1 protocol but account for <10% of VH;
     // multi-protocol publishers carry >90% of VH; averages just under 2

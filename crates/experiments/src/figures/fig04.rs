@@ -2,26 +2,27 @@
 //! DASH and via HLS (supporters only, last snapshot).
 
 use crate::context::ReproContext;
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::{value_share, PROTOCOL};
 use vmp_analytics::report::Table;
-use vmp_core::protocol::StreamingProtocol;
 use vmp_stats::Cdf;
 
 /// Runs the Fig 4 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig04", "Fig 4: per-publisher view-hour share via DASH / HLS");
-    let last = ctx.store.latest_snapshot().expect("store has data");
+    let sweep = Sweep::of(ctx);
+    let Some(last) = sweep.last_or_fail(&mut result) else {
+        return result;
+    };
 
     let mut table = Table::new(
         "CDF of % view-hours via protocol (supporting publishers only)",
         vec!["quantile", "DASH", "HLS"],
     );
-    let dash = value_share(&ctx.store, last, PROTOCOL, &StreamingProtocol::Dash);
-    let hls = value_share(&ctx.store, last, PROTOCOL, &StreamingProtocol::Hls);
-    let dash_cdf = Cdf::new(&dash);
-    let hls_cdf = Cdf::new(&hls);
+    let (dash, hls) = (&last.dash_shares, &last.hls_shares);
+    let dash_cdf = Cdf::new(dash);
+    let hls_cdf = Cdf::new(hls);
     for q in [0.1, 0.25, 0.5, 0.75, 0.9] {
         table.row(vec![
             format!("p{}", (q * 100.0) as u32),

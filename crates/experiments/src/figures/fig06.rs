@@ -1,37 +1,33 @@
 //! Fig 6: platform shares of view-hours and of views, over time.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{endpoints, share_series, ShareKind};
+use crate::figures::helpers::{endpoints, share_series};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::PLATFORM;
 use vmp_core::platform::Platform;
 
 /// Runs the Fig 6 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig06", "Fig 6: platform usage over 27 months");
+    let sweep = Sweep::of(ctx);
+    if sweep.last_or_fail(&mut result).is_none() {
+        return result;
+    }
 
     let a = share_series(
-        &ctx.store,
         "Fig 6(a): % of view-hours per platform",
         &Platform::ALL,
-        PLATFORM,
-        ShareKind::ViewHours,
+        &sweep.per_snapshot(|s| Some(&s.platform.hours)),
     );
-    let excluded = ctx.dataset.largest_publishers(3);
-    let store_wo = ctx.store_excluding(&excluded);
     let b = share_series(
-        &store_wo,
         "Fig 6(b): % of view-hours per platform, excluding the 3 largest publishers",
         &Platform::ALL,
-        PLATFORM,
-        ShareKind::ViewHours,
+        &sweep.per_snapshot(|s| s.platform_without_largest.as_ref()),
     );
     let c = share_series(
-        &ctx.store,
         "Fig 6(c): % of views per platform",
         &Platform::ALL,
-        PLATFORM,
-        ShareKind::Views,
+        &sweep.per_snapshot(|s| Some(&s.platform_views)),
     );
 
     // Paper endpoints: browser VH 60% → <25%; set-top VH grows to ≈40%

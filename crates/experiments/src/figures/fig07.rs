@@ -1,21 +1,23 @@
 //! Fig 7: percentage of publishers supporting each platform, over time.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{endpoints, share_series, ShareKind};
+use crate::figures::helpers::{endpoints, share_series};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::PLATFORM;
 use vmp_core::platform::Platform;
 
 /// Runs the Fig 7 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig07", "Fig 7: % of publishers supporting each platform");
+    let sweep = Sweep::of(ctx);
+    if sweep.last_or_fail(&mut result).is_none() {
+        return result;
+    }
     let series = share_series(
-        &ctx.store,
         "% of publishers supporting each platform",
         &Platform::ALL,
-        PLATFORM,
-        ShareKind::Publishers,
+        &sweep.per_snapshot(|s| Some(&s.platform.publishers)),
     );
 
     // Paper: set-top grows <20% → >50%; smart TV <20% → >60%; browser and

@@ -1,54 +1,79 @@
 //! Fig 8: CDF of individual view duration per platform (last snapshot).
 
 use crate::context::ReproContext;
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
+use vmp_analytics::columns::Segment;
 use vmp_analytics::report::Table;
 use vmp_core::platform::Platform;
 use vmp_stats::Cdf;
 
-/// Runs the Fig 8 regeneration.
-pub fn run(ctx: &ReproContext) -> ExperimentResult {
-    let mut result = ExperimentResult::new("fig08", "Fig 8: view duration CDF per platform");
-    let last = ctx.store.latest_snapshot().expect("store has data");
+/// One platform's view-duration quantiles (hours) and share of views
+/// longer than 0.2 h (%).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DurationRow {
+    pub platform: Platform,
+    pub p25: f64,
+    pub p50: f64,
+    pub p75: f64,
+    pub over: f64,
+}
 
-    let mut table = Table::new(
-        "View duration quantiles (hours) and P(>0.2h), per platform",
-        vec!["platform", "p25", "p50", "p75", "P(>0.2h) %"],
-    );
-
-    let seg = ctx.store.segment(last);
-    let mut p_over: Vec<(Platform, f64)> = Vec::new();
+/// Every platform's duration row over one segment (platforms with no
+/// views are left out).
+pub(crate) fn durations(seg: &Segment) -> Vec<DurationRow> {
+    let mut rows = Vec::new();
     for platform in Platform::ALL {
         // View-weighted durations (each sample counts `weight` views),
         // straight off the platform/hours/weight columns.
         let mut durations = Vec::new();
         let mut weights = Vec::new();
-        if let Some(seg) = &seg {
-            let code = platform.code();
-            for (i, &p) in seg.platforms().iter().enumerate() {
-                if p == code {
-                    durations.push(seg.hours()[i]);
-                    weights.push(seg.weights()[i]);
-                }
+        let code = platform.code();
+        for (i, &p) in seg.platforms().iter().enumerate() {
+            if p == code {
+                durations.push(seg.hours()[i]);
+                weights.push(seg.weights()[i]);
             }
         }
         let Some(cdf) = Cdf::weighted(&durations, &weights) else {
             continue;
         };
-        let over = 100.0 * (1.0 - cdf.at(0.2));
-        p_over.push((platform, over));
+        rows.push(DurationRow {
+            platform,
+            p25: cdf.quantile(0.25),
+            p50: cdf.quantile(0.50),
+            p75: cdf.quantile(0.75),
+            over: 100.0 * (1.0 - cdf.at(0.2)),
+        });
+    }
+    rows
+}
+
+/// Runs the Fig 8 regeneration.
+pub fn run(ctx: &ReproContext) -> ExperimentResult {
+    let mut result = ExperimentResult::new("fig08", "Fig 8: view duration CDF per platform");
+    let sweep = Sweep::of(ctx);
+    let Some(last) = sweep.last_or_fail(&mut result) else {
+        return result;
+    };
+
+    let mut table = Table::new(
+        "View duration quantiles (hours) and P(>0.2h), per platform",
+        vec!["platform", "p25", "p50", "p75", "P(>0.2h) %"],
+    );
+    for row in &last.durations {
         table.row(vec![
-            platform.label().to_string(),
-            format!("{:.3}", cdf.quantile(0.25)),
-            format!("{:.3}", cdf.quantile(0.50)),
-            format!("{:.3}", cdf.quantile(0.75)),
-            format!("{over:.1}"),
+            row.platform.label().to_string(),
+            format!("{:.3}", row.p25),
+            format!("{:.3}", row.p50),
+            format!("{:.3}", row.p75),
+            format!("{:.1}", row.over),
         ]);
     }
 
     // Paper: >60% of set-top views exceed 0.2 h; only ≈24% of mobile and
     // browser views do.
-    let get = |p: Platform| p_over.iter().find(|(pl, _)| *pl == p).map(|(_, v)| *v);
+    let get = |p: Platform| last.durations.iter().find(|r| r.platform == p).map(|r| r.over);
     if let Some(settop) = get(Platform::SetTopBox) {
         result.checks.push(Check::in_range("fig8: set-top P(>0.2h) >60%", settop, 55.0, 90.0));
     }

@@ -2,13 +2,21 @@
 
 use crate::context::ReproContext;
 use crate::figures::helpers::{counts_figure, endpoints, share_with_at_least};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::PLATFORM;
 
 /// Runs the Fig 9 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig09", "Fig 9: platforms per publisher");
-    let (hist, buckets, series) = counts_figure(&ctx.store, "platforms", PLATFORM);
+    let sweep = Sweep::of(ctx);
+    let Some(last) = sweep.last_or_fail(&mut result) else {
+        return result;
+    };
+    let (hist, buckets, series) = counts_figure(
+        "platforms",
+        &last.platform_counts,
+        &sweep.per_snapshot(|s| s.platform.average_counts.as_ref()),
+    );
 
     // Paper: >85% of publishers support more than one platform and those
     // carry >95% of VH; ≈30% support all five and carry >60% of VH;

@@ -2,73 +2,120 @@
 
 use crate::context::ReproContext;
 use crate::figures::helpers::endpoints;
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
+use vmp_analytics::columns::Segment;
 use vmp_analytics::report::Series;
-use vmp_analytics::store::ViewStore;
 use vmp_core::device::DeviceModel;
 use vmp_core::platform::{BrowserTech, Platform};
 
-/// Share series within one platform (views of other platforms excluded).
-///
-/// Labels are a function of the device model (telemetry sets `os` from the
-/// device), so the whole figure is a device-code column scan: one pass per
-/// segment accumulating each *candidate* label's hours (every label a
-/// device of the platform can carry, sorted) and the platform total in row
-/// order — the same ordered additions the per-label rescans performed. A
-/// candidate becomes a line only if some row carried it, so the line set
-/// and order are the observed labels, sorted, without a discovery pass
-/// over the store.
-fn within_platform_series(
-    store: &ViewStore,
-    title: &str,
-    platform: Platform,
-    label_of: impl Fn(DeviceModel) -> Option<String>,
-) -> Series {
-    let mut series = Series::new(title, "snapshot");
-    let mut in_platform = [false; DeviceModel::CODE_COUNT];
-    let mut label_lut: [Option<String>; DeviceModel::CODE_COUNT] =
-        std::array::from_fn(|_| None);
-    for (code, (inside, label)) in (0u8..).zip(in_platform.iter_mut().zip(&mut label_lut)) {
-        if let Some(device) = DeviceModel::from_code(code) {
-            if device.platform() == platform {
-                *inside = true;
-                *label = label_of(device);
-            }
-        }
-    }
-    let mut labels: Vec<String> = label_lut.iter().flatten().cloned().collect();
-    labels.sort();
-    labels.dedup();
-    let group_of: [Option<usize>; DeviceModel::CODE_COUNT] = std::array::from_fn(|code| {
-        label_lut[code].as_ref().and_then(|l| labels.iter().position(|x| x == l))
-    });
+/// The label a device carries within its platform's panel.
+type LabelOf = fn(DeviceModel) -> Option<String>;
 
-    let mut observed = vec![false; labels.len()];
-    let mut lines: Vec<Vec<(String, f64)>> = vec![Vec::new(); labels.len()];
-    for seg in store.iter_segments() {
-        let mut platform_hours = 0.0f64;
-        let mut with = vec![0.0f64; labels.len()];
-        for (i, &code) in seg.devices().iter().enumerate() {
-            let code = code as usize;
-            if !in_platform[code] {
-                continue;
-            }
-            let h = seg.weighted_hours(i);
-            platform_hours += h;
-            if let Some(g) = group_of[code] {
-                observed[g] = true;
-                with[g] += h;
+/// The three within-platform breakdowns, in panel order: title, platform
+/// and the label a device of it carries.
+const BREAKDOWNS: [(&str, Platform, LabelOf); 3] = [
+    ("Fig 10(a): browser view-hours by player technology", Platform::Browser, |d| {
+        d.browser_tech().map(|t| t.label().to_string())
+    }),
+    ("Fig 10(b): mobile view-hours by OS", Platform::MobileApp, |d| Some(d.os().to_string())),
+    ("Fig 10(c): set-top view-hours by device", Platform::SetTopBox, |d| {
+        Some(d.model_string().to_string())
+    }),
+];
+
+/// Fig 10's label groups. Labels are a function of the device model
+/// (telemetry sets `os` from the device), so the whole figure is a
+/// device-code column scan: each panel's *candidate* labels are every
+/// label a device of its platform can carry, sorted; a candidate becomes a
+/// line only if some row carried it, so the line set and order are the
+/// observed labels, sorted, without a discovery pass over the store.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    /// Candidate labels per panel.
+    labels: [Vec<String>; 3],
+    /// Per device code: its panel (the platform it belongs to) and its
+    /// label group there, if it carries one.
+    group_of: [Option<(usize, Option<usize>)>; DeviceModel::CODE_COUNT],
+}
+
+/// One snapshot's shares (%) of each panel's candidate labels within the
+/// panel's platform, and whether any row carried each label.
+#[derive(Debug)]
+pub(crate) struct DeviceShares {
+    shares: [Vec<f64>; 3],
+    observed: [Vec<bool>; 3],
+}
+
+impl Plan {
+    pub(crate) fn new() -> Plan {
+        let mut label_lut: [[Option<String>; DeviceModel::CODE_COUNT]; 3] =
+            std::array::from_fn(|_| std::array::from_fn(|_| None));
+        let mut panel_of = [None; DeviceModel::CODE_COUNT];
+        for (code, panel) in (0u8..).zip(panel_of.iter_mut()) {
+            let Some(device) = DeviceModel::from_code(code) else { continue };
+            for (p, (_, platform, label_of)) in BREAKDOWNS.iter().enumerate() {
+                if device.platform() == *platform {
+                    *panel = Some(p);
+                    label_lut[p][usize::from(code)] = label_of(device);
+                }
             }
         }
-        for (g, w) in with.into_iter().enumerate() {
-            let share = if platform_hours > 0.0 { 100.0 * w / platform_hours } else { 0.0 };
-            lines[g].push((seg.snapshot().to_string(), share));
-        }
+        let labels: [Vec<String>; 3] = std::array::from_fn(|p| {
+            let mut labels: Vec<String> = label_lut[p].iter().flatten().cloned().collect();
+            labels.sort();
+            labels.dedup();
+            labels
+        });
+        let group_of = std::array::from_fn(|code| {
+            panel_of[code].map(|p| {
+                let group = label_lut[p][code].as_ref();
+                (p, group.and_then(|l| labels[p].iter().position(|x| x == l)))
+            })
+        });
+        Plan { labels, group_of }
     }
-    for ((label, points), seen) in labels.into_iter().zip(lines).zip(observed) {
-        if seen {
-            series.line(label, points);
+
+    /// One pass over a segment's device column: each panel's platform total
+    /// and each label's hours accumulate in row order — the same ordered
+    /// additions a per-panel scan performs, since a row belongs to at most
+    /// one platform.
+    pub(crate) fn visit(&self, seg: &Segment) -> DeviceShares {
+        let mut platform_hours = [0.0f64; 3];
+        let mut with: [Vec<f64>; 3] = std::array::from_fn(|p| vec![0.0; self.labels[p].len()]);
+        let mut observed: [Vec<bool>; 3] =
+            std::array::from_fn(|p| vec![false; self.labels[p].len()]);
+        for (i, &code) in seg.devices().iter().enumerate() {
+            let Some((p, group)) = self.group_of[usize::from(code)] else { continue };
+            let h = seg.weighted_hours(i);
+            platform_hours[p] += h;
+            if let Some(g) = group {
+                observed[p][g] = true;
+                with[p][g] += h;
+            }
         }
+        let shares = std::array::from_fn(|p| {
+            let total = platform_hours[p];
+            with[p].iter().map(|w| if total > 0.0 { 100.0 * w / total } else { 0.0 }).collect()
+        });
+        DeviceShares { shares, observed }
+    }
+}
+
+/// Panel `p`'s share series over every snapshot of the sweep.
+fn within_platform_series(sweep: &Sweep, p: usize) -> Series {
+    let (title, _, _) = BREAKDOWNS[p];
+    let mut series = Series::new(title, "snapshot");
+    for (g, label) in sweep.devices.labels[p].iter().enumerate() {
+        if !sweep.snapshots.iter().any(|s| s.devices.observed[p][g]) {
+            continue;
+        }
+        let points = sweep
+            .snapshots
+            .iter()
+            .map(|s| (s.snapshot.to_string(), s.devices.shares[p][g]))
+            .collect();
+        series.line(label.clone(), points);
     }
     series
 }
@@ -76,25 +123,11 @@ fn within_platform_series(
 /// Runs the Fig 10 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig10", "Fig 10: device shares within platforms");
-
-    let browsers = within_platform_series(
-        &ctx.store,
-        "Fig 10(a): browser view-hours by player technology",
-        Platform::Browser,
-        |d| d.browser_tech().map(|t| t.label().to_string()),
-    );
-    let mobile = within_platform_series(
-        &ctx.store,
-        "Fig 10(b): mobile view-hours by OS",
-        Platform::MobileApp,
-        |d| Some(d.os().to_string()),
-    );
-    let settop = within_platform_series(
-        &ctx.store,
-        "Fig 10(c): set-top view-hours by device",
-        Platform::SetTopBox,
-        |d| Some(d.model_string().to_string()),
-    );
+    let sweep = Sweep::of(ctx);
+    if sweep.last_or_fail(&mut result).is_none() {
+        return result;
+    }
+    let [browsers, mobile, settop] = std::array::from_fn(|p| within_platform_series(&sweep, p));
 
     // Paper: HTML5 ≈25% → ≈60%; Flash ≈60% → ≈40%; Android rises to parity
     // with iOS; Roku dominant among set-tops with AppleTV/FireTV visible.

@@ -1,28 +1,28 @@
 //! Fig 11: CDN usage across publishers and view-hours, over time.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{endpoints, share_series, ShareKind};
+use crate::figures::helpers::{endpoints, share_series};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::CDN;
 use vmp_core::cdn::CdnName;
 
 /// Runs the Fig 11 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig11", "Fig 11: CDN prevalence over 27 months");
+    let sweep = Sweep::of(ctx);
+    let (Some(_), Some(latest)) = (sweep.last_or_fail(&mut result), sweep.latest()) else {
+        return result;
+    };
 
     let a = share_series(
-        &ctx.store,
         "Fig 11(a): % of publishers using each major CDN",
         &CdnName::MAJORS,
-        CDN,
-        ShareKind::Publishers,
+        &sweep.per_snapshot(|s| Some(&s.cdn.publishers)),
     );
     let b = share_series(
-        &ctx.store,
         "Fig 11(b): % of view-hours served by each major CDN",
         &CdnName::MAJORS,
-        CDN,
-        ShareKind::ViewHours,
+        &sweep.per_snapshot(|s| Some(&s.cdn.hours)),
     );
 
     // Paper: CDN A used by ≈80% of publishers (C ≈30%), stable over time;
@@ -59,8 +59,7 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
         }
     }
     // Top-5 concentration (§4.3: >93%).
-    let last = ctx.store.latest_snapshot().expect("data");
-    let shares = vmp_analytics::columns::vh_share(&ctx.store, last, CDN);
+    let shares = &latest.cdn.hours;
     let top5: f64 = CdnName::MAJORS.iter().filter_map(|c| shares.get(c)).sum();
     result.checks.push(Check::in_range("§4.3: top-5 CDNs carry >93% of VH", top5, 88.0, 100.0));
     let distinct = shares.len();

@@ -3,16 +3,24 @@
 
 use crate::context::ReproContext;
 use crate::figures::helpers::{counts_figure, endpoints, share_with_at_least};
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::CDN;
+use vmp_analytics::columns::Segment;
 use vmp_analytics::report::Table;
 use vmp_core::content::ContentClass;
-use vmp_core::time::SnapshotId;
 
 /// Runs the Fig 12 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig12", "Fig 12: CDNs per publisher");
-    let (hist, buckets, series) = counts_figure(&ctx.store, "CDNs", CDN);
+    let sweep = Sweep::of(ctx);
+    let Some(last) = sweep.last_or_fail(&mut result) else {
+        return result;
+    };
+    let (hist, buckets, series) = counts_figure(
+        "CDNs",
+        &last.cdn_counts,
+        &sweep.per_snapshot(|s| s.cdn.average_counts.as_ref()),
+    );
 
     // Paper: >40% of publishers single-CDN but <5% of VH; <10% of
     // publishers use 5 CDNs but carry >50% of VH; ≈80% of VH from 4-5-CDN
@@ -34,7 +42,7 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
 
     // Segregation: among multi-CDN publishers serving both classes, how
     // many keep a CDN exclusively for VoD (paper: 30%) or live (19%)?
-    let seg = segregation_stats(ctx, ctx.store.latest_snapshot().expect("data"));
+    let seg = last.segregation;
     let mut seg_table = Table::new(
         "§4.3: live/VoD CDN segregation among multi-CDN live+VoD publishers",
         vec!["statistic", "% of publishers"],
@@ -52,8 +60,9 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
 }
 
 /// (% with a VoD-only CDN, % with a live-only CDN) among multi-CDN
-/// publishers serving both content classes, measured from telemetry.
-fn segregation_stats(ctx: &ReproContext, snapshot: SnapshotId) -> (f64, f64) {
+/// publishers serving both content classes, measured from one snapshot's
+/// telemetry.
+pub(crate) fn segregation(seg: &Segment) -> (f64, f64) {
     use std::collections::BTreeMap;
     #[derive(Default)]
     struct PubCdns {
@@ -62,18 +71,15 @@ fn segregation_stats(ctx: &ReproContext, snapshot: SnapshotId) -> (f64, f64) {
         vod_total: u32,
         live_total: u32,
     }
-    let Some(seg) = ctx.store.segment(snapshot) else {
-        return (0.0, 0.0);
-    };
     let vod = ContentClass::Vod.code();
     let mut per_pub: BTreeMap<u32, PubCdns> = BTreeMap::new();
     for i in 0..seg.len() {
         let entry = per_pub.entry(seg.publishers()[i]).or_default();
         let is_vod = seg.classes()[i] == vod;
         if is_vod {
-            entry.vod_total += 1;
+            entry.vod_total = entry.vod_total.saturating_add(1);
         } else {
-            entry.live_total += 1;
+            entry.live_total = entry.live_total.saturating_add(1);
         }
         let mut bits = seg.cdn_masks()[i];
         while bits != 0 {

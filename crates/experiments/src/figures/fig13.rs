@@ -2,8 +2,9 @@
 //! (log-log scatter + OLS fit).
 
 use crate::context::ReproContext;
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::complexity::{complexity_fit, complexity_points, ComplexityMeasure};
+use vmp_analytics::complexity::{complexity_fit, ComplexityMeasure, ComplexityPoint};
 use vmp_analytics::report::Table;
 use vmp_core::time::SnapshotId;
 
@@ -11,7 +12,15 @@ use vmp_core::time::SnapshotId;
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig13", "Fig 13: complexity measures vs publisher view-hours");
-    let last = ctx.store.latest_snapshot().expect("store has data");
+    let sweep = Sweep::of(ctx);
+    let Some(last) = sweep.last_or_fail(&mut result) else {
+        return result;
+    };
+    // Catalogue size comes from the publisher's management plane (the paper
+    // uses distinct video-ID counts where available).
+    let titles_of = |publisher| {
+        ctx.dataset.profile(publisher).map(|p| p.plane(SnapshotId::LAST).titles).unwrap_or(1)
+    };
 
     let mut table = Table::new(
         "Log-log OLS fits (growth per 10x view-hours)",
@@ -23,14 +32,8 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
         ComplexityMeasure::ProtocolTitles,
         ComplexityMeasure::UniqueSdks,
     ] {
-        let points = complexity_points(&ctx.store, last, measure, &|publisher| {
-            // Catalogue size comes from the publisher's management plane
-            // (the paper uses distinct video-ID counts where available).
-            ctx.dataset
-                .profile(publisher)
-                .map(|p| p.plane(SnapshotId::LAST).titles)
-                .unwrap_or(1)
-        });
+        let points: Vec<ComplexityPoint> =
+            last.complexity.iter().map(|p| p.point(measure, &titles_of)).collect();
         let fit = match complexity_fit(&points) {
             Ok(f) => f,
             Err(e) => {

@@ -1,14 +1,18 @@
 //! Fig 14: prevalence of content syndication.
 
 use crate::context::ReproContext;
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
 use vmp_analytics::report::Table;
-use vmp_syndication::prevalence::syndication_reach;
 
 /// Runs the Fig 14 regeneration.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig14", "Fig 14: syndication prevalence");
-    let reach = syndication_reach(&ctx.store);
+    let sweep = Sweep::of(ctx);
+    if sweep.last_or_fail(&mut result).is_none() {
+        return result;
+    }
+    let reach = &sweep.reach;
 
     let mut table = Table::new(
         "CDF across owners of % of full syndicators used",

@@ -1,14 +1,16 @@
 //! Shared plumbing for figure drivers.
 //!
-//! The store-backed helpers run on the columnar kernel: a figure names a
-//! [`DimSpec`] instead of a row extractor, and any [`SegmentSource`] —
-//! the full store or a masked view — can back a series. The scenario
+//! The scan figures render what the store's sweep (`sweep.rs`) gathered:
+//! per-snapshot share maps become series here, and per-publisher counts
+//! become the three count artifacts of Figs 3, 9 and 12. The scenario
 //! drivers (`resilience`, `monitor`, `live_event`) share the grading of a
 //! cohort's alert stream and their replay-fingerprint fold here.
 
+use std::collections::BTreeMap;
 use std::fmt::Display;
-use vmp_analytics::columns::{self, DimSpec, SegmentSource, ShareMetric};
+use vmp_analytics::perpub::PublisherCount;
 use vmp_analytics::report::Series;
+use vmp_core::time::SnapshotId;
 use vmp_core::units::Seconds;
 use vmp_faults::FaultProfile;
 use vmp_monitor::{score_alerts, Alert, Cell, HealthMonitor};
@@ -101,41 +103,18 @@ pub fn grade_alerts(ends: &[SessionEnd], profile: Option<&FaultProfile>) -> Aler
     }
 }
 
-/// Which share to plot over time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShareKind {
-    /// % of publishers supporting the value (Fig 2(a), 7, 11(a)).
-    Publishers,
-    /// % of view-hours carried by the value (Fig 2(b), 6(a), 11(b)).
-    ViewHours,
-    /// % of views carried by the value (Fig 6(c)).
-    Views,
-}
-
 /// Minimum share of a publisher's view-hours for a dimension value to count
 /// as "supported" (filters the rare device-fallback views).
 pub const SUPPORT_FLOOR: f64 = 0.01;
 
-/// Builds a per-snapshot share series for a fixed set of dimension values.
-/// Snapshots are rolled up in parallel (one segment per worker) and lines
-/// assembled in fixed value/snapshot order.
-pub fn share_series<S, V>(
-    source: &S,
+/// Builds a share series for a fixed set of dimension values from
+/// per-snapshot share maps: one line per value, in value order, one point
+/// per snapshot (a value a snapshot never saw plots 0).
+pub fn share_series<V: Ord + Display>(
     title: &str,
     values: &[V],
-    spec: DimSpec<V>,
-    kind: ShareKind,
-) -> Series
-where
-    S: SegmentSource,
-    V: Ord + Clone + Display + Send,
-{
-    let metric = match kind {
-        ShareKind::Publishers => ShareMetric::Publishers { floor: SUPPORT_FLOOR },
-        ShareKind::ViewHours => ShareMetric::ViewHours,
-        ShareKind::Views => ShareMetric::Views,
-    };
-    let per_snapshot = columns::share_by_snapshot(source, spec, metric);
+    per_snapshot: &[(SnapshotId, &BTreeMap<V, f64>)],
+) -> Series {
     let mut series = Series::new(title, "snapshot");
     for value in values {
         let points = per_snapshot
@@ -149,29 +128,25 @@ where
     series
 }
 
-/// Builds the three per-publisher-count artifacts shared by Figs 3, 9, 12:
+/// Builds the three per-publisher-count artifacts shared by Figs 3, 9, 12
+/// from the latest snapshot's per-publisher counts and the per-snapshot
+/// (plain, weighted) average counts:
 /// (a) count histogram by % publishers / % view-hours,
 /// (b) count distribution bucketed by publisher view-hours,
 /// (c) average and weighted-average count per snapshot.
-pub fn counts_figure<S: SegmentSource, V: Ord>(
-    source: &S,
+pub fn counts_figure(
     dim_name: &str,
-    spec: DimSpec<V>,
+    counts: &[PublisherCount],
+    averages: &[(SnapshotId, &(f64, f64))],
 ) -> (vmp_analytics::report::Table, vmp_analytics::report::Table, Series) {
-    use vmp_analytics::perpub::{
-        count_histogram, counts_by_size_bucket, counts_per_publisher, CountsOverTime,
-    };
+    use vmp_analytics::perpub::{count_histogram, counts_by_size_bucket};
     use vmp_analytics::report::Table;
-
-    let last =
-        source.live_metas().last().map(|m| m.snapshot).expect("store has data");
-    let counts = counts_per_publisher(source, last, spec, SUPPORT_FLOOR);
 
     let mut hist_table = Table::new(
         format!("(a) number of {dim_name} per publisher (last snapshot)"),
         vec!["count", "% of publishers", "% of view-hours"],
     );
-    for (count, (pubs, vh)) in count_histogram(&counts) {
+    for (count, (pubs, vh)) in count_histogram(counts) {
         hist_table.row(vec![count.to_string(), format!("{pubs:.1}"), format!("{vh:.1}")]);
     }
 
@@ -180,7 +155,7 @@ pub fn counts_figure<S: SegmentSource, V: Ord>(
         vec!["bucket", "% of publishers", "count distribution within bucket"],
     );
     for (bucket, (share, dist)) in
-        counts_by_size_bucket(&counts, vmp_synth::trends::X_VIEW_HOURS)
+        counts_by_size_bucket(counts, vmp_synth::trends::X_VIEW_HOURS)
     {
         let label = if bucket == 0 {
             "<X".to_string()
@@ -195,18 +170,14 @@ pub fn counts_figure<S: SegmentSource, V: Ord>(
         bucket_table.row(vec![label, format!("{share:.1}"), dist_text]);
     }
 
-    let over_time = CountsOverTime::compute(source, spec, SUPPORT_FLOOR);
     let mut series = Series::new(
         format!("(c) average number of {dim_name} per publisher over time"),
         "snapshot",
     );
-    series.line(
-        "average",
-        over_time.points.iter().map(|(s, a, _)| (s.to_string(), *a)).collect(),
-    );
+    series.line("average", averages.iter().map(|(s, (a, _))| (s.to_string(), *a)).collect());
     series.line(
         "weighted average",
-        over_time.points.iter().map(|(s, _, w)| (s.to_string(), *w)).collect(),
+        averages.iter().map(|(s, (_, w))| (s.to_string(), *w)).collect(),
     );
 
     (hist_table, bucket_table, series)
@@ -241,7 +212,6 @@ pub fn endpoints(series: &Series, line: &str) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmp_analytics::store::ViewStore;
     use vmp_core::protocol::StreamingProtocol;
 
     #[test]
@@ -253,16 +223,15 @@ mod tests {
     }
 
     #[test]
-    fn share_series_runs_on_empty_store() {
-        let store = ViewStore::ingest(vec![]);
-        let s = share_series(
-            &store,
-            "t",
-            &[StreamingProtocol::Hls],
-            vmp_analytics::columns::PROTOCOL,
-            ShareKind::ViewHours,
-        );
-        assert_eq!(s.lines.len(), 1);
-        assert!(s.lines[0].1.is_empty());
+    fn share_series_plots_missing_values_as_zero() {
+        let first = SnapshotId::FIRST;
+        let shares = BTreeMap::from([(StreamingProtocol::Hls, 80.0)]);
+        let values = [StreamingProtocol::Hls, StreamingProtocol::Dash];
+        let s = share_series("t", &values, &[(first, &shares)]);
+        assert_eq!(s.lines.len(), 2);
+        assert_eq!(s.lines[0].1, vec![(first.to_string(), 80.0)]);
+        assert_eq!(s.lines[1].1, vec![(first.to_string(), 0.0)]);
+        let empty = share_series::<StreamingProtocol>("t", &[StreamingProtocol::Hls], &[]);
+        assert!(empty.lines[0].1.is_empty());
     }
 }

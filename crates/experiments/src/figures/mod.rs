@@ -24,4 +24,5 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod summary;
+pub(crate) mod sweep;
 pub mod tab1;

@@ -1,22 +1,24 @@
 //! §4.4: the paper's summary aggregates, re-measured in one place.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::SUPPORT_FLOOR;
+use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
-use vmp_analytics::columns::{vh_share, DimSpec, CDN, PLATFORM, PROTOCOL};
-use vmp_analytics::perpub::{count_histogram, counts_per_publisher};
+use vmp_analytics::perpub::{count_histogram, PublisherCount};
 use vmp_analytics::report::Table;
 use vmp_core::protocol::StreamingProtocol;
 
 /// Runs the §4.4 summary.
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("summary", "§4.4 summary aggregates");
-    let last = ctx.store.latest_snapshot().expect("store has data");
+    let sweep = Sweep::of(ctx);
+    let (Some(last), Some(latest)) = (sweep.last_or_fail(&mut result), sweep.latest()) else {
+        return result;
+    };
 
     let mut table = Table::new("Headline aggregates (last snapshot)", vec!["statistic", "value"]);
 
     // "No single alternative dominates": HLS and DASH roughly even by VH.
-    let vh = vh_share(&ctx.store, last, PROTOCOL);
+    let vh = &latest.protocol.hours;
     let hls = vh.get(&StreamingProtocol::Hls).copied().unwrap_or(0.0);
     let dash = vh.get(&StreamingProtocol::Dash).copied().unwrap_or(0.0);
     table.row(vec!["HLS % of VH".into(), format!("{hls:.1}")]);
@@ -29,9 +31,9 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
 
     // ">90% of VH from publishers with >1 protocol / CDN / platform".
     for (name, vh_multi) in [
-        ("protocols", multi_vh(ctx, last, PROTOCOL)),
-        ("CDNs", multi_vh(ctx, last, CDN)),
-        ("platforms", multi_vh(ctx, last, PLATFORM)),
+        ("protocols", multi_vh(&last.protocol_counts)),
+        ("CDNs", multi_vh(&last.cdn_counts)),
+        ("platforms", multi_vh(&last.platform_counts)),
     ] {
         table.row(vec![format!("% of VH from multi-{name} publishers"), format!("{vh_multi:.1}")]);
         result.checks.push(Check::in_range(
@@ -44,9 +46,9 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
 
     // Weighted average counts: protocols 2.2, CDNs 4.5, platforms 4.5.
     for (name, expected, lo, hi, w) in [
-        ("protocols", 2.2, 1.9, 2.8, weighted_avg(ctx, last, PROTOCOL)),
-        ("CDNs", 4.5, 3.7, 5.0, weighted_avg(ctx, last, CDN)),
-        ("platforms", 4.5, 3.8, 5.0, weighted_avg(ctx, last, PLATFORM)),
+        ("protocols", 2.2, 1.9, 2.8, weighted_avg(&last.protocol_counts)),
+        ("CDNs", 4.5, 3.7, 5.0, weighted_avg(&last.cdn_counts)),
+        ("platforms", 4.5, 3.8, 5.0, weighted_avg(&last.platform_counts)),
     ] {
         table.row(vec![format!("weighted avg # {name}"), format!("{w:.2} (paper {expected})")]);
         result.checks.push(Check::in_range(
@@ -61,18 +63,12 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     result
 }
 
-fn multi_vh<V: Ord>(ctx: &ReproContext, last: vmp_core::time::SnapshotId, spec: DimSpec<V>) -> f64 {
-    let counts = counts_per_publisher(&ctx.store, last, spec, SUPPORT_FLOOR);
-    let hist = count_histogram(&counts);
+fn multi_vh(counts: &[PublisherCount]) -> f64 {
+    let hist = count_histogram(counts);
     hist.iter().filter(|(c, _)| **c >= 2).map(|(_, (_, vh))| vh).sum()
 }
 
-fn weighted_avg<V: Ord>(
-    ctx: &ReproContext,
-    last: vmp_core::time::SnapshotId,
-    spec: DimSpec<V>,
-) -> f64 {
-    let counts = counts_per_publisher(&ctx.store, last, spec, SUPPORT_FLOOR);
+fn weighted_avg(counts: &[PublisherCount]) -> f64 {
     let total: f64 = counts.iter().map(|c| c.view_hours).sum();
     if total <= 0.0 {
         return 0.0;

@@ -28,6 +28,6 @@ pub mod qoe;
 pub mod storage;
 
 pub use catalogue::{CatalogueStudy, FIG17_LADDERS};
-pub use prevalence::syndication_reach;
+pub use prevalence::{ReachSets, SyndicationReach};
 pub use qoe::{qoe_comparison, QoeComparison, QoeScenario};
 pub use storage::{storage_study, StorageStudyResult};

@@ -4,13 +4,16 @@
 //! for each content owner, which full syndicators served its content. The
 //! figure plots the CDF across owners of the percentage of all full
 //! syndicators each owner reaches.
+//!
+//! Reach is built from sets, so it splits into a per-segment accumulate
+//! ([`ReachSets::add_segment`]), a merge and a [`finish`](ReachSets::finish):
+//! segments can be gathered in any grouping and the result is equal.
 
 use std::collections::{BTreeMap, BTreeSet};
 use vmp_core::ids::PublisherId;
 use vmp_stats::Cdf;
 
-use vmp_analytics::columns::NO_OWNER;
-use vmp_analytics::store::ViewStore;
+use vmp_analytics::columns::{Segment, NO_OWNER};
 
 /// Per-owner syndicator reach measured from telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,61 +40,102 @@ impl SyndicationReach {
     }
 }
 
-/// Measures syndication reach from the telemetry store.
+/// The owner and syndicator sets behind [`SyndicationReach`], gathered
+/// from segments.
 ///
 /// An owner is any publisher appearing as the `owner` of a syndicated view
 /// or serving owned views that others syndicate; a syndicator is any
 /// publisher observed serving syndicated content.
-pub fn syndication_reach(store: &ViewStore) -> SyndicationReach {
-    let mut syndicators: BTreeSet<PublisherId> = BTreeSet::new();
-    let mut owner_to_syndicators: BTreeMap<PublisherId, BTreeSet<PublisherId>> = BTreeMap::new();
-    let mut owners: BTreeSet<PublisherId> = BTreeSet::new();
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReachSets {
+    syndicators: BTreeSet<PublisherId>,
+    owners: BTreeSet<PublisherId>,
+    owner_to_syndicators: BTreeMap<PublisherId, BTreeSet<PublisherId>>,
+}
 
-    // Column scan: the owner column carries `NO_OWNER` for owned views and
-    // the owning publisher's raw id for syndicated ones.
-    for seg in store.iter_segments() {
+impl ReachSets {
+    /// Adds one segment's views. Delivery is publisher-ascending inside a
+    /// snapshot, so rows arrive in runs of one serving publisher: the sets
+    /// are updated once per run with the run's distinct owners, not once per
+    /// row. A publisher that reappears later simply adds to the same sets.
+    pub fn add_segment(&mut self, seg: &Segment) {
         let pubs = seg.publishers();
         let owner_col = seg.owners();
-        for i in 0..seg.len() {
-            match owner_col[i] {
-                NO_OWNER => {
-                    owners.insert(PublisherId::new(pubs[i]));
-                }
-                owner_raw => {
-                    let serving = PublisherId::new(pubs[i]);
-                    let owner = PublisherId::new(owner_raw);
-                    syndicators.insert(serving);
-                    owners.insert(owner);
-                    owner_to_syndicators.entry(owner).or_default().insert(serving);
+        let mut run_owners: Vec<u32> = Vec::new();
+        let mut i = 0;
+        while i < pubs.len() {
+            let serving = pubs[i];
+            let run = pubs[i..].iter().take_while(|&&p| p == serving).count();
+            let mut owned = false;
+            run_owners.clear();
+            for &owner in &owner_col[i..i + run] {
+                if owner == NO_OWNER {
+                    owned = true;
+                } else if run_owners.last() != Some(&owner) {
+                    run_owners.push(owner);
                 }
             }
+            let serving = PublisherId::new(serving);
+            if owned {
+                self.owners.insert(serving);
+            }
+            if !run_owners.is_empty() {
+                run_owners.sort_unstable();
+                run_owners.dedup();
+                self.syndicators.insert(serving);
+                for &owner in &run_owners {
+                    let owner = PublisherId::new(owner);
+                    self.owners.insert(owner);
+                    self.owner_to_syndicators.entry(owner).or_default().insert(serving);
+                }
+            }
+            i += run;
         }
     }
-    // Publishers that only syndicate are not owners.
-    let pure_syndicators: BTreeSet<PublisherId> = syndicators
-        .iter()
-        .copied()
-        .filter(|s| !owner_to_syndicators.contains_key(s))
-        .collect();
-    let owners: BTreeSet<PublisherId> =
-        owners.difference(&pure_syndicators).copied().collect();
 
-    let pool = syndicators.len().max(1) as f64;
-    let per_owner: BTreeMap<PublisherId, f64> = owners
-        .into_iter()
-        .map(|o| {
-            let reach = owner_to_syndicators.get(&o).map(|s| s.len()).unwrap_or(0) as f64;
-            (o, reach / pool)
-        })
-        .collect();
+    /// Folds another gathering in (set unions: order does not matter).
+    pub fn merge(&mut self, other: ReachSets) {
+        self.syndicators.extend(other.syndicators);
+        self.owners.extend(other.owners);
+        for (owner, syndicators) in other.owner_to_syndicators {
+            self.owner_to_syndicators.entry(owner).or_default().extend(syndicators);
+        }
+    }
 
-    SyndicationReach { total_syndicators: syndicators.len(), per_owner }
+    /// Each owner's reach over the syndicator pool.
+    pub fn finish(self) -> SyndicationReach {
+        let ReachSets { syndicators, owners, owner_to_syndicators } = self;
+        // Publishers that only syndicate are not owners.
+        let pure_syndicators: BTreeSet<PublisherId> = syndicators
+            .iter()
+            .copied()
+            .filter(|s| !owner_to_syndicators.contains_key(s))
+            .collect();
+        let pool = syndicators.len().max(1) as f64;
+        let per_owner: BTreeMap<PublisherId, f64> = owners
+            .difference(&pure_syndicators)
+            .map(|o| {
+                let reach = owner_to_syndicators.get(o).map_or(0, BTreeSet::len) as f64;
+                (*o, reach / pool)
+            })
+            .collect();
+        SyndicationReach { total_syndicators: syndicators.len(), per_owner }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmp_analytics::store::ViewStore;
     use vmp_core::view::{OwnershipFlag, SampledView};
+
+    fn syndication_reach(store: &ViewStore) -> SyndicationReach {
+        let mut sets = ReachSets::default();
+        for seg in store.iter_segments() {
+            sets.add_segment(&seg);
+        }
+        sets.finish()
+    }
 
     fn view(publisher: u32, ownership: OwnershipFlag) -> SampledView {
         use vmp_core::content::ContentClass;
