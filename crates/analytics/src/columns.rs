@@ -1,4 +1,4 @@
-//! Segmented columnar storage and the shared group-by kernel.
+//! Segmented columnar storage and the per-segment group-by kernels.
 //!
 //! Ingest ([`crate::store::IngestPipeline`]) reads each [`SampledView`]
 //! once and keeps only the *columns* built here, which every §4–§6
@@ -9,9 +9,16 @@
 //! (unweighted hours and sampling weight). Manifest URLs are classified
 //! once at ingest; no scan ever touches a heap `String` again.
 //!
-//! **Determinism rules.** Every figure must stay byte-identical to the
-//! row-at-a-time reference in [`crate::query`], so the kernel follows two
-//! rules:
+//! The read API is one sweep and the kernels it runs: [`per_segment_map`]
+//! visits every segment of a store, and a kernel reduces one segment —
+//! [`rollup_segment`] (shares by a dimension), [`per_publisher_segment`]
+//! (per-publisher support, with [`publisher_shares`] and [`value_shares`]
+//! as its reducers). Nothing aggregates across segments here; a caller that
+//! wants a series collects the per-segment results in snapshot order.
+//!
+//! **Determinism rules.** Every figure must stay byte-identical to a
+//! row-at-a-time reference (the equivalence tests keep one), so the
+//! kernels follow two rules:
 //!
 //! 1. *Within a segment*, accumulation runs in row order on one thread —
 //!    each (key, accumulator) receives exactly the ordered sequence of
@@ -20,19 +27,17 @@
 //!    reference's key-containment semantics for zero-measure rows.
 //! 2. *Across segments*, parallelism is per snapshot only
 //!    ([`per_segment_map`] fans segments out over `std::thread::scope`)
-//!    and results are collected in ascending snapshot order; whole-store
-//!    reductions ([`group_hours_all`]) merge per-segment partials in that
-//!    fixed order. No floating-point sum ever depends on thread timing.
+//!    and results are collected in ascending snapshot order. No
+//!    floating-point sum ever depends on thread timing.
 //!
-//! Filtering composes through [`PublisherMask`]: a [`SegmentSource`] with
-//! a mask skips excluded rows during the scan (preserving relative row
-//! order, hence bit-identical sums) instead of deep-copying and
-//! re-ingesting the survivors.
+//! Filtering composes through [`PublisherMask`]: a kernel given a mask
+//! skips excluded rows during the scan (preserving relative row order,
+//! hence bit-identical sums) instead of deep-copying and re-ingesting the
+//! survivors.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::ops::Range;
-use std::sync::Arc;
 
 use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
@@ -419,7 +424,7 @@ fn read_column<R: Read, T, const N: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Masks and sources.
+// Masks.
 // ---------------------------------------------------------------------------
 
 /// A bitset of excluded publishers, indexed by raw publisher id. Built once
@@ -455,26 +460,6 @@ impl PublisherMask {
 #[inline]
 fn keep(mask: Option<&PublisherMask>, raw: u32) -> bool {
     !mask.is_some_and(|m| m.excludes(raw))
-}
-
-/// Anything the kernel can scan: the full store, or a masked view over the
-/// same segments.
-///
-/// Scans no longer borrow segments directly: they walk [`SegmentMeta`]
-/// descriptors and load each segment through the store's
-/// [`SegmentStore`](crate::segstore::SegmentStore), which hands out
-/// `Arc<Segment>` guards — resident ones for hot segments, decoded-on-read
-/// ones for spilled segments.
-pub trait SegmentSource {
-    /// The backing store (row storage, segment store, dictionaries).
-    fn store(&self) -> &ViewStore;
-
-    /// Row-level exclusion mask, if any.
-    fn mask(&self) -> Option<&PublisherMask>;
-
-    /// Descriptors of segments with at least one surviving row, ascending
-    /// by snapshot.
-    fn live_metas(&self) -> Vec<SegmentMeta>;
 }
 
 // ---------------------------------------------------------------------------
@@ -608,32 +593,17 @@ pub enum Metric {
     Views,
 }
 
-/// Which share a per-snapshot series plots (mirrors the three §4 shapes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ShareMetric {
-    /// % of view-hours carried by each value.
-    ViewHours,
-    /// % of views carried by each value.
-    Views,
-    /// % of publishers supporting each value (≥ `floor` of their hours).
-    Publishers {
-        /// Minimum share of a publisher's view-hours for support.
-        floor: f64,
-    },
-}
-
 /// Dense accumulation state of one group-by pass.
 #[derive(Debug)]
 pub struct Rollup {
     totals: Vec<f64>,
     seen: Vec<bool>,
     grand_total: f64,
-    rows: u64,
 }
 
 impl Rollup {
     fn new(cardinality: usize) -> Rollup {
-        Rollup { totals: vec![0.0; cardinality], seen: vec![false; cardinality], grand_total: 0.0, rows: 0 }
+        Rollup { totals: vec![0.0; cardinality], seen: vec![false; cardinality], grand_total: 0.0 }
     }
 
     /// Total measure over all scanned rows (including rows carrying no
@@ -642,33 +612,21 @@ impl Rollup {
         self.grand_total
     }
 
-    /// Rows scanned (before masking).
-    pub fn rows_scanned(&self) -> u64 {
-        self.rows
-    }
-
     /// `(code, total)` for every code that appeared, ascending.
     pub fn iter(&self) -> impl Iterator<Item = (u8, f64)> + '_ {
         (0..self.totals.len()).filter(|&i| self.seen[i]).map(|i| (i as u8, self.totals[i]))
     }
 
     /// Percentage (0–100) of the grand total per decoded value: one
-    /// snapshot's share map, exactly as [`vh_share`] / [`views_share`]
-    /// return it.
+    /// snapshot's share map (raw totals when the grand total is zero).
     pub fn shares<V: Ord>(&self, spec: DimSpec<V>) -> BTreeMap<V, f64> {
-        decoded_map(self, spec, true)
-    }
-
-    /// Folds another segment's partial in (code order — deterministic for a
-    /// fixed merge sequence).
-    pub fn merge(&mut self, other: &Rollup) {
-        debug_assert_eq!(self.totals.len(), other.totals.len());
-        for i in 0..self.totals.len() {
-            self.totals[i] += other.totals[i];
-            self.seen[i] |= other.seen[i];
-        }
-        self.grand_total += other.grand_total;
-        self.rows += other.rows;
+        self.iter()
+            .filter_map(|(code, total)| {
+                let share =
+                    if self.grand_total > 0.0 { 100.0 * total / self.grand_total } else { total };
+                (spec.decode)(code).map(|v| (v, share))
+            })
+            .collect()
     }
 }
 
@@ -681,7 +639,6 @@ pub fn rollup_segment(
     metric: Metric,
 ) -> Rollup {
     let mut r = Rollup::new(col.cardinality());
-    r.rows = seg.len() as u64;
     let pubs = seg.publishers();
     macro_rules! measure {
         ($i:expr) => {
@@ -870,24 +827,8 @@ fn per_publisher_runs(
     per_pub
 }
 
-fn decoded_map<V: Ord>(r: &Rollup, spec: DimSpec<V>, normalize: bool) -> BTreeMap<V, f64> {
-    let mut out = BTreeMap::new();
-    for (code, total) in r.iter() {
-        if let Some(v) = (spec.decode)(code) {
-            let y = if normalize && r.grand_total > 0.0 {
-                100.0 * total / r.grand_total
-            } else {
-                total
-            };
-            out.insert(v, y);
-        }
-    }
-    out
-}
-
 /// Percentage (0–100) of publishers supporting each value (≥ `floor` of
-/// their hours), from one segment's [`per_publisher_segment`] map — the
-/// reducer behind [`publisher_share`].
+/// their hours), from one segment's [`per_publisher_segment`] map.
 pub fn publisher_shares<V: Ord>(
     per_pub: &BTreeMap<u32, PublisherAgg>,
     spec: DimSpec<V>,
@@ -911,7 +852,7 @@ pub fn publisher_shares<V: Ord>(
 
 /// Per-publisher share (0–100) of view-hours carried by one code, from one
 /// segment's [`per_publisher_segment`] map: only publishers with any such
-/// traffic, in publisher order — the reducer behind [`value_share`].
+/// traffic, in publisher order (Fig 4's CDF input).
 pub fn value_shares(per_pub: &BTreeMap<u32, PublisherAgg>, code: u8) -> Vec<f64> {
     per_pub
         .values()
@@ -921,245 +862,51 @@ pub fn value_shares(per_pub: &BTreeMap<u32, PublisherAgg>, code: u8) -> Vec<f64>
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot-level queries.
+// The sweep.
 // ---------------------------------------------------------------------------
 
-fn segment_at<S: SegmentSource + ?Sized>(
-    source: &S,
-    snapshot: SnapshotId,
-) -> Option<Arc<Segment>> {
-    source.store().segment(snapshot)
-}
-
-/// Raw weighted view-hours per dimension value at one snapshot (the shared
-/// group-by entry point).
-pub fn group_hours_by<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-) -> BTreeMap<V, f64> {
-    let _span = vmp_obs::span("analytics.query.rollup");
-    match segment_at(source, snapshot) {
-        Some(seg) => {
-            let r = rollup_segment(&seg, source.mask(), spec.column, Metric::Hours);
-            note_rollup(r.rows_scanned());
-            decoded_map(&r, spec, false)
-        }
-        None => BTreeMap::new(),
-    }
-}
-
-/// Percentage (0–100) of total view-hours per dimension value at one
-/// snapshot — the columnar [`crate::query::vh_share_by`].
-pub fn vh_share<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-) -> BTreeMap<V, f64> {
-    share(source, snapshot, spec, Metric::Hours)
-}
-
-/// Percentage (0–100) of total views per dimension value at one snapshot —
-/// the columnar [`crate::query::views_share_by`].
-pub fn views_share<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-) -> BTreeMap<V, f64> {
-    share(source, snapshot, spec, Metric::Views)
-}
-
-fn share<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-    metric: Metric,
-) -> BTreeMap<V, f64> {
-    let _span = vmp_obs::span("analytics.query.rollup");
-    match segment_at(source, snapshot) {
-        Some(seg) => {
-            let r = rollup_segment(&seg, source.mask(), spec.column, metric);
-            note_rollup(r.rows_scanned());
-            decoded_map(&r, spec, true)
-        }
-        None => BTreeMap::new(),
-    }
-}
-
-/// Percentage (0–100) of publishers supporting each value at one snapshot —
-/// the columnar [`crate::query::publisher_share_by`].
-pub fn publisher_share<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-    min_traffic_share: f64,
-) -> BTreeMap<V, f64> {
-    let _span = vmp_obs::span("analytics.query.per_publisher");
-    match segment_at(source, snapshot) {
-        Some(seg) => {
-            note_rollup(seg.len() as u64);
-            let per_pub = per_publisher_segment(&seg, source.mask(), spec.column);
-            publisher_shares(&per_pub, spec, min_traffic_share)
-        }
-        None => BTreeMap::new(),
-    }
-}
-
-/// Per-publisher supported value sets and total view-hours at one snapshot —
-/// the columnar [`crate::query::per_publisher_values`].
-pub fn per_publisher_values<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-    min_traffic_share: f64,
-) -> BTreeMap<PublisherId, (BTreeSet<V>, f64)> {
-    let _span = vmp_obs::span("analytics.query.per_publisher");
-    let Some(seg) = segment_at(source, snapshot) else {
-        return BTreeMap::new();
-    };
-    note_rollup(seg.len() as u64);
-    per_publisher_segment(&seg, source.mask(), spec.column)
-        .into_iter()
-        .map(|(raw, agg)| {
-            let values: BTreeSet<V> =
-                agg.supported_codes(min_traffic_share).filter_map(spec.decode).collect();
-            (PublisherId::new(raw), (values, agg.hours))
-        })
-        .collect()
-}
-
-/// Per-publisher share (0–100) of view-hours carried by one value (only
-/// publishers with any such traffic appear, in publisher order) — the
-/// columnar [`crate::query::per_publisher_value_share`], Fig 4's CDF input.
-pub fn value_share<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-    value: &V,
-) -> Vec<f64> {
-    let _span = vmp_obs::span("analytics.query.value_share");
-    let Some(seg) = segment_at(source, snapshot) else {
-        return Vec::new();
-    };
-    let Some(code) =
-        (0..spec.column.cardinality() as u8).find(|c| (spec.decode)(*c).as_ref() == Some(value))
-    else {
-        return Vec::new();
-    };
-    note_rollup(seg.len() as u64);
-    value_shares(&per_publisher_segment(&seg, source.mask(), spec.column), code)
-}
-
-// ---------------------------------------------------------------------------
-// Store-level (multi-snapshot) queries.
-// ---------------------------------------------------------------------------
-
-/// Runs `f` over every live segment, in parallel, returning results in
-/// ascending snapshot order. `f` must be a pure function of its segment —
-/// each segment is processed on exactly one thread and results are placed
-/// by index, so output (floating point included) is independent of thread
-/// scheduling.
+/// Runs `f` over every segment of `store`, in parallel, returning results
+/// in ascending snapshot order. `f` must be a pure function of its segment:
+/// each segment is processed on exactly one thread, and each worker hands
+/// back its contiguous run of snapshots in order, so output (floating point
+/// included) is independent of thread scheduling. A panic in `f` propagates
+/// to the caller.
 ///
 /// Each worker loads its segment through the store (a no-op clone for hot
 /// segments, a block decode for spilled ones) and releases it as soon as
-/// `f` returns, so concurrency — additionally capped by the store's
-/// [`parallel_load_hint`](ViewStore::parallel_load_hint) — bounds how many
-/// decoded segments are resident at once.
-pub fn per_segment_map<S, T, F>(source: &S, f: F) -> Vec<(SnapshotId, T)>
+/// `f` returns, so concurrency — additionally capped by the segment
+/// store's parallel-load hint — bounds how many decoded segments are
+/// resident at once.
+pub fn per_segment_map<T, F>(store: &ViewStore, f: F) -> Vec<(SnapshotId, T)>
 where
-    S: SegmentSource + ?Sized,
     T: Send,
     F: Fn(&Segment) -> T + Sync,
 {
-    let metas = source.live_metas();
-    let store = source.store();
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = threads.min(metas.len()).min(store.parallel_load_hint());
-    if threads <= 1 {
-        return metas
+    let metas = store.segstore.metas();
+    let visit = |metas: &[SegmentMeta]| -> Vec<(SnapshotId, T)> {
+        metas
             .iter()
             .filter_map(|m| store.segment(m.snapshot).map(|seg| (m.snapshot, f(&seg))))
-            .collect();
+            .collect()
+    };
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = threads.min(metas.len()).min(store.segstore.parallel_load_hint());
+    if threads <= 1 {
+        return visit(metas);
     }
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(metas.len());
-    slots.resize_with(metas.len(), || None);
-    let chunk = metas.len().div_ceil(threads);
-    let f = &f;
-    let metas_ref = &metas;
+    let visit = &visit;
     std::thread::scope(|scope| {
-        for (ci, out) in slots.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let meta = &metas_ref[ci * chunk + j];
-                    if let Some(seg) = store.segment(meta.snapshot) {
-                        *slot = Some(f(&seg));
-                    }
-                }
-            });
-        }
-    });
-    metas
-        .iter()
-        .zip(slots)
-        .map(|(meta, slot)| (meta.snapshot, slot.expect("worker filled its slot")))
-        .collect()
-}
-
-/// Per-snapshot share maps for one dimension over any source, masked or
-/// not. Segments run in parallel; each map is computed exactly as the
-/// snapshot-level query would. The figures read these maps from their
-/// store's one-pass sweep instead; this store-level form is the reference
-/// the masked-series test compares that sweep against.
-pub fn share_by_snapshot<S, V>(
-    source: &S,
-    spec: DimSpec<V>,
-    metric: ShareMetric,
-) -> Vec<(SnapshotId, BTreeMap<V, f64>)>
-where
-    S: SegmentSource + ?Sized,
-    V: Ord + Send,
-{
-    let _span = vmp_obs::span("analytics.query.share_series");
-    let mask = source.mask();
-    let out = per_segment_map(source, move |seg| match metric {
-        ShareMetric::ViewHours => {
-            decoded_map(&rollup_segment(seg, mask, spec.column, Metric::Hours), spec, true)
-        }
-        ShareMetric::Views => {
-            decoded_map(&rollup_segment(seg, mask, spec.column, Metric::Views), spec, true)
-        }
-        ShareMetric::Publishers { floor } => {
-            publisher_shares(&per_publisher_segment(seg, mask, spec.column), spec, floor)
-        }
-    });
-    let rows: u64 = source.live_metas().iter().map(|m| m.len() as u64).sum();
-    note_rollup(rows);
-    out
-}
-
-/// Whole-store weighted view-hours per dimension value: per-segment
-/// partials (parallel) merged in ascending snapshot order.
-pub fn group_hours_all<S: SegmentSource + ?Sized, V: Ord>(
-    source: &S,
-    spec: DimSpec<V>,
-) -> BTreeMap<V, f64> {
-    let _span = vmp_obs::span("analytics.query.rollup");
-    let mask = source.mask();
-    let parts = per_segment_map(source, move |seg| {
-        rollup_segment(seg, mask, spec.column, Metric::Hours)
-    });
-    let mut total = Rollup::new(spec.column.cardinality());
-    for (_, part) in &parts {
-        total.merge(part);
-    }
-    note_rollup(total.rows_scanned());
-    decoded_map(&total, spec, false)
-}
-
-/// Counter bookkeeping shared by every kernel entry point.
-fn note_rollup(rows: u64) {
-    vmp_obs::counter("analytics.rollups").inc();
-    vmp_obs::counter("analytics.rows_scanned").add(rows);
+        let workers: Vec<_> = metas
+            .chunks(metas.len().div_ceil(threads))
+            .map(|run| scope.spawn(move || visit(run)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -1353,5 +1100,28 @@ mod tests {
         // A header cut short is an I/O error, not a panic.
         assert!(decode(&good[..HEADER_BYTES - 1]).is_err());
         assert!(decode(&[]).is_err());
+    }
+
+    /// Seven snapshots out of order on input, so the workers' runs are
+    /// uneven; the sweep hands them back ascending.
+    fn seven_snapshot_store() -> ViewStore {
+        let views = [5, 0, 6, 2, 3, 1, 4]
+            .map(|s| crate::store::tests::test_view(s, s, "https://h/p/a.m3u8", 1.0, 1.0));
+        ViewStore::ingest(views.to_vec())
+    }
+
+    #[test]
+    fn per_segment_map_returns_snapshot_order() {
+        let store = seven_snapshot_store();
+        let out = per_segment_map(&store, |seg| seg.publishers().to_vec());
+        let want: Vec<(SnapshotId, Vec<u32>)> = (0..7).map(|s| (snapshot(s), vec![s])).collect();
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "no segment 4")]
+    fn per_segment_map_propagates_a_worker_panic() {
+        let store = seven_snapshot_store();
+        per_segment_map(&store, |seg| assert_ne!(seg.snapshot(), snapshot(4), "no segment 4"));
     }
 }

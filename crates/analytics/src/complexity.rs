@@ -13,11 +13,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use vmp_core::ids::PublisherId;
-use vmp_core::time::SnapshotId;
 use vmp_stats::regress::{ols_log_log, OlsFit};
 
 use crate::columns::Segment;
-use crate::store::ViewStore;
 
 /// Which complexity measure to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +111,10 @@ impl PublisherComplexity {
     }
 
     /// The publisher's scatter point for one measure. `titles_of` gives its
-    /// catalogue size (protocol-titles only).
+    /// catalogue size (protocol-titles only): the paper uses the count of
+    /// distinct video IDs, an *under-estimate* where coverage is partial, so
+    /// callers supply either the observed count or the management-plane
+    /// figure.
     pub fn point(
         &self,
         measure: ComplexityMeasure,
@@ -130,24 +131,6 @@ impl PublisherComplexity {
     }
 }
 
-/// Computes the scatter for one measure at one snapshot.
-///
-/// `titles_of`: the publisher's catalogue size (the paper uses the count of
-/// distinct video IDs, an *under-estimate* where coverage is partial; we
-/// accept a callback so callers can supply either the observed count or the
-/// management-plane figure).
-pub fn complexity_points(
-    store: &ViewStore,
-    snapshot: SnapshotId,
-    measure: ComplexityMeasure,
-    titles_of: &dyn Fn(PublisherId) -> u64,
-) -> Vec<ComplexityPoint> {
-    let Some(seg) = store.segment(snapshot) else {
-        return Vec::new();
-    };
-    PublisherComplexity::of_segment(&seg).iter().map(|p| p.point(measure, titles_of)).collect()
-}
-
 /// The Fig 13 log-log fit over a scatter.
 pub fn complexity_fit(points: &[ComplexityPoint]) -> Result<OlsFit, String> {
     let xs: Vec<f64> = points.iter().map(|p| p.view_hours).collect();
@@ -160,8 +143,21 @@ pub fn complexity_fit(points: &[ComplexityPoint]) -> Result<OlsFit, String> {
 mod tests {
     use super::*;
     use crate::store::tests::test_view;
+    use crate::store::ViewStore;
     use vmp_core::ids::CdnId;
-    use vmp_core::view::PlayerIdentity;
+    use vmp_core::time::SnapshotId;
+    use vmp_core::view::{PlayerIdentity, SampledView};
+
+    /// One measure's scatter over the first snapshot of `views`.
+    fn points(
+        views: Vec<SampledView>,
+        measure: ComplexityMeasure,
+        titles_of: &dyn Fn(PublisherId) -> u64,
+    ) -> Vec<ComplexityPoint> {
+        let store = ViewStore::ingest(views);
+        let seg = store.segment(SnapshotId::FIRST).expect("first snapshot has data");
+        PublisherComplexity::of_segment(&seg).iter().map(|p| p.point(measure, titles_of)).collect()
+    }
 
     fn synthetic_scatter(slope: f64, n: usize) -> Vec<ComplexityPoint> {
         (1..=n)
@@ -190,13 +186,7 @@ mod tests {
         let mut v1 = test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0);
         v1.record.cdns = vec![CdnId::new(0), CdnId::new(1)];
         let v2 = test_view(0, 0, "https://h/p/a.mpd", 1.0, 1.0);
-        let store = ViewStore::ingest(vec![v1, v2]);
-        let pts = complexity_points(
-            &store,
-            SnapshotId::FIRST,
-            ComplexityMeasure::Combinations,
-            &|_| 1,
-        );
+        let pts = points(vec![v1, v2], ComplexityMeasure::Combinations, &|_| 1);
         assert_eq!(pts.len(), 1);
         // (cdn0, HLS, Roku), (cdn1, HLS, Roku), (cdn0, DASH, Roku).
         assert_eq!(pts[0].complexity, 3.0);
@@ -204,16 +194,11 @@ mod tests {
 
     #[test]
     fn protocol_titles_multiplies() {
-        let store = ViewStore::ingest(vec![
+        let views = vec![
             test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0),
             test_view(0, 0, "https://h/p/a.mpd", 1.0, 1.0),
-        ]);
-        let pts = complexity_points(
-            &store,
-            SnapshotId::FIRST,
-            ComplexityMeasure::ProtocolTitles,
-            &|_| 500,
-        );
+        ];
+        let pts = points(views, ComplexityMeasure::ProtocolTitles, &|_| 500);
         assert_eq!(pts[0].complexity, 1000.0);
     }
 
@@ -235,9 +220,7 @@ mod tests {
             SdkKind::RokuSceneGraph,
             SdkVersion::new(7, 1),
         ));
-        let store = ViewStore::ingest(vec![v1, v2, v3]);
-        let pts =
-            complexity_points(&store, SnapshotId::FIRST, ComplexityMeasure::UniqueSdks, &|_| 1);
+        let pts = points(vec![v1, v2, v3], ComplexityMeasure::UniqueSdks, &|_| 1);
         assert_eq!(pts[0].complexity, 2.0);
     }
 

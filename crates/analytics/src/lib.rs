@@ -12,18 +12,20 @@
 //!   reproduces population statistics unbiasedly.
 //!
 //! * **Columnar execution, row-identical results.** Ingest builds one
-//!   dictionary-encoded [`columns::Segment`] per snapshot and every
-//!   aggregate runs through the shared group-by kernel in [`columns`];
-//!   the row-at-a-time implementations in [`query`] are kept as the
-//!   reference the kernel is property-tested against, bit for bit.
+//!   dictionary-encoded [`columns::Segment`] per snapshot. The read API is
+//!   [`columns::per_segment_map`] — one visit per segment, results in
+//!   snapshot order — and the per-segment kernels it runs, each a function
+//!   of one segment and an optional [`PublisherMask`]. The equivalence
+//!   tests hold a row-at-a-time reference the kernels must match bit for
+//!   bit.
 //!
-//! Modules: [`store`] (ingest, segment build, zero-copy masked views),
-//! [`columns`] (segments, publisher masks, the group-by/rollup kernel and
-//! its snapshot-parallel drivers), [`query`] (row-oriented reference
-//! aggregations over caller-owned views), [`perpub`] (counts-per-publisher
-//! distributions, view-hour bucketing, weighted averages over time),
-//! [`complexity`] (§5 metrics and log-log fits), [`report`] (plain-text
-//! table/series rendering used by the `repro` binary and EXPERIMENTS.md).
+//! Modules: [`store`] (ingest, segment build, the store and its memo),
+//! [`columns`] (segments, publisher masks, the rollup and per-publisher
+//! kernels and the sweep that runs them), [`perpub`] (counts-per-publisher
+//! distributions, view-hour bucketing, average counts), [`complexity`]
+//! (§5 metrics and log-log fits), [`segstore`] (resident or spilled
+//! segment storage), [`report`] (plain-text table/series rendering used by
+//! the `repro` binary and EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -32,15 +34,13 @@
 pub mod columns;
 pub mod complexity;
 pub mod perpub;
-pub mod query;
 pub mod report;
 pub mod segstore;
 pub mod store;
 
-pub use columns::{DimColumn, DimSpec, PublisherMask, Segment, SegmentSource, ShareMetric};
+pub use columns::{DimColumn, DimSpec, PublisherMask, Segment};
 pub use complexity::{complexity_fit, ComplexityMeasure, ComplexityPoint};
-pub use perpub::{count_histogram, counts_by_size_bucket, counts_per_publisher};
-pub use query::{publisher_share_by, vh_share_by, views_share_by, ViewRef};
+pub use perpub::{count_histogram, counts_by_size_bucket};
 pub use report::{Series, Table};
-pub use segstore::{SegmentMeta, SegmentStore, SpillConfig};
-pub use store::{IngestOptions, IngestPipeline, MaskedStore, ViewStore};
+pub use segstore::SpillConfig;
+pub use store::{IngestOptions, IngestPipeline, ViewStore};

@@ -16,9 +16,8 @@
 
 use std::collections::BTreeMap;
 use vmp_core::ids::PublisherId;
-use vmp_core::time::SnapshotId;
 
-use crate::columns::{per_publisher_segment, DimSpec, PublisherAgg, SegmentSource};
+use crate::columns::PublisherAgg;
 
 /// One publisher's count of dimension instances and its view-hours.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,23 +28,6 @@ pub struct PublisherCount {
     pub count: usize,
     /// Its total view-hours in the analyzed snapshot.
     pub view_hours: f64,
-}
-
-/// Counts per publisher at one snapshot for a dimension.
-pub fn counts_per_publisher<S: SegmentSource, V: Ord>(
-    source: &S,
-    snapshot: SnapshotId,
-    spec: DimSpec<V>,
-    min_traffic_share: f64,
-) -> Vec<PublisherCount> {
-    let _span = vmp_obs::span("analytics.query.per_publisher");
-    match source.store().segment(snapshot) {
-        Some(seg) => publisher_counts(
-            &per_publisher_segment(&seg, source.mask(), spec.column),
-            min_traffic_share,
-        ),
-        None => Vec::new(),
-    }
 }
 
 /// Counts per publisher from one segment's per-publisher rollup, in
@@ -147,9 +129,10 @@ pub fn average_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::PROTOCOL;
+    use crate::columns::{per_publisher_segment, PublisherMask, PROTOCOL};
     use crate::store::tests::test_view;
     use crate::store::ViewStore;
+    use vmp_core::time::SnapshotId;
 
     fn store() -> ViewStore {
         ViewStore::ingest(vec![
@@ -166,10 +149,17 @@ mod tests {
         ])
     }
 
+    /// Protocol counts at the first snapshot, with publishers `mask` drops
+    /// left out.
+    fn first_counts(s: &ViewStore, mask: Option<&PublisherMask>) -> Vec<PublisherCount> {
+        let seg = s.segment(SnapshotId::FIRST).expect("first snapshot has data");
+        publisher_counts(&per_publisher_segment(&seg, mask, PROTOCOL.column), 0.01)
+    }
+
     #[test]
     fn counts_and_histogram() {
         let s = store();
-        let counts = counts_per_publisher(&s, SnapshotId::FIRST, PROTOCOL, 0.01);
+        let counts = first_counts(&s, None);
         assert_eq!(counts.len(), 2);
         let hist = count_histogram(&counts);
         // One publisher with 1 protocol (90 vh), one with 2 (10 vh).
@@ -218,8 +208,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_safe() {
-        let s = ViewStore::ingest(vec![]);
-        let counts = counts_per_publisher(&s, SnapshotId::FIRST, PROTOCOL, 0.01);
+        let counts = publisher_counts(&BTreeMap::new(), 0.01);
         assert!(counts.is_empty());
         assert!(count_histogram(&counts).is_empty());
         assert!(counts_by_size_bucket(&counts, 100.0).is_empty());
@@ -229,8 +218,7 @@ mod tests {
     #[test]
     fn masked_counts_skip_excluded_publishers() {
         let s = store();
-        let masked = s.excluding(&[PublisherId::new(1)]);
-        let counts = counts_per_publisher(&masked, SnapshotId::FIRST, PROTOCOL, 0.01);
+        let counts = first_counts(&s, Some(&PublisherMask::new(&[PublisherId::new(1)])));
         assert_eq!(counts.len(), 1);
         assert_eq!(counts[0].publisher, PublisherId::new(0));
         assert_eq!(counts[0].count, 2);

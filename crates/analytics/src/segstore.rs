@@ -1,9 +1,9 @@
 //! Sealed-segment storage: resident at default scale, disk-spilled with a
 //! bounded hot cache for out-of-core runs.
 //!
-//! The [`SegmentStore`] owns every sealed [`Segment`] the ingest pipeline
-//! produces. Without a [`SpillConfig`] it behaves exactly like the old
-//! in-memory vector: every segment stays decoded and [`get`](SegmentStore::get)
+//! The crate-private `SegmentStore` owns every sealed [`Segment`] the
+//! ingest pipeline produces. Without a [`SpillConfig`] it behaves exactly
+//! like the old in-memory vector: every segment stays decoded and a load
 //! is a reference-count bump, so default-scale figures see bit-identical
 //! data with zero extra decode work. With spill configured, each segment is
 //! serialized to its own block file the moment it seals (the decoded form
@@ -36,7 +36,7 @@ pub(crate) const BYTES_PER_ROW: usize = 45;
 /// it covers in the whole ingest stream. Cheap to copy around; queries walk
 /// metas and load the actual columns only while scanning.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentMeta {
+pub(crate) struct SegmentMeta {
     /// The snapshot the segment holds.
     pub snapshot: SnapshotId,
     /// Logical row range in the ingest stream (no row vector backs it;
@@ -48,11 +48,6 @@ impl SegmentMeta {
     /// Number of rows in the segment.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Whether the segment holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -133,7 +128,7 @@ impl StoreMetrics {
 
 /// Sealed segments with optional disk spill and an LRU hot cache.
 #[derive(Debug)]
-pub struct SegmentStore {
+pub(crate) struct SegmentStore {
     metas: Vec<SegmentMeta>,
     spill: Option<SpillConfig>,
     inner: Mutex<Inner>,
@@ -175,11 +170,6 @@ impl SegmentStore {
     /// Number of sealed segments.
     pub fn len(&self) -> usize {
         self.metas.len()
-    }
-
-    /// Whether no segment was sealed yet.
-    pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
     }
 
     /// Whether spill mode is on.

@@ -1,5 +1,4 @@
-//! Telemetry ingestion: the incremental pipeline, the segment store,
-//! masked views.
+//! Telemetry ingestion: the incremental pipeline and the segment store.
 //!
 //! Ingest is a streaming pipeline ([`IngestPipeline`]): views arrive in
 //! snapshot-ascending order (the generator's shard-merged stream order, or
@@ -7,26 +6,25 @@
 //! classified once, player identities are interned into a store-wide
 //! dictionary, and one columnar [`Segment`] is built incrementally per
 //! snapshot. A segment seals the moment its snapshot completes and moves
-//! into the [`SegmentStore`] — resident, or spilled to disk when
+//! into the segment store — resident, or spilled to disk when
 //! [`IngestOptions::spill`] names a directory — so ingest never holds more
 //! than one open segment's columns. The columnar segments are the only
 //! place ingested telemetry lives: a view is read once, by reference, to
 //! build its row of columns, and the spent batch is freed. Every
-//! aggregation runs over the segments (see [`crate::columns`]); the
-//! row-at-a-time reference in [`crate::query`] reads rows its caller owns.
+//! aggregation runs over the segments, one at a time, through the kernels
+//! in [`crate::columns`].
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
-use vmp_core::ids::PublisherId;
 use vmp_core::protocol::StreamingProtocol;
 use vmp_core::time::SnapshotId;
 use vmp_core::view::{PlayerIdentity, SampledView};
 
-use crate::columns::{PublisherMask, Segment, SegmentSource, NO_CODE};
-use crate::segstore::{SegmentMeta, SegmentStore, SpillConfig};
+use crate::columns::{Segment, NO_CODE};
+use crate::segstore::{SegmentStore, SpillConfig};
 
 /// How an [`IngestPipeline`] stores what it ingests.
 #[derive(Debug, Default)]
@@ -76,11 +74,6 @@ impl IngestPipeline {
             ingest_span: Some(ingest_span),
             columns_span: Some(columns_span),
         }
-    }
-
-    /// Rows ingested so far.
-    pub fn rows_ingested(&self) -> usize {
-        self.total_rows
     }
 
     /// Ingests one batch. Batches must arrive snapshot-ascending across the
@@ -180,7 +173,7 @@ impl IngestPipeline {
 #[derive(Debug)]
 pub struct ViewStore {
     total_rows: usize,
-    segstore: SegmentStore,
+    pub(crate) segstore: SegmentStore,
     /// Player dictionary: code (index) → canonical player key (SDK build
     /// string or user-agent family).
     player_keys: Vec<String>,
@@ -199,13 +192,8 @@ impl ViewStore {
     /// Ingests a batch of samples: sorts by snapshot (stable, so
     /// within-snapshot order is generation order), then runs the streaming
     /// pipeline over the sorted batch.
-    pub fn ingest(views: Vec<SampledView>) -> ViewStore {
-        ViewStore::ingest_with(views, IngestOptions::default())
-    }
-
-    /// [`ingest`](Self::ingest) with explicit storage options.
-    pub fn ingest_with(mut views: Vec<SampledView>, options: IngestOptions) -> ViewStore {
-        let mut pipeline = IngestPipeline::new(options);
+    pub fn ingest(mut views: Vec<SampledView>) -> ViewStore {
+        let mut pipeline = IngestPipeline::new(IngestOptions::default());
         views.sort_by_key(|v| v.record.snapshot);
         pipeline.push_batch(views);
         pipeline.finish()
@@ -226,12 +214,6 @@ impl ViewStore {
         self.segstore.spill_enabled()
     }
 
-    /// Segment descriptors, ascending by snapshot (only snapshots with data
-    /// have one).
-    pub fn segment_metas(&self) -> &[SegmentMeta] {
-        self.segstore.metas()
-    }
-
     /// One snapshot's segment, if it has data — a cheap clone when
     /// resident/hot, a block decode when spilled.
     pub fn segment(&self, snapshot: SnapshotId) -> Option<Arc<Segment>> {
@@ -243,12 +225,6 @@ impl ViewStore {
     /// extra segment is decoded at a time in spill mode).
     pub fn iter_segments(&self) -> impl Iterator<Item = Arc<Segment>> + '_ {
         self.segstore.metas().iter().filter_map(|m| self.segstore.get(m.snapshot))
-    }
-
-    /// Upper bound on concurrently decoded segments for parallel scans (see
-    /// [`SegmentStore::parallel_load_hint`]).
-    pub fn parallel_load_hint(&self) -> usize {
-        self.segstore.parallel_load_hint()
     }
 
     /// The canonical key behind a player dictionary code.
@@ -288,14 +264,6 @@ impl ViewStore {
     pub fn memo<T: Any + Send + Sync>(&self, build: impl FnOnce(&ViewStore) -> T) -> Option<&T> {
         self.memo.get_or_init(|| Box::new(build(self))).downcast_ref()
     }
-
-    /// A zero-copy filtered view excluding the given publishers. Scans skip
-    /// masked rows in place — no rows are cloned or re-ingested — while
-    /// preserving the surviving rows' relative order, so aggregates are
-    /// bit-identical to re-ingesting the survivors.
-    pub fn excluding(&self, excluded: &[PublisherId]) -> MaskedStore<'_> {
-        MaskedStore::new(self, PublisherMask::new(excluded))
-    }
 }
 
 fn intern(dict: &mut BTreeMap<String, u32>, keys: &mut Vec<String>, key: String) -> u32 {
@@ -305,92 +273,10 @@ fn intern(dict: &mut BTreeMap<String, u32>, keys: &mut Vec<String>, key: String)
     code
 }
 
-impl SegmentSource for ViewStore {
-    fn store(&self) -> &ViewStore {
-        self
-    }
-
-    fn mask(&self) -> Option<&PublisherMask> {
-        None
-    }
-
-    fn live_metas(&self) -> Vec<SegmentMeta> {
-        self.segstore.metas().to_vec()
-    }
-}
-
-/// A publisher-filtered view over a [`ViewStore`]'s segments. Holds a
-/// bitmask instead of copied rows; snapshots whose rows are all excluded
-/// disappear, exactly as if the survivors had been re-ingested.
-#[derive(Debug)]
-pub struct MaskedStore<'a> {
-    store: &'a ViewStore,
-    mask: PublisherMask,
-    kept_per_segment: Vec<usize>,
-    kept: usize,
-}
-
-impl<'a> MaskedStore<'a> {
-    fn new(store: &'a ViewStore, mask: PublisherMask) -> MaskedStore<'a> {
-        let kept_per_segment: Vec<usize> = store
-            .iter_segments()
-            .map(|seg| seg.publishers().iter().filter(|&&p| !mask.excludes(p)).count())
-            .collect();
-        let kept = kept_per_segment.iter().sum();
-        MaskedStore { store, mask, kept_per_segment, kept }
-    }
-
-    /// Number of surviving samples.
-    pub fn len(&self) -> usize {
-        self.kept
-    }
-
-    /// Whether everything was masked out (or the store was empty).
-    pub fn is_empty(&self) -> bool {
-        self.kept == 0
-    }
-
-    /// Snapshots with surviving data, ascending.
-    pub fn snapshots(&self) -> Vec<SnapshotId> {
-        self.store
-            .segment_metas()
-            .iter()
-            .zip(&self.kept_per_segment)
-            .filter(|(_, &kept)| kept > 0)
-            .map(|(m, _)| m.snapshot)
-            .collect()
-    }
-
-    /// The latest snapshot with surviving data.
-    pub fn latest_snapshot(&self) -> Option<SnapshotId> {
-        self.snapshots().last().copied()
-    }
-}
-
-impl SegmentSource for MaskedStore<'_> {
-    fn store(&self) -> &ViewStore {
-        self.store
-    }
-
-    fn mask(&self) -> Option<&PublisherMask> {
-        Some(&self.mask)
-    }
-
-    fn live_metas(&self) -> Vec<SegmentMeta> {
-        self.store
-            .segment_metas()
-            .iter()
-            .zip(&self.kept_per_segment)
-            .filter(|(_, &kept)| kept > 0)
-            .map(|(m, _)| m.clone())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::columns::{group_hours_by, PLATFORM};
+    use crate::columns::{rollup_segment, Metric, PublisherMask, PLATFORM};
     use vmp_core::content::ContentClass;
     use vmp_core::device::DeviceModel;
     use vmp_core::geo::{ConnectionType, Isp, Region};
@@ -535,25 +421,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn masked_store_skips_publishers_without_copying() {
+    fn masked_rollups_skip_publishers_in_place() {
         let store = ViewStore::ingest(vec![
             test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0),
             test_view(0, 1, "https://h/p/b.m3u8", 2.0, 1.0),
             test_view(1, 1, "https://h/p/c.m3u8", 3.0, 1.0),
         ]);
-        let masked = store.excluding(&[PublisherId::new(1)]);
-        assert_eq!(masked.len(), 1);
-        // Snapshot 1 had only the excluded publisher — it disappears, as a
-        // re-ingest of the survivors would make it.
-        assert_eq!(masked.snapshots(), vec![SnapshotId::FIRST]);
-        assert_eq!(masked.latest_snapshot(), Some(SnapshotId::FIRST));
-        // The survivor is publisher 0's one-hour view, not publisher 1's.
-        let hours = group_hours_by(&masked, SnapshotId::FIRST, PLATFORM);
-        assert_eq!(hours.values().sum::<f64>(), 1.0);
-
-        let none = store.excluding(&[PublisherId::new(0), PublisherId::new(1)]);
-        assert!(none.is_empty());
-        assert!(none.snapshots().is_empty());
+        let mask = PublisherMask::new(&[PublisherId::new(1)]);
+        let masked: Vec<(f64, usize)> = store
+            .iter_segments()
+            .map(|seg| {
+                let r = rollup_segment(&seg, Some(&mask), PLATFORM.column, Metric::Hours);
+                (r.grand_total(), r.shares(PLATFORM).len())
+            })
+            .collect();
+        // The survivor is publisher 0's one-hour view, not publisher 1's;
+        // snapshot 1 held only the excluded publisher, so nothing of it is
+        // left — no value, no total — as a re-ingest of the survivors would
+        // have no segment there.
+        assert_eq!(masked, vec![(1.0, 1), (0.0, 0)]);
+        // The store itself is untouched.
+        assert_eq!(store.len(), 3);
     }
 
     #[test]

@@ -1,15 +1,24 @@
-//! Property tests: the columnar kernel agrees **exactly** — bit-for-bit
-//! `f64` equality, no epsilon — with the row-at-a-time reference in
-//! `vmp_analytics::query` on randomized ingest batches, masked and
+//! Property tests: the per-segment kernels agree **exactly** —
+//! bit-for-bit `f64` equality, no epsilon — with the row-at-a-time
+//! reference in `common/query.rs` on randomized ingest batches, masked and
 //! unmasked. The batches deliberately include edge cases the synthetic
 //! ecosystem never produces: unclassifiable manifest URLs, empty CDN sets,
 //! zero-weight and zero-duration views.
 
+#[path = "common/query.rs"]
+mod query;
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
+
 use proptest::prelude::*;
+use query::ViewRef;
 use vmp_analytics::columns::{
-    self, BROWSER_TECH, CDN, CLASS, CONNECTION, DEVICE, ISP, NO_CODE, PLATFORM, PROTOCOL, REGION,
+    per_publisher_segment, per_segment_map, publisher_shares, rollup_segment, value_shares,
+    DimSpec, Metric, PublisherMask, Segment, BROWSER_TECH, CDN, CLASS, CONNECTION, DEVICE, ISP,
+    NO_CODE, PLATFORM, PROTOCOL, REGION,
 };
-use vmp_analytics::query::{self, ViewRef};
+use vmp_analytics::perpub::publisher_counts;
 use vmp_analytics::store::ViewStore;
 use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
@@ -113,105 +122,138 @@ fn batch() -> impl Strategy<Value = Vec<SampledView>> {
     })
 }
 
-/// Every share/rollup the kernel computes must equal the row reference
-/// exactly, per snapshot, for every dimension, with and without a
-/// publisher mask (publishers 1 and 4 excluded) — and the masked view must
-/// equal a from-scratch re-ingest of the surviving rows.
+/// The support floor of every publisher-share comparison.
+const FLOOR: f64 = 0.05;
+
+fn hour_shares<V: Ord>(
+    seg: &Segment,
+    mask: Option<&PublisherMask>,
+    spec: DimSpec<V>,
+) -> BTreeMap<V, f64> {
+    rollup_segment(seg, mask, spec.column, Metric::Hours).shares(spec)
+}
+
+/// One dimension on one segment: view-hour shares, view shares, publisher
+/// shares and per-publisher value sets, each against the row reference over
+/// the rows the kernels keep.
+fn assert_dim<'a, V: Ord + Clone + Debug>(
+    seg: &Segment,
+    mask: Option<&PublisherMask>,
+    rows: &[ViewRef<'a>],
+    spec: DimSpec<V>,
+    extract: impl Fn(&ViewRef<'a>) -> Vec<V> + Copy,
+) {
+    let rows = || rows.iter().copied();
+    assert_eq!(hour_shares(seg, mask, spec), query::vh_share_by(rows(), extract));
+    assert_eq!(
+        rollup_segment(seg, mask, spec.column, Metric::Views).shares(spec),
+        query::views_share_by(rows(), extract)
+    );
+    let per_pub = per_publisher_segment(seg, mask, spec.column);
+    assert_eq!(
+        publisher_shares(&per_pub, spec, FLOOR),
+        query::publisher_share_by(rows(), extract, FLOOR)
+    );
+    let values: BTreeMap<PublisherId, (BTreeSet<V>, f64)> = per_pub
+        .iter()
+        .map(|(&raw, agg)| {
+            let supported = agg.supported_codes(FLOOR).filter_map(spec.decode).collect();
+            (PublisherId::new(raw), (supported, agg.hours))
+        })
+        .collect();
+    assert_eq!(values, query::per_publisher_values(rows(), extract, FLOOR));
+}
+
+/// Per-publisher share of one value (Fig 4's input) against the reference.
+fn assert_value_share<'a, V: Ord + Clone>(
+    seg: &Segment,
+    mask: Option<&PublisherMask>,
+    rows: &[ViewRef<'a>],
+    spec: DimSpec<V>,
+    value: V,
+    extract: impl Fn(&ViewRef<'a>) -> Vec<V>,
+) {
+    let code = (0..spec.column.cardinality() as u8)
+        .find(|&c| (spec.decode)(c).as_ref() == Some(&value))
+        .expect("the value has a code");
+    assert_eq!(
+        value_shares(&per_publisher_segment(seg, mask, spec.column), code),
+        query::per_publisher_value_share(rows.iter().copied(), extract, &value)
+    );
+}
+
+/// Every dimension, plus two value shares, on one segment.
+fn assert_all_dims(seg: &Segment, mask: Option<&PublisherMask>, views: &[&SampledView]) {
+    let rows: Vec<ViewRef<'_>> = views.iter().map(|v| ViewRef::new(v)).collect();
+    assert_dim(seg, mask, &rows, PROTOCOL, query::protocol_dim);
+    assert_dim(seg, mask, &rows, PLATFORM, query::platform_dim);
+    assert_dim(seg, mask, &rows, DEVICE, query::device_dim);
+    assert_dim(seg, mask, &rows, BROWSER_TECH, query::browser_tech_dim);
+    assert_dim(seg, mask, &rows, CDN, query::cdn_dim);
+    assert_dim(seg, mask, &rows, REGION, |v: &ViewRef<'_>| vec![v.view.record.region]);
+    assert_dim(seg, mask, &rows, ISP, |v: &ViewRef<'_>| vec![v.view.record.isp]);
+    assert_dim(seg, mask, &rows, CONNECTION, |v: &ViewRef<'_>| vec![v.view.record.connection]);
+    assert_dim(seg, mask, &rows, CLASS, |v: &ViewRef<'_>| vec![v.view.record.class]);
+    assert_value_share(seg, mask, &rows, PROTOCOL, StreamingProtocol::Hls, query::protocol_dim);
+    assert_value_share(seg, mask, &rows, CDN, CdnName::A, query::cdn_dim);
+}
+
+/// Every kernel output must equal the row reference exactly, per
+/// snapshot, for every dimension, with and without a publisher mask
+/// (publishers 1 and 4 excluded) — and a masked kernel must equal the
+/// unmasked kernel over a from-scratch re-ingest of the surviving rows.
 fn assert_matches_row_reference(views: Vec<SampledView>) {
     let store = ViewStore::ingest(views.clone());
     prop_assert_eq!(store.len(), views.len());
 
     let excluded = [PublisherId::new(1), PublisherId::new(4)];
-    let masked = store.excluding(&excluded);
-    let survivors: Vec<SampledView> = views
-        .iter()
-        .filter(|v| !excluded.contains(&v.record.publisher))
-        .cloned()
-        .collect();
-    prop_assert_eq!(masked.len(), survivors.len());
-    let reingested = ViewStore::ingest(survivors.clone());
-
-    // The reference reads the rows this test owns: ingest stable-sorts
-    // by snapshot, so filtering the input by snapshot yields a
-    // segment's rows in store order. `$rows` is a closure handing out a
-    // fresh iterator over them.
-    macro_rules! check_dim {
-        ($source:expr, $rows:ident, $snap:expr, $spec:expr, $extract:expr) => {{
-            prop_assert_eq!(
-                columns::vh_share($source, $snap, $spec),
-                query::vh_share_by($rows(), $extract)
-            );
-            prop_assert_eq!(
-                columns::views_share($source, $snap, $spec),
-                query::views_share_by($rows(), $extract)
-            );
-            prop_assert_eq!(
-                columns::publisher_share($source, $snap, $spec, 0.05),
-                query::publisher_share_by($rows(), $extract, 0.05)
-            );
-            prop_assert_eq!(
-                columns::per_publisher_values($source, $snap, $spec, 0.05),
-                query::per_publisher_values($rows(), $extract, 0.05)
-            );
-        }};
-    }
-    macro_rules! check_all_dims {
-        ($source:expr, $views:expr, $snap:expr) => {{
-            let rows =
-                || $views.iter().filter(|v| v.record.snapshot == $snap).map(ViewRef::new);
-            check_dim!($source, rows, $snap, PROTOCOL, query::protocol_dim);
-            check_dim!($source, rows, $snap, PLATFORM, query::platform_dim);
-            check_dim!($source, rows, $snap, DEVICE, query::device_dim);
-            check_dim!($source, rows, $snap, BROWSER_TECH, query::browser_tech_dim);
-            check_dim!($source, rows, $snap, CDN, query::cdn_dim);
-            check_dim!($source, rows, $snap, REGION, |v: &ViewRef<'_>| {
-                vec![v.view.record.region]
-            });
-            check_dim!($source, rows, $snap, ISP, |v: &ViewRef<'_>| vec![v.view.record.isp]);
-            check_dim!($source, rows, $snap, CONNECTION, |v: &ViewRef<'_>| {
-                vec![v.view.record.connection]
-            });
-            check_dim!($source, rows, $snap, CLASS, |v: &ViewRef<'_>| {
-                vec![v.view.record.class]
-            });
-            prop_assert_eq!(
-                columns::value_share($source, $snap, PROTOCOL, &StreamingProtocol::Hls),
-                query::per_publisher_value_share(
-                    rows(),
-                    query::protocol_dim,
-                    &StreamingProtocol::Hls
-                )
-            );
-            prop_assert_eq!(
-                columns::value_share($source, $snap, CDN, &CdnName::A),
-                query::per_publisher_value_share(rows(), query::cdn_dim, &CdnName::A)
-            );
-        }};
-    }
+    let mask = PublisherMask::new(&excluded);
+    let survives = |v: &&SampledView| !excluded.contains(&v.record.publisher);
+    let reingested = ViewStore::ingest(views.iter().filter(survives).cloned().collect());
 
     for snap in (0..5).filter_map(SnapshotId::new) {
-        check_all_dims!(&store, views, snap);
-        check_all_dims!(&masked, survivors, snap);
-        // Zero-copy masking ≡ filtering the rows and re-ingesting.
+        // The reference reads the rows this test owns: ingest stable-sorts
+        // by snapshot, so filtering the input by snapshot yields a
+        // segment's rows in store order.
+        let rows: Vec<&SampledView> = views.iter().filter(|v| v.record.snapshot == snap).collect();
+        let Some(seg) = store.segment(snap) else {
+            prop_assert!(rows.is_empty());
+            prop_assert!(reingested.segment(snap).is_none());
+            continue;
+        };
+        assert_all_dims(&seg, None, &rows);
+        let kept: Vec<&SampledView> = rows.iter().copied().filter(survives).collect();
+        assert_all_dims(&seg, Some(&mask), &kept);
+
+        // Masking in place ≡ filtering the rows and re-ingesting them; a
+        // snapshot with no survivor has no re-ingested segment, and the
+        // masked kernels over it come back empty.
+        let again = reingested.segment(snap);
+        let again = again.as_deref();
         prop_assert_eq!(
-            columns::vh_share(&masked, snap, PLATFORM),
-            columns::vh_share(&reingested, snap, PLATFORM)
+            hour_shares(&seg, Some(&mask), PLATFORM),
+            again.map(|s| hour_shares(s, None, PLATFORM)).unwrap_or_default()
         );
         prop_assert_eq!(
-            columns::vh_share(&masked, snap, CDN),
-            columns::vh_share(&reingested, snap, CDN)
+            hour_shares(&seg, Some(&mask), CDN),
+            again.map(|s| hour_shares(s, None, CDN)).unwrap_or_default()
+        );
+        let counts = |s: &Segment, m: Option<&PublisherMask>| {
+            publisher_counts(&per_publisher_segment(s, m, CDN.column), FLOOR)
+        };
+        prop_assert_eq!(
+            counts(&seg, Some(&mask)),
+            again.map(|s| counts(s, None)).unwrap_or_default()
         );
     }
 
-    // The snapshot-parallel whole-store rollup equals the sequential
-    // per-snapshot reference folded in snapshot order.
-    let mut folded = std::collections::BTreeMap::new();
-    for snap in store.snapshots() {
-        for (v, h) in columns::group_hours_by(&store, snap, PLATFORM) {
-            *folded.entry(v).or_insert(0.0) += h;
-        }
-    }
-    prop_assert_eq!(columns::group_hours_all(&store, PLATFORM), folded);
+    // The snapshot-parallel sweep returns exactly the sequential
+    // per-segment results, in snapshot order.
+    let sequential: Vec<_> = store
+        .iter_segments()
+        .map(|seg| (seg.snapshot(), hour_shares(&seg, None, PLATFORM)))
+        .collect();
+    prop_assert_eq!(per_segment_map(&store, |seg| hour_shares(seg, None, PLATFORM)), sequential);
 }
 
 /// Publisher sequences the run-length per-publisher kernel must not get

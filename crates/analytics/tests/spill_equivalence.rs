@@ -4,10 +4,14 @@
 //! resident ingest of the same rows, and the batch-at-a-time streaming
 //! pipeline must reproduce the one-shot materialized ingest exactly.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use vmp_analytics::columns::{self, CDN, PLATFORM, PROTOCOL};
+use vmp_analytics::columns::{
+    per_publisher_segment, per_segment_map, publisher_shares, rollup_segment, Metric, CDN,
+    PLATFORM, PROTOCOL,
+};
 use vmp_analytics::segstore::SpillConfig;
 use vmp_analytics::store::{IngestOptions, IngestPipeline, ViewStore};
 use vmp_core::cdn::CdnName;
@@ -15,6 +19,7 @@ use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
 use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
+use vmp_core::platform::Platform;
 use vmp_core::qoe::QoeSummary;
 use vmp_core::sdk::{PlayerBuild, SdkKind, SdkVersion};
 use vmp_core::time::SnapshotId;
@@ -104,6 +109,14 @@ fn spill_dir() -> std::path::PathBuf {
     ))
 }
 
+/// Per-segment platform view-hour shares over the whole store, through the
+/// sweep the figures use.
+fn platform_series(store: &ViewStore) -> Vec<(SnapshotId, BTreeMap<Platform, f64>)> {
+    per_segment_map(store, |seg| {
+        rollup_segment(seg, None, PLATFORM.column, Metric::Hours).shares(PLATFORM)
+    })
+}
+
 /// Asserts every column of both stores' segments is bit-for-bit equal
 /// (`f64` compared through `to_bits`, so `-0.0`/`0.0` drift would fail).
 macro_rules! assert_segments_identical {
@@ -141,32 +154,30 @@ proptest! {
     fn spilled_segments_round_trip_byte_identically(views in batch()) {
         let resident = ViewStore::ingest(views.clone());
         let dir = spill_dir();
-        let spilled = ViewStore::ingest_with(
-            views,
-            IngestOptions {
-                spill: Some(SpillConfig { dir: dir.clone(), hot_budget_bytes: 0 }),
-                ..IngestOptions::default()
-            },
-        );
+        let mut sorted = views;
+        sorted.sort_by_key(|v| v.record.snapshot);
+        let mut pipeline = IngestPipeline::new(IngestOptions {
+            spill: Some(SpillConfig { dir: dir.clone(), hot_budget_bytes: 0 }),
+            ..IngestOptions::default()
+        });
+        pipeline.push_batch(sorted);
+        let spilled = pipeline.finish();
         prop_assert!(spilled.spill_enabled());
         prop_assert_eq!(resident.len(), spilled.len());
         assert_segments_identical!(resident, spilled);
 
-        // Rollups over decoded segments are exactly the resident numbers.
-        for snap in resident.snapshots() {
+        // Kernels over decoded segments give exactly the resident numbers.
+        for (a, b) in resident.iter_segments().zip(spilled.iter_segments()) {
             prop_assert_eq!(
-                columns::vh_share(&resident, snap, PROTOCOL),
-                columns::vh_share(&spilled, snap, PROTOCOL)
+                rollup_segment(&a, None, PROTOCOL.column, Metric::Hours).shares(PROTOCOL),
+                rollup_segment(&b, None, PROTOCOL.column, Metric::Hours).shares(PROTOCOL)
             );
             prop_assert_eq!(
-                columns::publisher_share(&resident, snap, CDN, 0.05),
-                columns::publisher_share(&spilled, snap, CDN, 0.05)
+                publisher_shares(&per_publisher_segment(&a, None, CDN.column), CDN, 0.05),
+                publisher_shares(&per_publisher_segment(&b, None, CDN.column), CDN, 0.05)
             );
         }
-        prop_assert_eq!(
-            columns::group_hours_all(&resident, PLATFORM),
-            columns::group_hours_all(&spilled, PLATFORM)
-        );
+        prop_assert_eq!(platform_series(&resident), platform_series(&spilled));
 
         drop(spilled);
         // The store owns its spill files; dropping it removes the directory.
@@ -195,9 +206,6 @@ proptest! {
 
         prop_assert_eq!(materialized.len(), streamed.len());
         assert_segments_identical!(materialized, streamed);
-        prop_assert_eq!(
-            columns::group_hours_all(&materialized, PLATFORM),
-            columns::group_hours_all(&streamed, PLATFORM)
-        );
+        prop_assert_eq!(platform_series(&materialized), platform_series(&streamed));
     }
 }

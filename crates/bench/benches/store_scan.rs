@@ -1,6 +1,7 @@
-//! Store scan microbenchmarks: the columnar kernel over ingested
-//! telemetry — full-store rollup, one-snapshot shares, the per-publisher
-//! group-by, the zero-copy masked view — and the spill block codec.
+//! Store scan microbenchmarks: the per-segment kernels the figures' sweep
+//! runs over ingested telemetry — a view-hour rollup of every segment,
+//! one-snapshot shares, the per-publisher group-by, a masked rollup — and
+//! the spill block codec.
 //!
 //! Run with `cargo bench --bench store_scan`; representative numbers live
 //! in EXPERIMENTS.md and DESIGN.md §"Columnar analytics store".
@@ -8,7 +9,10 @@
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vmp_analytics::columns::{self, Segment, CDN, PLATFORM, PROTOCOL};
+use vmp_analytics::columns::{
+    per_publisher_segment, per_segment_map, publisher_shares, rollup_segment, Metric,
+    PublisherMask, Segment, CDN, PLATFORM, PROTOCOL,
+};
 use vmp_analytics::store::{IngestOptions, IngestPipeline, ViewStore};
 use vmp_core::ids::PublisherId;
 use vmp_synth::ecosystem::EcosystemConfig;
@@ -31,7 +35,12 @@ fn ingest(config: EcosystemConfig) -> (ViewStore, Vec<PublisherId>) {
     (pipeline.finish(), excluded)
 }
 
-/// Full-store view-hour rollup over every snapshot.
+/// The latest snapshot's segment (what the one-snapshot arms scan).
+fn latest(store: &ViewStore) -> std::sync::Arc<Segment> {
+    store.latest_snapshot().and_then(|s| store.segment(s)).expect("store has data")
+}
+
+/// View-hour platform shares of every segment, through the sweep.
 fn bench_full_rollup(c: &mut Criterion) {
     let (store, _) = scan_context();
     let mut group = c.benchmark_group("store_scan/full_rollup");
@@ -39,33 +48,43 @@ fn bench_full_rollup(c: &mut Criterion) {
 
     group.bench_function("columns", |b| {
         b.iter(|| {
-            let hours = columns::group_hours_all(black_box(&store), PLATFORM);
-            black_box(hours.values().sum::<f64>())
+            black_box(per_segment_map(black_box(&store), |seg| {
+                rollup_segment(seg, None, PLATFORM.column, Metric::Hours).shares(PLATFORM)
+            }))
         })
     });
     group.finish();
 }
 
-/// One-snapshot share queries across dimensions, and the per-publisher
+/// One-snapshot view-hour shares across dimensions, and the per-publisher
 /// group-by over the same snapshot.
 fn bench_snapshot_shares(c: &mut Criterion) {
     let (store, _) = scan_context();
-    let last = store.latest_snapshot().expect("store has data");
+    let seg = latest(&store);
     let mut group = c.benchmark_group("store_scan/snapshot_share");
     group.sample_size(20);
 
     group.bench_function("columns_protocol", |b| {
-        b.iter(|| black_box(columns::vh_share(&store, black_box(last), PROTOCOL)))
+        b.iter(|| {
+            let r = rollup_segment(black_box(&seg), None, PROTOCOL.column, Metric::Hours);
+            black_box(r.shares(PROTOCOL))
+        })
     });
     group.bench_function("columns_cdn", |b| {
-        b.iter(|| black_box(columns::vh_share(&store, black_box(last), CDN)))
+        b.iter(|| {
+            let r = rollup_segment(black_box(&seg), None, CDN.column, Metric::Hours);
+            black_box(r.shares(CDN))
+        })
     });
     group.finish();
 
     // One per-publisher group-by pass: the run-length kernel behind
     // Figs 3, 4, 7, 9 and 12.
     c.bench_function("store_scan/per_publisher", |b| {
-        b.iter(|| black_box(columns::publisher_share(&store, black_box(last), PLATFORM, 0.05)))
+        b.iter(|| {
+            let per_pub = per_publisher_segment(black_box(&seg), None, PLATFORM.column);
+            black_box(publisher_shares(&per_pub, PLATFORM, 0.05))
+        })
     });
 }
 
@@ -116,16 +135,19 @@ fn bench_spill_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Publisher-filtered scan through the zero-copy bitmask view.
+/// One publisher-filtered rollup of the latest segment: the mask skips
+/// the three largest publishers' rows in place (Fig 6(b)'s scan).
 fn bench_masked_scan(c: &mut Criterion) {
     let (store, excluded) = scan_context();
+    let seg = latest(&store);
+    let mask = PublisherMask::new(&excluded);
     let mut group = c.benchmark_group("store_scan/masked");
     group.sample_size(20);
 
-    group.bench_function("bitmask_view", |b| {
+    group.bench_function("rollup_segment", |b| {
         b.iter(|| {
-            let masked = store.excluding(black_box(&excluded));
-            black_box(columns::group_hours_all(&masked, PLATFORM))
+            let r = rollup_segment(black_box(&seg), Some(&mask), PLATFORM.column, Metric::Hours);
+            black_box(r.shares(PLATFORM))
         })
     });
     group.finish();

@@ -139,25 +139,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn exclusion_removes_publishers() {
-        let ctx = ReproContext::new(Scale::Quick);
-        let excluded = ctx.dash_first_publishers();
-        let filtered = ctx.store.excluding(&excluded);
-        let excluded_rows: usize = ctx
-            .store
-            .iter_segments()
-            .map(|seg| {
-                seg.publishers()
-                    .iter()
-                    .filter(|&&p| excluded.contains(&PublisherId::new(p)))
-                    .count()
-            })
-            .sum();
-        assert!(excluded_rows > 0);
-        assert_eq!(filtered.len() + excluded_rows, ctx.store.len());
-    }
-
     /// The streaming context must see exactly the views a collected stream
     /// holds, in the same order.
     #[test]

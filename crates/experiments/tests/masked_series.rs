@@ -1,17 +1,16 @@
 //! The masked share series (Fig 2(c): DASH-first publishers removed; Fig
 //! 6(b): the three largest removed) on the edge case the generated
 //! ecosystem never produces: a snapshot whose rows all belong to excluded
-//! publishers. That snapshot must vanish from the masked series exactly as
-//! it vanishes from a masked store (`MaskedStore::live_metas`), and every
-//! point must equal the store-level reference, `share_by_snapshot` over
-//! `store.excluding(..)`, bit for bit.
+//! publishers. The reference re-ingests the surviving rows into a store of
+//! their own: that snapshot has no segment there, so it must vanish from
+//! the masked series, and every other point must equal the re-ingested
+//! store's view-hour shares bit for bit.
 
 use std::fmt::Display;
 
-use vmp_analytics::columns::{share_by_snapshot, DimSpec, PLATFORM, PROTOCOL};
+use vmp_analytics::columns::{rollup_segment, DimSpec, Metric, PLATFORM, PROTOCOL};
 use vmp_analytics::report::Series;
 use vmp_analytics::store::ViewStore;
-use vmp_analytics::ShareMetric;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
@@ -70,14 +69,21 @@ fn rows_of(snapshot: u32, publishers: &[PublisherId], rows: usize) -> Vec<Sample
 }
 
 /// The series a masked share figure must plot: one line per value, one
-/// point per snapshot the masked store keeps.
-fn reference<V: Ord + Display + Send>(
-    store: &ViewStore,
+/// point per snapshot a re-ingest of the surviving rows keeps.
+fn reference<V: Ord + Display>(
+    views: &[SampledView],
     excluded: &[PublisherId],
     values: &[V],
     spec: DimSpec<V>,
 ) -> Vec<(String, Vec<(String, f64)>)> {
-    let per_snapshot = share_by_snapshot(&store.excluding(excluded), spec, ShareMetric::ViewHours);
+    let survivors = views.iter().filter(|v| !excluded.contains(&v.record.publisher)).cloned();
+    let per_snapshot: Vec<_> = ViewStore::ingest(survivors.collect())
+        .iter_segments()
+        .map(|seg| {
+            let shares = rollup_segment(&seg, None, spec.column, Metric::Hours).shares(spec);
+            (seg.snapshot(), shares)
+        })
+        .collect();
     values
         .iter()
         .map(|value| {
@@ -114,8 +120,9 @@ fn a_snapshot_of_only_excluded_publishers_drops_out_of_the_masked_series() {
     // three largest; the others hold everyone.
     let layout: [(u32, &[PublisherId], usize); 4] =
         [(0, &everyone, 3), (1, &dash_first, 5), (2, &largest, 4), (3, &everyone, 2)];
-    let views = layout.iter().flat_map(|&(s, pubs, rows)| rows_of(s, pubs, rows)).collect();
-    let store = ViewStore::ingest(views);
+    let views: Vec<SampledView> =
+        layout.iter().flat_map(|&(s, pubs, rows)| rows_of(s, pubs, rows)).collect();
+    let store = ViewStore::ingest(views.clone());
     let ctx = ReproContext { dataset, store, scale_factor: 1 };
     // The snapshots a mask keeps: those with a publisher outside it.
     let kept = |excluded: &[PublisherId]| -> Vec<String> {
@@ -142,13 +149,13 @@ fn a_snapshot_of_only_excluded_publishers_drops_out_of_the_masked_series() {
     ];
     let mut rendered = Vec::new();
     let fig2c = series(&ctx, "fig02", "Fig 2(c)", &mut rendered);
-    assert_eq!(fig2c.lines, reference(&ctx.store, &dash_first, &protocols, PROTOCOL));
+    assert_eq!(fig2c.lines, reference(&views, &dash_first, &protocols, PROTOCOL));
     let want = kept(&dash_first);
     assert!(want.len() < layout.len(), "snapshot 1 is masked out entirely");
     assert_eq!(xs(fig2c), vec![want; protocols.len()]);
 
     let fig6b = series(&ctx, "fig06", "Fig 6(b)", &mut rendered);
-    assert_eq!(fig6b.lines, reference(&ctx.store, &largest, &Platform::ALL, PLATFORM));
+    assert_eq!(fig6b.lines, reference(&views, &largest, &Platform::ALL, PLATFORM));
     let want = kept(&largest);
     assert!(want.len() < layout.len(), "snapshot 2 is masked out entirely");
     assert_eq!(xs(fig6b), vec![want; Platform::ALL.len()]);

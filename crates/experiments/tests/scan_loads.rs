@@ -22,7 +22,7 @@ fn the_scan_figures_load_each_segment_once() {
     let dir = std::env::temp_dir().join(format!("vmp-scan-loads-{}", std::process::id()));
     let ctx = ReproContext::with_options(Scale::Quick, None, 1, Some(dir));
     assert!(ctx.store.spill_enabled());
-    let segments = ctx.store.segment_metas().len() as u64;
+    let segments = ctx.store.snapshots().len() as u64;
     assert!(segments > 1);
 
     let before = loads();

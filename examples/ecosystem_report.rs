@@ -6,8 +6,10 @@
 //! cargo run --release --example ecosystem_report
 //! ```
 
-use vmp::analytics::columns::{publisher_share, vh_share, CDN, PLATFORM, PROTOCOL};
-use vmp::analytics::perpub::{count_histogram, counts_per_publisher};
+use vmp::analytics::columns::{
+    per_publisher_segment, publisher_shares, rollup_segment, Metric, CDN, PLATFORM, PROTOCOL,
+};
+use vmp::analytics::perpub::{count_histogram, publisher_counts};
 use vmp::analytics::store::{IngestOptions, IngestPipeline};
 use vmp::synth::ecosystem::EcosystemConfig;
 use vmp::synth::stream::ViewStream;
@@ -22,6 +24,7 @@ fn main() {
     let store = pipeline.finish();
     let dataset = stream.into_dataset();
     let last = store.latest_snapshot().expect("dataset has views");
+    let seg = store.segment(last).expect("the latest snapshot has a segment");
     println!(
         "generated {} publishers / {} weighted samples in {:.1}s; reporting {last}",
         dataset.profiles.len(),
@@ -30,29 +33,31 @@ fn main() {
     );
 
     println!("\n-- protocol support (% of publishers) --");
-    for (proto, share) in publisher_share(&store, last, PROTOCOL, 0.01) {
+    let protocols = per_publisher_segment(&seg, None, PROTOCOL.column);
+    for (proto, share) in publisher_shares(&protocols, PROTOCOL, 0.01) {
         println!("  {proto:<12} {share:5.1}%");
     }
 
     println!("\n-- view-hours by protocol --");
-    for (proto, share) in vh_share(&store, last, PROTOCOL) {
+    let hours = |column| rollup_segment(&seg, None, column, Metric::Hours);
+    for (proto, share) in hours(PROTOCOL.column).shares(PROTOCOL) {
         println!("  {proto:<12} {share:5.1}%");
     }
 
     println!("\n-- view-hours by platform --");
-    for (platform, share) in vh_share(&store, last, PLATFORM) {
+    for (platform, share) in hours(PLATFORM.column).shares(PLATFORM) {
         println!("  {platform:<12} {share:5.1}%");
     }
 
     println!("\n-- view-hours by CDN --");
-    for (cdn, share) in vh_share(&store, last, CDN) {
+    for (cdn, share) in hours(CDN.column).shares(CDN) {
         if share >= 1.0 {
             println!("  {cdn:<12} {share:5.1}%");
         }
     }
 
     println!("\n-- CDNs per publisher --");
-    let counts = counts_per_publisher(&store, last, CDN, 0.01);
+    let counts = publisher_counts(&per_publisher_segment(&seg, None, CDN.column), 0.01);
     for (count, (pubs, vh)) in count_histogram(&counts) {
         println!("  {count} CDN(s): {pubs:5.1}% of publishers, {vh:5.1}% of view-hours");
     }

@@ -15,7 +15,7 @@
 //! [`HealthMonitor`]: vmp::monitor::HealthMonitor
 //! [`CohortSpec`]: vmp::session::cohort::CohortSpec
 
-use vmp::analytics::complexity::{complexity_fit, complexity_points, ComplexityMeasure};
+use vmp::analytics::complexity::{complexity_fit, ComplexityMeasure, PublisherComplexity};
 use vmp::analytics::store::{IngestOptions, IngestPipeline};
 use vmp::core::prelude::*;
 use vmp::faults::FaultProfile;
@@ -39,8 +39,12 @@ fn search_space() {
     }
     let store = pipeline.finish();
     let last = store.latest_snapshot().expect("dataset has views");
+    let seg = store.segment(last).expect("the latest snapshot has a segment");
 
-    let points = complexity_points(&store, last, ComplexityMeasure::Combinations, &|_| 1);
+    let points: Vec<_> = PublisherComplexity::of_segment(&seg)
+        .iter()
+        .map(|p| p.point(ComplexityMeasure::Combinations, &|_| 1))
+        .collect();
     let max = points.iter().max_by(|a, b| a.complexity.total_cmp(&b.complexity)).expect("points");
     println!(
         "management-plane combinations: {} publishers; largest search space = {} combinations ({})",

@@ -33,8 +33,9 @@ fn every_figure_and_table_reproduces() {
     );
 }
 
-/// All 19 experiments must pass every check AND print identical tables and
-/// series across two independently generated contexts: the columnar store's
+/// All 19 experiments must pass every check AND produce identical output
+/// across two independently generated contexts — both the printed tables
+/// and series and the JSON `repro --json` writes: the columnar store's
 /// snapshot-parallel rollups are required to be fully deterministic, so a
 /// rebuild of the whole pipeline reproduces the artifacts byte for byte.
 #[test]
@@ -53,9 +54,10 @@ fn printed_artifacts_are_identical_across_rebuilds() {
                 // Wall time and stage timings legitimately vary run to run.
                 result.wall_time_secs = 0.0;
                 result.stages.clear();
-                result.to_string()
+                let json = serde_json::to_string(&result).expect("result serializes");
+                (result.to_string(), json)
             })
-            .collect::<Vec<String>>()
+            .collect::<Vec<(String, String)>>()
     };
     assert_eq!(render_all(), render_all());
 }
