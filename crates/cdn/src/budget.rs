@@ -45,6 +45,15 @@ struct Bucket {
     last: Seconds,
 }
 
+/// Everything the budget mutates, under one lock: the per-CDN buckets and
+/// the grant/deny tallies always change together.
+#[derive(Debug, Default)]
+struct Ledger {
+    buckets: HashMap<CdnName, Bucket>,
+    granted: u64,
+    denied: u64,
+}
+
 /// A shared token bucket of retries per CDN.
 ///
 /// Thread-safe and cheaply cloneable via `&self` methods behind a mutex,
@@ -52,18 +61,17 @@ struct Bucket {
 /// style so one budget can be shared across a whole session population.
 pub struct RetryBudget {
     config: BudgetConfig,
-    buckets: Mutex<HashMap<CdnName, Bucket>>,
-    granted: Mutex<u64>,
-    denied: Mutex<u64>,
+    state: Mutex<Ledger>,
     obs_exhausted: vmp_obs::Counter,
 }
 
 impl std::fmt::Debug for RetryBudget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state.lock();
         f.debug_struct("RetryBudget")
             .field("config", &self.config)
-            .field("granted", &*self.granted.lock())
-            .field("denied", &*self.denied.lock())
+            .field("granted", &state.granted)
+            .field("denied", &state.denied)
             .finish()
     }
 }
@@ -77,9 +85,7 @@ impl RetryBudget {
                 capacity: config.capacity.max(0.0),
                 refill_per_sec: config.refill_per_sec.max(0.0),
             },
-            buckets: Mutex::new(HashMap::new()),
-            granted: Mutex::new(0),
-            denied: Mutex::new(0),
+            state: Mutex::new(Ledger::default()),
             obs_exhausted: vmp_obs::counter("cdn.retry_budget_exhausted"),
         }
     }
@@ -89,8 +95,9 @@ impl RetryBudget {
     /// budget is exhausted and the caller must fail over immediately
     /// instead of retrying.
     pub fn try_spend(&self, cdn: CdnName, now: Seconds) -> bool {
-        let mut buckets = self.buckets.lock();
-        let bucket = buckets
+        let mut state = self.state.lock();
+        let bucket = state
+            .buckets
             .entry(cdn)
             .or_insert(Bucket { tokens: self.config.capacity, last: Seconds(0.0) });
         if now.0 > bucket.last.0 {
@@ -100,10 +107,10 @@ impl RetryBudget {
         }
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
-            *self.granted.lock() += 1;
+            state.granted += 1;
             true
         } else {
-            *self.denied.lock() += 1;
+            state.denied += 1;
             self.obs_exhausted.inc();
             vmp_obs::session_trace::emit(
                 vmp_obs::session_trace::TraceEventKind::RetryDenied,
@@ -118,12 +125,12 @@ impl RetryBudget {
 
     /// Retries granted across all CDNs.
     pub fn granted(&self) -> u64 {
-        *self.granted.lock()
+        self.state.lock().granted
     }
 
     /// Retries denied (converted to immediate failover) across all CDNs.
     pub fn denied(&self) -> u64 {
-        *self.denied.lock()
+        self.state.lock().denied
     }
 
     /// The hard upper bound on grants for one CDN over a run whose

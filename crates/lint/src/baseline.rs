@@ -57,10 +57,10 @@ impl Baseline {
         let Some(open) = rest.find('{') else {
             return Err("missing \"files\" object body".to_string());
         };
-        let Some(close) = rest.find('}') else {
+        let Some(len) = rest[open..].find('}') else {
             return Err("unterminated \"files\" object".to_string());
         };
-        let body = &rest[open + 1..close];
+        let body = &rest[open + 1..open + len];
         for pair in body.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {

@@ -23,9 +23,9 @@ pub enum RuleId {
     /// Pragma hygiene: a `// vmp-lint: allow(...)` that suppresses nothing
     /// is itself an error.
     D5,
-    /// Lock order: the interprocedural lock-order graph (edges = "acquired
-    /// while holding") must be acyclic, and no lock may be re-acquired
-    /// while held.
+    /// Lock nesting: no lock is acquired while another guard is held in the
+    /// same function, re-acquisition included, unless a pragma states the
+    /// order.
     C1,
     /// Atomics registry: every atomic field is declared in
     /// `crates/obs/ATOMICS.md` with an ordering discipline, and every
@@ -66,17 +66,7 @@ impl RuleId {
 
     /// Parses a textual ID (used by `allow(...)` pragmas and baselines).
     pub fn parse(s: &str) -> Option<RuleId> {
-        match s {
-            "D1" => Some(RuleId::D1),
-            "D2" => Some(RuleId::D2),
-            "D3" => Some(RuleId::D3),
-            "D4" => Some(RuleId::D4),
-            "D5" => Some(RuleId::D5),
-            "C1" => Some(RuleId::C1),
-            "C2" => Some(RuleId::C2),
-            "C3" => Some(RuleId::C3),
-            _ => None,
-        }
+        RuleId::ALL.into_iter().find(|r| r.as_str() == s)
     }
 
     /// One-line description shown by `--list-rules`.
@@ -97,8 +87,8 @@ impl RuleId {
             RuleId::D4 => "unsafe hygiene: #![forbid(unsafe_code)] in every non-shim crate root",
             RuleId::D5 => "pragma hygiene: stale vmp-lint allow(...) pragmas are errors",
             RuleId::C1 => {
-                "lock order: the interprocedural lock-order graph must be acyclic \
-                 (no acquired-while-holding cycle, no re-acquisition of a held lock)"
+                "lock nesting: no .lock()/.read()/.write() while another guard is held \
+                 (re-entry included; a deliberate order needs an allow(C1) pragma)"
             }
             RuleId::C2 => {
                 "atomics registry: atomic fields must be declared in \
@@ -141,8 +131,9 @@ impl RuleId {
             }
             RuleId::C1 => {
                 "Two locks taken in opposite orders on two threads deadlock the \
-                 management plane in production, not in tests; an acyclic lock-order \
-                 graph makes that impossible by construction."
+                 management plane in production, not in tests; holding one lock at a \
+                 time rules that out, and every deliberate exception writes its order \
+                 down."
             }
             RuleId::C2 => {
                 "Every relaxed atomic is a proof obligation about why stale reads \
@@ -178,9 +169,9 @@ impl RuleId {
                 "delete the stale pragma, or move it onto the line it is meant to excuse",
             ],
             RuleId::C1 => &[
-                "acquire the two locks in one canonical order everywhere",
-                "shrink the critical section: drop the guard (end its block) before calling into code that locks",
                 "merge the two locks into one if they always guard the same state",
+                "shrink the critical section: end the first guard's block, or drop(guard), before taking the next lock",
+                "if the nesting is deliberate, state the order: // vmp-lint: allow(C1): <the order>",
             ],
             RuleId::C2 => &[
                 "register the field in crates/obs/ATOMICS.md with a discipline naming why its orderings are safe",
@@ -254,9 +245,9 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+            c if u32::from(c) < 0x20 => {
                 let mut buf = String::new();
-                let _ = fmt::Write::write_fmt(&mut buf, format_args!("\\u{:04x}", c as u32));
+                let _ = fmt::Write::write_fmt(&mut buf, format_args!("\\u{:04x}", u32::from(c)));
                 out.push_str(&buf);
             }
             c => out.push(c),

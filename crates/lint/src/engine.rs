@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use crate::diag::{sort_canonical, Diagnostic, RuleId};
 use crate::lexer::{lex, Tok, TokKind};
 use crate::rules;
-use crate::rules_conc::{self, LockEdge};
+use crate::rules_conc;
 use crate::rules_overflow;
 use crate::syntax;
 
@@ -292,9 +292,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Per-rule counts (every rule present, zero included).
     pub counts: Vec<(RuleId, usize)>,
-    /// The interprocedural lock-order graph (C1's evidence), sorted by
-    /// `(from, to)`. Exported as DOT via `--lock-graph`.
-    pub lock_graph: Vec<LockEdge>,
 }
 
 impl Report {
@@ -343,7 +340,7 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
     rules::check_metric_registry(root, &sources, &mut diags);
     rules::check_unsafe_hygiene(root, &sources, &mut diags);
     let model = syntax::build(&sources);
-    let lock_graph = rules_conc::check_lock_order(&model, &sources, &mut diags);
+    rules_conc::check_lock_nesting(&model, &sources, &mut diags);
     rules_conc::check_atomics_registry(root, &model, &sources, &mut diags);
 
     // Pragma suppression: a diagnostic is dropped when a pragma in the
@@ -385,7 +382,7 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
         .iter()
         .map(|&r| (r, diags.iter().filter(|d| d.rule == r).count()))
         .collect();
-    Ok(Report { diagnostics: diags, counts, lock_graph })
+    Ok(Report { diagnostics: diags, counts })
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! | `D3` | every obs metric/span name matches `crates/obs/METRICS.md` |
 //! | `D4` | `#![forbid(unsafe_code)]` in every non-shim crate root |
 //! | `D5` | every `// vmp-lint: allow(...)` pragma suppresses something |
-//! | `C1` | the interprocedural lock-order graph is acyclic; no re-acquisition of a held lock |
+//! | `C1` | no lock is taken while another guard is held (re-entry included) unless a pragma states the order |
 //! | `C2` | every atomic field is registered in `crates/obs/ATOMICS.md` with a discipline its `Ordering::*` call sites obey (both directions) |
 //! | `C3` | no lossy `as` casts or unchecked `+=`/`*=` on counters in library code (ratcheted) |
 //!
@@ -23,11 +23,11 @@
 //! literals, or (nested) block comments. Diagnostics are `file:line:col`,
 //! canonically sorted, exported as text or stable `--json`.
 //!
-//! The D rules match short token sequences. The C rules are
-//! syntax-aware: [`syntax`] builds a per-crate model from the same token
-//! stream — function items, a precision-tiered call graph, lock held
-//! regions, atomic touch-sites — on which [`rules_conc`] runs the
-//! lock-order fixpoint (DOT export via `--lock-graph`) and the atomics
+//! The D rules match short token sequences. The C rules read a little
+//! more structure from the same token stream: [`syntax`] recovers lock
+//! held regions (a `let`-bound guard lives to the end of its block, a
+//! temporary to the end of its statement) and atomic touch-sites, on
+//! which [`rules_conc`] runs the one-lock-at-a-time check and the atomics
 //! registry conformance check. [`sched`] is the dynamic complement: an
 //! exhaustive schedule-exploration harness (used from `crates/obs`
 //! integration tests) that model-checks the relaxed-atomics protocols
@@ -60,4 +60,3 @@ pub mod syntax;
 pub use baseline::{Baseline, RatchetCheck};
 pub use diag::{Diagnostic, RuleId};
 pub use engine::{analyze, Report};
-pub use rules_conc::{render_lock_graph_dot, LockEdge};

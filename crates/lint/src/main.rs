@@ -3,7 +3,7 @@
 //! ```text
 //! vmp-lint [--root PATH] [--json PATH] [--baseline PATH]
 //!          [--overflow-baseline PATH] [--write-baseline]
-//!          [--lock-graph PATH] [--explain RULE] [--list-rules] [--quiet]
+//!          [--explain RULE] [--list-rules] [--quiet]
 //! ```
 //!
 //! Exit codes: 0 clean (after the D2/C3 ratchets), 1 findings, 2 usage/IO
@@ -18,14 +18,12 @@ use std::path::PathBuf;
 use vmp_lint::baseline::{self, Baseline, RatchetCheck};
 use vmp_lint::diag::{render_json, RuleId};
 use vmp_lint::engine::analyze;
-use vmp_lint::render_lock_graph_dot;
 
 struct Options {
     root: PathBuf,
     json: Option<PathBuf>,
-    baseline: PathBuf,
-    overflow_baseline: PathBuf,
-    lock_graph: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    overflow_baseline: Option<PathBuf>,
     write_baseline: bool,
     quiet: bool,
 }
@@ -41,48 +39,28 @@ fn explain(rule: RuleId) {
     }
 }
 
+/// The value of a path-taking flag.
+fn path_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<PathBuf, String> {
+    args.next().map(PathBuf::from).ok_or_else(|| format!("{flag} requires a path"))
+}
+
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         json: None,
-        baseline: PathBuf::new(),
-        overflow_baseline: PathBuf::new(),
-        lock_graph: None,
+        baseline: None,
+        overflow_baseline: None,
         write_baseline: false,
         quiet: false,
     };
-    let mut baseline_set = false;
-    let mut overflow_set = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => {
-                opts.root = PathBuf::from(
-                    args.next().ok_or_else(|| "--root requires a path".to_string())?,
-                )
-            }
-            "--json" => {
-                opts.json = Some(PathBuf::from(
-                    args.next().ok_or_else(|| "--json requires a path".to_string())?,
-                ))
-            }
-            "--baseline" => {
-                opts.baseline = PathBuf::from(
-                    args.next().ok_or_else(|| "--baseline requires a path".to_string())?,
-                );
-                baseline_set = true;
-            }
+            "--root" => opts.root = path_arg(&mut args, "--root")?,
+            "--json" => opts.json = Some(path_arg(&mut args, "--json")?),
+            "--baseline" => opts.baseline = Some(path_arg(&mut args, "--baseline")?),
             "--overflow-baseline" => {
-                opts.overflow_baseline = PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--overflow-baseline requires a path".to_string())?,
-                );
-                overflow_set = true;
-            }
-            "--lock-graph" => {
-                opts.lock_graph = Some(PathBuf::from(
-                    args.next().ok_or_else(|| "--lock-graph requires a path".to_string())?,
-                ))
+                opts.overflow_baseline = Some(path_arg(&mut args, "--overflow-baseline")?)
             }
             "--explain" => {
                 let id = args.next().ok_or_else(|| "--explain requires a rule ID".to_string())?;
@@ -102,19 +80,13 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: vmp-lint [--root PATH] [--json PATH] [--baseline PATH] \
-                     [--overflow-baseline PATH] [--write-baseline] [--lock-graph PATH] \
-                     [--explain RULE] [--list-rules] [--quiet]"
+                     [--overflow-baseline PATH] [--write-baseline] [--explain RULE] \
+                     [--list-rules] [--quiet]"
                 );
                 return Ok(None);
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if !baseline_set {
-        opts.baseline = opts.root.join("lint-baseline.json");
-    }
-    if !overflow_set {
-        opts.overflow_baseline = opts.root.join("lint-overflow-baseline.json");
     }
     Ok(Some(opts))
 }
@@ -142,9 +114,11 @@ fn run() -> Result<i32, String> {
     let report = analyze(&opts.root)?;
 
     let mut ratchets = Vec::new();
-    for (rule, path) in
-        [(RuleId::D2, opts.baseline.clone()), (RuleId::C3, opts.overflow_baseline.clone())]
-    {
+    for (rule, path, default) in [
+        (RuleId::D2, &opts.baseline, "lint-baseline.json"),
+        (RuleId::C3, &opts.overflow_baseline, "lint-overflow-baseline.json"),
+    ] {
+        let path = path.clone().unwrap_or_else(|| opts.root.join(default));
         let per_file: BTreeMap<String, usize> = report.per_file(rule);
         let base = Baseline::load(&path)?;
         let check = baseline::check(&per_file, &base);
@@ -168,10 +142,6 @@ fn run() -> Result<i32, String> {
         let json = render_json(&report.diagnostics, &report.counts);
         std::fs::write(json_path, json)
             .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
-    }
-    if let Some(dot_path) = &opts.lock_graph {
-        std::fs::write(dot_path, render_lock_graph_dot(&report.lock_graph))
-            .map_err(|e| format!("cannot write {}: {e}", dot_path.display()))?;
     }
 
     // Hard-fail diagnostics: everything except the ratcheted rules.

@@ -41,6 +41,17 @@ fn push(
     diags.push(Diagnostic::new(rule, file.rel.clone(), t.line, t.col, message));
 }
 
+/// The rows of a registry's markdown table: each `|`-led line's 1-based
+/// number (saturating, never wrapping) and its trimmed cells.
+pub(crate) fn table_rows(text: &str) -> impl Iterator<Item = (u32, Vec<&str>)> {
+    text.lines().enumerate().filter_map(|(i, line)| {
+        let line = line.trim();
+        let number = u32::try_from(i).map_or(u32::MAX, |n| n.saturating_add(1));
+        line.starts_with('|')
+            .then(|| (number, line.trim_matches('|').split('|').map(str::trim).collect()))
+    })
+}
+
 /// Paths where unordered-container iteration can leak into figure bytes.
 const ORDERED_OUTPUT_PATHS: [&str; 3] =
     ["crates/analytics/src/", "crates/experiments/src/", "crates/monitor/src/"];
@@ -63,62 +74,39 @@ pub fn check_nondeterminism(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) 
     let obs_crate = file.rel.starts_with("crates/obs/");
     let ordered_scope = ORDERED_OUTPUT_PATHS.iter().any(|p| file.rel.starts_with(p));
 
-    const CLOCKS: [(&[&str], &str); 2] = [
-        (&["SystemTime", ":", ":", "now"], "SystemTime::now"),
-        (&["Instant", ":", ":", "now"], "Instant::now"),
+    // Ambient reads as token patterns (the name is their concatenation);
+    // `true` marks a clock.
+    const AMBIENT: [(&[&str], bool); 9] = [
+        (&["SystemTime", ":", ":", "now"], true),
+        (&["Instant", ":", ":", "now"], true),
+        (&["env", ":", ":", "var"], false),
+        (&["env", ":", ":", "var_os"], false),
+        (&["env", ":", ":", "vars"], false),
+        (&["env", ":", ":", "args"], false),
+        (&["env", ":", ":", "args_os"], false),
+        (&["env", "!"], false),
+        (&["option_env", "!"], false),
     ];
-    const ENV_CALLS: [(&[&str], &str); 5] = [
-        (&["env", ":", ":", "var"], "env::var"),
-        (&["env", ":", ":", "var_os"], "env::var_os"),
-        (&["env", ":", ":", "vars"], "env::vars"),
-        (&["env", ":", ":", "args"], "env::args"),
-        (&["env", ":", ":", "args_os"], "env::args_os"),
-    ];
-    const ENV_MACROS: [(&[&str], &str); 2] =
-        [(&["env", "!"], "env!"), (&["option_env", "!"], "option_env!")];
 
     for ci in 0..code.len() {
         if in_test(file, &code, ci) {
             continue;
         }
         let Some(t) = tok(file, &code, ci) else { continue };
-        if !obs_crate {
-            for (pat, name) in CLOCKS {
-                if seq_at(file, &code, ci, pat) {
-                    push(
-                        diags,
-                        RuleId::D1,
-                        file,
-                        t,
-                        format!(
-                            "ambient clock read `{name}` in library code — route \
-                             wall-clock access through vmp-obs"
-                        ),
-                    );
-                }
+        for (pat, clock) in AMBIENT {
+            if obs_crate || !seq_at(file, &code, ci, pat) {
+                continue;
             }
-            for (pat, name) in ENV_CALLS {
-                if seq_at(file, &code, ci, pat) {
-                    push(
-                        diags,
-                        RuleId::D1,
-                        file,
-                        t,
-                        format!("environment read `{name}` in library code"),
-                    );
-                }
-            }
-            for (pat, name) in ENV_MACROS {
-                if seq_at(file, &code, ci, pat) {
-                    push(
-                        diags,
-                        RuleId::D1,
-                        file,
-                        t,
-                        format!("environment read `{name}` in library code"),
-                    );
-                }
-            }
+            let name = pat.concat();
+            let message = if clock {
+                format!(
+                    "ambient clock read `{name}` in library code — route wall-clock \
+                     access through vmp-obs"
+                )
+            } else {
+                format!("environment read `{name}` in library code")
+            };
+            push(diags, RuleId::D1, file, t, message);
         }
         if ordered_scope
             && t.kind == TokKind::Ident
@@ -259,12 +247,7 @@ pub fn check_metric_registry(
 
     // Parse `| `name` | kind | description |` rows.
     let mut registry: BTreeMap<String, RegistryEntry> = BTreeMap::new();
-    for (lineno, line) in registry_text.lines().enumerate() {
-        let line = line.trim();
-        if !line.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+    for (lineno, cells) in table_rows(&registry_text) {
         let [name_cell, kind_cell, ..] = cells.as_slice() else {
             continue;
         };
@@ -273,7 +256,6 @@ pub fn check_metric_registry(
         if name.is_empty() || *name_cell == name || !REGISTRY_KINDS.contains(&kind.as_str()) {
             continue; // header or separator row
         }
-        let lineno = lineno as u32 + 1;
         if registry.contains_key(name) {
             diags.push(Diagnostic::new(
                 RuleId::D3,

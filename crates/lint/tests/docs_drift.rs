@@ -1,8 +1,7 @@
-//! Docs drift test: `DESIGN.md` (§8 for the D rules, §13 for the C
-//! rules) quotes every rule's rationale **verbatim** from the shared
-//! `RuleId::rationale` table that also powers `vmp-lint --explain`.
-//! Comparing whitespace-normalized text lets the markdown re-wrap lines
-//! without weakening "verbatim".
+//! Docs drift test: `DESIGN.md` §8 (static analysis) quotes every rule's
+//! rationale **verbatim** from the shared `RuleId::rationale` table that
+//! also powers `vmp-lint --explain`. Comparing whitespace-normalized text
+//! lets the markdown re-wrap lines without weakening "verbatim".
 
 use std::path::Path;
 

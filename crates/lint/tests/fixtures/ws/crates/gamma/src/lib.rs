@@ -1,9 +1,12 @@
 #![forbid(unsafe_code)]
-//! Fixture concurrency crate: lock-order cycles (direct and through a
-//! call), RwLock participation, re-acquisition, and the two non-cases a
-//! correct C1 must stay silent on (consistent order everywhere,
-//! statement-scoped temporary guards).
+//! Fixture concurrency crate for C1 ("one lock at a time"): nesting in
+//! either order, re-entry, an RwLock under a Mutex, and two temporaries in
+//! one statement all fire; a released temporary, an explicit `drop`, and
+//! io `read`/`write` calls with arguments stay silent; a stated order is
+//! suppressed by its pragma. C1 is token-level and per function body:
+//! nesting through a call (`read_then_a`) is out of scope.
 
+use std::io::{Read, Write};
 use std::sync::{Mutex, RwLock};
 
 pub mod tally;
@@ -32,7 +35,7 @@ impl State {
 
     pub fn read_then_a(&self) {
         let _g = self.r.read();
-        self.take_a(); //~ ERROR C1
+        self.take_a();
     }
 
     fn take_a(&self) {
@@ -46,7 +49,21 @@ impl State {
 
     pub fn statement_scoped(&self) {
         *self.b.lock() += 1;
-        let _g = self.a.lock(); // the `b` guard died at its `;`: no edge
+        let _g = self.a.lock(); // the `b` guard died at its `;`
+    }
+
+    pub fn dropped(&self) {
+        let g = self.b.lock();
+        drop(g);
+        let _h = self.a.lock(); // `g` was released by the explicit drop
+    }
+
+    pub fn copy(&self, src: &mut dyn Read, dst: &mut dyn Write) -> std::io::Result<()> {
+        let _g = self.a.lock();
+        let mut buf = [0u8; 64];
+        let n = src.read(&mut buf)?; // io calls take arguments: not locks
+        dst.write(&buf[..n])?;
+        Ok(())
     }
 }
 
@@ -58,6 +75,15 @@ pub struct Ordered {
 impl Ordered {
     pub fn in_order(&self) {
         let _g = self.first.lock();
-        let _h = self.second.lock(); // one consistent order: acyclic, clean
+        let _h = self.second.lock(); // vmp-lint: allow(C1): first before second
+    }
+}
+
+impl std::fmt::Debug for Ordered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ordered")
+            .field("first", &*self.first.lock())
+            .field("second", &*self.second.lock()) //~ ERROR C1
+            .finish()
     }
 }
