@@ -143,7 +143,8 @@ impl Segment {
             }
         }
         self.cdn_mask.push(mask);
-        self.rungs.push(r.available_bitrates.len() as u16);
+        // A ladder is 3–14 rungs; an ingested record is not bound by that.
+        self.rungs.push(u16::try_from(r.available_bitrates.len()).unwrap_or(u16::MAX));
         self.hours.push(r.view_hours());
         self.weight.push(v.weight);
         self.player.push(player_code);
@@ -1116,6 +1117,18 @@ mod tests {
         let out = per_segment_map(&store, |seg| seg.publishers().to_vec());
         let want: Vec<(SnapshotId, Vec<u32>)> = (0..7).map(|s| (snapshot(s), vec![s])).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn rung_counts_saturate_instead_of_wrapping() {
+        let views = [3usize, 65_535, 65_536, 70_000].map(|rungs| {
+            let mut v = crate::store::tests::test_view(0, 1, "https://h/p/a.m3u8", 1.0, 1.0);
+            v.record.available_bitrates = vec![vmp_core::units::Kbps(800); rungs].into();
+            v
+        });
+        let store = ViewStore::ingest(views.to_vec());
+        let counts = per_segment_map(&store, |seg| seg.rung_counts().to_vec());
+        assert_eq!(counts, vec![(snapshot(0), vec![3, u16::MAX, u16::MAX, u16::MAX])]);
     }
 
     #[test]

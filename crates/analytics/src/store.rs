@@ -135,7 +135,7 @@ impl IngestPipeline {
                 }
             },
             PlayerIdentity::UserAgent(ua) => {
-                let family = ua.split('/').next().unwrap_or(ua.as_str());
+                let family = ua.split('/').next().unwrap_or(&ua[..]);
                 match self.player_dict.get(family) {
                     Some(&c) => c,
                     None => {
@@ -303,7 +303,7 @@ pub(crate) mod tests {
                 os: DeviceModel::Roku.os(),
                 player: PlayerIdentity::UserAgent("test".into()),
                 cdns: vec![CdnId::new(0)],
-                available_bitrates: vec![Kbps(800)],
+                available_bitrates: [Kbps(800)].into(),
                 viewing_time: Seconds::from_hours(hours),
                 class: ContentClass::Vod,
                 ownership: OwnershipFlag::Owned,

@@ -59,7 +59,7 @@ fn view_from(
 ) -> SampledView {
     let device = DeviceModel::from_code(device_code).expect("code in range");
     let player = if seed & 1 == 0 {
-        PlayerIdentity::UserAgent(UAS[(seed >> 1) as usize % UAS.len()].to_string())
+        PlayerIdentity::UserAgent(UAS[(seed >> 1) as usize % UAS.len()].into())
     } else {
         PlayerIdentity::Sdk(PlayerBuild::new(
             SDKS[(seed >> 1) as usize % SDKS.len()],
@@ -86,7 +86,7 @@ fn view_from(
             os: device.os(),
             player,
             cdns,
-            available_bitrates: vec![Kbps(400), Kbps(1200)],
+            available_bitrates: [Kbps(400), Kbps(1200)].into(),
             viewing_time: Seconds::from_minutes((seed >> 20 & 0xFFF) as f64 / 16.0),
             class: ContentClass::from_code((seed >> 32) as u8 % ContentClass::CODE_COUNT as u8)
                 .expect("class code"),

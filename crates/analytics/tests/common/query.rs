@@ -242,7 +242,7 @@ mod tests {
                 os: DeviceModel::Roku.os(),
                 player: PlayerIdentity::UserAgent("test".into()),
                 cdns: vec![CdnId::new(0)],
-                available_bitrates: vec![Kbps(800)],
+                available_bitrates: [Kbps(800)].into(),
                 viewing_time: Seconds::from_hours(hours),
                 class: ContentClass::Vod,
                 ownership: OwnershipFlag::Owned,

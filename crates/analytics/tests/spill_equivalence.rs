@@ -41,7 +41,7 @@ fn view_from(snapshot: u32, publisher: u32, url_idx: usize, seed: u64) -> Sample
     let device = DeviceModel::from_code((seed >> 16) as u8 % DeviceModel::CODE_COUNT as u8)
         .expect("device code");
     let player = if seed & 1 == 0 {
-        PlayerIdentity::UserAgent(format!("Mozilla/5.{}", seed >> 1 & 7))
+        PlayerIdentity::UserAgent(format!("Mozilla/5.{}", seed >> 1 & 7).into())
     } else {
         PlayerIdentity::Sdk(PlayerBuild::new(
             SdkKind::ExoPlayer,
@@ -69,7 +69,7 @@ fn view_from(snapshot: u32, publisher: u32, url_idx: usize, seed: u64) -> Sample
             os: device.os(),
             player,
             cdns,
-            available_bitrates: vec![Kbps(400), Kbps(1200)],
+            available_bitrates: [Kbps(400), Kbps(1200)].into(),
             viewing_time: Seconds::from_minutes((seed >> 20 & 0xFFF) as f64 / 16.0),
             class: ContentClass::from_code((seed >> 32) as u8 % ContentClass::CODE_COUNT as u8)
                 .expect("class code"),

@@ -130,8 +130,9 @@ impl BitrateLadder {
         &self.rungs
     }
 
-    /// Bare bitrates, ascending.
-    pub fn bitrates(&self) -> Vec<Kbps> {
+    /// Bare bitrates, ascending, in one shared block: the ladder a cell
+    /// advertises in every record.
+    pub fn bitrates(&self) -> Arc<[Kbps]> {
         self.rungs.iter().map(|r| r.bitrate).collect()
     }
 
@@ -193,10 +194,7 @@ mod tests {
     #[test]
     fn ladder_sorts_and_rejects_duplicates() {
         let l = BitrateLadder::from_bitrates(&[3000, 800, 1600]).unwrap();
-        assert_eq!(
-            l.bitrates(),
-            vec![Kbps(800), Kbps(1600), Kbps(3000)]
-        );
+        assert_eq!(l.bitrates()[..], [Kbps(800), Kbps(1600), Kbps(3000)]);
         assert!(BitrateLadder::from_bitrates(&[]).is_err());
         assert!(BitrateLadder::from_bitrates(&[500, 500]).is_err());
     }

@@ -23,13 +23,15 @@ use crate::sdk::PlayerBuild;
 use crate::time::SnapshotId;
 use crate::units::{Kbps, Seconds};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How the player identified itself: browser views report a user-agent,
 /// app views report the SDK and version (§3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlayerIdentity {
-    /// Browser view: HTTP user-agent string.
-    UserAgent(String),
+    /// Browser view: HTTP user-agent string. A function of (device, SDK
+    /// version), so the records of one cell share one allocation.
+    UserAgent(Arc<str>),
     /// App view: SDK + version.
     Sdk(PlayerBuild),
 }
@@ -77,8 +79,9 @@ pub struct ViewRecord {
     /// CDN(s) that served chunks during this view (chunks may come from
     /// multiple CDNs in one view, §3 footnote 4).
     pub cdns: Vec<CdnId>,
-    /// The bitrate ladder advertised in the manifest.
-    pub available_bitrates: Vec<Kbps>,
+    /// The bitrate ladder advertised in the manifest. A constant of the
+    /// (publisher, snapshot) cell, shared by every record of it.
+    pub available_bitrates: Arc<[Kbps]>,
     /// Viewing time (media watched).
     pub viewing_time: Seconds,
     /// Live or VoD.
@@ -149,7 +152,7 @@ mod tests {
                 SdkVersion::new(7, 2),
             )),
             cdns: vec![CdnId::new(0), CdnId::new(1)],
-            available_bitrates: vec![Kbps(800), Kbps(1600), Kbps(3200)],
+            available_bitrates: [Kbps(800), Kbps(1600), Kbps(3200)].into(),
             viewing_time: Seconds::from_minutes(45.0),
             class: ContentClass::Vod,
             ownership: OwnershipFlag::Owned,
@@ -191,6 +194,17 @@ mod tests {
     fn serde_round_trip() {
         let v = sample();
         let json = serde_json::to_string(&v).unwrap();
+        let back: ViewRecord = serde_json::from_str(&json).unwrap();
+        assert_eq!(v, back);
+    }
+
+    #[test]
+    fn serde_round_trip_with_a_user_agent() {
+        let mut v = sample();
+        v.device = DeviceModel::MobileBrowser;
+        v.player = PlayerIdentity::UserAgent("Mozilla/5.0 (Mobile; html5-player/7.1)".into());
+        let json = serde_json::to_string(&v).unwrap();
+        assert!(json.contains(r#"{"UserAgent":"Mozilla/5.0 (Mobile; html5-player/7.1)"}"#), "{json}");
         let back: ViewRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(v, back);
     }

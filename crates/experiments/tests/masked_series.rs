@@ -47,7 +47,7 @@ fn view(snapshot: u32, publisher: PublisherId, i: usize) -> SampledView {
             os: device.os(),
             player: PlayerIdentity::UserAgent("Mozilla/5.0".into()),
             cdns: vec![CdnId::new((i % 3) as u32)],
-            available_bitrates: vec![Kbps(800)],
+            available_bitrates: [Kbps(800)].into(),
             viewing_time: Seconds::from_minutes(1.0 + (i % 7) as f64 * 3.5),
             class: ContentClass::Vod,
             ownership: OwnershipFlag::Owned,

@@ -422,7 +422,7 @@ mod tests {
             .iter()
             .map(|v| v.video_bitrate(Kbps(128)))
             .collect();
-        assert_eq!(recovered, p.ladder.bitrates());
+        assert_eq!(recovered, *p.ladder.bitrates());
         // Resolutions and codecs survive.
         for (v, rung) in master.variants.iter().zip(p.ladder.rungs()) {
             assert_eq!(v.resolution, Some(rung.resolution));

@@ -46,7 +46,7 @@ proptest! {
         let master = hls::parse_master(&hls::write_master(&p)).unwrap();
         let bitrates: Vec<Kbps> =
             master.variants.iter().map(|v| v.video_bitrate(top_audio)).collect();
-        prop_assert_eq!(bitrates, p.ladder.bitrates());
+        prop_assert_eq!(bitrates, *p.ladder.bitrates());
         let audio: Vec<Kbps> = master.audio.iter().filter_map(|a| a.bitrate()).collect();
         let mut expected = p.audio_bitrates.clone();
         expected.sort();

@@ -6,6 +6,7 @@
 //! survives into analytics, per Table 1).
 
 use crate::player::SessionOutcome;
+use std::sync::Arc;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
@@ -31,17 +32,22 @@ pub struct ClientContext {
 }
 
 impl ClientContext {
-    /// The player identity string/struct reported in telemetry.
+    /// The player identity string/struct reported in telemetry. A function
+    /// of `(device, sdk_version)` only, so a caller making many records may
+    /// build it once per pair and clone it into each.
     pub fn player_identity(&self) -> PlayerIdentity {
         match self.device {
-            DeviceModel::DesktopBrowser(tech) => PlayerIdentity::UserAgent(format!(
-                "Mozilla/5.0 (compatible; {}-player/{})",
-                tech.label().to_ascii_lowercase(),
-                self.sdk_version
-            )),
-            DeviceModel::MobileBrowser => {
-                PlayerIdentity::UserAgent(format!("Mozilla/5.0 (Mobile; html5-player/{})", self.sdk_version))
-            }
+            DeviceModel::DesktopBrowser(tech) => PlayerIdentity::UserAgent(
+                format!(
+                    "Mozilla/5.0 (compatible; {}-player/{})",
+                    tech.label().to_ascii_lowercase(),
+                    self.sdk_version
+                )
+                .into(),
+            ),
+            DeviceModel::MobileBrowser => PlayerIdentity::UserAgent(
+                format!("Mozilla/5.0 (Mobile; html5-player/{})", self.sdk_version).into(),
+            ),
             other => PlayerIdentity::Sdk(PlayerBuild::new(SdkKind::for_device(other), self.sdk_version)),
         }
     }
@@ -60,8 +66,9 @@ pub struct TelemetryBuilder {
     pub video: VideoId,
     /// Manifest URL fetched by the player.
     pub manifest_url: String,
-    /// Ladder advertised in the manifest.
-    pub available_bitrates: Vec<Kbps>,
+    /// Ladder advertised in the manifest, shared with every record built
+    /// from it.
+    pub available_bitrates: Arc<[Kbps]>,
     /// Live or VoD.
     pub class: ContentClass,
     /// Owned or syndicated.
@@ -71,13 +78,20 @@ pub struct TelemetryBuilder {
 impl TelemetryBuilder {
     /// Stamps the outcome with context into a complete record.
     pub fn build(&self, client: &ClientContext, outcome: &SessionOutcome) -> ViewRecord {
-        self.clone().into_record(client, outcome)
+        self.clone().into_record(client, client.player_identity(), outcome)
     }
 
     /// [`TelemetryBuilder::build`] for a builder made for one view: the
-    /// manifest URL and the advertised ladder move into the record instead
-    /// of being copied.
-    pub fn into_record(self, client: &ClientContext, outcome: &SessionOutcome) -> ViewRecord {
+    /// manifest URL moves into the record instead of being copied, and
+    /// `player` — which must equal `client.player_identity()` — is taken as
+    /// given, so a caller can share one identity across many records.
+    pub fn into_record(
+        self,
+        client: &ClientContext,
+        player: PlayerIdentity,
+        outcome: &SessionOutcome,
+    ) -> ViewRecord {
+        debug_assert_eq!(player, client.player_identity());
         ViewRecord {
             session: self.session,
             snapshot: self.snapshot,
@@ -86,7 +100,7 @@ impl TelemetryBuilder {
             manifest_url: self.manifest_url,
             device: client.device,
             os: client.device.os(),
-            player: client.player_identity(),
+            player,
             cdns: outcome.cdns.iter().map(|c| c.id()).collect(),
             available_bitrates: self.available_bitrates,
             viewing_time: outcome.qoe.played,
@@ -135,7 +149,7 @@ mod tests {
             publisher: PublisherId::new(3),
             video: VideoId::new(10),
             manifest_url: "https://edge.cdn-a.example.net/p0003/v00000a/master.m3u8".into(),
-            available_bitrates: vec![Kbps(400), Kbps(1600), Kbps(3200)],
+            available_bitrates: [Kbps(400), Kbps(1600), Kbps(3200)].into(),
             class: ContentClass::Vod,
             ownership: OwnershipFlag::Owned,
         }
@@ -166,7 +180,8 @@ mod tests {
 
     #[test]
     fn consuming_path_equals_build() {
-        for device in [DeviceModel::Roku, DeviceModel::DesktopBrowser(BrowserTech::Html5)] {
+        let browsers = BrowserTech::ALL.map(DeviceModel::DesktopBrowser);
+        for device in browsers.into_iter().chain([DeviceModel::MobileBrowser, DeviceModel::Roku]) {
             let client = ClientContext {
                 device,
                 sdk_version: SdkVersion::new(9, 1),
@@ -175,7 +190,8 @@ mod tests {
                 connection: ConnectionType::Wired,
             };
             let built = builder().build(&client, &outcome());
-            assert_eq!(builder().into_record(&client, &outcome()), built);
+            let consumed = builder().into_record(&client, client.player_identity(), &outcome());
+            assert_eq!(consumed, built, "{device:?}");
         }
     }
 

@@ -218,6 +218,17 @@ impl Serialize for str {
     }
 }
 
+impl Serialize for Arc<str> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+impl Deserialize for Arc<str> {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_str().map(Arc::from).ok_or_else(|| format!("expected string, got {v:?}"))
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
@@ -352,6 +363,14 @@ mod tests {
         assert_eq!(bool::from_json(&true.to_json()), Ok(true));
         assert_eq!(String::from_json(&"hi".to_string().to_json()), Ok("hi".to_string()));
         assert!(u8::from_json(&Json::U64(300)).is_err());
+    }
+
+    #[test]
+    fn shared_str_round_trips_as_a_string() {
+        let ua: Arc<str> = Arc::from("Mozilla/5.0 (Mobile; \"html5\")");
+        assert_eq!(ua.to_json(), String::from(&*ua).to_json());
+        assert_eq!(Arc::<str>::from_json(&ua.to_json()), Ok(ua));
+        assert!(Arc::<str>::from_json(&Json::U64(1)).is_err());
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
                 os: DeviceModel::Roku.os(),
                 player: PlayerIdentity::UserAgent("t".into()),
                 cdns: vec![CdnId::new(0)],
-                available_bitrates: vec![Kbps(800)],
+                available_bitrates: [Kbps(800)].into(),
                 viewing_time: Seconds::from_hours(1.0),
                 class: ContentClass::Vod,
                 ownership,

@@ -22,7 +22,13 @@
 //! * filled on first use, in small linear-scan vectors (a cell meets at
 //!   most 16 devices, a few dozen network keys and 5 CDNs) — the protocol
 //!   table per device, the `NetworkModel` template per
-//!   `(connection, isp, cdn)` and the host string per CDN.
+//!   `(connection, isp, cdn)`, the host string per CDN and the user-agent
+//!   per browser `(device, SDK version)`.
+//!
+//! The ladder and the user-agents are *shared* with the records, not
+//! copied into them: every record of the cell holds a pointer to the one
+//! `Arc` the plan built, so a record owns two heap blocks of its own, its
+//! URL and its CDN list.
 //!
 //! **Invariant.** The plan may cache anything; it may never reorder, add or
 //! drop an RNG draw. A lazily built entry is built from the cell's
@@ -30,6 +36,8 @@
 //! `crates/synth/tests/kernel_identity.rs` pins the delivered bytes, and
 //! the unit tests below compare every table against a per-view reference
 //! that builds it from scratch for each draw (the `#[cfg(test)]` oracles).
+
+use std::sync::Arc;
 
 use vmp_abr::algorithm::{AbrAlgorithm, Bba, Bola, ThroughputRule};
 use vmp_abr::network::{NetworkModel, NetworkProfile};
@@ -46,7 +54,7 @@ use vmp_core::publisher::SyndicationRole;
 use vmp_core::sdk::SdkVersion;
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
-use vmp_core::view::{OwnershipFlag, SampledView};
+use vmp_core::view::{OwnershipFlag, PlayerIdentity, SampledView};
 use vmp_faults::{FaultInjector, FaultProfile, RetryPolicy};
 use vmp_session::player::{PlaybackConfig, Player};
 use vmp_session::telemetry::{ClientContext, TelemetryBuilder};
@@ -185,17 +193,18 @@ pub fn generate_views(
             isp,
             connection,
         };
+        let player = plan.player_identity(&client);
         let builder = TelemetryBuilder {
             session: SessionId::new(session_base.wrapping_add(i as u32)),
             snapshot,
             publisher: profile.publisher.id,
             video: VideoId::new(video_rank),
             manifest_url: plan.manifest_url(protocol, cdn, &token),
-            available_bitrates: plan.bitrates.clone(),
+            available_bitrates: Arc::clone(&plan.bitrates),
             class,
             ownership,
         };
-        let mut record = builder.into_record(&client, &outcome);
+        let mut record = builder.into_record(&client, player, &outcome);
         record.viewing_time = watch;
 
         total_hours += hours;
@@ -236,10 +245,12 @@ struct CellPlan<'a> {
     live: Option<ClassSelection>,
     /// Host string per CDN met so far.
     hosts: Vec<(CdnName, String)>,
+    /// User-agent per browser (device, SDK version) met so far.
+    user_agents: Vec<((DeviceModel, SdkVersion), PlayerIdentity)>,
     /// `p{publisher id:04}`, the publisher's URL path prefix.
     prefix: String,
     /// The ladder as advertised in every record.
-    bitrates: Vec<Kbps>,
+    bitrates: Arc<[Kbps]>,
 }
 
 /// Per supported platform: which device, and how long the view lasts.
@@ -292,6 +303,7 @@ impl<'a> CellPlan<'a> {
             vod: ClassSelection::prepare(&plane.strategy, ContentClass::Vod),
             live: ClassSelection::prepare(&plane.strategy, ContentClass::Live),
             hosts: Vec::new(),
+            user_agents: Vec::new(),
             prefix: format!("p{:04}", profile.publisher.id.raw()),
             bitrates: plane.ladder.bitrates(),
         }
@@ -341,6 +353,19 @@ impl<'a> CellPlan<'a> {
     fn manifest_url(&mut self, protocol: StreamingProtocol, cdn: CdnName, token: &str) -> String {
         let host = memo(&mut self.hosts, cdn, || cdn.host());
         vmp_manifest::manifest_url(protocol, host, &self.prefix, token)
+    }
+
+    /// `client.player_identity()`, with one user-agent string per browser
+    /// (device, SDK version) shared by every record that reports it. App
+    /// identities hold no heap data, so they are built in place.
+    fn player_identity(&mut self, client: &ClientContext) -> PlayerIdentity {
+        if client.device.platform() != Platform::Browser {
+            return client.player_identity();
+        }
+        memo(&mut self.user_agents, (client.device, client.sdk_version), || {
+            client.player_identity()
+        })
+        .clone()
     }
 }
 
@@ -775,6 +800,78 @@ mod tests {
         let broker = Broker::new(BrokerPolicy::Weighted);
         assert_eq!(plan.select_cdn(&broker, ContentClass::Live, &mut rng), CdnName::B);
         assert_eq!(rng, untouched);
+    }
+
+    #[test]
+    fn memoised_identities_match_the_per_view_reference() {
+        let (profile, plane, _) = setup(17);
+        let mut plan = CellPlan::new(&profile, &plane, 1.0);
+        let versions = [SdkVersion::new(1, 1), SdkVersion::new(4, 1), SdkVersion::new(9, 0)];
+        // Twice over the catalogue: the second pass hits the memo.
+        for _ in 0..2 {
+            for device in DeviceModel::ALL {
+                for sdk_version in versions {
+                    let client = ClientContext {
+                        device,
+                        sdk_version,
+                        region: Region::UsOther,
+                        isp: Isp::X,
+                        connection: ConnectionType::Wifi,
+                    };
+                    assert_eq!(plan.player_identity(&client), client.player_identity(), "{client:?}");
+                }
+            }
+        }
+        let browsers = DeviceModel::ALL.iter().filter(|d| d.platform() == Platform::Browser).count();
+        assert_eq!(plan.user_agents.len(), browsers * versions.len());
+    }
+
+    #[test]
+    fn records_share_the_plans_ladder() {
+        let (profile, plane, graph) = setup(19);
+        let mut rng = Rng::seed_from(20);
+        let views =
+            generate_views(&profile, &plane, &graph, &small_cfg(), SnapshotId::LAST, 0, &mut rng);
+        let ladder = &views[0].record.available_bitrates;
+        assert_eq!(*ladder, plane.ladder.bitrates());
+        for v in &views {
+            assert!(Arc::ptr_eq(&v.record.available_bitrates, ladder));
+        }
+        // The plan is gone; the records hold the only references to its
+        // one ladder.
+        assert_eq!(Arc::strong_count(ladder), views.len());
+    }
+
+    #[test]
+    fn records_with_equal_user_agents_share_one_allocation() {
+        let mut shared = 0;
+        for seed in [21, 23, 25] {
+            let (profile, plane, graph) = setup(seed);
+            let mut rng = Rng::seed_from(seed + 1);
+            let views = generate_views(
+                &profile,
+                &plane,
+                &graph,
+                &ViewGenConfig { min_samples: 200, max_samples: 200, ..small_cfg() },
+                SnapshotId::LAST,
+                0,
+                &mut rng,
+            );
+            let agents: Vec<&Arc<str>> = views
+                .iter()
+                .filter_map(|v| match &v.record.player {
+                    PlayerIdentity::UserAgent(ua) => Some(ua),
+                    PlayerIdentity::Sdk(_) => None,
+                })
+                .collect();
+            for (i, a) in agents.iter().enumerate() {
+                for b in &agents[..i] {
+                    assert_eq!(a == b, Arc::ptr_eq(a, b), "{a} vs {b}");
+                    shared += usize::from(a == b);
+                }
+            }
+        }
+        assert!(shared > 0, "no two browser views reported the same user-agent");
     }
 
     #[test]

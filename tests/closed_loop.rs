@@ -29,7 +29,7 @@ fn packager_manifest_parses_back_to_the_same_ladder() {
     let master = hls::parse_master(&pkg.manifest_body).unwrap();
     let audio = master.audio.iter().filter_map(|a| a.bitrate()).max().unwrap();
     let recovered: Vec<Kbps> = master.variants.iter().map(|v| v.video_bitrate(audio)).collect();
-    assert_eq!(recovered, ladder.bitrates());
+    assert_eq!(recovered, *ladder.bitrates());
 }
 
 #[test]
