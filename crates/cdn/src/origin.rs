@@ -98,19 +98,22 @@ impl OriginStore {
     /// Registers a batch of pushed encodings; the push counters move once
     /// per batch, by the same totals.
     pub fn push_all(&mut self, entries: impl IntoIterator<Item = OriginEntry>) {
+        self.push_all_times(entries, 1);
+    }
+
+    /// Registers a batch that `times` titles each push identically: the
+    /// ledger holds the batch once, and the push counters count all
+    /// `times` copies. A study whose titles push the same (publisher,
+    /// bitrate, bytes) set measures one title this way and scales, since
+    /// no measurement relates copies of different [`ContentKey`]s.
+    pub fn push_all_times(&mut self, entries: impl IntoIterator<Item = OriginEntry>, times: u64) {
         let before = self.entries.len();
         self.entries.extend(entries);
         let added = &self.entries[before..];
+        let bytes: u64 = added.iter().map(|e| e.bytes.0).sum();
         let metrics = OriginMetrics::get();
-        metrics.pushes.add(added.len() as u64);
-        metrics.bytes_pushed.add(added.iter().map(|e| e.bytes.0).sum());
-    }
-
-    /// Empties the ledger, keeping its allocation. Dedup clusters never
-    /// cross a [`ContentKey`], so a study can push and measure one title at
-    /// a time through one reused store instead of holding every title.
-    pub fn clear(&mut self) {
-        self.entries.clear();
+        metrics.pushes.add((added.len() as u64).saturating_mul(times));
+        metrics.bytes_pushed.add(bytes.saturating_mul(times));
     }
 
     /// All entries.

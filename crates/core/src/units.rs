@@ -152,10 +152,10 @@ impl Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating addition.
+    /// Saturating multiplication by a count.
     #[inline]
-    pub fn saturating_add(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.saturating_add(rhs.0))
+    pub fn saturating_mul(self, count: u64) -> Bytes {
+        Bytes(self.0.saturating_mul(count))
     }
 }
 

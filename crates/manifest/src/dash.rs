@@ -11,7 +11,7 @@ use crate::types::{ManifestError, MediaPresentation, PresentationBuilder};
 use crate::xml::{parse as parse_xml, Element};
 use vmp_core::ladder::{BitrateLadder, LadderRung, Resolution};
 use vmp_core::protocol::Codec;
-use vmp_core::units::{Kbps, Seconds};
+use vmp_core::units::Seconds;
 
 /// Cap on video `Representation` entries; a ladder past this is malformed
 /// input, not a plausible encoding decision.
@@ -137,7 +137,7 @@ pub fn parse_mpd(input: &str) -> Result<MediaPresentation, ManifestError> {
                     return Err(ManifestError::limit("MPD", "representations", MAX_REPRESENTATIONS));
                 }
                 rungs.push(LadderRung {
-                    bitrate: Kbps((bandwidth / 1000) as u32),
+                    bitrate: ManifestError::kbps("MPD", "bandwidth", bandwidth)?,
                     resolution: Resolution { width, height },
                     codec,
                 });
@@ -145,7 +145,7 @@ pub fn parse_mpd(input: &str) -> Result<MediaPresentation, ManifestError> {
         } else if mime.starts_with("audio") {
             for rep in set.find_all("Representation") {
                 if let Some(bandwidth) = rep.parse_attr::<u64>("bandwidth") {
-                    audio_bitrates.push(Kbps((bandwidth / 1000) as u32));
+                    audio_bitrates.push(ManifestError::kbps("MPD", "bandwidth", bandwidth)?);
                 }
             }
         }
@@ -222,6 +222,7 @@ fn parse_iso8601_duration(text: &str) -> Result<Seconds, ManifestError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmp_core::units::Kbps;
 
     fn presentation() -> MediaPresentation {
         PresentationBuilder::new(

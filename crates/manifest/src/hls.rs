@@ -36,8 +36,11 @@ pub struct Variant {
 impl Variant {
     /// Video bitrate implied by the `BANDWIDTH` attribute (which in our
     /// packager is video bitrate plus the top audio rendition).
+    /// [`parse_master`] rejects a bandwidth above `u32::MAX` kbps; a
+    /// variant built by hand with one saturates instead of wrapping.
     pub fn video_bitrate(&self, audio: Kbps) -> Kbps {
-        Kbps(((self.bandwidth / 1000) as u32).saturating_sub(audio.0))
+        let total = u32::try_from(self.bandwidth / 1000).unwrap_or(u32::MAX);
+        Kbps(total.saturating_sub(audio.0))
     }
 
     /// Codec enum parsed from the `CODECS` string.
@@ -240,6 +243,7 @@ pub fn parse_master(input: &str) -> Result<MasterPlaylist, ManifestError> {
                 .ok_or_else(|| {
                     ManifestError::parse("HLS", lineno, "STREAM-INF missing BANDWIDTH")
                 })?;
+            ManifestError::kbps("HLS", "BANDWIDTH", bandwidth)?;
             let resolution = attrs.iter().find(|(k, _)| k == "RESOLUTION").and_then(|(_, v)| {
                 let (w, h) = v.split_once('x')?;
                 Some(Resolution { width: w.parse().ok()?, height: h.parse().ok()? })

@@ -10,7 +10,7 @@ use crate::types::{ManifestError, MediaPresentation, PresentationBuilder};
 use crate::xml::{parse as parse_xml, Element};
 use vmp_core::ladder::{BitrateLadder, LadderRung, Resolution};
 use vmp_core::protocol::Codec;
-use vmp_core::units::{Kbps, Seconds};
+use vmp_core::units::Seconds;
 
 /// Default SmoothStreaming timescale: 100-ns ticks.
 const TICKS_PER_SECOND: f64 = 10_000_000.0;
@@ -118,7 +118,7 @@ pub fn parse_manifest(input: &str, base_url: &str) -> Result<MediaPresentation, 
                         ));
                     }
                     rungs.push(LadderRung {
-                        bitrate: Kbps((bitrate / 1000) as u32),
+                        bitrate: ManifestError::kbps("MSS", "Bitrate", bitrate)?,
                         resolution: Resolution { width, height },
                         codec,
                     });
@@ -127,7 +127,7 @@ pub fn parse_manifest(input: &str, base_url: &str) -> Result<MediaPresentation, 
             Some("audio") => {
                 for level in stream.find_all("QualityLevel") {
                     if let Some(bitrate) = level.parse_attr::<u64>("Bitrate") {
-                        audio_bitrates.push(Kbps((bitrate / 1000) as u32));
+                        audio_bitrates.push(ManifestError::kbps("MSS", "Bitrate", bitrate)?);
                     }
                 }
             }
@@ -164,6 +164,7 @@ fn fourcc(codec: Codec) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmp_core::units::Kbps;
 
     fn presentation() -> MediaPresentation {
         PresentationBuilder::new(

@@ -33,6 +33,17 @@ pub enum ManifestError {
         /// The cap that was exceeded.
         limit: usize,
     },
+    /// A numeric attribute whose value does not fit the model (a bandwidth
+    /// of more than `u32::MAX` kbps). Rejected, never wrapped: a truncating
+    /// cast would read `4294967297000` bps as a 1 kbps rung.
+    OutOfRange {
+        /// Format being parsed.
+        format: &'static str,
+        /// The attribute that carried the value ("BANDWIDTH", ...).
+        attribute: &'static str,
+        /// The value as written.
+        value: u64,
+    },
 }
 
 impl ManifestError {
@@ -42,6 +53,14 @@ impl ManifestError {
 
     pub(crate) fn limit(format: &'static str, what: &'static str, limit: usize) -> Self {
         ManifestError::Limit { format, what, limit }
+    }
+
+    /// Converts a bits-per-second `attribute` to [`Kbps`], rejecting a
+    /// value whose kbps do not fit a `u32`.
+    pub(crate) fn kbps(format: &'static str, attribute: &'static str, bps: u64) -> Result<Kbps, Self> {
+        u32::try_from(bps / 1000)
+            .map(Kbps)
+            .map_err(|_| ManifestError::OutOfRange { format, attribute, value: bps })
     }
 }
 
@@ -56,6 +75,9 @@ impl std::fmt::Display for ManifestError {
             }
             ManifestError::Limit { format, what, limit } => {
                 write!(f, "{format} input exceeds {what} limit of {limit}")
+            }
+            ManifestError::OutOfRange { format, attribute, value } => {
+                write!(f, "{format} {attribute}={value} is out of range")
             }
         }
     }
@@ -224,5 +246,8 @@ mod tests {
     fn error_display() {
         let e = ManifestError::parse("HLS", 3, "bad tag");
         assert_eq!(e.to_string(), "HLS parse error at line 3: bad tag");
+        let e = ManifestError::kbps("MPD", "bandwidth", 4_294_967_297_000).unwrap_err();
+        assert_eq!(e.to_string(), "MPD bandwidth=4294967297000 is out of range");
+        assert_eq!(ManifestError::kbps("MPD", "bandwidth", 4_294_967_295_999), Ok(Kbps(u32::MAX)));
     }
 }

@@ -13,8 +13,24 @@
 
 use vmp_core::protocol::StreamingProtocol;
 
+/// The RTMP family's schemes (footnote 5), matched ASCII-case-insensitively.
+const RTMP_SCHEMES: [&[u8]; 4] = [b"rtmp://", b"rtmps://", b"rtmpe://", b"rtmpt://"];
+
 /// Classifies a manifest/stream URL into a streaming protocol, or `None`
 /// when nothing matches (e.g. an API endpoint).
+///
+/// The rules, in order: surrounding whitespace (`str::trim`) is ignored;
+/// an RTMP scheme wins outright; everything up to the first `://` is the
+/// scheme and is skipped; the path ends at the first `?` or `#`; its first
+/// `/`-separated segment is the host and is skipped; the leftmost segment
+/// whose extension (after its last `.`, which may not lead the segment)
+/// names a manifest format decides; a media-container extension counts
+/// only if no segment names a manifest format.
+///
+/// Ingest calls this once per view, so after finding the `://` it reads
+/// the path once, front to back, on bytes, and allocates nothing: `.`,
+/// `/`, `?` and `#` are ASCII and never occur inside a multi-byte UTF-8
+/// character.
 ///
 /// ```
 /// use vmp_core::protocol::StreamingProtocol;
@@ -26,63 +42,66 @@ use vmp_core::protocol::StreamingProtocol;
 /// assert_eq!(classify("https://api.example.net/v1/views"), None);
 /// ```
 pub fn classify(url: &str) -> Option<StreamingProtocol> {
-    let trimmed = url.trim();
-    if trimmed.is_empty() {
-        return None;
+    let url = url.trim().as_bytes();
+    if RTMP_SCHEMES
+        .iter()
+        .any(|scheme| url.get(..scheme.len()).is_some_and(|p| p.eq_ignore_ascii_case(scheme)))
+    {
+        return Some(StreamingProtocol::Rtmp);
     }
-    // Rule 1 (footnote 5): the RTMP family is identified by scheme. All
-    // matching is ASCII-case-insensitive on the borrowed string: ingest
-    // calls this once per view, so it must not allocate.
-    for scheme in ["rtmp://", "rtmps://", "rtmpe://", "rtmpt://"] {
-        let prefix = trimmed.as_bytes().get(..scheme.len());
-        if prefix.is_some_and(|p| p.eq_ignore_ascii_case(scheme.as_bytes())) {
-            return Some(StreamingProtocol::Rtmp);
-        }
-    }
-    // Strip scheme, query and fragment; keep only the path.
-    let without_scheme = match trimmed.find("://") {
-        Some(i) => &trimmed[i + 3..],
-        None => trimmed,
+    let path = match url.windows(3).position(|w| w == b"://") {
+        Some(i) => &url[i + 3..],
+        None => url,
     };
-    let path_end = without_scheme
-        .find(['?', '#'])
-        .unwrap_or(without_scheme.len());
-    let path = &without_scheme[..path_end];
-
-    // Rule 2: scan path segments (skipping the host) for a manifest
-    // extension. Interior segments matter for MSS (`/x.ism/manifest`).
-    let mut segments = path.split('/');
-    let _host = segments.next();
-    let mut progressive_hit = false;
-    for segment in segments {
-        if let Some(ext) = extension_of(segment) {
-            for proto in StreamingProtocol::ALL {
-                if proto.manifest_extensions().iter().any(|e| e.eq_ignore_ascii_case(ext)) {
-                    if proto == StreamingProtocol::Progressive {
-                        // Keep scanning: a later segment may carry a real
-                        // manifest extension (rare, but be precise).
-                        progressive_hit = true;
-                    } else {
-                        return Some(proto);
+    // `start` is the first byte of the current segment (`None` while in
+    // the host); `dot` is the last `.` seen, inside the segment only when
+    // it lies past `start`.
+    let mut start = None;
+    let mut dot = 0;
+    let mut progressive = false;
+    let mut i = 0;
+    loop {
+        // The end of the path acts as a query separator.
+        let b = path.get(i).copied().unwrap_or(b'?');
+        match b {
+            b'.' => dot = i,
+            b'/' | b'?' | b'#' => {
+                if start.is_some_and(|s| dot > s && i > dot + 1) {
+                    match extension_protocol(&path[dot + 1..i]) {
+                        Some(StreamingProtocol::Progressive) => progressive = true,
+                        Some(protocol) => return Some(protocol),
+                        None => {}
                     }
                 }
+                if b != b'/' {
+                    break;
+                }
+                start = Some(i + 1);
             }
+            _ => {}
         }
+        i += 1;
     }
-    if progressive_hit {
-        return Some(StreamingProtocol::Progressive);
-    }
-    None
+    progressive.then_some(StreamingProtocol::Progressive)
 }
 
-/// The extension of one path segment, if any (`"master.m3u8"` → `"m3u8"`).
-fn extension_of(segment: &str) -> Option<&str> {
-    let dot = segment.rfind('.')?;
-    let ext = &segment[dot + 1..];
-    if ext.is_empty() || dot == 0 {
-        None
-    } else {
-        Some(ext)
+/// The protocol whose [`manifest_extensions`] include `ext`, compared
+/// ASCII-case-insensitively; every extension is at most 4 bytes.
+///
+/// [`manifest_extensions`]: StreamingProtocol::manifest_extensions
+fn extension_protocol(ext: &[u8]) -> Option<StreamingProtocol> {
+    let mut lower = [0u8; 4];
+    let lower = lower.get_mut(..ext.len())?;
+    for (l, b) in lower.iter_mut().zip(ext) {
+        *l = b.to_ascii_lowercase();
+    }
+    match &*lower {
+        b"m3u8" | b"m3u" => Some(StreamingProtocol::Hls),
+        b"mpd" => Some(StreamingProtocol::Dash),
+        b"ism" | b"isml" => Some(StreamingProtocol::SmoothStreaming),
+        b"f4m" => Some(StreamingProtocol::Hds),
+        b"mp4" | b"flv" | b"webm" | b"mov" => Some(StreamingProtocol::Progressive),
+        _ => None,
     }
 }
 
@@ -204,6 +223,20 @@ mod tests {
         assert_eq!(classify("https://h/p/file.unknownext"), None);
         assert_eq!(classify("https://h/p/.hidden"), None);
         assert_eq!(classify("not a url at all"), None);
+    }
+
+    #[test]
+    fn extension_match_is_the_protocol_table() {
+        for proto in StreamingProtocol::ALL {
+            for ext in proto.manifest_extensions() {
+                assert_eq!(extension_protocol(ext.as_bytes()), Some(proto), "{ext}");
+                let upper = ext.to_ascii_uppercase();
+                assert_eq!(extension_protocol(upper.as_bytes()), Some(proto), "{upper}");
+            }
+        }
+        for miss in ["", "m", "m3", "m3u9", "mpdx", "webmm", "txt", "net"] {
+            assert_eq!(extension_protocol(miss.as_bytes()), None, "{miss}");
+        }
     }
 
     #[test]

@@ -183,6 +183,67 @@ fn mss_caps_quality_level_count() {
     }
 }
 
+/// `4_294_967_297_000` bps is `u32::MAX + 2` kbps: a truncating cast reads
+/// it as a 1 kbps rung.
+const HUGE_BPS: u64 = 4_294_967_297_000;
+
+#[test]
+fn hls_rejects_a_bandwidth_beyond_u32_kbps() {
+    let doc = format!("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH={HUGE_BPS}\nv.m3u8\n");
+    match hls::parse_master(&doc) {
+        Err(ManifestError::OutOfRange { format: "HLS", attribute: "BANDWIDTH", value }) => {
+            assert_eq!(value, HUGE_BPS);
+        }
+        other => panic!("expected an out-of-range BANDWIDTH, got {other:?}"),
+    }
+}
+
+#[test]
+fn dash_rejects_a_bandwidth_beyond_u32_kbps() {
+    let mpd = |video: u64, audio: u64| {
+        format!(
+            "<MPD><Period><BaseURL>https://cdn.example.net/v/</BaseURL>\
+             <AdaptationSet mimeType=\"video/mp4\">\
+             <SegmentTemplate timescale=\"1\" duration=\"4\" media=\"v/chunk-$Number$.m4s\"/>\
+             <Representation bandwidth=\"{video}\"/></AdaptationSet>\
+             <AdaptationSet mimeType=\"audio/mp4\"><Representation bandwidth=\"{audio}\"/>\
+             </AdaptationSet></Period></MPD>"
+        )
+    };
+    assert!(dash::parse_mpd(&mpd(1_000_000, 128_000)).is_ok());
+    for doc in [mpd(HUGE_BPS, 128_000), mpd(1_000_000, HUGE_BPS)] {
+        match dash::parse_mpd(&doc) {
+            Err(ManifestError::OutOfRange { format: "MPD", attribute: "bandwidth", value }) => {
+                assert_eq!(value, HUGE_BPS);
+            }
+            other => panic!("expected an out-of-range bandwidth, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn mss_rejects_a_bitrate_beyond_u32_kbps() {
+    let ism = |video: u64, audio: u64| {
+        format!(
+            "<SmoothStreamingMedia Duration=\"40000000\">\
+             <StreamIndex Type=\"video\" Name=\"v\" ChunkDuration=\"40000000\">\
+             <QualityLevel Bitrate=\"{video}\"/></StreamIndex>\
+             <StreamIndex Type=\"audio\"><QualityLevel Bitrate=\"{audio}\"/></StreamIndex>\
+             </SmoothStreamingMedia>"
+        )
+    };
+    let base = "https://cdn.example.net/x.ism";
+    assert!(mss::parse_manifest(&ism(1_000_000, 128_000), base).is_ok());
+    for doc in [ism(HUGE_BPS, 128_000), ism(1_000_000, HUGE_BPS)] {
+        match mss::parse_manifest(&doc, base) {
+            Err(ManifestError::OutOfRange { format: "MSS", attribute: "Bitrate", value }) => {
+                assert_eq!(value, HUGE_BPS);
+            }
+            other => panic!("expected an out-of-range Bitrate, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn limit_error_display_is_informative() {
     let e = ManifestError::Limit { format: "HLS", what: "variants", limit: 512 };

@@ -12,8 +12,8 @@
 use std::collections::BTreeSet;
 use vmp_cdn::origin::{ContentKey, OriginEntry, OriginStore};
 use vmp_core::cdn::CdnName;
-use vmp_core::ids::{PublisherId, VideoId};
-use vmp_core::units::{Bytes, Kbps};
+use vmp_core::ids::VideoId;
+use vmp_core::units::Bytes;
 
 use crate::catalogue::CatalogueStudy;
 
@@ -58,59 +58,45 @@ impl StorageStudyResult {
     }
 }
 
-/// Runs the study on each common CDN, one title at a time.
+/// Runs the study on each common CDN by measuring one title and scaling.
 ///
-/// Dedup clusters and the integrated model never relate copies of
-/// different titles, so each title's pushes (participants × rungs, a few
-/// dozen entries) are measured on their own through one reused ledger and
-/// the four byte totals are summed — integer sums, so the result equals
-/// the whole-catalogue ledger's exactly while memory stays at one title.
+/// Every title pushes the same (publisher, bitrate, bytes) set — only its
+/// content key differs — and dedup clusters and the integrated model never
+/// relate copies of different titles, so each title's four byte totals are
+/// identical. One title's ledger (participants × rungs, a few dozen
+/// entries) is measured, and its totals are multiplied by the title count
+/// with `saturating_mul`, which equals summing them title by title with
+/// `saturating_add`. The origin push counters still count every title.
 pub fn storage_study(study: &CatalogueStudy) -> StorageStudyResult {
     let duration = study.title_duration;
     let participants = study.participants();
+    let titles = u64::from(study.titles);
+    let content = ContentKey { owner: study.owner.publisher, video: VideoId::new(0) };
     // Ascending, each once: the order the figure lists its CDNs in.
     let cdns: BTreeSet<CdnName> = study.common_cdns().into_iter().collect();
     let per_cdn = cdns
         .into_iter()
         .map(|cdn| {
-            // What every title pushes to this CDN (publisher, bitrate,
-            // bytes); only the content key differs from title to title.
-            let pushes: Vec<(PublisherId, Kbps, Bytes)> = participants
-                .iter()
-                .filter(|p| p.cdns.contains(&cdn))
-                .flat_map(|p| {
-                    p.ladder
-                        .rungs()
-                        .iter()
-                        .map(|rung| (p.publisher, rung.bitrate, rung.bitrate.bytes_for(duration)))
-                })
-                .collect();
-            let mut result = CdnStorageResult {
-                cdn,
-                total: Bytes::ZERO,
-                saved_5pct: Bytes::ZERO,
-                saved_10pct: Bytes::ZERO,
-                saved_integrated: Bytes::ZERO,
-            };
             let mut store = OriginStore::new(cdn);
-            for title in 0..study.titles {
-                store.clear();
-                let content =
-                    ContentKey { owner: study.owner.publisher, video: VideoId::new(title) };
-                store.push_all(pushes.iter().map(|&(publisher, bitrate, bytes)| OriginEntry {
-                    publisher,
-                    content,
-                    bitrate,
-                    bytes,
-                }));
-                let [saved_5pct, saved_10pct] = store.dedup_savings_at([0.05, 0.10]);
-                result.total = result.total.saturating_add(store.total_bytes());
-                result.saved_5pct = result.saved_5pct.saturating_add(saved_5pct);
-                result.saved_10pct = result.saved_10pct.saturating_add(saved_10pct);
-                result.saved_integrated =
-                    result.saved_integrated.saturating_add(store.integrated_savings());
+            store.push_all_times(
+                participants.iter().filter(|p| p.cdns.contains(&cdn)).flat_map(|p| {
+                    p.ladder.rungs().iter().map(|rung| OriginEntry {
+                        publisher: p.publisher,
+                        content,
+                        bitrate: rung.bitrate,
+                        bytes: rung.bitrate.bytes_for(duration),
+                    })
+                }),
+                titles,
+            );
+            let [saved_5pct, saved_10pct] = store.dedup_savings_at([0.05, 0.10]);
+            CdnStorageResult {
+                cdn,
+                total: store.total_bytes().saturating_mul(titles),
+                saved_5pct: saved_5pct.saturating_mul(titles),
+                saved_10pct: saved_10pct.saturating_mul(titles),
+                saved_integrated: store.integrated_savings().saturating_mul(titles),
             }
-            result
         })
         .collect();
     StorageStudyResult { per_cdn }
@@ -121,7 +107,7 @@ mod tests {
     use super::*;
     use crate::catalogue::{ladder_of, Participant};
     use std::collections::BTreeMap;
-    use vmp_core::ids::CatalogueId;
+    use vmp_core::ids::{CatalogueId, PublisherId};
     use vmp_core::units::Seconds;
 
     /// The whole-ledger reference: one [`OriginStore`] per common CDN

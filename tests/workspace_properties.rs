@@ -113,8 +113,18 @@ proptest! {
     /// The URL classifier is total and stable: classify(classify-input)
     /// never panics and generated URLs always classify to their protocol.
     #[test]
-    fn classifier_total_on_arbitrary_strings(s in "\\PC{0,120}") {
+    fn classifier_total_on_arbitrary_strings(
+        s in "\\PC{0,120}",
+        proto_idx in 0usize..6,
+        cdn in 0usize..CdnName::OBSERVED_TOTAL,
+        prefix in "p[0-9]{1,4}",
+        token in "[a-z0-9]{1,12}",
+    ) {
         let _ = vmp::manifest::classify(&s);
+        let protocol = StreamingProtocol::ALL[proto_idx];
+        let host = CdnName::from_dense_index(cdn).expect("in range").host();
+        let url = vmp::manifest::manifest_url(protocol, &host, &prefix, &token);
+        prop_assert_eq!(vmp::manifest::classify(&url), Some(protocol), "url {}", url);
     }
 }
 
