@@ -281,7 +281,6 @@ pub(crate) mod tests {
     use vmp_core::device::DeviceModel;
     use vmp_core::geo::{ConnectionType, Isp, Region};
     use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
-    use vmp_core::qoe::QoeSummary;
     use vmp_core::units::{Kbps, Seconds};
     use vmp_core::view::{OwnershipFlag, PlayerIdentity, ViewRecord};
 
@@ -310,7 +309,6 @@ pub(crate) mod tests {
                 region: Region::UsOther,
                 isp: Isp::Z,
                 connection: ConnectionType::Wired,
-                qoe: QoeSummary::default(),
             },
             weight,
         }

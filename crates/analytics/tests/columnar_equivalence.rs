@@ -26,7 +26,6 @@ use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
 use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
 use vmp_core::protocol::StreamingProtocol;
-use vmp_core::qoe::QoeSummary;
 use vmp_core::sdk::{PlayerBuild, SdkKind, SdkVersion};
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
@@ -98,7 +97,6 @@ fn view_from(
                 (seed >> 42) as u8 % ConnectionType::CODE_COUNT as u8,
             )
             .expect("connection code"),
-            qoe: QoeSummary::default(),
         },
         // Quantized so sums exercise real accumulation, zero included.
         weight: (seed >> 46 & 0x3FF) as f64 / 8.0,

@@ -225,7 +225,6 @@ mod tests {
     use vmp_core::content::ContentClass;
     use vmp_core::geo::{ConnectionType, Isp, Region};
     use vmp_core::ids::{CdnId, SessionId, VideoId};
-    use vmp_core::qoe::QoeSummary;
     use vmp_core::time::SnapshotId;
     use vmp_core::units::{Kbps, Seconds};
     use vmp_core::view::{OwnershipFlag, PlayerIdentity, ViewRecord};
@@ -249,7 +248,6 @@ mod tests {
                 region: Region::UsOther,
                 isp: Isp::Z,
                 connection: ConnectionType::Wired,
-                qoe: QoeSummary::default(),
             },
             weight,
         }

@@ -20,7 +20,6 @@ use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
 use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
 use vmp_core::platform::Platform;
-use vmp_core::qoe::QoeSummary;
 use vmp_core::sdk::{PlayerBuild, SdkKind, SdkVersion};
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
@@ -81,7 +80,6 @@ fn view_from(snapshot: u32, publisher: u32, url_idx: usize, seed: u64) -> Sample
                 (seed >> 42) as u8 % ConnectionType::CODE_COUNT as u8,
             )
             .expect("connection code"),
-            qoe: QoeSummary::default(),
         },
         // Quantized so sums exercise real accumulation, zero included.
         weight: (seed >> 46 & 0x3FF) as f64 / 8.0,

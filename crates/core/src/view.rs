@@ -9,16 +9,16 @@
 //! flag per (publisher, video) pair, client geography, ISP and connection
 //! type.
 //!
-//! [`ViewRecord`] carries exactly that. Note the protocol is **not** stored
-//! as a field: analytics must re-infer it from `manifest_url`, exactly as the
-//! paper does (Table 1).
+//! [`ViewRecord`] carries all of that except delivery performance, which no
+//! analysis of the store reads: §6's QoE comparisons play their own
+//! sessions. Note the protocol is **not** stored as a field: analytics must
+//! re-infer it from `manifest_url`, exactly as the paper does (Table 1).
 
 use crate::content::ContentClass;
 use crate::device::DeviceModel;
 use crate::geo::{ConnectionType, Isp, Region};
 use crate::ids::{CdnId, PublisherId, SessionId, VideoId};
 use crate::platform::Os;
-use crate::qoe::QoeSummary;
 use crate::sdk::PlayerBuild;
 use crate::time::SnapshotId;
 use crate::units::{Kbps, Seconds};
@@ -94,8 +94,6 @@ pub struct ViewRecord {
     pub isp: Isp,
     /// Access connection type.
     pub connection: ConnectionType,
-    /// Delivery performance.
-    pub qoe: QoeSummary,
 }
 
 impl ViewRecord {
@@ -159,7 +157,6 @@ mod tests {
             region: Region::UsOther,
             isp: Isp::Z,
             connection: ConnectionType::Wired,
-            qoe: QoeSummary::default(),
         }
     }
 

@@ -32,7 +32,10 @@
 //!   the span profiler.
 //! - `--sample-ms N` sets the resource-sampler interval (default 50 ms).
 //! - `--session-trace PATH` arms the per-session wide-event tracer and
-//!   writes the kept traces as `vmp-session-trace/1` JSONL: one header
+//!   writes the kept traces as `vmp-session-trace/1` JSONL. Only played
+//!   sessions are traced — the `resilience`, `monitor` and `live_event`
+//!   scenarios play them; the paper figures' generated views are sampled,
+//!   not played, so a figures-only capture holds none. One header
 //!   line, one line per kept session (head-sampled ~1/16 of normal
 //!   sessions plus *every* anomalous one, under a deterministic byte
 //!   budget), and one line per alert with its exemplar trace ids. The

@@ -1,6 +1,8 @@
 //! `vmp-trace` — offline triage for `vmp-session-trace/1` captures.
 //!
-//! Reads the JSONL file written by `repro --session-trace PATH` and answers
+//! Reads the JSONL file written by `repro --session-trace PATH` (e.g.
+//! `repro resilience monitor live_event --seed 7 --session-trace PATH`,
+//! whose scenarios play the sessions) and answers
 //! the questions an on-call engineer asks of a wide-event store:
 //!
 //! ```text

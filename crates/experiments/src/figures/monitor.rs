@@ -59,9 +59,9 @@ fn run_population(
         rng_salt: 0x0B5E_44E5,
         faults: profile,
         failover: false, // damage must stay attributed to the faulted CDN
-        // Session-trace ids live in a scenario-private namespace so a full
-        // `repro --session-trace` run cannot collide them with the synth
-        // pipeline's telemetry session ids, and each arm gets its own
+        // Session-trace ids live in a scenario-private namespace so one
+        // `repro --session-trace` run cannot collide them with another
+        // scenario's sessions, and each arm gets its own
         // sub-range so replayed arms don't alias the originals.
         trace_id_base: Some(TRACE_ID_BASE + arm * ARM_STRIDE),
         ..CohortSpec::default()

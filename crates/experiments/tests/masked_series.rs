@@ -17,7 +17,6 @@ use vmp_core::geo::{ConnectionType, Isp, Region};
 use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
 use vmp_core::platform::Platform;
 use vmp_core::protocol::StreamingProtocol;
-use vmp_core::qoe::QoeSummary;
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
 use vmp_core::view::{OwnershipFlag, PlayerIdentity, SampledView, ViewRecord};
@@ -54,7 +53,6 @@ fn view(snapshot: u32, publisher: PublisherId, i: usize) -> SampledView {
             region: Region::UsOther,
             isp: Isp::Z,
             connection: ConnectionType::Wired,
-            qoe: QoeSummary::default(),
         },
         weight: 1.0 + (i % 5) as f64 * 0.75,
     }

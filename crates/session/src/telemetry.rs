@@ -1,19 +1,19 @@
-//! The monitoring library: turning a session outcome into a §3 view record.
+//! The monitoring library: turning a view into a §3 view record.
 //!
 //! Conviva's library reports per-view metadata from inside the player; here
-//! the equivalent step stamps the session outcome with client context and
-//! the *manifest URL* (whose extension is the only protocol signal that
-//! survives into analytics, per Table 1).
+//! the equivalent step stamps the CDNs that served the view and its viewing
+//! time with client context and the *manifest URL* (whose extension is the
+//! only protocol signal that survives into analytics, per Table 1).
 
 use crate::player::SessionOutcome;
 use std::sync::Arc;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
-use vmp_core::ids::{PublisherId, SessionId, VideoId};
+use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
 use vmp_core::sdk::{PlayerBuild, SdkKind, SdkVersion};
 use vmp_core::time::SnapshotId;
-use vmp_core::units::Kbps;
+use vmp_core::units::{Kbps, Seconds};
 use vmp_core::view::{OwnershipFlag, PlayerIdentity, ViewRecord};
 
 /// Client-side context for one view.
@@ -76,20 +76,24 @@ pub struct TelemetryBuilder {
 }
 
 impl TelemetryBuilder {
-    /// Stamps the outcome with context into a complete record.
+    /// Stamps a played session's CDNs and media played with context into a
+    /// complete record.
     pub fn build(&self, client: &ClientContext, outcome: &SessionOutcome) -> ViewRecord {
-        self.clone().into_record(client, client.player_identity(), outcome)
+        let cdns = outcome.cdns.iter().map(|c| c.id()).collect();
+        self.clone().into_record(client, client.player_identity(), cdns, outcome.qoe.played)
     }
 
-    /// [`TelemetryBuilder::build`] for a builder made for one view: the
-    /// manifest URL moves into the record instead of being copied, and
-    /// `player` — which must equal `client.player_identity()` — is taken as
-    /// given, so a caller can share one identity across many records.
+    /// The record of a view that `cdns` served for `viewing_time`, from a
+    /// builder made for that one view: the manifest URL moves into the
+    /// record instead of being copied, and `player` — which must equal
+    /// `client.player_identity()` — is taken as given, so a caller can
+    /// share one identity across many records.
     pub fn into_record(
         self,
         client: &ClientContext,
         player: PlayerIdentity,
-        outcome: &SessionOutcome,
+        cdns: Vec<CdnId>,
+        viewing_time: Seconds,
     ) -> ViewRecord {
         debug_assert_eq!(player, client.player_identity());
         ViewRecord {
@@ -101,15 +105,14 @@ impl TelemetryBuilder {
             device: client.device,
             os: client.device.os(),
             player,
-            cdns: outcome.cdns.iter().map(|c| c.id()).collect(),
+            cdns,
             available_bitrates: self.available_bitrates,
-            viewing_time: outcome.qoe.played,
+            viewing_time,
             class: self.class,
             ownership: self.ownership,
             region: client.region,
             isp: client.isp,
             connection: client.connection,
-            qoe: outcome.qoe,
         }
     }
 }
@@ -120,7 +123,6 @@ mod tests {
     use vmp_core::cdn::CdnName;
     use vmp_core::platform::BrowserTech;
     use vmp_core::qoe::QoeSummary;
-    use vmp_core::units::Seconds;
 
     fn outcome() -> SessionOutcome {
         SessionOutcome {
@@ -156,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn record_carries_session_qoe_and_cdns() {
+    fn record_carries_the_sessions_cdns_and_media_played() {
         let client = ClientContext {
             device: DeviceModel::Roku,
             sdk_version: SdkVersion::new(9, 1),
@@ -166,9 +168,7 @@ mod tests {
         };
         let record = builder().build(&client, &outcome());
         assert_eq!(record.viewing_time, Seconds(1800.0));
-        assert_eq!(record.cdns.len(), 2);
-        assert_eq!(record.cdns[0], CdnName::A.id());
-        assert!((record.qoe.rebuffer_ratio() - 12.0 / 1812.0).abs() < 1e-9);
+        assert_eq!(record.cdns, [CdnName::A.id(), CdnName::C.id()]);
         match record.player {
             PlayerIdentity::Sdk(build) => {
                 assert_eq!(build.sdk, SdkKind::RokuSceneGraph);
@@ -190,7 +190,12 @@ mod tests {
                 connection: ConnectionType::Wired,
             };
             let built = builder().build(&client, &outcome());
-            let consumed = builder().into_record(&client, client.player_identity(), &outcome());
+            let consumed = builder().into_record(
+                &client,
+                client.player_identity(),
+                vec![CdnName::A.id(), CdnName::C.id()],
+                Seconds(1800.0),
+            );
             assert_eq!(consumed, built, "{device:?}");
         }
     }

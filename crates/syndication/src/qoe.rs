@@ -15,7 +15,7 @@ use vmp_core::ladder::BitrateLadder;
 use vmp_core::units::Seconds;
 use vmp_session::player::{PlaybackConfig, Player};
 use vmp_stats::{Cdf, Rng};
-use vmp_synth::views::cdn_quality;
+use vmp_synth::trends::cdn_quality;
 
 /// One ISP×CDN measurement panel (the paper shows ISP X·CDN A and
 /// ISP Y·CDN B).

@@ -12,7 +12,6 @@ use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
 use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
-use vmp_core::qoe::QoeSummary;
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
 use vmp_core::view::{OwnershipFlag, PlayerIdentity, SampledView, ViewRecord};
@@ -84,7 +83,6 @@ fn view(snapshot: u32, publisher: u32, owner: Option<u32>) -> SampledView {
             region: Region::UsOther,
             isp: Isp::Z,
             connection: ConnectionType::Wired,
-            qoe: QoeSummary::default(),
         },
         weight: 1.0,
     }

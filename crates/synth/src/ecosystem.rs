@@ -48,7 +48,6 @@ impl EcosystemConfig {
                 min_samples: 25,
                 max_samples: 400,
                 sim_media_cap: vmp_core::units::Seconds(12.0),
-                faults: None,
                 volume_scale: 1,
             },
             snapshot_stride: 6,

@@ -2,6 +2,7 @@
 //! annotated with the paper statement it encodes. Changing a figure's
 //! calibration means editing exactly one constant here.
 
+use vmp_core::geo::Isp;
 use vmp_core::platform::{BrowserTech, Platform};
 use vmp_core::protocol::StreamingProtocol;
 use vmp_stats::curves::Trend;
@@ -194,11 +195,13 @@ pub fn platform_view_share(platform: Platform) -> Trend {
 /// spread) of a lognormal. Encodes Fig 8: >60% of set-top views exceed
 /// 0.2 h while only ≈24% of mobile/browser views do — this is what turns
 /// 20% of views into ≈40% of view-hours for set-tops (Fig 6(a) vs 6(c)).
+/// The set-top median is fitted so that share averages ≈40% over seeds
+/// 1–32 (40.8%), not at one seed.
 pub fn duration_model(platform: Platform) -> (f64, f64) {
     match platform {
         Platform::Browser => (0.085, 3.0),
         Platform::MobileApp => (0.068, 3.0),
-        Platform::SetTopBox => (0.34, 2.5),
+        Platform::SetTopBox => (0.275, 2.5),
         Platform::SmartTv => (0.15, 2.5),
         Platform::GameConsole => (0.22, 2.5),
     }
@@ -276,6 +279,29 @@ pub fn cdn_traffic_weight(cdn: vmp_core::cdn::CdnName) -> Trend {
     }
 }
 
+/// Per-(CDN, ISP, time) delivery quality factor, the bandwidth multiplier
+/// of §6's QoE sessions. CDN A's edge degrades over the study while B and C
+/// invest — the §4.3 traffic-share shift has a performance story behind
+/// it. ISP X is the stronger access network (Fig 15's "ISP X on CDN A" vs
+/// "ISP Y on CDN B" panels need both).
+pub fn cdn_quality(cdn: vmp_core::cdn::CdnName, isp: Isp, t: f64) -> f64 {
+    use vmp_core::cdn::CdnName as C;
+    let cdn_factor = match cdn {
+        C::A => 1.15 - 0.25 * t,
+        C::B => 0.85 + 0.30 * t,
+        C::C => 1.00,
+        C::D => 0.80,
+        C::E => 0.75,
+        C::Minor(_) => 0.60,
+    };
+    let isp_factor = match isp {
+        Isp::X => 1.10,
+        Isp::Y => 0.90,
+        Isp::Z => 1.00,
+    };
+    cdn_factor * isp_factor
+}
+
 /// Number of CDNs by normalized size at study progress `t` (Fig 12(b)/(c):
 /// smallest publishers use 1; >10⁵X publishers use 4–5; weighted average
 /// ≈4.5 at the end while the plain average only just exceeds 2).
@@ -287,9 +313,11 @@ pub fn cdn_count(size01: f64, t: f64, jitter: f64) -> usize {
 
 /// §4.3 segregation probabilities among multi-CDN live+VoD publishers:
 /// 30% keep at least one VoD-only CDN, 19% at least one live-only CDN.
-pub const VOD_ONLY_CDN_PROB: f64 = 0.24;
+/// Both are fitted so the measured shares average the paper's values over
+/// seeds 1–32 (29.2% and 19.4%), not at one seed.
+pub const VOD_ONLY_CDN_PROB: f64 = 0.30;
 /// See [`VOD_ONLY_CDN_PROB`].
-pub const LIVE_ONLY_CDN_PROB: f64 = 0.34;
+pub const LIVE_ONLY_CDN_PROB: f64 = 0.25;
 
 /// SDK-version window growth: versions of one SDK a publisher must support,
 /// as a function of size (decades above X). Together with the device count
@@ -378,6 +406,18 @@ mod tests {
         assert!(settop > 0.60, "set-top P(>0.2h) = {settop}");
         assert!((0.15..0.32).contains(&mobile), "mobile P(>0.2h) = {mobile}");
         assert!((0.15..0.35).contains(&browser), "browser P(>0.2h) = {browser}");
+    }
+
+    #[test]
+    fn cdn_quality_table_shape() {
+        use vmp_core::cdn::CdnName;
+        // A degrades, B improves.
+        assert!(cdn_quality(CdnName::A, Isp::Z, 0.0) > cdn_quality(CdnName::A, Isp::Z, 1.0));
+        assert!(cdn_quality(CdnName::B, Isp::Z, 1.0) > cdn_quality(CdnName::B, Isp::Z, 0.0));
+        // ISP X beats ISP Y on the same CDN.
+        assert!(cdn_quality(CdnName::C, Isp::X, 0.5) > cdn_quality(CdnName::C, Isp::Y, 0.5));
+        // Minors are worst.
+        assert!(cdn_quality(CdnName::Minor(0), Isp::Z, 0.5) < cdn_quality(CdnName::E, Isp::Z, 0.5));
     }
 
     #[test]

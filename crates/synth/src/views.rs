@@ -3,9 +3,15 @@
 //! Each cell generates `n` sampled views stratified to the publisher's
 //! management plane at that snapshot, then weights them so the weighted sum
 //! of view-hours equals the publisher's target for the two-day window
-//! (Horvitz–Thompson; see `vmp_core::view::SampledView`). Every sample runs
-//! a short real playback session (ABR + Markov network + broker-selected
-//! CDN) so QoE fields come from the simulated data path, not a formula.
+//! (Horvitz–Thompson; see `vmp_core::view::SampledView`).
+//!
+//! A view is *sampled*, not played: its record carries what the figures
+//! read — device, player identity, the broker-selected CDN, the manifest
+//! URL, the sampled viewing time — and no playback session runs. No figure
+//! reads a generated view's delivery performance; the QoE comparisons of
+//! Figs 15–16 and the fault, monitor and live-event scenarios run their own
+//! sessions through `vmp-session`. Every RNG draw therefore feeds a field of
+//! the record.
 //!
 //! # The cell plan
 //!
@@ -20,10 +26,8 @@
 //!   the broker's eligible list and weighted table per content class, the
 //!   `p{id:04}` URL prefix and the ladder's bare bitrates;
 //! * filled on first use, in small linear-scan vectors (a cell meets at
-//!   most 16 devices, a few dozen network keys and 5 CDNs) — the protocol
-//!   table per device, the `NetworkModel` template per
-//!   `(connection, isp, cdn)`, the host string per CDN and the user-agent
-//!   per browser `(device, SDK version)`.
+//!   most 16 devices and 5 CDNs) — the protocol table per device, the host
+//!   string per CDN and the user-agent per browser `(device, SDK version)`.
 //!
 //! The ladder and the user-agents are *shared* with the records, not
 //! copied into them: every record of the cell holds a pointer to the one
@@ -39,8 +43,6 @@
 
 use std::sync::Arc;
 
-use vmp_abr::algorithm::{AbrAlgorithm, Bba, Bola, ThroughputRule};
-use vmp_abr::network::{NetworkModel, NetworkProfile};
 use vmp_cdn::broker::{Broker, BrokerPolicy};
 use vmp_cdn::strategy::{CdnAssignment, CdnStrategy};
 use vmp_core::cdn::CdnName;
@@ -55,8 +57,6 @@ use vmp_core::sdk::SdkVersion;
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
 use vmp_core::view::{OwnershipFlag, PlayerIdentity, SampledView};
-use vmp_faults::{FaultInjector, FaultProfile, RetryPolicy};
-use vmp_session::player::{PlaybackConfig, Player};
 use vmp_session::telemetry::{ClientContext, TelemetryBuilder};
 use vmp_stats::curves::Trend;
 use vmp_stats::{Discrete, Distribution, LogNormal, Rng, Zipf};
@@ -72,14 +72,10 @@ pub struct ViewGenConfig {
     pub min_samples: usize,
     /// Maximum samples per (publisher, snapshot).
     pub max_samples: usize,
-    /// Cap on simulated media per session (QoE is measured on this prefix
-    /// and extrapolated; the *recorded* viewing time is the full duration).
+    /// Inert: generation plays no session, so there is no simulated media
+    /// to cap. Kept, with its per-config values, because the benchmark
+    /// harness reads it to size its standalone player probe.
     pub sim_media_cap: Seconds,
-    /// Deterministic fault plan replayed under every cell, if any. Sessions
-    /// get staggered start offsets across the plan's horizon and run with
-    /// [`RetryPolicy::resilient`]; `None` reproduces the fault-free
-    /// generation byte for byte.
-    pub faults: Option<FaultProfile>,
     /// View-volume multiplier (`repro --scale N`). Applied to the per-cell
     /// sample count *after* the min/max clamp, so `1` reproduces the
     /// default generation byte for byte; the Horvitz–Thompson weights
@@ -93,7 +89,6 @@ impl Default for ViewGenConfig {
             min_samples: 40,
             max_samples: 700,
             sim_media_cap: Seconds(36.0),
-            faults: None,
             volume_scale: 1,
         }
     }
@@ -120,7 +115,6 @@ pub fn generate_views(
 
     let mut plan = CellPlan::new(profile, plane, snapshot.progress());
     let broker = Broker::new(BrokerPolicy::Weighted);
-    let faults = cfg.faults.as_ref().map(|p| FaultInjector::new(p.clone()));
     let mut token = String::new();
 
     let mut views: Vec<SampledView> = Vec::with_capacity(n);
@@ -141,45 +135,6 @@ pub fn generate_views(
         let region = Region::ALL[plan.region.sample(rng)];
         let isp = *rng.choose(&Isp::ALL);
         let connection = sample_connection(platform, rng);
-
-        // Real (truncated) playback for the QoE fields.
-        let network = plan.network(connection, isp, cdn);
-        let sim_watch = Seconds(watch.0.min(cfg.sim_media_cap.0.max(6.0)));
-        let content = Seconds(watch.0 * rng.range_f64(1.0, 2.5));
-        let mut playback = match class {
-            ContentClass::Vod => PlaybackConfig::vod(plane.ladder.clone(), content, sim_watch),
-            ContentClass::Live => PlaybackConfig::live(plane.ladder.clone(), content, sim_watch),
-        };
-        if let Some(injector) = faults.as_ref() {
-            playback.retry = RetryPolicy::resilient();
-            // Stagger sessions across the plan's horizon so every incident
-            // catches some views at startup and others mid-stream.
-            playback.start_offset =
-                Seconds(injector.profile().horizon().0 * (i as f64 / n as f64));
-        }
-        let start_clock = playback.start_offset;
-        // `vod`/`live` configs always validate; skip the view rather than
-        // panic if that invariant ever breaks.
-        let Ok(mut player) = Player::new(playback, network, abr_for_device(device)) else {
-            continue;
-        };
-        // Speculative wide-event trace: a no-op scope unless the run armed
-        // `--session-trace`. Session ids match the telemetry rows below.
-        let trace = vmp_session::hooks::trace_begin(
-            session_base.wrapping_add(i as u32) as u64,
-            Some(u64::from(profile.publisher.id.raw())),
-            Some(cdn),
-            None,
-            start_clock,
-        );
-        let mut outcome = player.play_with(cdn, faults.as_ref(), rng);
-        vmp_session::hooks::trace_finish(trace, &outcome);
-        // Extrapolate the truncated QoE to the full view.
-        if outcome.qoe.played.0 > 0.0 && watch.0 > outcome.qoe.played.0 {
-            let scale = watch.0 / outcome.qoe.played.0;
-            outcome.qoe.rebuffer_time = Seconds(outcome.qoe.rebuffer_time.0 * scale);
-            outcome.qoe.played = watch;
-        }
 
         // Ownership: syndicators serve licensed content most of the time.
         let ownership = sample_ownership(profile, graph, rng);
@@ -204,8 +159,7 @@ pub fn generate_views(
             class,
             ownership,
         };
-        let mut record = builder.into_record(&client, player, &outcome);
-        record.viewing_time = watch;
+        let record = builder.into_record(&client, player, vec![cdn.id()], watch);
 
         total_hours += hours;
         views.push(SampledView { record, weight: 0.0 });
@@ -237,9 +191,6 @@ struct CellPlan<'a> {
     /// Per device met so far: its weighted table over `plane.protocols`,
     /// or `None` when the device plays nothing the publisher packages.
     protocols: Vec<(DeviceModel, Option<Discrete>)>,
-    /// Per network key met so far: a session's bandwidth process in its
-    /// starting state, cloned into each player.
-    networks: Vec<((ConnectionType, Isp, CdnName), NetworkModel)>,
     /// Broker selection per class; `None` when no CDN admits the class.
     vod: Option<ClassSelection>,
     live: Option<ClassSelection>,
@@ -299,7 +250,6 @@ impl<'a> CellPlan<'a> {
             titles: Zipf::new(plane.titles.clamp(1, 5_000) as usize, 0.8)
                 .unwrap_or_else(|_| Zipf::unit()),
             protocols: Vec::new(),
-            networks: Vec::new(),
             vod: ClassSelection::prepare(&plane.strategy, ContentClass::Vod),
             live: ClassSelection::prepare(&plane.strategy, ContentClass::Live),
             hosts: Vec::new(),
@@ -337,17 +287,6 @@ impl<'a> CellPlan<'a> {
             .and_then(|s| broker.select_prepared(&s.eligible, &s.table, Seconds::ZERO, rng))
             .or_else(|| self.plane.strategy.assignments().first().map(|a| a.cdn))
             .unwrap_or(CdnName::A)
-    }
-
-    /// A fresh bandwidth process for a session on this access network and
-    /// CDN.
-    fn network(&mut self, connection: ConnectionType, isp: Isp, cdn: CdnName) -> NetworkModel {
-        let t = self.t;
-        memo(&mut self.networks, (connection, isp, cdn), || {
-            let quality = cdn_quality(cdn, isp, t);
-            NetworkModel::new(NetworkProfile::for_connection(connection, 1.0).scaled(quality))
-        })
-        .clone()
     }
 
     fn manifest_url(&mut self, protocol: StreamingProtocol, cdn: CdnName, token: &str) -> String {
@@ -392,27 +331,6 @@ fn write_video_token(token: &mut String, rank: u32) {
     for digit in (0..digits).rev() {
         token.push(HEX[(rank >> (4 * digit) & 0xf) as usize]);
     }
-}
-
-/// Per-(CDN, ISP, time) delivery quality factor. CDN A's edge degrades over
-/// the study while B and C invest — the §4.3 traffic-share shift has a
-/// performance story behind it. ISP X is the stronger access network
-/// (Fig 15's "ISP X on CDN A" vs "ISP Y on CDN B" panels need both).
-pub fn cdn_quality(cdn: CdnName, isp: Isp, t: f64) -> f64 {
-    let cdn_factor = match cdn {
-        CdnName::A => 1.15 - 0.25 * t,
-        CdnName::B => 0.85 + 0.30 * t,
-        CdnName::C => 1.00,
-        CdnName::D => 0.80,
-        CdnName::E => 0.75,
-        CdnName::Minor(_) => 0.60,
-    };
-    let isp_factor = match isp {
-        Isp::X => 1.10,
-        Isp::Y => 0.90,
-        Isp::Z => 1.00,
-    };
-    cdn_factor * isp_factor
 }
 
 /// Standalone set-top boxes, in the order of their share table.
@@ -580,18 +498,6 @@ fn sample_sdk_version(plane: &SnapshotPlane, rng: &mut Rng) -> SdkVersion {
     SdkVersion::new(effective, effective % 3)
 }
 
-fn abr_for_device(device: DeviceModel) -> &'static dyn AbrAlgorithm {
-    // Different SDKs ship different adaptation logic (§2).
-    match device {
-        DeviceModel::IPhone | DeviceModel::IPad | DeviceModel::AppleTv => {
-            &ThroughputRule { safety: 0.85 }
-        }
-        DeviceModel::Roku | DeviceModel::FireTv | DeviceModel::Chromecast => &Bba::DEFAULT,
-        DeviceModel::AndroidPhone | DeviceModel::AndroidTablet => &Bola::DEFAULT,
-        _ => &ThroughputRule::DEFAULT,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,7 +519,6 @@ mod tests {
             min_samples: 30,
             max_samples: 60,
             sim_media_cap: Seconds(12.0),
-            faults: None,
             volume_scale: 1,
         }
     }
@@ -956,62 +861,42 @@ mod tests {
     }
 
     #[test]
-    fn qoe_fields_are_populated() {
+    fn records_carry_the_selected_cdn_and_the_sampled_watch_time() {
         let (profile, plane, graph) = setup(9);
         let mut rng = Rng::seed_from(10);
         let views =
             generate_views(&profile, &plane, &graph, &small_cfg(), SnapshotId::LAST, 0, &mut rng);
-        let with_bitrate = views.iter().filter(|v| v.record.qoe.avg_bitrate.0 > 0).count();
-        assert!(with_bitrate as f64 / views.len() as f64 > 0.95);
+        // Replay every view's draws with the per-view oracles: the record
+        // holds exactly the broker's pick and the sampled duration, and the
+        // loop draws nothing beyond what its fields need.
+        let t = SnapshotId::LAST.progress();
+        let broker = Broker::new(BrokerPolicy::Weighted);
+        let platforms = Discrete::new_or_unit(&plane.platform_weights);
+        let titles = Zipf::new(plane.titles.clamp(1, 5_000) as usize, 0.8).unwrap();
+        let mut reference = Rng::seed_from(10);
         for v in &views {
-            let ratio = v.record.qoe.rebuffer_ratio();
-            assert!((0.0..=1.0).contains(&ratio));
-        }
-    }
+            let platform = plane.platforms[platforms.sample(&mut reference)];
+            let device = sample_device(platform, t, &mut reference);
+            let class = sample_class(&profile, device, &mut reference);
+            sample_protocol(&plane, &profile, device, t, &mut reference);
+            let cdn = broker
+                .select(&plane.strategy, class, &mut reference)
+                .or_else(|| plane.strategy.cdns().first().copied())
+                .unwrap_or(CdnName::A);
+            let (median, spread) = trends::duration_model(platform);
+            let hours = LogNormal::clamped_median_spread(median, spread)
+                .sample(&mut reference)
+                .clamp(30.0 / 3600.0, 6.0);
+            sample_region(&mut reference);
+            reference.choose(&Isp::ALL);
+            sample_connection(platform, &mut reference);
+            sample_ownership(&profile, &graph, &mut reference);
+            titles.sample(&mut reference);
+            sample_sdk_version(&plane, &mut reference);
 
-    #[test]
-    fn faulted_generation_is_deterministic_and_degrades_qoe() {
-        let (profile, plane, graph) = setup(11);
-        // Brown out the publisher's primary CDN across the whole horizon.
-        let victim = plane.strategy.cdns()[0];
-        let faulted = ViewGenConfig {
-            faults: Some(FaultProfile::cdn_brownout(victim)),
-            ..small_cfg()
-        };
-        let gen = |cfg: &ViewGenConfig, seed: u64| {
-            let mut rng = Rng::seed_from(seed);
-            generate_views(&profile, &plane, &graph, cfg, SnapshotId::LAST, 0, &mut rng)
-        };
-        let a = gen(&faulted, 12);
-        let b = gen(&faulted, 12);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.record, y.record);
+            assert_eq!(v.record.cdns, [cdn.id()]);
+            assert_eq!(v.record.viewing_time, Seconds::from_hours(hours));
         }
-        let clean = gen(&small_cfg(), 12);
-        // Rebuffer ratios are not comparable across the arms (armed timeouts
-        // trade stalls for degraded bitrate, and fatal views barely play),
-        // but delivered bitrate must suffer: retries refetch at the lowest
-        // rung and outage-window views exit with nothing delivered.
-        let bitrate = |views: &[SampledView]| {
-            views.iter().map(|v| v.record.qoe.avg_bitrate.0 as f64).sum::<f64>()
-                / views.len() as f64
-        };
-        assert!(
-            bitrate(&a) < bitrate(&clean),
-            "brownout should cut delivered bitrate: {} vs {}",
-            bitrate(&a),
-            bitrate(&clean)
-        );
-    }
-
-    #[test]
-    fn cdn_quality_table_shape() {
-        // A degrades, B improves.
-        assert!(cdn_quality(CdnName::A, Isp::Z, 0.0) > cdn_quality(CdnName::A, Isp::Z, 1.0));
-        assert!(cdn_quality(CdnName::B, Isp::Z, 1.0) > cdn_quality(CdnName::B, Isp::Z, 0.0));
-        // ISP X beats ISP Y on the same CDN.
-        assert!(cdn_quality(CdnName::C, Isp::X, 0.5) > cdn_quality(CdnName::C, Isp::Y, 0.5));
-        // Minors are worst.
-        assert!(cdn_quality(CdnName::Minor(0), Isp::Z, 0.5) < cdn_quality(CdnName::E, Isp::Z, 0.5));
+        assert_eq!(rng, reference, "draw counts differ");
     }
 }
