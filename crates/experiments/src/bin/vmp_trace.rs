@@ -22,7 +22,9 @@ use std::collections::BTreeMap;
 
 use serde_json::Value;
 use vmp_core::cdn::CdnName;
-use vmp_obs::session_trace::{SessionTrace, TraceEventKind, NO_CDN, NO_PUBLISHER, NO_REGION};
+use vmp_obs::session_trace::{
+    SessionTrace, TraceEventKind, ANOMALY_NAMES, NO_CDN, NO_PUBLISHER, NO_REGION,
+};
 
 /// `println!` that exits quietly instead of panicking when stdout's reader
 /// goes away (std's `println!` panics on EPIPE, so `vmp-trace ... | head`
@@ -165,16 +167,7 @@ fn cdn_label(cdn: u8) -> String {
 }
 
 fn anomaly_label(t: &SessionTrace) -> String {
-    use vmp_obs::session_trace::{
-        ANOMALY_FATAL, ANOMALY_REBUFFER, ANOMALY_RETRY_DENIED, ANOMALY_SHED,
-    };
-    let names = [
-        (ANOMALY_FATAL, "fatal"),
-        (ANOMALY_REBUFFER, "rebuffer"),
-        (ANOMALY_RETRY_DENIED, "retry_denied"),
-        (ANOMALY_SHED, "shed"),
-    ];
-    let hits: Vec<&str> = names
+    let hits: Vec<&str> = ANOMALY_NAMES
         .iter()
         .filter(|(bit, _)| t.anomaly & bit != 0)
         .map(|(_, n)| *n)

@@ -28,11 +28,8 @@
 //! held regions (a `let`-bound guard lives to the end of its block, a
 //! temporary to the end of its statement) and atomic touch-sites, on
 //! which [`rules_conc`] runs the one-lock-at-a-time check and the atomics
-//! registry conformance check. [`sched`] is the dynamic complement: an
-//! exhaustive schedule-exploration harness (used from `crates/obs`
-//! integration tests) that model-checks the relaxed-atomics protocols
-//! whose disciplines C2 can only shape-check. Run
-//! `vmp-lint --explain RULE` for any rule's rationale and fix recipes.
+//! registry conformance check. Run `vmp-lint --explain RULE` for any
+//! rule's rationale and fix recipes.
 //!
 //! Suppression is inline and auditable: `// vmp-lint: allow(D2): reason`
 //! on (or directly above) the offending line. Stale pragmas are errors
@@ -54,7 +51,6 @@ pub mod lexer;
 pub mod rules;
 pub mod rules_conc;
 pub mod rules_overflow;
-pub mod sched;
 pub mod syntax;
 
 pub use baseline::{Baseline, RatchetCheck};

@@ -64,7 +64,6 @@ pub const DISCIPLINES: &[Discipline] = &[
     ("relaxed-counter", &["Relaxed"], &["Relaxed"], &["Relaxed"]),
     ("relaxed-flag", &["Relaxed"], &["Relaxed"], &["Relaxed"]),
     ("relaxed-config", &["Relaxed"], &["Relaxed"], &["Relaxed"]),
-    ("monotonic-cut", &["Relaxed"], &["Relaxed"], &["Relaxed"]),
     ("acquire-release-publication", &["Acquire"], &["Release"], &["AcqRel"]),
     ("seqcst", &["SeqCst"], &["SeqCst"], &["SeqCst"]),
 ];

@@ -12,10 +12,10 @@
 //!
 //! ## Determinism
 //!
-//! The kept set must be byte-identical across runs at the same seed even
-//! though sharded generation completes sessions in arbitrary thread
-//! interleavings. Both sampling decisions are therefore pure functions of
-//! the trace itself, never of arrival order:
+//! The kept set must be byte-identical across runs at the same seed
+//! whatever order sessions complete in (a harness may finish them on
+//! several threads). Both sampling decisions are therefore pure functions
+//! of the trace itself, never of arrival order:
 //!
 //! - **head keep**: `mix64(seed, session_id) % head_rate == 0`;
 //! - **reservoir**: the kept set is defined as the *budget prefix* of all
@@ -34,12 +34,13 @@
 //!
 //! The hot path is cheap when tracing is off: [`emit`] is one relaxed
 //! atomic load and a branch, and the speculative buffer is only touched
-//! between [`begin`] and [`SessionScope::finish`].
+//! between [`begin`] and [`SessionScope::finish`]. Every completed session
+//! is offered to the armed collector under its one mutex.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use serde_json::Value;
 
@@ -161,7 +162,9 @@ pub const ANOMALY_RETRY_DENIED: u8 = 4;
 /// Anomaly flag: at least one admission-control shed.
 pub const ANOMALY_SHED: u8 = 8;
 
-const ANOMALY_NAMES: [(u8, &str); 4] = [
+/// Every anomaly flag with its stable wire name, in the order a trace's
+/// `anomaly` array lists them in JSONL.
+pub const ANOMALY_NAMES: [(u8, &str); 4] = [
     (ANOMALY_FATAL, "fatal"),
     (ANOMALY_REBUFFER, "rebuffer"),
     (ANOMALY_RETRY_DENIED, "retry_denied"),
@@ -467,18 +470,12 @@ pub struct TraceCollector {
     cfg: TraceConfig,
     /// Kept candidates in reservoir-key order; always a non-overflowing
     /// budget prefix. Each entry remembers the epoch it was offered in.
-    /// A `BTreeMap` keeps candidate insertion and suffix eviction
-    /// `O(log n)` — anomalous sessions always sort below the cut, so the
-    /// hot path inserts on every anomalous candidate of a large run.
+    /// A `BTreeMap` keeps insertion and suffix eviction `O(log n)`.
     kept: BTreeMap<Key, (u64, SessionTrace)>,
     kept_bytes: usize,
     /// Lowest key ever evicted or rejected; arrivals at or after it can
     /// never belong to the final budget prefix.
     cut: Option<Key>,
-    /// Whether this collector is the armed global instance and should
-    /// mirror `cut` into the lock-free `FAST_CUT_*` atomics. Standalone
-    /// collectors (tests, tooling) must not touch global state.
-    publish_cut: bool,
     seen: u64,
     dropped: u64,
     /// Current epoch; see [`next_epoch`](Self::next_epoch).
@@ -494,7 +491,6 @@ impl TraceCollector {
             kept: BTreeMap::new(),
             kept_bytes: 0,
             cut: None,
-            publish_cut: false,
             seen: 0,
             dropped: 0,
             epoch: 0,
@@ -607,11 +603,10 @@ impl TraceCollector {
     fn insert(&mut self, key: Key, trace: SessionTrace) {
         self.kept_bytes += trace.approx_bytes();
         if let Some((_, old)) = self.kept.insert(key, (self.epoch, trace)) {
-            // Duplicate session id (the synth pipeline's block-allocated
-            // u32 ids can alias at high `--scale`): keep the last offer —
-            // duplicates are emitted sequentially on one thread, so
-            // "last" is arrival-order independent — and count the
-            // displaced trace dropped so `seen == kept + dropped` holds.
+            // Duplicate session id: harnesses assign unique ids, but the
+            // public `offer` cannot enforce that. Keep the last offer and
+            // count the displaced trace dropped so `seen == kept +
+            // dropped` still holds.
             self.kept_bytes -= old.approx_bytes();
             self.dropped += 1;
         }
@@ -626,21 +621,6 @@ impl TraceCollector {
                 None => evicted_key,
             };
             self.cut = Some(tighter);
-        }
-        if self.publish_cut {
-            if let Some((flag, mix, _)) = self.cut {
-                // Mirror the (monotonically tightening) cut so completing
-                // threads can reject doomed candidates without the mutex.
-                // Within the cut's own class the mix bound is exact up to
-                // ties; a cut in the anomalous class dooms *every* normal
-                // candidate, hence the zero bound.
-                if flag == 0 {
-                    FAST_CUT_ANOM.store(mix, Ordering::Relaxed);
-                    FAST_CUT_NORM.store(0, Ordering::Relaxed);
-                } else {
-                    FAST_CUT_NORM.store(mix, Ordering::Relaxed);
-                }
-            }
         }
     }
 
@@ -786,33 +766,8 @@ impl TraceReport {
 
 static SESSION_TRACING: AtomicBool = AtomicBool::new(false);
 
-fn collector_slot() -> &'static Mutex<Option<TraceCollector>> {
-    static SLOT: OnceLock<Mutex<Option<TraceCollector>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Lock-free mirror of the armed config's sampling knobs, plus a count of
-/// sessions dropped without ever touching the collector mutex. Sharded
-/// generation finishes sessions on many worker threads at once; the vast
-/// majority are normal and not head-sampled, so [`SessionScope::finish`]
-/// can classify them from these relaxed atomics alone and skip the lock.
-/// The counts fold back into the collector's `seen`/`dropped` at
-/// [`finalize`] time, so report totals are identical to the locked path.
-static FAST_SEED: AtomicU64 = AtomicU64::new(0);
-static FAST_HEAD_RATE: AtomicU64 = AtomicU64::new(0);
-static FAST_REBUF_BITS: AtomicU64 = AtomicU64::new(0);
-static FAST_DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Lock-free mirrors of the armed collector's reservoir cut, one bound
-/// per anomaly class (`u64::MAX` = no cut yet). A candidate whose salted
-/// reservoir mix is strictly above its class bound sorts at or after some
-/// historical cut; the cut only ever tightens, so such a candidate can
-/// never re-enter the final budget prefix and is dropped without taking
-/// the collector mutex. Ties and bound-stale candidates fall through to
-/// the locked path, which re-checks against the exact cut — the kept set
-/// is byte-identical to the all-locked ordering.
-static FAST_CUT_ANOM: AtomicU64 = AtomicU64::new(u64::MAX);
-static FAST_CUT_NORM: AtomicU64 = AtomicU64::new(u64::MAX);
+/// The armed collector; `None` while tracing is off.
+static COLLECTOR: Mutex<Option<TraceCollector>> = Mutex::new(None);
 
 /// Whether per-session tracing is currently armed.
 ///
@@ -825,17 +780,8 @@ pub fn session_tracing_enabled() -> bool {
 /// Arms per-session tracing with the given knobs, replacing any previous
 /// capture.
 pub fn arm(cfg: TraceConfig) {
-    let slot = collector_slot();
-    let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-    FAST_SEED.store(cfg.seed, Ordering::Relaxed);
-    FAST_HEAD_RATE.store(cfg.head_rate, Ordering::Relaxed);
-    FAST_REBUF_BITS.store(cfg.rebuffer_threshold.to_bits(), Ordering::Relaxed);
-    FAST_DROPPED.store(0, Ordering::Relaxed);
-    FAST_CUT_ANOM.store(u64::MAX, Ordering::Relaxed);
-    FAST_CUT_NORM.store(u64::MAX, Ordering::Relaxed);
-    let mut collector = TraceCollector::new(cfg);
-    collector.publish_cut = true;
-    *guard = Some(collector);
+    let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
+    *guard = Some(TraceCollector::new(cfg));
     SESSION_TRACING.store(true, Ordering::Relaxed);
 }
 
@@ -844,15 +790,11 @@ pub fn arm(cfg: TraceConfig) {
 /// `trace.bytes` under a `trace.finalize` span. Returns `None` when
 /// tracing was never armed.
 pub fn finalize() -> Option<TraceReport> {
-    let slot = collector_slot();
-    let mut collector = {
-        let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = {
+        let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
         SESSION_TRACING.store(false, Ordering::Relaxed);
         guard.take()
     }?;
-    let fast_dropped = FAST_DROPPED.swap(0, Ordering::Relaxed);
-    collector.seen += fast_dropped;
-    collector.dropped += fast_dropped;
     let _span = crate::span("trace.finalize");
     let report = collector.into_report();
     crate::counter("trace.sessions_kept").add(report.kept());
@@ -874,26 +816,18 @@ pub fn with_collector<R>(f: impl FnOnce(&mut TraceCollector) -> R) -> Option<R> 
     if !session_tracing_enabled() {
         return None;
     }
-    let slot = collector_slot();
-    let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+    let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
     guard.as_mut().map(f)
 }
 
 // --- speculative per-thread builder ----------------------------------------
 
-/// All per-thread tracing state behind ONE thread-local: TLS address
-/// lookups are a real cost at millions of sessions and events per run.
-/// Flat fields (no `Option` wrapper, no arena hand-off) keep the per-emit
-/// and per-session paths to a borrow, a flag test, and the field writes;
-/// the event buffer is reused across sessions so steady-state tracing
-/// does one allocation per thread, not per session.
+/// All per-thread tracing state behind one thread-local. The event buffer
+/// is reused across sessions, so steady-state tracing allocates once per
+/// thread, not once per session.
 struct TraceTls {
     /// Whether a scope is currently recording on this thread.
     recording: bool,
-    /// Whether any buffered event is itself anomaly-triggering
-    /// (retry-denied / shed), tracked at [`emit`] time so completion can
-    /// classify the session without rescanning the buffer.
-    anomalous_event: bool,
     meta: FinishMeta,
     events: Vec<SessionEvent>,
 }
@@ -902,7 +836,6 @@ thread_local! {
     static TLS: RefCell<TraceTls> = const {
         RefCell::new(TraceTls {
             recording: false,
-            anomalous_event: false,
             meta: FinishMeta {
                 session: 0,
                 publisher: NO_PUBLISHER,
@@ -942,7 +875,6 @@ pub fn begin(
     TLS.with(|tl| {
         let tl = &mut *tl.borrow_mut();
         tl.recording = true;
-        tl.anomalous_event = false;
         tl.meta = FinishMeta {
             session,
             publisher,
@@ -991,31 +923,7 @@ impl SessionScope {
             tl.meta.end_clock = end_clock;
             tl.meta.fatal = fatal;
             tl.meta.rebuffer_ratio = rebuffer_ratio;
-            // Lock-free fast path: a normal, non-head-sampled session can
-            // never enter the reservoir, and neither can a candidate whose
-            // reservoir key is past the published cut — count both dropped
-            // without taking the collector mutex. Mirrors `offer_buffer`'s
-            // rejection tests.
-            let seed = FAST_SEED.load(Ordering::Relaxed);
-            let head_rate = FAST_HEAD_RATE.load(Ordering::Relaxed);
-            let head_kept = head_rate != 0 && mix64(seed, tl.meta.session).is_multiple_of(head_rate);
-            let anomalous = fatal
-                || tl.anomalous_event
-                || rebuffer_ratio >= f64::from_bits(FAST_REBUF_BITS.load(Ordering::Relaxed));
-            let mut offer = anomalous || head_kept;
-            if offer {
-                let bound = if anomalous {
-                    FAST_CUT_ANOM.load(Ordering::Relaxed)
-                } else {
-                    FAST_CUT_NORM.load(Ordering::Relaxed)
-                };
-                offer = mix64(seed ^ KEY_SALT, tl.meta.session) <= bound;
-            }
-            if offer {
-                with_collector(|c| c.offer_buffer(tl.meta, &tl.events));
-            } else if session_tracing_enabled() {
-                FAST_DROPPED.fetch_add(1, Ordering::Relaxed);
-            }
+            with_collector(|c| c.offer_buffer(tl.meta, &tl.events));
             tl.events.clear();
         });
     }
@@ -1046,8 +954,6 @@ pub fn emit(kind: TraceEventKind, clock: f64, cdn: u8, code: u32, value: f64) {
     TLS.with(|tl| {
         let tl = &mut *tl.borrow_mut();
         if tl.recording {
-            tl.anomalous_event |=
-                matches!(kind, TraceEventKind::RetryDenied | TraceEventKind::Shed);
             tl.events.push(SessionEvent { kind, clock, cdn, code, value });
         }
     });
