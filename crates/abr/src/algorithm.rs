@@ -54,6 +54,11 @@ impl Default for ThroughputRule {
 }
 
 impl AbrAlgorithm for ThroughputRule {
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a non-negative budget in kbps; `as` saturates far above any ladder rung"
+    )]
     fn choose(&self, ladder: &BitrateLadder, state: &AbrState) -> Kbps {
         match state.predicted_throughput {
             None => ladder.min().bitrate, // conservative start
@@ -90,10 +95,15 @@ impl Default for Bba {
 }
 
 impl AbrAlgorithm for Bba {
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the buffer lies between reservoir and cushion, so the index is within the ladder"
+    )]
     fn choose(&self, ladder: &BitrateLadder, state: &AbrState) -> Kbps {
         let rungs = ladder.rungs();
         if state.buffer.0 <= self.reservoir.0 {
-            return rungs[0].bitrate;
+            return ladder.min().bitrate;
         }
         if state.buffer.0 >= self.cushion.0 {
             return rungs[rungs.len() - 1].bitrate;
@@ -130,7 +140,7 @@ impl Default for Bola {
 impl AbrAlgorithm for Bola {
     fn choose(&self, ladder: &BitrateLadder, state: &AbrState) -> Kbps {
         let rungs = ladder.rungs();
-        let min_b = rungs[0].bitrate.0 as f64;
+        let min_b = ladder.min().bitrate.0 as f64;
         // Utility: log of bitrate relative to the lowest rung.
         let utility = |bitrate: Kbps| (bitrate.0 as f64 / min_b).ln();
         let max_utility = utility(ladder.max().bitrate);
@@ -140,7 +150,7 @@ impl AbrAlgorithm for Bola {
         let gamma = 1.0;
         let v = (self.buffer_target.0 / chunk - 1.0).max(0.1) / (max_utility + gamma);
         let buffer_chunks = state.buffer.0 / chunk;
-        let mut best = rungs[0].bitrate;
+        let mut best = ladder.min().bitrate;
         let mut best_score = f64::MIN;
         for rung in rungs {
             let score =

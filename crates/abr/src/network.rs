@@ -85,6 +85,11 @@ impl NetworkModel {
 
     /// Advances the chain one step and samples the throughput available for
     /// the next chunk download.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "throughput samples are non-negative kbps; `as` saturates at u32::MAX"
+    )]
     pub fn next_throughput(&mut self, rng: &mut Rng) -> Kbps {
         let [congested_row, nominal_row, good_row] = self.profile.transitions;
         let [to_congested, to_nominal, _] = match self.state {

@@ -37,6 +37,11 @@ impl ThroughputPredictor for EwmaPredictor {
         });
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the estimate is clamped at 0 kbps; `as` saturates at u32::MAX"
+    )]
     fn estimate(&self) -> Option<Kbps> {
         self.value.map(|v| Kbps(v.max(0.0) as u32))
     }
@@ -70,6 +75,11 @@ impl ThroughputPredictor for HarmonicMeanPredictor {
         self.history.push_back((throughput.0 as f64).max(1.0));
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a harmonic mean of non-negative kbps samples; `as` saturates"
+    )]
     fn estimate(&self) -> Option<Kbps> {
         if self.history.is_empty() {
             return None;

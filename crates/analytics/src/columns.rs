@@ -554,6 +554,10 @@ fn decode_cdn(code: u8) -> Option<CdnName> {
 
 /// Browser-tech code per device code (or [`NO_CODE`]), computed once per
 /// scan.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "device codes are below DeviceModel::CODE_COUNT, which fits a u8"
+)]
 fn browser_tech_lut() -> [u8; DeviceModel::CODE_COUNT] {
     let mut lut = [NO_CODE; DeviceModel::CODE_COUNT];
     for (code, slot) in lut.iter_mut().enumerate() {
@@ -566,6 +570,10 @@ fn browser_tech_lut() -> [u8; DeviceModel::CODE_COUNT] {
     lut
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "callers pass only single-code columns; the match arm is a programming error"
+)]
 fn single_codes(seg: &Segment, col: DimColumn) -> &[u8] {
     match col {
         DimColumn::Protocol => seg.protocols(),
@@ -614,6 +622,7 @@ impl Rollup {
     }
 
     /// `(code, total)` for every code that appeared, ascending.
+    #[expect(clippy::cast_possible_truncation, reason = "the table has one slot per u8 code")]
     pub fn iter(&self) -> impl Iterator<Item = (u8, f64)> + '_ {
         (0..self.totals.len()).filter(|&i| self.seen[i]).map(|i| (i as u8, self.totals[i]))
     }
@@ -741,6 +750,7 @@ impl PublisherAgg {
 
     /// Codes the publisher "supports": observed, with at least `floor` of
     /// its view-hours (the reference's `min_traffic_share` filter).
+    #[expect(clippy::cast_possible_truncation, reason = "the table has one slot per u8 code")]
     pub fn supported_codes(&self, floor: f64) -> impl Iterator<Item = u8> + '_ {
         (0..self.totals.len())
             .filter(move |&i| {

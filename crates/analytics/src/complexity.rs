@@ -77,6 +77,10 @@ impl PublisherComplexity {
     /// ids, and player dictionary codes with the SDK-build / UA-family keys
     /// — so every distinct-set cardinality matches the string-keyed
     /// reference exactly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a trailing-zero count of a u64 is at most 64"
+    )]
     pub fn of_segment(seg: &Segment) -> Vec<PublisherComplexity> {
         #[derive(Default)]
         struct Acc {

@@ -71,6 +71,11 @@ pub fn count_histogram(counts: &[PublisherCount]) -> BTreeMap<usize, (f64, f64)>
 ///
 /// Returns `bucket index → (bucket % of all publishers, count → % within
 /// bucket)`; bucket 0 is `< X`, bucket k is `[10^(k-1) X, 10^k X)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "`ratio >= 1` here, so its floored log10 is a small non-negative bucket"
+)]
 pub fn counts_by_size_bucket(
     counts: &[PublisherCount],
     x_anchor: f64,

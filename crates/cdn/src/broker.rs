@@ -149,6 +149,10 @@ impl Broker {
 
     /// Selection over an eligible list; `table`, when given, is the
     /// weighted table of the *whole* list.
+    #[expect(
+        clippy::expect_used,
+        reason = "scores are averages of finite measurements, so `partial_cmp` never returns None"
+    )]
     fn select_from(
         &self,
         eligible: &[CdnAssignment],
@@ -270,6 +274,7 @@ impl Broker {
     /// Records a fetch failure against `cdn` at virtual time `now`,
     /// feeding its circuit breaker. Bumps `cdn.circuit_trips` and emits a
     /// `BreakerOpen` session-trace event when this failure trips the breaker.
+    #[expect(clippy::cast_possible_truncation, reason = "dense CDN indexes are below 36")]
     pub fn record_fetch_failure(&self, cdn: CdnName, now: Seconds) {
         let mut breakers = self.breakers.lock();
         let breaker = breakers

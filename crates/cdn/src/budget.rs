@@ -94,6 +94,7 @@ impl RetryBudget {
     /// virtual time `now`. `true` spends one token; `false` means the
     /// budget is exhausted and the caller must fail over immediately
     /// instead of retrying.
+    #[expect(clippy::cast_possible_truncation, reason = "dense CDN indexes are below 36")]
     pub fn try_spend(&self, cdn: CdnName, now: Seconds) -> bool {
         let mut state = self.state.lock();
         let bucket = state
@@ -137,6 +138,11 @@ impl RetryBudget {
     /// virtual clock never exceeds `horizon`: the initial burst plus
     /// everything the refill rate can mint. Independent of session count
     /// and arrival order.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a non-negative grant bound; `as` saturates"
+    )]
     pub fn max_grants(&self, horizon: Seconds) -> u64 {
         (self.config.capacity + self.config.refill_per_sec * horizon.0.max(0.0)).ceil() as u64
     }

@@ -43,12 +43,22 @@ impl Default for CapacityConfig {
 
 impl CapacityConfig {
     /// Requests admitted per bucket at full priority.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a rate times a bucket width, floored at 1; `as` saturates"
+    )]
     fn bucket_capacity(&self) -> u64 {
         (self.per_edge_rps * self.bucket.0).max(1.0) as u64
     }
 
     /// Requests admitted per bucket for new joins (the priority floor
     /// reserves the rest for in-progress sessions).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a capacity times headroom, floored at 1; `as` saturates"
+    )]
     fn join_capacity(&self) -> u64 {
         ((self.bucket_capacity() as f64) * self.join_headroom).max(1.0) as u64
     }
@@ -105,6 +115,11 @@ impl EdgeCapacity {
     /// bucket while in-progress requests may fill it completely. A refusal
     /// increments the shed counters; the caller surfaces it as
     /// [`FetchError::Shed`](crate::error::FetchError).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the clock is clamped at 0; bucket numbers fit a u64"
+    )]
     pub fn admit(&mut self, region: usize, now: Seconds, joining: bool) -> bool {
         let Some(ledger) = self.admitted.get_mut(region) else {
             return true; // untracked region: no capacity opinion

@@ -20,6 +20,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// Builds a ring with `edges` edges and `replicas` virtual nodes each.
+    #[expect(clippy::cast_possible_truncation, reason = "edge counts are far below u32::MAX")]
     pub fn new(edges: usize, replicas: usize) -> HashRing {
         assert!(edges > 0 && replicas > 0, "ring needs edges and replicas");
         let mut points = Vec::with_capacity(edges * replicas);
@@ -37,9 +38,8 @@ impl HashRing {
     pub fn route(&self, client_key: u64) -> EdgeId {
         let h = hash64(client_key);
         match self.points.binary_search_by_key(&h, |(p, _)| *p) {
-            Ok(i) => self.points[i].1,
-            Err(i) if i == self.points.len() => self.points[0].1,
-            Err(i) => self.points[i].1,
+            // Past the last point the ring wraps to the first.
+            Ok(i) | Err(i) => self.points[i % self.points.len()].1,
         }
     }
 

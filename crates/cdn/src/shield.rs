@@ -79,6 +79,11 @@ impl OriginShield {
     /// *before* the edge cache: in a sequential replay the edge fills the
     /// instant the leader completes, which would otherwise hide every
     /// request that in real time would have raced the leader's fetch.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the clock is clamped at 0; window numbers fit a u64"
+    )]
     pub fn coalesce(&mut self, key: u64, now: Seconds) -> bool {
         let bucket = (now.0.max(0.0) / self.window.0) as u64;
         if self.inflight.get(&key) == Some(&bucket) {
@@ -92,6 +97,11 @@ impl OriginShield {
 
     /// Registers an origin fetch for `key` starting at `now`: this request
     /// is the leader that later misses in the same window coalesce onto.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the clock is clamped at 0; window numbers fit a u64"
+    )]
     pub fn begin_fetch(&mut self, key: u64, now: Seconds) {
         let bucket = (now.0.max(0.0) / self.window.0) as u64;
         self.inflight.insert(key, bucket);

@@ -56,6 +56,7 @@ impl CdnName {
     }
 
     /// Inverse of [`dense_index`](Self::dense_index).
+    #[expect(clippy::cast_possible_truncation, reason = "the arm only matches n < 36")]
     pub const fn from_dense_index(i: usize) -> Option<CdnName> {
         match i {
             0 => Some(CdnName::A),
@@ -74,6 +75,7 @@ impl CdnName {
     }
 
     /// Typed ID corresponding to the dense index.
+    #[expect(clippy::cast_possible_truncation, reason = "dense CDN indexes are below 36")]
     pub const fn id(self) -> CdnId {
         CdnId::new(self.dense_index() as u32)
     }

@@ -114,7 +114,7 @@ impl BitrateLadder {
             return Err(crate::error::CoreError::invalid("ladder must have at least one rung"));
         }
         rungs.sort_by_key(|r| r.bitrate);
-        if rungs.windows(2).any(|w| w[0].bitrate == w[1].bitrate) {
+        if rungs.iter().zip(rungs.iter().skip(1)).any(|(lo, hi)| lo.bitrate == hi.bitrate) {
             return Err(crate::error::CoreError::invalid("duplicate bitrate in ladder"));
         }
         Ok(BitrateLadder { rungs: rungs.into() })
@@ -146,9 +146,11 @@ impl BitrateLadder {
         self.rungs.is_empty()
     }
 
-    /// Lowest rung.
+    /// Lowest rung. Like [`Self::max`], it panics on an empty ladder,
+    /// which only deserializing can build (`new` rejects one).
     pub fn min(&self) -> LadderRung {
-        self.rungs[0]
+        let [lowest, ..] = *self.rungs else { return self.max() };
+        lowest
     }
 
     /// Highest rung.
@@ -160,8 +162,9 @@ impl BitrateLadder {
     /// ≤ 2.0); 1.0 for a single-rung ladder.
     pub fn max_step_ratio(&self) -> f64 {
         self.rungs
-            .windows(2)
-            .map(|w| w[1].bitrate.0 as f64 / w[0].bitrate.0 as f64)
+            .iter()
+            .zip(self.rungs.iter().skip(1))
+            .map(|(lo, hi)| hi.bitrate.0 as f64 / lo.bitrate.0 as f64)
             .fold(1.0, f64::max)
     }
 
@@ -173,7 +176,7 @@ impl BitrateLadder {
             .rev()
             .find(|r| r.bitrate <= budget)
             .copied()
-            .unwrap_or(self.rungs[0])
+            .unwrap_or_else(|| self.min())
     }
 }
 

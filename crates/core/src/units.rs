@@ -27,6 +27,11 @@ impl Kbps {
 
     /// Bytes consumed by `seconds` of media at this bitrate.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "non-negative byte counts; `as` saturates"
+    )]
     pub fn bytes_for(self, seconds: Seconds) -> Bytes {
         Bytes((self.bits_per_sec() as f64 * seconds.0 / 8.0) as u64)
     }
@@ -142,6 +147,11 @@ impl Bytes {
 
     /// Builds from decimal terabytes.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "non-negative byte counts; `as` saturates"
+    )]
     pub fn from_terabytes(tb: f64) -> Self {
         Bytes((tb * 1e12) as u64)
     }

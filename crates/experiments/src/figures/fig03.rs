@@ -1,7 +1,7 @@
 //! Fig 3: number of streaming protocols per publisher.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{counts_figure, endpoints, share_with_at_least};
+use crate::figures::helpers::{count_share_check, counts_figure, endpoints, share_at_least};
 use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
 
@@ -12,7 +12,7 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let Some(last) = sweep.last_or_fail(&mut result) else {
         return result;
     };
-    let (hist, buckets, series) = counts_figure(
+    let (counts, hist, buckets, series) = counts_figure(
         "protocols",
         &last.protocol_counts,
         &sweep.per_snapshot(|s| s.protocol.average_counts.as_ref()),
@@ -21,10 +21,10 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     // Paper: 38% of publishers use 1 protocol but account for <10% of VH;
     // multi-protocol publishers carry >90% of VH; averages just under 2
     // (plain) and ≈2.2 (weighted).
-    let (one_pubs, one_vh) = crate::figures::helpers::histogram_entry(&hist, 1).unwrap_or((0.0, 0.0));
-    result.checks.push(Check::in_range("fig3a: ≈38% of publishers use 1 protocol", one_pubs, 22.0, 50.0));
-    result.checks.push(Check::in_range("fig3a: 1-protocol publishers carry <10% of VH", one_vh, 0.0, 12.0));
-    let (multi_pubs, multi_vh) = share_with_at_least(&hist, 2);
+    let one = counts.get(&1);
+    result.checks.push(count_share_check("fig3a: ≈38% of publishers use 1 protocol", one.map(|s| s.0), 1, 22.0, 50.0));
+    result.checks.push(count_share_check("fig3a: 1-protocol publishers carry <10% of VH", one.map(|s| s.1), 1, 0.0, 12.0));
+    let (multi_pubs, multi_vh) = share_at_least(&counts, 2);
     result.checks.push(Check::new(
         "§4.4: >90% of VH from multi-protocol publishers",
         multi_vh > 88.0,

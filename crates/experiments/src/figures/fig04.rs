@@ -8,6 +8,11 @@ use vmp_analytics::report::Table;
 use vmp_stats::Cdf;
 
 /// Runs the Fig 4 regeneration.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "quantile labels are percentages in 0..=100"
+)]
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig04", "Fig 4: per-publisher view-hour share via DASH / HLS");

@@ -1,7 +1,7 @@
 //! Fig 9: number of platforms supported per publisher.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{counts_figure, endpoints, share_with_at_least};
+use crate::figures::helpers::{count_share_check, counts_figure, endpoints, share_at_least};
 use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
 
@@ -12,7 +12,7 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let Some(last) = sweep.last_or_fail(&mut result) else {
         return result;
     };
-    let (hist, buckets, series) = counts_figure(
+    let (counts, hist, buckets, series) = counts_figure(
         "platforms",
         &last.platform_counts,
         &sweep.per_snapshot(|s| s.platform.average_counts.as_ref()),
@@ -21,12 +21,12 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     // Paper: >85% of publishers support more than one platform and those
     // carry >95% of VH; ≈30% support all five and carry >60% of VH;
     // weighted average ≈4.5 at the end, plain average >3; growth ≈48%/37%.
-    let (multi_pubs, multi_vh) = share_with_at_least(&hist, 2);
+    let (multi_pubs, multi_vh) = share_at_least(&counts, 2);
     result.checks.push(Check::in_range("fig9a: >85% of publishers multi-platform", multi_pubs, 78.0, 100.25));
     result.checks.push(Check::in_range("fig9a: multi-platform publishers carry >95% of VH", multi_vh, 90.0, 100.25));
-    let (all5_pubs, all5_vh) = crate::figures::helpers::histogram_entry(&hist, 5).unwrap_or((0.0, 0.0));
-    result.checks.push(Check::in_range("fig9a: ≈30% support all 5 platforms", all5_pubs, 18.0, 45.0));
-    result.checks.push(Check::in_range("fig9a: all-5 publishers carry >60% of VH", all5_vh, 50.0, 95.0));
+    let all5 = counts.get(&5);
+    result.checks.push(count_share_check("fig9a: ≈30% support all 5 platforms", all5.map(|s| s.0), 5, 18.0, 45.0));
+    result.checks.push(count_share_check("fig9a: all-5 publishers carry >60% of VH", all5.map(|s| s.1), 5, 50.0, 95.0));
     if let (Some((avg_start, avg_end)), Some((w_start, w_end))) =
         (endpoints(&series, "average"), endpoints(&series, "weighted average"))
     {

@@ -2,7 +2,9 @@
 //! segregation statistics.
 
 use crate::context::ReproContext;
-use crate::figures::helpers::{counts_figure, endpoints, share_with_at_least};
+use crate::figures::helpers::{
+    count_share_check, counts_figure, endpoints, share_at_least, CountHistogram,
+};
 use crate::figures::sweep::Sweep;
 use crate::result::{Check, ExperimentResult};
 use vmp_analytics::columns::Segment;
@@ -16,23 +18,14 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let Some(last) = sweep.last_or_fail(&mut result) else {
         return result;
     };
-    let (hist, buckets, series) = counts_figure(
+    let (counts, hist, buckets, series) = counts_figure(
         "CDNs",
         &last.cdn_counts,
         &sweep.per_snapshot(|s| s.cdn.average_counts.as_ref()),
     );
 
-    // Paper: >40% of publishers single-CDN but <5% of VH; <10% of
-    // publishers use 5 CDNs but carry >50% of VH; ≈80% of VH from 4-5-CDN
-    // publishers; plain average just above 2, weighted ≈4.5.
-    let (one_pubs, one_vh) = crate::figures::helpers::histogram_entry(&hist, 1).unwrap_or((0.0, 0.0));
-    result.checks.push(Check::in_range("fig12a: ≈40% of publishers use one CDN", one_pubs, 28.0, 55.0));
-    result.checks.push(Check::in_range("fig12a: single-CDN publishers carry <5% of VH", one_vh, 0.0, 8.0));
-    let (five_pubs, five_vh) = crate::figures::helpers::histogram_entry(&hist, 5).unwrap_or((0.0, 0.0));
-    result.checks.push(Check::in_range("fig12a: <10-ish% of publishers use 5 CDNs", five_pubs, 2.0, 18.0));
-    result.checks.push(Check::in_range("fig12a: 5-CDN publishers carry >50% of VH", five_vh, 35.0, 90.0));
-    let (_, vh_4plus) = share_with_at_least(&hist, 4);
-    result.checks.push(Check::in_range("§4.4: ≈80% of VH from 4-5-CDN publishers", vh_4plus, 65.0, 95.0));
+    // Paper: plain average just above 2, weighted ≈4.5.
+    result.checks.extend(histogram_checks(&counts));
     if let (Some((_, avg_end)), Some((_, w_end))) =
         (endpoints(&series, "average"), endpoints(&series, "weighted average"))
     {
@@ -59,9 +52,24 @@ pub fn run(ctx: &ReproContext) -> ExperimentResult {
     result
 }
 
+/// Fig 12(a)'s checks, read from the exact histogram. Paper: >40% of
+/// publishers single-CDN but <5% of VH; <10% of publishers use 5 CDNs but
+/// carry >50% of VH; ≈80% of VH from 4-5-CDN publishers.
+fn histogram_checks(counts: &CountHistogram) -> [Check; 5] {
+    let (one, five) = (counts.get(&1), counts.get(&5));
+    [
+        count_share_check("fig12a: ≈40% of publishers use one CDN", one.map(|s| s.0), 1, 28.0, 55.0),
+        count_share_check("fig12a: single-CDN publishers carry <5% of VH", one.map(|s| s.1), 1, 0.0, 8.0),
+        count_share_check("fig12a: <10-ish% of publishers use 5 CDNs", five.map(|s| s.0), 5, 2.0, 18.0),
+        count_share_check("fig12a: 5-CDN publishers carry >50% of VH", five.map(|s| s.1), 5, 35.0, 90.0),
+        Check::in_range("§4.4: ≈80% of VH from 4-5-CDN publishers", share_at_least(counts, 4).1, 65.0, 95.0),
+    ]
+}
+
 /// (% with a VoD-only CDN, % with a live-only CDN) among multi-CDN
 /// publishers serving both content classes, measured from one snapshot's
 /// telemetry.
+#[expect(clippy::cast_possible_truncation, reason = "a trailing-zero count of a u64 is at most 64")]
 pub(crate) fn segregation(seg: &Segment) -> (f64, f64) {
     use std::collections::BTreeMap;
     #[derive(Default)]
@@ -136,5 +144,29 @@ pub(crate) fn segregation(seg: &Segment) -> (f64, f64) {
             100.0 * vod_only as f64 / eligible as f64,
             100.0 * live_only as f64 / eligible as f64,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_single_cdn_row_fails_by_name() {
+        // Every publisher uses 4 or 5 CDNs: nobody is single-CDN, so the
+        // "<5% of VH" check has nothing to measure and must not pass.
+        let counts = CountHistogram::from([(4, (60.0, 30.0)), (5, (40.0, 70.0))]);
+        let checks = histogram_checks(&counts);
+        let single = checks
+            .iter()
+            .find(|c| c.name == "fig12a: single-CDN publishers carry <5% of VH")
+            .expect("check present");
+        assert!(!single.passed);
+        assert_eq!(single.detail, "no publisher has a count of 1");
+        let five = checks
+            .iter()
+            .find(|c| c.name == "fig12a: 5-CDN publishers carry >50% of VH")
+            .expect("check present");
+        assert!(five.passed, "{}", five.detail);
     }
 }

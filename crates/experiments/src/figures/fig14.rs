@@ -6,6 +6,11 @@ use crate::result::{Check, ExperimentResult};
 use vmp_analytics::report::Table;
 
 /// Runs the Fig 14 regeneration.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "quantile labels are percentages in 0..=100"
+)]
 pub fn run(ctx: &ReproContext) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig14", "Fig 14: syndication prevalence");
     let sweep = Sweep::of(ctx);

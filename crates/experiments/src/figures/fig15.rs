@@ -13,6 +13,7 @@ use vmp_syndication::qoe::{qoe_comparison, QoeComparison, QoeScenario};
 const SESSIONS: usize = 150;
 
 /// The two panels of Figs 15/16 (shared with fig16).
+#[expect(clippy::expect_used, reason = "the labels name ladders of the static catalogue")]
 pub fn panels() -> Vec<(&'static str, QoeComparison)> {
     let owner = ladder_of("O").expect("static");
     let s7 = ladder_of("S7").expect("static");
@@ -29,6 +30,12 @@ pub fn panels() -> Vec<(&'static str, QoeComparison)> {
 }
 
 /// Runs the Fig 15 regeneration.
+#[expect(
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the study plays sessions on both sides; labels are percentages in 0..=100"
+)]
 pub fn run(_ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig15", "Fig 15: average bitrate, owner vs syndicator (S7)");

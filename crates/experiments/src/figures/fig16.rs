@@ -6,6 +6,12 @@ use crate::result::{Check, ExperimentResult};
 use vmp_analytics::report::Table;
 
 /// Runs the Fig 16 regeneration.
+#[expect(
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the study plays sessions on both sides; labels are percentages in 0..=100"
+)]
 pub fn run(_ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig16", "Fig 16: rebuffering ratio, owner vs syndicator (S7)");

@@ -6,6 +6,7 @@ use vmp_analytics::report::Table;
 use vmp_syndication::catalogue::{ladder_of, FIG17_LADDERS};
 
 /// Runs the Fig 17 regeneration.
+#[expect(clippy::expect_used, reason = "the labels name ladders of the static catalogue")]
 pub fn run() -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig17", "Fig 17: bitrate ladders of owner O and syndicators S1-S10");

@@ -128,9 +128,13 @@ pub fn share_series<V: Ord + Display>(
     series
 }
 
+/// A count histogram: `count → (% of publishers, % of view-hours)`.
+pub type CountHistogram = BTreeMap<usize, (f64, f64)>;
+
 /// Builds the three per-publisher-count artifacts shared by Figs 3, 9, 12
 /// from the latest snapshot's per-publisher counts and the per-snapshot
-/// (plain, weighted) average counts:
+/// (plain, weighted) average counts, after the exact histogram the checks
+/// read:
 /// (a) count histogram by % publishers / % view-hours,
 /// (b) count distribution bucketed by publisher view-hours,
 /// (c) average and weighted-average count per snapshot.
@@ -138,7 +142,7 @@ pub fn counts_figure(
     dim_name: &str,
     counts: &[PublisherCount],
     averages: &[(SnapshotId, &(f64, f64))],
-) -> (vmp_analytics::report::Table, vmp_analytics::report::Table, Series) {
+) -> (CountHistogram, vmp_analytics::report::Table, vmp_analytics::report::Table, Series) {
     use vmp_analytics::perpub::{count_histogram, counts_by_size_bucket};
     use vmp_analytics::report::Table;
 
@@ -146,7 +150,8 @@ pub fn counts_figure(
         format!("(a) number of {dim_name} per publisher (last snapshot)"),
         vec!["count", "% of publishers", "% of view-hours"],
     );
-    for (count, (pubs, vh)) in count_histogram(counts) {
+    let histogram = count_histogram(counts);
+    for (count, (pubs, vh)) in &histogram {
         hist_table.row(vec![count.to_string(), format!("{pubs:.1}"), format!("{vh:.1}")]);
     }
 
@@ -180,27 +185,21 @@ pub fn counts_figure(
         averages.iter().map(|(s, (_, w))| (s.to_string(), *w)).collect(),
     );
 
-    (hist_table, bucket_table, series)
+    (histogram, hist_table, bucket_table, series)
 }
 
-/// Extracts `(count → (%pubs, %vh))` back out of a counts histogram table.
-pub fn histogram_entry(table: &vmp_analytics::report::Table, count: usize) -> Option<(f64, f64)> {
-    let row = table.rows.iter().find(|r| r[0] == count.to_string())?;
-    Some((row[1].parse().ok()?, row[2].parse().ok()?))
-}
-
-/// Share of publishers (and of view-hours) with count ≥ `min` in a counts
-/// histogram table.
-pub fn share_with_at_least(table: &vmp_analytics::report::Table, min: usize) -> (f64, f64) {
-    let mut pubs = 0.0;
-    let mut vh = 0.0;
-    for row in &table.rows {
-        if row[0].parse::<usize>().map(|c| c >= min).unwrap_or(false) {
-            pubs += row[1].parse::<f64>().unwrap_or(0.0);
-            vh += row[2].parse::<f64>().unwrap_or(0.0);
-        }
+/// [`Check::in_range`] on a share at exactly `count`; when no publisher has
+/// that count there is nothing to measure, and the check fails saying so.
+pub fn count_share_check(name: &str, share: Option<f64>, count: usize, lo: f64, hi: f64) -> Check {
+    match share {
+        Some(value) => Check::in_range(name, value, lo, hi),
+        None => Check::new(name, false, format!("no publisher has a count of {count}")),
     }
-    (pubs, vh)
+}
+
+/// Shares of publishers and of view-hours with a count of at least `min`.
+pub fn share_at_least(hist: &CountHistogram, min: usize) -> (f64, f64) {
+    hist.range(min..).fold((0.0, 0.0), |(pubs, vh), (_, (p, v))| (pubs + p, vh + v))
 }
 
 /// First and last y values of a named line in a series.

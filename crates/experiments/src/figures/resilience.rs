@@ -63,6 +63,11 @@ impl ArmStats {
 /// Runs one arm: the full staggered session population against fresh
 /// infrastructure, with broker failover + health gating off or on.
 /// `faulted` selects the brownout plan versus a clean (no-fault) baseline.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the horizon and offsets are non-negative seconds; buckets are clamped to the table"
+)]
 fn run_arm(
     seed: u64,
     label: &'static str,

@@ -318,6 +318,10 @@ impl FaultProfileBuilder {
     /// Scopes the most recently added window to one edge region (the
     /// `region_index` sessions are served from). Panics when no window has
     /// been added yet.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented builder panic: a window must be added first"
+    )]
     pub fn in_region(mut self, region: usize) -> Self {
         let last = self.windows.last_mut().expect("in_region needs a preceding window");
         last.region = Some(region);

@@ -80,6 +80,7 @@ impl RetryPolicy {
 
     /// Backoff before retry number `attempt` (0-based), with jitter drawn
     /// from `rng`. Consumes exactly one RNG draw per call.
+    #[expect(clippy::cast_possible_wrap, reason = "the exponent is clamped to 64")]
     pub fn backoff(&self, attempt: u32, rng: &mut Rng) -> Seconds {
         let raw = self.base_backoff.0 * self.backoff_factor.powi(attempt.min(64) as i32);
         let jittered = raw * (1.0 + self.jitter * rng.f64());

@@ -4,67 +4,41 @@
 use std::fmt;
 
 /// Stable rule identifiers. The discriminant order is the severity-free
-/// display order; IDs never change meaning once shipped.
+/// display order; IDs never change meaning once shipped. D1, D4, D5 and
+/// C3 are compiler lints now (DESIGN.md §8), so their IDs are retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Nondeterminism: ambient clocks/env reads outside `crates/obs` and
-    /// bin entrypoints; `HashMap`/`HashSet` in deterministic figure paths.
-    D1,
-    /// Panic policy: `.unwrap()` / `.expect("…")` / `panic!`-family /
-    /// integer-literal slice indexing in library code.
+    /// Panic policy, the part clippy does not express narrowly:
+    /// integer-literal indexing in library code.
     D2,
     /// Metric-name registry: every obs metric/span name must match
     /// `crates/obs/METRICS.md` exactly — no typos, duplicates, or
     /// undocumented names.
     D3,
-    /// Unsafe hygiene: `#![forbid(unsafe_code)]` in every non-shim crate
-    /// root.
-    D4,
-    /// Pragma hygiene: a `// vmp-lint: allow(...)` that suppresses nothing
-    /// is itself an error.
-    D5,
     /// Lock nesting: no lock is acquired while another guard is held in the
-    /// same function, re-acquisition included, unless a pragma states the
-    /// order.
+    /// same function, re-acquisition included.
     C1,
     /// Atomics registry: every atomic field is declared in
     /// `crates/obs/ATOMICS.md` with an ordering discipline, and every
     /// `Ordering::*` call site conforms to it (checked both directions).
     C2,
-    /// Overflow/truncation: lossy `as` casts to narrow integer types and
-    /// unchecked `+=`/`*=` on counter-named fields in library code
-    /// (ratcheted via `lint-overflow-baseline.json`).
-    C3,
 }
 
 impl RuleId {
     /// All rules, in ID order.
-    pub const ALL: [RuleId; 8] = [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
-        RuleId::D4,
-        RuleId::D5,
-        RuleId::C1,
-        RuleId::C2,
-        RuleId::C3,
-    ];
+    pub const ALL: [RuleId; 4] = [RuleId::D2, RuleId::D3, RuleId::C1, RuleId::C2];
 
     /// Stable textual ID.
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
             RuleId::D2 => "D2",
             RuleId::D3 => "D3",
-            RuleId::D4 => "D4",
-            RuleId::D5 => "D5",
             RuleId::C1 => "C1",
             RuleId::C2 => "C2",
-            RuleId::C3 => "C3",
         }
     }
 
-    /// Parses a textual ID (used by `allow(...)` pragmas and baselines).
+    /// Parses a textual ID (used by `--explain`).
     pub fn parse(s: &str) -> Option<RuleId> {
         RuleId::ALL.into_iter().find(|r| r.as_str() == s)
     }
@@ -72,33 +46,19 @@ impl RuleId {
     /// One-line description shown by `--list-rules`.
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "nondeterminism: ambient clock/env reads outside crates/obs and bin \
-                 entrypoints; HashMap/HashSet in deterministic figure paths"
-            }
-            RuleId::D2 => {
-                "panic policy: .unwrap()/.expect(\"…\")/panic!-family/integer-literal \
-                 indexing in library code (ratcheted via lint-baseline.json)"
-            }
+            RuleId::D2 => "panic policy: integer-literal indexing in library code",
             RuleId::D3 => {
                 "metric registry: obs metric/span names must match \
                  crates/obs/METRICS.md (no typos, duplicates, or undocumented names)"
             }
-            RuleId::D4 => "unsafe hygiene: #![forbid(unsafe_code)] in every non-shim crate root",
-            RuleId::D5 => "pragma hygiene: stale vmp-lint allow(...) pragmas are errors",
             RuleId::C1 => {
                 "lock nesting: no .lock()/.read()/.write() while another guard is held \
-                 (re-entry included; a deliberate order needs an allow(C1) pragma)"
+                 (re-entry included)"
             }
             RuleId::C2 => {
                 "atomics registry: atomic fields must be declared in \
                  crates/obs/ATOMICS.md with an ordering discipline matching every \
                  Ordering::* call site (both directions)"
-            }
-            RuleId::C3 => {
-                "overflow policy: lossy as-casts to narrow integers and unchecked \
-                 +=/*= on counter fields in library code (ratcheted via \
-                 lint-overflow-baseline.json)"
             }
         }
     }
@@ -107,11 +67,6 @@ impl RuleId {
     /// `DESIGN.md` (a drift test asserts the docs contain it).
     pub fn rationale(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "Byte-identical replay is the platform's headline guarantee; one \
-                 ambient clock read or unordered-map iteration in a figure path \
-                 silently breaks it."
-            }
             RuleId::D2 => {
                 "Library code that panics takes the whole measurement pipeline down \
                  with it; typed errors keep a bad input from costing a run."
@@ -121,67 +76,38 @@ impl RuleId {
                  silently flatlines; cross-checking both directions keeps docs and \
                  code in lockstep."
             }
-            RuleId::D4 => {
-                "Forbidding unsafe code at every crate root makes the memory-safety \
-                 argument a grep, not an audit."
-            }
-            RuleId::D5 => {
-                "A suppression that outlives the code it excused is a hole in the \
-                 gate; stale pragmas must fail so every allow keeps earning its keep."
-            }
             RuleId::C1 => {
                 "Two locks taken in opposite orders on two threads deadlock the \
                  management plane in production, not in tests; holding one lock at a \
-                 time rules that out, and every deliberate exception writes its order \
-                 down."
+                 time rules that out."
             }
             RuleId::C2 => {
                 "Every relaxed atomic is a proof obligation about why stale reads \
                  are safe; the registry forces that argument to be written down and \
                  keeps call sites from quietly strengthening or weakening it."
             }
-            RuleId::C3 => {
-                "Row and byte counters grow with --scale; a lossy cast or unchecked \
-                 add that was fine at 1.2M rows silently truncates at 122M."
-            }
         }
     }
 
-    /// Fix recipes printed by `vmp-lint --explain RULE` (and mirrored in
-    /// the docs via the same table).
+    /// Fix recipes printed by `vmp-lint --explain RULE`.
     pub fn recipes(self) -> &'static [&'static str] {
         match self {
-            RuleId::D1 => &[
-                "route wall-clock reads through vmp_obs::Stopwatch",
-                "replace HashMap/HashSet with BTreeMap/BTreeSet in figure paths, or sort before emitting",
-            ],
             RuleId::D2 => &[
-                "propagate a typed error with ? instead of .unwrap()/.expect(\"…\")",
-                "use let-else with a failed-check return for impossible states",
-                "replace v[0] with v.first()/.get(N) and handle the None arm",
+                "replace v[0] with v.first() and handle the None arm",
+                "destructure with a slice pattern: let [a, b] = *w else { ... }",
             ],
             RuleId::D3 => &[
                 "register the name in crates/obs/METRICS.md with its kind and description",
                 "delete registry rows whose name no longer appears in source",
             ],
-            RuleId::D4 => &["add #![forbid(unsafe_code)] to the crate root"],
-            RuleId::D5 => &[
-                "delete the stale pragma, or move it onto the line it is meant to excuse",
-            ],
             RuleId::C1 => &[
                 "merge the two locks into one if they always guard the same state",
                 "shrink the critical section: end the first guard's block, or drop(guard), before taking the next lock",
-                "if the nesting is deliberate, state the order: // vmp-lint: allow(C1): <the order>",
             ],
             RuleId::C2 => &[
                 "register the field in crates/obs/ATOMICS.md with a discipline naming why its orderings are safe",
                 "match the call sites to the declared discipline (e.g. relaxed-counter means Relaxed everywhere)",
                 "delete registry rows for fields that no longer exist",
-            ],
-            RuleId::C3 => &[
-                "use u32::try_from(x) / try_into() and handle the Err arm",
-                "use checked_add/saturating_add on counters that scale with input size",
-                "if the bound is provable, say so: // vmp-lint: allow(C3): <why>",
             ],
         }
     }
@@ -291,8 +217,8 @@ mod tests {
     fn canonical_order_is_total() {
         let mut d = vec![
             Diagnostic::new(RuleId::D2, "b.rs", 1, 1, "x"),
-            Diagnostic::new(RuleId::D1, "a.rs", 2, 1, "x"),
-            Diagnostic::new(RuleId::D1, "a.rs", 1, 5, "x"),
+            Diagnostic::new(RuleId::D3, "a.rs", 2, 1, "x"),
+            Diagnostic::new(RuleId::D3, "a.rs", 1, 5, "x"),
         ];
         sort_canonical(&mut d);
         assert_eq!(d[0].file, "a.rs");

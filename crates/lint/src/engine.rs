@@ -1,15 +1,12 @@
 //! The analysis engine: workspace walking, file classification,
-//! `#[cfg(test)]` region detection, pragma suppression, and rule
-//! orchestration.
+//! `#[cfg(test)]` region detection, and rule orchestration.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::diag::{sort_canonical, Diagnostic, RuleId};
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, Tok};
 use crate::rules;
 use crate::rules_conc;
-use crate::rules_overflow;
 use crate::syntax;
 
 /// How a file participates in analysis, derived from its path.
@@ -17,16 +14,15 @@ use crate::syntax;
 pub enum FileClass {
     /// Library source: full policy applies.
     Lib,
-    /// Binary entrypoint (`src/bin/**`, `src/main.rs`): ambient clocks and
-    /// env reads are sanctioned here.
-    BinEntry,
-    /// Examples: demo code, exempt from D1/D2.
-    Example,
-    /// Tests and benches: exempt from D1/D2 (assertions are their job).
+    /// Binary entrypoint (`src/bin/**`, `src/main.rs`) or example: exempt
+    /// from D2.
+    Entry,
+    /// Tests and benches: exempt from D2 (assertions are their job).
     TestOrBench,
 }
 
 /// A lexed source file ready for rule matching.
+#[derive(Debug)]
 pub struct SourceFile<'a> {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
@@ -36,16 +32,6 @@ pub struct SourceFile<'a> {
     pub toks: Vec<Tok<'a>>,
     /// Per-token flag: inside a `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
-}
-
-impl std::fmt::Debug for SourceFile<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SourceFile")
-            .field("rel", &self.rel)
-            .field("class", &self.class)
-            .field("tokens", &self.toks.len())
-            .finish()
-    }
 }
 
 /// Classifies a workspace-relative path, or `None` when the file must not
@@ -68,11 +54,12 @@ pub fn classify(rel: &str) -> Option<FileClass> {
     if parts.contains(&"tests") || parts.contains(&"benches") {
         return Some(FileClass::TestOrBench);
     }
-    if parts.contains(&"examples") {
-        return Some(FileClass::Example);
-    }
-    if parts.contains(&"bin") || rel.ends_with("src/main.rs") || rel == "build.rs" {
-        return Some(FileClass::BinEntry);
+    if parts.contains(&"examples")
+        || parts.contains(&"bin")
+        || rel.ends_with("src/main.rs")
+        || rel == "build.rs"
+    {
+        return Some(FileClass::Entry);
     }
     Some(FileClass::Lib)
 }
@@ -200,95 +187,10 @@ pub fn test_regions(toks: &[Tok<'_>]) -> Vec<bool> {
     mask
 }
 
-/// One `// vmp-lint: allow(RULE, ...)` pragma.
-#[derive(Debug, Clone)]
-pub struct Pragma {
-    /// File the pragma lives in.
-    pub file: String,
-    /// Line of the pragma comment itself.
-    pub line: u32,
-    /// Column of the comment.
-    pub col: u32,
-    /// Rules it allows.
-    pub rules: Vec<RuleId>,
-    /// The line whose diagnostics it suppresses (its own line for trailing
-    /// pragmas, the next code line for standalone ones).
-    pub target_line: u32,
-}
-
-/// Extracts pragmas from a file's comment tokens. Unknown rule IDs inside
-/// `allow(...)` produce D5 diagnostics immediately.
-pub fn collect_pragmas(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) -> Vec<Pragma> {
-    let mut pragmas = Vec::new();
-    for (i, tok) in file.toks.iter().enumerate() {
-        if tok.kind != TokKind::LineComment {
-            continue;
-        }
-        let body = tok.text.trim_start_matches('/').trim();
-        let Some(rest) = body.strip_prefix("vmp-lint:") else { continue };
-        let rest = rest.trim();
-        let Some(args) = rest.strip_prefix("allow(").and_then(|r| r.split(')').next()) else {
-            diags.push(Diagnostic::new(
-                RuleId::D5,
-                file.rel.clone(),
-                tok.line,
-                tok.col,
-                format!("malformed vmp-lint pragma: expected `allow(RULE, ...)`, got `{rest}`"),
-            ));
-            continue;
-        };
-        let mut rules = Vec::new();
-        let mut bad = false;
-        for part in args.split(',') {
-            let part = part.trim();
-            match RuleId::parse(part) {
-                Some(r) => rules.push(r),
-                None => {
-                    diags.push(Diagnostic::new(
-                        RuleId::D5,
-                        file.rel.clone(),
-                        tok.line,
-                        tok.col,
-                        format!("unknown rule `{part}` in allow pragma"),
-                    ));
-                    bad = true;
-                }
-            }
-        }
-        if bad || rules.is_empty() {
-            continue;
-        }
-        // Standalone comment (first token on its line) targets the next
-        // code line; a trailing comment targets its own line.
-        let standalone = !file.toks[..i]
-            .iter()
-            .rev()
-            .take_while(|t| t.line == tok.line)
-            .any(|t| t.is_code());
-        let target_line = if standalone {
-            file.toks[i + 1..]
-                .iter()
-                .find(|t| t.is_code())
-                .map(|t| t.line)
-                .unwrap_or(tok.line + 1)
-        } else {
-            tok.line
-        };
-        pragmas.push(Pragma {
-            file: file.rel.clone(),
-            line: tok.line,
-            col: tok.col,
-            rules,
-            target_line,
-        });
-    }
-    pragmas
-}
-
 /// A full analysis result.
 #[derive(Debug)]
 pub struct Report {
-    /// All diagnostics after pragma suppression, canonically sorted.
+    /// All diagnostics, canonically sorted.
     pub diagnostics: Vec<Diagnostic>,
     /// Per-rule counts (every rule present, zero included).
     pub counts: Vec<(RuleId, usize)>,
@@ -298,15 +200,6 @@ impl Report {
     /// Count for one rule.
     pub fn count(&self, rule: RuleId) -> usize {
         self.counts.iter().find(|(r, _)| *r == rule).map_or(0, |(_, n)| *n)
-    }
-
-    /// Per-file counts for one rule (the baseline's shape).
-    pub fn per_file(&self, rule: RuleId) -> BTreeMap<String, usize> {
-        let mut map = BTreeMap::new();
-        for d in self.diagnostics.iter().filter(|d| d.rule == rule) {
-            *map.entry(d.file.clone()).or_insert(0) += 1;
-        }
-        map
     }
 }
 
@@ -330,52 +223,13 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
         .collect();
 
     let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut pragmas: Vec<Pragma> = Vec::new();
     for file in &sources {
-        pragmas.extend(collect_pragmas(file, &mut diags));
-        rules::check_nondeterminism(file, &mut diags);
-        rules::check_panic_policy(file, &mut diags);
-        rules_overflow::check_overflow(file, &mut diags);
+        rules::check_literal_index(file, &mut diags);
     }
     rules::check_metric_registry(root, &sources, &mut diags);
-    rules::check_unsafe_hygiene(root, &sources, &mut diags);
     let model = syntax::build(&sources);
     rules_conc::check_lock_nesting(&model, &sources, &mut diags);
     rules_conc::check_atomics_registry(root, &model, &sources, &mut diags);
-
-    // Pragma suppression: a diagnostic is dropped when a pragma in the
-    // same file allows its rule on its line. Every pragma must earn its
-    // keep: unused ones become D5 diagnostics (the suppression of a D5 by
-    // another pragma is deliberately not supported).
-    let mut used = vec![false; pragmas.len()];
-    diags.retain(|d| {
-        if d.rule == RuleId::D5 {
-            return true;
-        }
-        let mut suppressed = false;
-        for (pi, p) in pragmas.iter().enumerate() {
-            if p.file == d.file && p.target_line == d.line && p.rules.contains(&d.rule) {
-                used[pi] = true;
-                suppressed = true;
-            }
-        }
-        !suppressed
-    });
-    for (pi, p) in pragmas.iter().enumerate() {
-        if !used[pi] {
-            diags.push(Diagnostic::new(
-                RuleId::D5,
-                p.file.clone(),
-                p.line,
-                p.col,
-                format!(
-                    "stale pragma: allow({}) suppresses no diagnostic on line {}",
-                    p.rules.iter().map(|r| r.as_str()).collect::<Vec<_>>().join(", "),
-                    p.target_line
-                ),
-            ));
-        }
-    }
 
     sort_canonical(&mut diags);
     let counts = RuleId::ALL
@@ -392,9 +246,9 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert_eq!(classify("crates/core/src/lib.rs"), Some(FileClass::Lib));
-        assert_eq!(classify("crates/experiments/src/bin/repro.rs"), Some(FileClass::BinEntry));
+        assert_eq!(classify("crates/experiments/src/bin/repro.rs"), Some(FileClass::Entry));
         assert_eq!(classify("crates/core/tests/x.rs"), Some(FileClass::TestOrBench));
-        assert_eq!(classify("examples/demo.rs"), Some(FileClass::Example));
+        assert_eq!(classify("examples/demo.rs"), Some(FileClass::Entry));
         assert_eq!(classify("crates/shims/serde/src/lib.rs"), None);
         assert_eq!(classify("crates/lint/tests/fixtures/ws/src/lib.rs"), None);
         assert_eq!(classify("README.md"), None);

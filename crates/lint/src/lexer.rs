@@ -4,7 +4,7 @@
 //!
 //! The lexer is intentionally not a parser: it produces a flat token
 //! stream with byte offsets and 1-based line/column positions. Rules match
-//! on short token sequences (`Instant :: now`, `. unwrap ( )`), which is
+//! on short token sequences (`v [ 0 ]`, `. lock ( )`), which is
 //! robust against formatting while never matching occurrences inside
 //! literals or comments — the classic grep failure mode this crate exists
 //! to eliminate.
@@ -49,14 +49,9 @@ pub struct Tok<'a> {
 }
 
 impl<'a> Tok<'a> {
-    /// Whether this token is a comment.
-    pub fn is_comment(&self) -> bool {
-        matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
-    }
-
     /// Whether this token participates in code matching (not a comment).
     pub fn is_code(&self) -> bool {
-        !self.is_comment()
+        !matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
     }
 }
 

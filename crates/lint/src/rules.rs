@@ -1,6 +1,6 @@
-//! The five shipped rules. Each matches short token sequences against a
-//! file's code tokens — never inside comments or literals (the lexer
-//! guarantees that).
+//! The token rules: D2's literal-index residue and the D3 metric
+//! registry. Each matches short token sequences against a file's code
+//! tokens — never inside comments or literals (the lexer guarantees that).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -52,145 +52,21 @@ pub(crate) fn table_rows(text: &str) -> impl Iterator<Item = (u32, Vec<&str>)> {
     })
 }
 
-/// Paths where unordered-container iteration can leak into figure bytes.
-const ORDERED_OUTPUT_PATHS: [&str; 3] =
-    ["crates/analytics/src/", "crates/experiments/src/", "crates/monitor/src/"];
-
-/// D1 — nondeterminism sources.
-///
-/// * Ambient clocks (`SystemTime::now`, `Instant::now`) and environment
-///   reads (`env::var*`, `env::args*`, `env!`, `option_env!`) are allowed
-///   only in `crates/obs` (the sanctioned wall-clock home — see
-///   [`vmp_obs`-style stopwatches]) and in bin entrypoints / examples /
-///   tests.
-/// * `HashMap` / `HashSet` anywhere in the analytics, experiments, and
-///   monitor library paths: iteration order can silently leak into figure
-///   output, so those crates use `BTreeMap` or sort before emitting.
-pub fn check_nondeterminism(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) {
+/// D2 — integer-literal indexing in library code (`ident[0]`,
+/// `foo()[1]`, `bar[2][3]`): a literal index is either a guaranteed-true
+/// invariant (write it as a slice pattern) or a latent panic. The rest of
+/// the panic policy is clippy's (`unwrap_used`, `expect_used`, `panic`, …).
+pub fn check_literal_index(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) {
     if file.class != FileClass::Lib {
         return;
     }
     let code = code_indices(file);
-    let obs_crate = file.rel.starts_with("crates/obs/");
-    let ordered_scope = ORDERED_OUTPUT_PATHS.iter().any(|p| file.rel.starts_with(p));
-
-    // Ambient reads as token patterns (the name is their concatenation);
-    // `true` marks a clock.
-    const AMBIENT: [(&[&str], bool); 9] = [
-        (&["SystemTime", ":", ":", "now"], true),
-        (&["Instant", ":", ":", "now"], true),
-        (&["env", ":", ":", "var"], false),
-        (&["env", ":", ":", "var_os"], false),
-        (&["env", ":", ":", "vars"], false),
-        (&["env", ":", ":", "args"], false),
-        (&["env", ":", ":", "args_os"], false),
-        (&["env", "!"], false),
-        (&["option_env", "!"], false),
-    ];
-
-    for ci in 0..code.len() {
-        if in_test(file, &code, ci) {
-            continue;
-        }
+    for ci in 1..code.len() {
         let Some(t) = tok(file, &code, ci) else { continue };
-        for (pat, clock) in AMBIENT {
-            if obs_crate || !seq_at(file, &code, ci, pat) {
-                continue;
-            }
-            let name = pat.concat();
-            let message = if clock {
-                format!(
-                    "ambient clock read `{name}` in library code — route wall-clock \
-                     access through vmp-obs"
-                )
-            } else {
-                format!("environment read `{name}` in library code")
-            };
-            push(diags, RuleId::D1, file, t, message);
-        }
-        if ordered_scope
-            && t.kind == TokKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-        {
-            push(
-                diags,
-                RuleId::D1,
-                file,
-                t,
-                format!(
-                    "`{}` in a deterministic figure path — unordered iteration can \
-                     leak into output; use BTreeMap/BTreeSet or sort before emitting",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// D2 — panic policy for library code.
-///
-/// Flags `.unwrap()`, `.expect("…")` (string-literal argument — the form
-/// `Result::expect`/`Option::expect` takes; parser methods named `expect`
-/// taking bytes are not matched), the `panic!` family, and integer-literal
-/// slice indexing. Existing findings live in `lint-baseline.json`; the
-/// count may only go down.
-pub fn check_panic_policy(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) {
-    if file.class != FileClass::Lib {
-        return;
-    }
-    let code = code_indices(file);
-    for ci in 0..code.len() {
-        if in_test(file, &code, ci) {
-            continue;
-        }
-        let Some(t) = tok(file, &code, ci) else { continue };
-        if seq_at(file, &code, ci, &[".", "unwrap", "(", ")"]) {
-            push(
-                diags,
-                RuleId::D2,
-                file,
-                t,
-                "`.unwrap()` in library code — propagate a typed error or handle the \
-                 empty case"
-                    .to_string(),
-            );
-        }
-        if seq_at(file, &code, ci, &[".", "expect", "("])
-            && tok(file, &code, ci + 3)
-                .is_some_and(|a| matches!(a.kind, TokKind::Str | TokKind::RawStr))
-        {
-            push(
-                diags,
-                RuleId::D2,
-                file,
-                t,
-                "`.expect(\"…\")` in library code — propagate a typed error or handle \
-                 the empty case"
-                    .to_string(),
-            );
-        }
-        if t.kind == TokKind::Ident
-            && matches!(t.text, "panic" | "unreachable" | "todo" | "unimplemented")
-            && seq_at(file, &code, ci + 1, &["!"])
-            // `core::panic` in a path (e.g. std::panic::catch_unwind) has
-            // no `!`; only the macro form is flagged.
-        {
-            push(
-                diags,
-                RuleId::D2,
-                file,
-                t,
-                format!("`{}!` in library code — return an error instead", t.text),
-            );
-        }
-        // ident[0] / foo()[1] / bar[2][3]: a literal index is either a
-        // guaranteed-true invariant (assert it) or a latent panic.
-        if t.kind == TokKind::Punct
-            && t.text == "["
-            && tok(file, &code, ci.wrapping_sub(1)).is_some_and(|p| {
-                p.kind == TokKind::Ident || p.text == ")" || p.text == "]"
-            })
-            && ci > 0
+        if t.text == "["
+            && !in_test(file, &code, ci)
+            && tok(file, &code, ci - 1)
+                .is_some_and(|p| p.kind == TokKind::Ident || p.text == ")" || p.text == "]")
             && tok(file, &code, ci + 1).is_some_and(|n| n.kind == TokKind::Int)
             && tok(file, &code, ci + 2).is_some_and(|n| n.text == "]")
         {
@@ -199,8 +75,7 @@ pub fn check_panic_policy(file: &SourceFile<'_>, diags: &mut Vec<Diagnostic>) {
                 RuleId::D2,
                 file,
                 t,
-                "integer-literal index in library code — use `.get(N)` or prove the \
-                 bound"
+                "integer-literal index in library code — use `.first()` or a slice pattern"
                     .to_string(),
             );
         }
@@ -367,124 +242,5 @@ fn strip_quotes(text: &str) -> String {
         text[start..end].to_string()
     } else {
         text.to_string()
-    }
-}
-
-/// D4 — every non-shim crate root must carry `#![forbid(unsafe_code)]`.
-pub fn check_unsafe_hygiene(
-    _root: &Path,
-    sources: &[SourceFile<'_>],
-    diags: &mut Vec<Diagnostic>,
-) {
-    for file in sources {
-        let is_crate_root = file.rel == "src/lib.rs"
-            || (file.rel.starts_with("crates/")
-                && file.rel.ends_with("/src/lib.rs")
-                && file.rel.matches('/').count() == 3);
-        if !is_crate_root {
-            continue;
-        }
-        let code = code_indices(file);
-        let has_forbid = (0..code.len()).any(|ci| {
-            seq_at(file, &code, ci, &["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"])
-        });
-        if !has_forbid {
-            diags.push(Diagnostic::new(
-                RuleId::D4,
-                file.rel.clone(),
-                1,
-                1,
-                "crate root is missing #![forbid(unsafe_code)]".to_string(),
-            ));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::test_regions;
-    use crate::lexer::lex;
-
-    fn file<'a>(rel: &str, class: FileClass, src: &'a str) -> SourceFile<'a> {
-        let toks = lex(src);
-        let in_test = test_regions(&toks);
-        SourceFile { rel: rel.to_string(), class, toks, in_test }
-    }
-
-    #[test]
-    fn d1_flags_clock_but_not_in_obs_or_strings() {
-        let src = "fn f() { let t = Instant::now(); let s = \"Instant::now\"; }";
-        let mut diags = Vec::new();
-        check_nondeterminism(&file("crates/core/src/x.rs", FileClass::Lib, src), &mut diags);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("Instant::now"));
-
-        let mut diags = Vec::new();
-        check_nondeterminism(&file("crates/obs/src/x.rs", FileClass::Lib, src), &mut diags);
-        assert!(diags.is_empty());
-    }
-
-    #[test]
-    fn d1_hashmap_only_in_figure_paths() {
-        let src = "use std::collections::HashMap;";
-        let mut diags = Vec::new();
-        check_nondeterminism(
-            &file("crates/analytics/src/store.rs", FileClass::Lib, src),
-            &mut diags,
-        );
-        assert_eq!(diags.len(), 1);
-
-        let mut diags = Vec::new();
-        check_nondeterminism(&file("crates/cdn/src/edge.rs", FileClass::Lib, src), &mut diags);
-        assert!(diags.is_empty());
-    }
-
-    #[test]
-    fn d2_unwrap_and_expect_forms() {
-        let src = r#"fn f() { x.unwrap(); y.expect("msg"); self.expect(b'<')?; }"#;
-        let mut diags = Vec::new();
-        check_panic_policy(&file("crates/core/src/x.rs", FileClass::Lib, src), &mut diags);
-        // The byte-argument parser method is NOT flagged.
-        assert_eq!(diags.len(), 2);
-    }
-
-    #[test]
-    fn d2_skips_tests_and_bins() {
-        let src = "#[cfg(test)]\nmod tests { fn f() { x.unwrap(); } }";
-        let mut diags = Vec::new();
-        check_panic_policy(&file("crates/core/src/x.rs", FileClass::Lib, src), &mut diags);
-        assert!(diags.is_empty());
-
-        let mut diags = Vec::new();
-        check_panic_policy(
-            &file("crates/e/src/bin/main.rs", FileClass::BinEntry, "fn f() { x.unwrap(); }"),
-            &mut diags,
-        );
-        assert!(diags.is_empty());
-    }
-
-    #[test]
-    fn d2_literal_index() {
-        let src = "fn f(v: &[u8]) -> u8 { v[0] }";
-        let mut diags = Vec::new();
-        check_panic_policy(&file("crates/core/src/x.rs", FileClass::Lib, src), &mut diags);
-        assert_eq!(diags.len(), 1);
-        // Array literals and variable indices are not flagged.
-        let src = "fn f(i: usize) { let a = [1, 2, 3]; let _ = a[i]; }";
-        let mut diags = Vec::new();
-        check_panic_policy(&file("crates/core/src/x.rs", FileClass::Lib, src), &mut diags);
-        assert!(diags.is_empty());
-    }
-
-    #[test]
-    fn d4_detects_missing_forbid() {
-        let with = file("crates/a/src/lib.rs", FileClass::Lib, "#![forbid(unsafe_code)]\n");
-        let without = file("crates/b/src/lib.rs", FileClass::Lib, "//! docs\n");
-        let nested = file("crates/b/src/inner/mod.rs", FileClass::Lib, "");
-        let mut diags = Vec::new();
-        check_unsafe_hygiene(Path::new("."), &[with, without, nested], &mut diags);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].file, "crates/b/src/lib.rs");
     }
 }

@@ -21,7 +21,6 @@ fn live_lib(sources: &[SourceFile<'_>], file: usize, tok: usize) -> bool {
 /// Every acquisition that falls inside another guard's held region is a
 /// finding, re-acquiring the held lock included. The check is per
 /// function body and token-level: nesting through a call is out of scope.
-/// A deliberate nesting is stated with `// vmp-lint: allow(C1): <order>`.
 pub fn check_lock_nesting(model: &Model, sources: &[SourceFile<'_>], diags: &mut Vec<Diagnostic>) {
     let live: Vec<_> = model.acquires.iter().filter(|a| live_lib(sources, a.file, a.tok)).collect();
     for inner in &live {
@@ -42,7 +41,7 @@ pub fn check_lock_nesting(model: &Model, sources: &[SourceFile<'_>], diags: &mut
         } else {
             format!(
                 "`{}` is acquired here while `{}` is held (since line {held_at}) — take \
-                 one lock at a time, or state the order: // vmp-lint: allow(C1): <order>",
+                 one lock at a time",
                 inner.lock, outer.lock
             )
         };

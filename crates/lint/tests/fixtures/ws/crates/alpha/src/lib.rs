@@ -1,48 +1,22 @@
-#![forbid(unsafe_code)]
-//! Fixture library crate: D1 clock/env reads, the whole D2 family, and
-//! pragma behaviour (working suppression, stale, malformed, unknown rule).
-
-use std::time::Instant;
-
-pub fn wall_clock() -> Instant {
-    Instant::now() //~ ERROR D1
-}
-
-pub fn read_env() -> Option<String> {
-    std::env::var("HOME").ok() //~ ERROR D1
-}
-
-pub fn take(v: &[u8]) -> u8 {
-    v.first().copied().unwrap() //~ ERROR D2
-}
-
-pub fn message(r: Result<u8, u8>) -> u8 {
-    r.expect("fixture") //~ ERROR D2
-}
-
-pub fn boom() -> u8 {
-    panic!("fixture") //~ ERROR D2
-}
+//! Fixture library crate for D2's literal-index residue: an index after an
+//! identifier, a call or another index fires; array literals, variable
+//! indexes, strings and test code stay silent.
 
 pub fn index(v: &[u8]) -> u8 {
     v[0] //~ ERROR D2
 }
 
-pub fn sanctioned(v: &[u8]) -> u8 {
-    v[0] // vmp-lint: allow(D2): suppression must silence this line
+pub fn call_then_index(f: fn() -> Vec<u8>) -> u8 {
+    f()[1] //~ ERROR D2
 }
 
-// vmp-lint: allow(D1): nothing on the next line fires D1 //~ ERROR D5
-pub fn stale_pragma_target() {}
-
-// vmp-lint: allowed(D2): typo in the pragma keyword //~ ERROR D5
-pub fn malformed_pragma_target() {}
-
-// vmp-lint: allow(D9): no such rule //~ ERROR D5
-pub fn unknown_rule_target() {}
+pub fn legal(v: &[u8], i: usize) -> u8 {
+    let a = [1u8, 2, 3];
+    a[i] + v[i]
+}
 
 pub fn strings_do_not_fire() -> &'static str {
-    "Instant::now() .unwrap() panic! HashMap"
+    "v[0]"
 }
 
 #[cfg(test)]
@@ -50,8 +24,6 @@ mod tests {
     #[test]
     fn test_code_is_exempt() {
         let v = vec![1u8];
-        let _ = v.first().unwrap();
         let _ = v[0];
-        let _ = std::time::Instant::now();
     }
 }

@@ -1,15 +1,12 @@
-#![forbid(unsafe_code)]
 //! Fixture concurrency crate for C1 ("one lock at a time"): nesting in
 //! either order, re-entry, an RwLock under a Mutex, and two temporaries in
 //! one statement all fire; a released temporary, an explicit `drop`, and
-//! io `read`/`write` calls with arguments stay silent; a stated order is
-//! suppressed by its pragma. C1 is token-level and per function body:
-//! nesting through a call (`read_then_a`) is out of scope.
+//! io `read`/`write` calls with arguments stay silent. A consistent order
+//! is still a nesting: there is no escape hatch. C1 is token-level and per
+//! function body: nesting through a call (`read_then_a`) is out of scope.
 
 use std::io::{Read, Write};
 use std::sync::{Mutex, RwLock};
-
-pub mod tally;
 
 pub struct State {
     a: Mutex<u32>,
@@ -75,7 +72,7 @@ pub struct Ordered {
 impl Ordered {
     pub fn in_order(&self) {
         let _g = self.first.lock();
-        let _h = self.second.lock(); // vmp-lint: allow(C1): first before second
+        let _h = self.second.lock(); //~ ERROR C1
     }
 }
 

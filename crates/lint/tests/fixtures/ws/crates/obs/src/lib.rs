@@ -1,21 +1,15 @@
-#![forbid(unsafe_code)]
-//! Fixture obs crate: the sanctioned wall-clock home, plus every D3
-//! call-site shape (registered, compatible, mismatched, undocumented).
+//! Fixture obs crate: every D3 call-site shape (registered, compatible,
+//! mismatched, undocumented) and the C2 atomics cases.
 //!
 //! These files are lexed by the lint engine but never compiled, so the
 //! free functions below don't need to resolve.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static READY: AtomicBool = AtomicBool::new(false);
 static WIDTH: AtomicU64 = AtomicU64::new(0);
 static ORPHAN: AtomicU64 = AtomicU64::new(0); //~ ERROR C2
-
-pub fn now() -> Instant {
-    Instant::now() // allowed: crates/obs is the wall-clock seam
-}
 
 pub fn bump() -> u64 {
     READY.store(true, Ordering::SeqCst); //~ ERROR C2

@@ -18,6 +18,11 @@ use vmp_core::units::Seconds;
 const MAX_REPRESENTATIONS: usize = 512;
 
 /// Renders the MPD document for a presentation.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "non-negative tick counts; `as` saturates"
+)]
 pub fn write_mpd(p: &MediaPresentation) -> String {
     let mut mpd = Element::new("MPD")
         .attr("xmlns", "urn:mpeg:dash:schema:mpd:2011")
@@ -167,6 +172,11 @@ pub fn parse_mpd(input: &str) -> Result<MediaPresentation, ManifestError> {
 }
 
 /// Formats a duration as ISO-8601 (`PT1H2M3.500S`).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the duration is clamped at 0; `as` saturates"
+)]
 fn iso8601_duration(d: Seconds) -> String {
     let total = d.0.max(0.0);
     let hours = (total / 3600.0).floor() as u64;

@@ -145,6 +145,11 @@ pub fn write_master(p: &MediaPresentation) -> String {
 }
 
 /// Renders the media playlist for one rung of a presentation.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "non-negative chunk counts and target durations; `as` saturates"
+)]
 pub fn write_media(p: &MediaPresentation, rung: &LadderRung) -> String {
     let mut out = String::from("#EXTM3U\n#EXT-X-VERSION:6\n");
     let target = p.chunk_duration.0.ceil().max(1.0) as u32;
@@ -191,6 +196,11 @@ pub fn write_media(p: &MediaPresentation, rung: &LadderRung) -> String {
 /// `#EXT-X-ENDLIST` (the event is ongoing). Re-rendering one chunk
 /// duration later yields the same playlist shifted by one segment with the
 /// media sequence incremented — the refresh cadence a live player polls at.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "a target duration of at least 1 s; `as` saturates"
+)]
 pub fn write_live_media(
     p: &MediaPresentation,
     rung: &LadderRung,

@@ -20,6 +20,11 @@ const TICKS_PER_SECOND: f64 = 10_000_000.0;
 const MAX_QUALITY_LEVELS: usize = 512;
 
 /// Renders the client manifest for a presentation.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "non-negative tick counts; `as` saturates"
+)]
 pub fn write_manifest(p: &MediaPresentation) -> String {
     let mut root = Element::new("SmoothStreamingMedia")
         .attr("MajorVersion", "2")

@@ -109,6 +109,11 @@ pub struct MediaPresentation {
 impl MediaPresentation {
     /// Number of whole chunks in a VoD presentation (the last partial chunk
     /// counts as one). Returns `None` for live streams.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a non-negative chunk count; `as` saturates"
+    )]
     pub fn chunk_count(&self) -> Option<u64> {
         let total = self.total_duration?;
         if self.chunk_duration.0 <= 0.0 {

@@ -23,7 +23,13 @@
 //!    evaluation happens only at tick boundaries, amortized across every
 //!    view in the tick.
 
-#![forbid(unsafe_code)]
+// Library policy, enforced by clippy (DESIGN.md §8); test builds are exempt.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), warn(clippy::cast_sign_loss))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_macros))]
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
@@ -238,10 +244,20 @@ impl HealthMonitor {
             + self.publishers.len()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the clock is clamped at 0; tick numbers fit a u64"
+    )]
     fn tick_of(&self, clock: Seconds) -> u64 {
         (clock.0.max(0.0) / self.config.bucket.0) as u64
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "alert times are non-negative seconds; microseconds fit a u64"
+    )]
     fn evaluate_tick(&mut self, tick: u64) {
         let _tick_span = self.tick_span.enter();
         self.metric_ticks.inc();
@@ -328,6 +344,10 @@ impl HealthMonitor {
 /// capture so `vmp-trace exemplars` can resolve it offline. No-op (and the
 /// alert's rendering is unchanged) unless `--session-trace` armed the
 /// collector.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "dense CDN indexes are below 36 and regions below 255"
+)]
 fn attach_exemplars(alert: &mut Alert) {
     if !vmp_obs::session_tracing_enabled() {
         return;
@@ -353,6 +373,11 @@ fn attach_exemplars(alert: &mut Alert) {
 }
 
 /// Emits one virtual-timeline counter sample per CDN cell per tick.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "cell times are non-negative seconds; microseconds fit a u64"
+)]
 fn trace_cell(name: &CdnName, stats: &WindowStats, at: Seconds) {
     let series = format!("monitor cdn={name:?}");
     vmp_obs::trace_counter(

@@ -116,6 +116,7 @@ impl RingWindow {
     }
 
     /// The bucket for `tick`, lazily reclaiming the slot from an older lap.
+    #[expect(clippy::cast_possible_truncation, reason = "the remainder is below the slot count")]
     pub fn bucket_mut(&mut self, tick: u64) -> &mut BucketStats {
         let len = self.slots.len() as u64;
         let slot = &mut self.slots[(tick % len) as usize];

@@ -26,7 +26,14 @@
 //! RMW however many shards record at once (see
 //! `crates/bench/benches/obs_overhead.rs`).
 
-#![forbid(unsafe_code)]
+// Library policy, enforced by clippy (DESIGN.md §8); test builds are exempt.
+// This crate is the wall-clock seam, so it may call `Instant::now`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), warn(clippy::cast_sign_loss))]
+#![cfg_attr(not(test), warn(clippy::disallowed_macros))]
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 #![deny(missing_debug_implementations)]
 
 mod export;

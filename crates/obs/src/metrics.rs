@@ -39,6 +39,10 @@ pub(crate) const HISTOGRAM_BUCKETS: usize = 36;
 /// callers pick the unit (spans record nanoseconds, byte counters record
 /// bytes) and the 1-2-5 series keeps relative error under ~2.5x per bucket
 /// across eleven decades.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bucket indexes are below HISTOGRAM_BUCKETS, so the decade is tiny"
+)]
 pub(crate) fn bucket_bound(index: usize) -> u64 {
     let (decade, step) = (index / 3, index % 3);
     [1u64, 2, 5][step] * 10u64.pow(decade as u32)
@@ -212,6 +216,10 @@ impl Histogram {
     }
 
     /// Records a duration as nanoseconds (the convention spans use).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the nanosecond count is clamped to u64::MAX first"
+    )]
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }

@@ -355,6 +355,11 @@ fn dense_index(v: &Value, field: &str) -> Result<u8, String> {
 /// zeros trimmed; re-parsing and re-rendering a line is byte-stable.
 /// Non-finite or huge values (which the fault clock never produces)
 /// degrade to `null` / `Display`.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "a magnitude in microseconds; `as` saturates"
+)]
 fn push_f64(out: &mut String, n: f64) {
     use std::fmt::Write as _;
     if !n.is_finite() {

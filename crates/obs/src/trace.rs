@@ -119,6 +119,10 @@ pub fn tracing_enabled() -> bool {
 }
 
 /// Microseconds elapsed since the collector epoch.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the elapsed time is clamped to u64::MAX first"
+)]
 pub(crate) fn now_us() -> u64 {
     collector().epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
 }

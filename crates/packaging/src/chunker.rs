@@ -46,6 +46,11 @@ impl ChunkingPlan {
     /// Splits `total` seconds of media at `bitrate` into chunks of
     /// `chunk_duration` (tail chunk truncated). `container_overhead` inflates
     /// sizes for the container format (e.g. MPEG-TS ≈ 1.10, fMP4 ≈ 1.03).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "non-negative chunk sizes in bytes; `as` saturates"
+    )]
     pub fn new(
         bitrate: Kbps,
         total: Seconds,
@@ -108,6 +113,11 @@ impl ChunkingPlan {
     }
 
     /// The chunk containing media time `t`, if within the plan.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "callers pass non-negative times; the lookup is bounds-checked"
+    )]
     pub fn chunk_at(&self, t: Seconds) -> Option<&Chunk> {
         if t.0 < 0.0 {
             return None;

@@ -36,6 +36,11 @@ impl LadderSpec {
     /// A guideline-compliant spec: floor at 145 kbps (under the 192
     /// guideline), geometric steps to `top` with however many rungs keep the
     /// step ratio within 1.5–2.0.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a step count of at least 1; `as` saturates"
+    )]
     pub fn guideline(top: Kbps) -> LadderSpec {
         let floor = Kbps(145);
         let span = (top.0.max(floor.0 + 1) as f64) / floor.0 as f64;
@@ -45,6 +50,7 @@ impl LadderSpec {
     }
 
     /// Builds the ladder: geometric interpolation between floor and top.
+    #[expect(clippy::expect_used, reason = "the ladder has at least two rungs by construction")]
     pub fn build(&self) -> Result<BitrateLadder, CoreError> {
         if self.rungs == 0 {
             return Err(CoreError::invalid("ladder spec needs at least one rung"));
@@ -81,6 +87,11 @@ impl LadderSpec {
     /// Builds a per-title variant: each interior rung jittered by up to
     /// ±`jitter` (relative), endpoints preserved — modeling per-title encode
     /// optimization. Deterministic given the RNG stream.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "jittered bitrates are positive kbps; `as` saturates"
+    )]
     pub fn build_per_title(&self, jitter: f64, rng: &mut Rng) -> Result<BitrateLadder, CoreError> {
         let base = self.build()?;
         let n = base.len();
@@ -110,6 +121,11 @@ fn rung(bitrate: Kbps, codec: Codec) -> LadderRung {
 
 /// Rounds a raw bitrate to the conventional ladder grid: two significant
 /// digits below 1 Mbps, steps of 100 kbps above.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "positive kbps rounded to the ladder grid; `as` saturates"
+)]
 fn round_to_ladder_grid(raw: f64) -> u32 {
     if raw < 1000.0 {
         ((raw / 10.0).round() as u32 * 10).max(10)

@@ -72,6 +72,7 @@ impl TranscodeJob {
 
     /// Wall-clock encode latency given `parallel_encoders` (rungs encode in
     /// parallel across encoders; within an encoder, sequentially).
+    #[expect(clippy::expect_used, reason = "encode times are finite, and the bins are non-empty")]
     pub fn wall_clock(&self, parallel_encoders: usize) -> Seconds {
         let parallel = parallel_encoders.max(1);
         let costs: Vec<f64> = self

@@ -69,6 +69,10 @@ impl SessionEnd {
 /// play, translating the workspace's tag types into the compact dense
 /// encodings `vmp-obs` stores. Returns a disarmed no-op scope when
 /// session tracing is off.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "dense CDN indexes are below 36; regions are clamped below NO_REGION"
+)]
 pub fn trace_begin(
     session: u64,
     publisher: Option<u64>,
@@ -90,6 +94,7 @@ pub fn trace_begin(
 /// to the tail sampler. The primary-CDN tag follows [`SessionEnd`]'s
 /// attribution (first CDN used), and the rebuffer ratio follows the
 /// monitor plane's convention: stall time over stall-plus-play time.
+#[expect(clippy::cast_possible_truncation, reason = "dense CDN indexes are below 36")]
 pub fn trace_finish(scope: vmp_obs::session_trace::SessionScope, outcome: &SessionOutcome) {
     let primary = outcome.cdns.first().map(|c| c.dense_index() as u8);
     let stall = outcome.qoe.rebuffer_time.0;

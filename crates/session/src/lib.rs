@@ -11,7 +11,13 @@
 //! session outcome plus client context; this *is* the monitoring library
 //! that Conviva embeds in players.
 
-#![forbid(unsafe_code)]
+// Library policy, enforced by clippy (DESIGN.md §8); test builds are exempt.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), warn(clippy::cast_sign_loss))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_macros))]
+#![cfg_attr(not(test), warn(clippy::disallowed_types))]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 

@@ -57,6 +57,11 @@ impl LiveWindow {
     /// being produced, which a viewer joining now targets first (waiting
     /// out its [`publish_time`](LiveWindow::publish_time) if the encoder
     /// has not finished it). Before the event starts this is sequence 0.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "non-negative elapsed time; `as` saturates"
+    )]
     pub fn sequence_at(&self, clock: Seconds) -> u64 {
         let elapsed = clock.0 - self.event_start.0;
         if elapsed <= 0.0 {

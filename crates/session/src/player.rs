@@ -37,6 +37,7 @@ use vmp_stats::Rng;
 /// Session-trace emit with the workspace's CDN naming; compiles down to a
 /// relaxed load + branch when tracing is off.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "dense CDN indexes are below 36")]
 fn trace_emit(kind: TraceEventKind, clock: Seconds, cdn: CdnName, code: u32, value: f64) {
     session_trace::emit(kind, clock.0, cdn.dense_index() as u8, code, value);
 }
@@ -461,6 +462,11 @@ impl<'a> Player<'a> {
         self.run(initial, Some(failover), ctx.faults, serve, rng)
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "non-negative durations and rates; `as` saturates"
+    )]
     fn run(
         &mut self,
         initial_cdn: CdnName,

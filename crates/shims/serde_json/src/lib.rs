@@ -127,13 +127,19 @@ fn write_escaped(s: &str, out: &mut String) {
 
 // --- parsing ---------------------------------------------------------------
 
+/// Arrays and objects nest at most this deep (upstream serde_json's
+/// limit): deeper input is an error, never a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Json, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -178,11 +184,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, Error>) -> Result<Json, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos)));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, Error> {
@@ -240,53 +257,48 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error("invalid \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("invalid \\u escape".into()))?;
-                            // Surrogate pairs are not needed by this
-                            // workspace's writers (which emit raw UTF-8).
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("invalid \\u code point".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(Error(format!("invalid escape {other:?}"))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(Error("unterminated string".into())),
+            // Copy everything up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error("unterminated string".into()))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    // Four hex digits are ASCII, so the escape also ends on
+                    // a char boundary; anything else is an error.
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| Error("invalid \\u escape".into()))?;
+                    // Surrogate pairs are not needed by this workspace's
+                    // writers (which emit raw UTF-8).
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| Error("invalid \\u code point".into()))?,
+                    );
+                    self.pos += 4;
+                }
+                other => return Err(Error(format!("invalid escape {other:?}"))),
+            }
+            self.pos += 1;
         }
     }
 

@@ -57,15 +57,12 @@ impl Trend {
             Trend::Decay { start, floor, rate } => floor + (start - floor) * (-rate * t).exp(),
             Trend::Piecewise(knots) => {
                 debug_assert!(!knots.is_empty(), "piecewise trend needs knots");
-                if knots.is_empty() {
-                    return 0.0;
-                }
-                if t <= knots[0].0 {
-                    return knots[0].1;
+                let Some(&(t_first, v_first)) = knots.first() else { return 0.0 };
+                if t <= t_first {
+                    return v_first;
                 }
                 for w in knots.windows(2) {
-                    let (t0, v0) = w[0];
-                    let (t1, v1) = w[1];
+                    let [(t0, v0), (t1, v1)] = *w else { continue };
                     if t <= t1 {
                         let frac = if t1 > t0 { (t - t0) / (t1 - t0) } else { 1.0 };
                         return v0 + (v1 - v0) * frac;

@@ -65,6 +65,11 @@ pub fn weighted_mean(values: &[f64], weights: &[f64]) -> Option<f64> {
 
 /// Quantile of an already-sorted slice using linear interpolation between
 /// order statistics (R type 7, the default of most stats packages).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "`q` is clamped to [0, 1], so both ranks index the slice"
+)]
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty sample");
     let q = q.clamp(0.0, 1.0);
@@ -216,6 +221,11 @@ impl Histogram {
     }
 
     /// Records an observation.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "`x` lies in [lo, hi) here and the index is clamped to the table"
+    )]
     pub fn record(&mut self, x: f64) {
         let x = if self.log10 {
             if x <= 0.0 {

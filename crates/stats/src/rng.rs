@@ -91,6 +91,10 @@ impl Rng {
 
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
     /// Uses Lemire's multiply-shift with rejection for unbiased output.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's method keeps the low 64 bits of the product on purpose"
+    )]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         let mut x = self.next_u64();
@@ -118,12 +122,14 @@ impl Rng {
     }
 
     /// Picks a uniformly random element of a non-empty slice.
+    #[expect(clippy::cast_possible_truncation, reason = "the draw is below the slice length")]
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose on empty slice");
         &items[self.below(items.len() as u64) as usize]
     }
 
     /// Fisher–Yates shuffle.
+    #[expect(clippy::cast_possible_truncation, reason = "the draw is at most the loop index")]
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.below((i + 1) as u64) as usize;
@@ -133,6 +139,7 @@ impl Rng {
 
     /// Samples `k` distinct indices from `0..n` (reservoir when `k << n`),
     /// returned in ascending order. Panics if `k > n`.
+    #[expect(clippy::cast_possible_truncation, reason = "the draw is at most the loop index")]
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} from {n}");
         // Floyd's algorithm: O(k) expected, no allocation of size n.

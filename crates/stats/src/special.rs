@@ -26,7 +26,7 @@ pub fn ln_gamma(x: f64) -> f64 {
         return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
     }
     let x = x - 1.0;
-    let mut a = COEFFS[0];
+    let [mut a, ..] = COEFFS;
     let t = x + 7.5;
     for (i, c) in COEFFS.iter().enumerate().skip(1) {
         a += c / (x + i as f64);

@@ -32,6 +32,7 @@ pub const FIG17_LADDERS: [(&str, &[u32]); 11] = [
 ];
 
 /// Builds the ladder for one Fig 17 participant by label.
+#[expect(clippy::expect_used, reason = "the catalogue's static ladders are valid")]
 pub fn ladder_of(label: &str) -> Option<BitrateLadder> {
     FIG17_LADDERS
         .iter()
@@ -73,6 +74,7 @@ impl CatalogueStudy {
     /// rungs; one syndicator (S6's 7-rung ladder) stores on A, B and C; the
     /// other (S9's 14-rung ladder) on A, B and D. The catalogue size is
     /// picked so per-CDN storage lands near the paper's 1,916 TB.
+    #[expect(clippy::expect_used, reason = "the labels name ladders of the static catalogue")]
     pub fn paper_setting() -> CatalogueStudy {
         // Total ladder rate ≈ 81.4 Mbps across the three participants; the
         // catalogue duration that yields ≈1,916 TB on each common CDN is

@@ -147,6 +147,7 @@ pub fn qoe_comparison(
     QoeComparison { scenario, owner, syndicator }
 }
 
+#[expect(clippy::expect_used, reason = "the player is built from a valid config and ladder")]
 fn run_side(
     ladder: &BitrateLadder,
     safety: f64,

@@ -61,6 +61,11 @@ impl JoinStorm {
     /// distributed according to the storm intensity, sorted ascending.
     /// Inverse-transform sampling over the discretized intensity: one RNG
     /// draw per arrival, deterministic for a given seeded `rng`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the span is non-negative and the cell count is clamped"
+    )]
     pub fn sample_arrivals(
         &self,
         count: usize,

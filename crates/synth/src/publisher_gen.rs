@@ -108,6 +108,12 @@ impl SnapshotPlane {
 
 impl PublisherProfile {
     /// Generates a profile from the population RNG.
+    #[expect(
+        clippy::expect_used,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the static weights are valid; the top rung is at least 800 kbps"
+    )]
     pub fn generate(id: PublisherId, rng: &mut Rng) -> PublisherProfile {
         // Size: pick a decade bucket, then log-uniform within it.
         let bucket_dist = Discrete::new(&trends::SIZE_BUCKET_WEIGHTS).expect("static weights");
@@ -224,6 +230,10 @@ impl PublisherProfile {
     }
 
     /// The management plane at `snapshot`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the rotation and guideline spec are valid by construction"
+    )]
     pub fn plane(&self, snapshot: SnapshotId) -> SnapshotPlane {
         let t = snapshot.progress();
 

@@ -27,6 +27,11 @@ pub struct SyndicationGraph {
 
 impl SyndicationGraph {
     /// Builds the graph for a population.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the reach fraction lies in [0, 1] and k is clamped to the pool"
+    )]
     pub fn generate(population: &[PublisherProfile], rng: &mut Rng) -> SyndicationGraph {
         let syndicators: Vec<PublisherId> = population
             .iter()

@@ -305,6 +305,11 @@ pub fn cdn_quality(cdn: vmp_core::cdn::CdnName, isp: Isp, t: f64) -> f64 {
 /// Number of CDNs by normalized size at study progress `t` (Fig 12(b)/(c):
 /// smallest publishers use 1; >10⁵X publishers use 4–5; weighted average
 /// ≈4.5 at the end while the plain average only just exceeds 2).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the count is clamped to 1..=5"
+)]
 pub fn cdn_count(size01: f64, t: f64, jitter: f64) -> usize {
     let growth = 0.75 + 0.25 * t;
     let raw = 0.9 + size01.powf(2.2) * 5.3 * growth + jitter;
@@ -323,6 +328,11 @@ pub const LIVE_ONLY_CDN_PROB: f64 = 0.25;
 /// as a function of size (decades above X). Together with the device count
 /// this produces the §5 *unique SDKs* slope of ≈1.8× per decade (max ≈85
 /// code bases for the largest publishers).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the count is clamped to 1..=8"
+)]
 pub fn sdk_versions_per_kind(size_decades: f64, jitter: f64) -> usize {
     let raw = 1.0 + 0.92 * size_decades.max(0.0) + jitter;
     (raw.floor() as usize).clamp(1, 8)
@@ -331,6 +341,11 @@ pub fn sdk_versions_per_kind(size_decades: f64, jitter: f64) -> usize {
 /// Catalogue size (distinct video titles) by view-hours: `titles ∝ VH^0.55`
 /// gives the §5 protocol-titles slope of ≈3.8× per decade once multiplied
 /// by the protocol count.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the count is clamped to 1..=200,000"
+)]
 pub fn title_count(vh_day: f64) -> u64 {
     let titles = 3.0 * (vh_day / X_VIEW_HOURS).max(0.01).powf(0.55);
     (titles.round() as u64).clamp(1, 200_000)

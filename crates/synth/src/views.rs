@@ -96,6 +96,11 @@ impl Default for ViewGenConfig {
 
 /// Generates the weighted samples for one publisher at one snapshot.
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "view counts and title ranks are far below u32::MAX"
+)]
 pub fn generate_views(
     profile: &PublisherProfile,
     plane: &SnapshotPlane,
@@ -487,6 +492,7 @@ fn sample_connection(platform: Platform, rng: &mut Rng) -> ConnectionType {
     }
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "snapshot indexes and SDK windows are small")]
 fn sample_sdk_version(plane: &SnapshotPlane, rng: &mut Rng) -> SdkVersion {
     // Users lag: pick a version within the publisher's support window. Each
     // major release ships one maintained minor line, so the number of
