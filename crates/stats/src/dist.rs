@@ -91,7 +91,7 @@ impl LogNormal {
     /// Infallible [`LogNormal::from_median_spread`]: clamps `median` to a
     /// positive floor and `spread` to ≥ 1 instead of erroring, for callers
     /// whose inputs are already range-checked and who must not panic
-    /// (vmp-lint D2 forbids `expect` in library code).
+    /// (rule D2 forbids `expect` in library code).
     pub fn clamped_median_spread(median: f64, spread: f64) -> Self {
         let median = if median.is_finite() && median > 0.0 { median } else { f64::MIN_POSITIVE };
         let spread = if spread.is_finite() && spread > 1.0 { spread } else { 1.0 };
@@ -203,7 +203,7 @@ impl Zipf {
 
     /// The degenerate single-rank distribution (always samples rank 0).
     /// The infallible fallback for callers whose `n` is data-driven and
-    /// who must not panic (vmp-lint D2).
+    /// who must not panic (rule D2).
     pub fn unit() -> Self {
         Zipf { cumulative: vec![1.0] }
     }
@@ -267,7 +267,7 @@ impl Discrete {
     /// Infallible [`Discrete::new`]: degrades to a single always-zero
     /// category when the weights are empty, negative, non-finite, or all
     /// zero, so data-driven mixes can fall back to their first entry
-    /// instead of panicking (vmp-lint D2).
+    /// instead of panicking (rule D2).
     pub fn new_or_unit(weights: &[f64]) -> Self {
         Discrete::new(weights).unwrap_or_else(|_| Discrete { cumulative: vec![1.0] })
     }
