@@ -101,7 +101,7 @@ impl fmt::Display for LadderRung {
 /// assert_eq!(ladder.best_under(Kbps(1000)).bitrate, Kbps(800));
 /// assert!(BitrateLadder::from_bitrates(&[]).is_err()); // never empty
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BitrateLadder {
     rungs: Arc<[LadderRung]>,
 }
@@ -146,8 +146,8 @@ impl BitrateLadder {
         self.rungs.is_empty()
     }
 
-    /// Lowest rung. Like [`Self::max`], it panics on an empty ladder,
-    /// which only deserializing can build (`new` rejects one).
+    /// Lowest rung. A ladder is never empty: `new` and deserialization
+    /// both reject one.
     pub fn min(&self) -> LadderRung {
         let [lowest, ..] = *self.rungs else { return self.max() };
         lowest
@@ -177,6 +177,17 @@ impl BitrateLadder {
             .find(|r| r.bitrate <= budget)
             .copied()
             .unwrap_or_else(|| self.min())
+    }
+}
+
+/// Deserializes through [`BitrateLadder::new`], so JSON cannot build a
+/// ladder that code cannot: empty or duplicated rungs are errors, and
+/// unsorted rungs come back sorted.
+impl Deserialize for BitrateLadder {
+    fn from_json(value: &serde::Json) -> Result<Self, String> {
+        let rungs = value.get("rungs").unwrap_or(&serde::Json::Null);
+        let rungs = Vec::from_json(rungs).map_err(|e| format!("BitrateLadder.rungs: {e}"))?;
+        BitrateLadder::new(rungs).map_err(|e| format!("BitrateLadder: {e}"))
     }
 }
 
@@ -210,6 +221,20 @@ mod tests {
         assert!((l.max_step_ratio() - 3.0).abs() < 1e-12);
         let single = BitrateLadder::from_bitrates(&[1000]).unwrap();
         assert_eq!(single.max_step_ratio(), 1.0);
+    }
+
+    #[test]
+    fn deserializing_goes_through_new() {
+        let parse = |json: &str| serde_json::from_str::<BitrateLadder>(json);
+        let rung = |kbps: u32| serde_json::to_string(&LadderRung::h264(Kbps(kbps))).unwrap();
+        assert!(parse(r#"{"rungs":[]}"#).is_err());
+        assert!(parse(&format!(r#"{{"rungs":[{},{}]}}"#, rung(500), rung(500))).is_err());
+        let unsorted = parse(&format!(r#"{{"rungs":[{},{}]}}"#, rung(1600), rung(400))).unwrap();
+        assert_eq!(unsorted.bitrates()[..], [Kbps(400), Kbps(1600)]);
+        let ladder = BitrateLadder::from_bitrates(&[3000, 800, 1600]).unwrap();
+        let json = serde_json::to_string(&ladder).unwrap();
+        assert_eq!(parse(&json).unwrap(), ladder);
+        assert_eq!(serde_json::to_string(&parse(&json).unwrap()).unwrap(), json);
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //! (California iPads over WiFi, two ISP×CDN panels).
 
 use crate::context::ReproContext;
+use crate::figures::helpers::catalogue_ladders;
 use crate::result::{Check, ExperimentResult};
 use vmp_analytics::report::Table;
 use vmp_core::cdn::CdnName;
 use vmp_core::geo::Isp;
-use vmp_syndication::catalogue::ladder_of;
 use vmp_syndication::qoe::{qoe_comparison, QoeComparison, QoeScenario};
 
 /// Simulated views per side per panel.
 const SESSIONS: usize = 150;
 
-/// The two panels of Figs 15/16 (shared with fig16).
-#[expect(clippy::expect_used, reason = "the labels name ladders of the static catalogue")]
-pub fn panels() -> Vec<(&'static str, QoeComparison)> {
-    let owner = ladder_of("O").expect("static");
-    let s7 = ladder_of("S7").expect("static");
+/// The two panels of Figs 15/16 (shared with fig16); none, after a
+/// failed check in `result`, when the catalogue lacks a ladder.
+pub fn panels(result: &mut ExperimentResult) -> Vec<(&'static str, QoeComparison)> {
+    let Some([owner, s7]) = catalogue_ladders(result, ["O", "S7"]) else { return Vec::new() };
     vec![
         (
             "ISP X, CDN A",
@@ -31,21 +30,26 @@ pub fn panels() -> Vec<(&'static str, QoeComparison)> {
 
 /// Runs the Fig 15 regeneration.
 #[expect(
-    clippy::expect_used,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    reason = "the study plays sessions on both sides; labels are percentages in 0..=100"
+    reason = "labels are percentages in 0..=100"
 )]
 pub fn run(_ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig15", "Fig 15: average bitrate, owner vs syndicator (S7)");
-    for (label, cmp) in panels() {
+    for (label, cmp) in panels(&mut result) {
         let mut table = Table::new(
             format!("Average bitrate CDF on {label} (kbps)"),
             vec!["quantile", "owner O", "syndicator S7"],
         );
-        let o = cmp.owner.bitrate_cdf().expect("sessions ran");
-        let s = cmp.syndicator.bitrate_cdf().expect("sessions ran");
+        let (Some(o), Some(s)) = (cmp.owner.bitrate_cdf(), cmp.syndicator.bitrate_cdf()) else {
+            result.checks.push(Check::new(
+                format!("fig15 ({label}): sessions ran"),
+                false,
+                "no session played",
+            ));
+            continue;
+        };
         for q in [0.1, 0.25, 0.5, 0.75, 0.9] {
             table.row(vec![
                 format!("p{}", (q * 100.0) as u32),

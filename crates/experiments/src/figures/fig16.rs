@@ -7,21 +7,26 @@ use vmp_analytics::report::Table;
 
 /// Runs the Fig 16 regeneration.
 #[expect(
-    clippy::expect_used,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    reason = "the study plays sessions on both sides; labels are percentages in 0..=100"
+    reason = "labels are percentages in 0..=100"
 )]
 pub fn run(_ctx: &ReproContext) -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig16", "Fig 16: rebuffering ratio, owner vs syndicator (S7)");
-    for (label, cmp) in panels() {
+    for (label, cmp) in panels(&mut result) {
         let mut table = Table::new(
             format!("Rebuffering-ratio CDF on {label}"),
             vec!["quantile", "owner O", "syndicator S7"],
         );
-        let o = cmp.owner.rebuffer_cdf().expect("sessions ran");
-        let s = cmp.syndicator.rebuffer_cdf().expect("sessions ran");
+        let (Some(o), Some(s)) = (cmp.owner.rebuffer_cdf(), cmp.syndicator.rebuffer_cdf()) else {
+            result.checks.push(Check::new(
+                format!("fig16 ({label}): sessions ran"),
+                false,
+                "no session played",
+            ));
+            continue;
+        };
         for q in [0.5, 0.75, 0.9, 0.95] {
             table.row(vec![
                 format!("p{}", (q * 100.0) as u32),

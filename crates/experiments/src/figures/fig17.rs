@@ -1,12 +1,12 @@
 //! Fig 17: bitrate ladders chosen by the owner and ten syndicators for the
 //! same video ID (iPads over WiFi).
 
+use crate::figures::helpers::catalogue_ladders;
 use crate::result::{Check, ExperimentResult};
 use vmp_analytics::report::Table;
-use vmp_syndication::catalogue::{ladder_of, FIG17_LADDERS};
+use vmp_syndication::catalogue::FIG17_LADDERS;
 
 /// Runs the Fig 17 regeneration.
-#[expect(clippy::expect_used, reason = "the labels name ladders of the static catalogue")]
 pub fn run() -> ExperimentResult {
     let mut result =
         ExperimentResult::new("fig17", "Fig 17: bitrate ladders of owner O and syndicators S1-S10");
@@ -15,7 +15,7 @@ pub fn run() -> ExperimentResult {
         vec!["publisher", "rungs", "min", "max", "ladder"],
     );
     for (label, bitrates) in FIG17_LADDERS {
-        let ladder = ladder_of(label).expect("static");
+        let Some([ladder]) = catalogue_ladders(&mut result, [label]) else { continue };
         table.row(vec![
             label.to_string(),
             ladder.len().to_string(),
@@ -25,10 +25,10 @@ pub fn run() -> ExperimentResult {
         ]);
     }
 
-    let owner = ladder_of("O").expect("static");
-    let s1 = ladder_of("S1").expect("static");
-    let s2 = ladder_of("S2").expect("static");
-    let s9 = ladder_of("S9").expect("static");
+    result.tables.push(table);
+    let Some([owner, s1, s2, s9]) = catalogue_ladders(&mut result, ["O", "S1", "S2", "S9"]) else {
+        return result;
+    };
     result.checks.push(Check::new(
         "fig17: owner uses 9 bitrates topping 8192 kbps",
         owner.len() == 9 && owner.max().bitrate.0 > 8192,
@@ -46,7 +46,6 @@ pub fn run() -> ExperimentResult {
         5.5,
         9.0,
     ));
-    result.tables.push(table);
     result
 }
 

@@ -10,12 +10,14 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use vmp_analytics::perpub::PublisherCount;
 use vmp_analytics::report::Series;
+use vmp_core::ladder::BitrateLadder;
 use vmp_core::time::SnapshotId;
 use vmp_core::units::Seconds;
 use vmp_faults::FaultProfile;
 use vmp_monitor::{score_alerts, Alert, Cell, HealthMonitor};
 use vmp_session::cohort::deliver_in_end_order;
 use vmp_session::hooks::SessionEnd;
+use vmp_syndication::catalogue::ladder_of;
 
 use crate::result::{Check, ExperimentResult};
 
@@ -28,6 +30,27 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// The static catalogue's ladders for `labels`, in order. A label the
+/// catalogue lacks is reported as a failed check that names it, never as
+/// a panic.
+pub fn catalogue_ladders<const N: usize>(
+    result: &mut ExperimentResult,
+    labels: [&str; N],
+) -> Option<[BitrateLadder; N]> {
+    let ladders = labels.map(|label| (label, ladder_of(label)));
+    let missing: Vec<&str> =
+        ladders.iter().filter(|(_, ladder)| ladder.is_none()).map(|(label, _)| *label).collect();
+    if !missing.is_empty() {
+        result.checks.push(Check::new(
+            "static catalogue ladders present",
+            false,
+            format!("ladder_of({}) missing from the catalogue", missing.join(", ")),
+        ));
+    }
+    let found: Vec<BitrateLadder> = ladders.into_iter().filter_map(|(_, ladder)| ladder).collect();
+    found.try_into().ok()
 }
 
 /// Runs a scenario body over a fresh result. A cohort that cannot be built

@@ -28,108 +28,97 @@ impl RuleId {
     /// All rules, in ID order.
     pub const ALL: [RuleId; 4] = [RuleId::D2, RuleId::D3, RuleId::C1, RuleId::C2];
 
-    /// Stable textual ID.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
-            RuleId::C1 => "C1",
-            RuleId::C2 => "C2",
-        }
-    }
-
     /// Parses a textual ID (used by `--explain`).
     pub fn parse(s: &str) -> Option<RuleId> {
-        RuleId::ALL.into_iter().find(|r| r.as_str() == s)
+        RuleId::ALL.into_iter().find(|r| r.to_string() == s)
     }
 
     /// One-line description shown by `--list-rules`.
     pub fn summary(self) -> &'static str {
-        match self {
-            RuleId::D2 => "panic policy: integer-literal indexing in library code",
-            RuleId::D3 => {
-                "metric registry: obs metric/span names must match \
-                 crates/obs/METRICS.md (no typos, duplicates, or undocumented names)"
-            }
-            RuleId::C1 => {
-                "lock nesting: no .lock()/.read()/.write() while another guard is held \
-                 (re-entry included)"
-            }
-            RuleId::C2 => {
-                "atomics registry: atomic fields must be declared in \
-                 crates/obs/ATOMICS.md with an ordering discipline matching every \
-                 Ordering::* call site (both directions)"
-            }
-        }
+        self.doc().0
     }
 
     /// Why the rule exists — one sentence, shared verbatim with
     /// `DESIGN.md` (a drift test asserts the docs contain it).
     pub fn rationale(self) -> &'static str {
-        match self {
-            RuleId::D2 => {
-                "Library code that panics takes the whole measurement pipeline down \
-                 with it; typed errors keep a bad input from costing a run."
-            }
-            RuleId::D3 => {
-                "A metric name that drifts from the registry is a dashboard that \
-                 silently flatlines; cross-checking both directions keeps docs and \
-                 code in lockstep."
-            }
-            RuleId::C1 => {
-                "Two locks taken in opposite orders on two threads deadlock the \
-                 management plane in production, not in tests; holding one lock at a \
-                 time rules that out."
-            }
-            RuleId::C2 => {
-                "Every relaxed atomic is a proof obligation about why stale reads \
-                 are safe; the registry forces that argument to be written down and \
-                 keeps call sites from quietly strengthening or weakening it."
-            }
-        }
+        self.doc().1
     }
 
     /// Fix recipes printed by `vmp-lint --explain RULE`.
     pub fn recipes(self) -> &'static [&'static str] {
+        self.doc().2
+    }
+
+    /// The rule's summary, rationale and fix recipes.
+    fn doc(self) -> (&'static str, &'static str, &'static [&'static str]) {
         match self {
-            RuleId::D2 => &[
-                "replace v[0] with v.first() and handle the None arm",
-                "destructure with a slice pattern: let [a, b] = *w else { ... }",
-            ],
-            RuleId::D3 => &[
-                "register the name in crates/obs/METRICS.md with its kind and description",
-                "delete registry rows whose name no longer appears in source",
-            ],
-            RuleId::C1 => &[
-                "merge the two locks into one if they always guard the same state",
-                "shrink the critical section: end the first guard's block, or drop(guard), before taking the next lock",
-            ],
-            RuleId::C2 => &[
-                "register the field in crates/obs/ATOMICS.md with a discipline naming why its orderings are safe",
-                "match the call sites to the declared discipline (e.g. relaxed-counter means Relaxed everywhere)",
-                "delete registry rows for fields that no longer exist",
-            ],
+            RuleId::D2 => (
+                "panic policy: integer-literal indexing in library code",
+                "Library code that panics takes the whole measurement pipeline down \
+                 with it; typed errors keep a bad input from costing a run.",
+                &[
+                    "replace v[0] with v.first() and handle the None arm",
+                    "destructure with a slice pattern: let [a, b] = *w else { ... }",
+                ],
+            ),
+            RuleId::D3 => (
+                "metric registry: obs metric/span names must match \
+                 crates/obs/METRICS.md (no typos, duplicates, or undocumented names)",
+                "A metric name that drifts from the registry is a dashboard that \
+                 silently flatlines; cross-checking both directions keeps docs and \
+                 code in lockstep.",
+                &[
+                    "register the name in crates/obs/METRICS.md with its kind and description",
+                    "delete registry rows whose name no longer appears in source",
+                ],
+            ),
+            RuleId::C1 => (
+                "lock nesting: no .lock()/.read()/.write() while another guard is held \
+                 (re-entry included)",
+                "Two locks taken in opposite orders on two threads deadlock the \
+                 management plane in production, not in tests; holding one lock at a \
+                 time rules that out.",
+                &[
+                    "merge the two locks into one if they always guard the same state",
+                    "shrink the critical section: end the first guard's block, or drop(guard), before taking the next lock",
+                ],
+            ),
+            RuleId::C2 => (
+                "atomics registry: atomic fields must be declared in \
+                 crates/obs/ATOMICS.md with an ordering discipline matching every \
+                 Ordering::* call site (both directions)",
+                "Every relaxed atomic is a proof obligation about why stale reads \
+                 are safe; the registry forces that argument to be written down and \
+                 keeps call sites from quietly strengthening or weakening it.",
+                &[
+                    "register the field in crates/obs/ATOMICS.md with a discipline naming why its orderings are safe",
+                    "match the call sites to the declared discipline (e.g. relaxed-counter means Relaxed everywhere)",
+                    "delete registry rows for fields that no longer exist",
+                ],
+            ),
         }
     }
 }
 
+/// The stable textual ID is the variant name.
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        fmt::Debug::fmt(self, f)
     }
 }
 
-/// One finding at a source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One finding at a source position. The derived order (file, line,
+/// column, rule, message) is the canonical deterministic report order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
-    /// Which rule fired.
-    pub rule: RuleId,
     /// Workspace-relative path, `/`-separated on every platform.
     pub file: String,
     /// 1-based line.
     pub line: u32,
     /// 1-based column.
     pub col: u32,
+    /// Which rule fired.
+    pub rule: RuleId,
     /// Human-readable explanation.
     pub message: String,
 }
@@ -152,15 +141,6 @@ impl Diagnostic {
     }
 }
 
-/// Sorts diagnostics into the canonical deterministic order: file, line,
-/// column, rule, message.
-pub fn sort_canonical(diags: &mut [Diagnostic]) {
-    diags.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule, a.message.as_str())
-            .cmp(&(b.file.as_str(), b.line, b.col, b.rule, b.message.as_str()))
-    });
-}
-
 /// Escapes a string for JSON output.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -171,29 +151,29 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let mut buf = String::new();
-                let _ = fmt::Write::write_fmt(&mut buf, format_args!("\\u{:04x}", u32::from(c)));
-                out.push_str(&buf);
-            }
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             c => out.push(c),
         }
     }
     out
 }
 
+/// How many diagnostics `rule` produced.
+pub fn count(diags: &[Diagnostic], rule: RuleId) -> usize {
+    diags.iter().filter(|d| d.rule == rule).count()
+}
+
 /// Renders a sorted diagnostic list as a stable JSON report. Two runs over
 /// the same tree produce byte-identical output: keys are emitted in fixed
-/// order and the list is canonically sorted by the caller.
-pub fn render_json(diags: &[Diagnostic], counts_by_rule: &[(RuleId, usize)]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"counts\": {");
-    for (i, (rule, n)) in counts_by_rule.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{rule}\": {n}"));
-    }
-    out.push_str("},\n  \"diagnostics\": [\n");
+/// order, every rule is counted (zero included), and the list is
+/// canonically sorted by the caller.
+pub fn render_json(diags: &[Diagnostic]) -> String {
+    let counts: Vec<String> =
+        RuleId::ALL.iter().map(|&r| format!("\"{r}\": {}", count(diags, r))).collect();
+    let mut out = format!(
+        "{{\n  \"version\": 1,\n  \"counts\": {{{}}},\n  \"diagnostics\": [\n",
+        counts.join(",")
+    );
     for (i, d) in diags.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
@@ -215,12 +195,12 @@ mod tests {
 
     #[test]
     fn canonical_order_is_total() {
-        let mut d = vec![
+        let mut d = [
             Diagnostic::new(RuleId::D2, "b.rs", 1, 1, "x"),
             Diagnostic::new(RuleId::D3, "a.rs", 2, 1, "x"),
             Diagnostic::new(RuleId::D3, "a.rs", 1, 5, "x"),
         ];
-        sort_canonical(&mut d);
+        d.sort();
         assert_eq!(d[0].file, "a.rs");
         assert_eq!(d[0].line, 1);
         assert_eq!(d[2].file, "b.rs");
@@ -234,7 +214,7 @@ mod tests {
     #[test]
     fn rule_ids_round_trip() {
         for rule in RuleId::ALL {
-            assert_eq!(RuleId::parse(rule.as_str()), Some(rule));
+            assert_eq!(RuleId::parse(&rule.to_string()), Some(rule));
         }
         assert_eq!(RuleId::parse("D9"), None);
     }

@@ -1,13 +1,13 @@
-//! The analysis engine: workspace walking, file classification,
-//! `#[cfg(test)]` region detection, and rule orchestration.
+//! The analysis engine: workspace walking, file classification, and rule
+//! orchestration. Each file is lexed once and walked once by the scope
+//! pass ([`crate::syntax::scan`]); every rule reads those two results.
 
 use std::path::{Path, PathBuf};
 
-use crate::diag::{sort_canonical, Diagnostic, RuleId};
+use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::{lex, Tok};
-use crate::rules;
-use crate::rules_conc;
-use crate::syntax;
+use crate::syntax::{scan, Scope};
+use crate::{rules, rules_conc};
 
 /// How a file participates in analysis, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -21,34 +21,54 @@ pub enum FileClass {
     TestOrBench,
 }
 
-/// A lexed source file ready for rule matching.
+/// A lexed and scanned source file ready for rule matching.
 #[derive(Debug)]
 pub struct SourceFile<'a> {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
     /// Classification.
     pub class: FileClass,
-    /// All tokens, comments included.
+    /// Code tokens (the lexer drops comments).
     pub toks: Vec<Tok<'a>>,
-    /// Per-token flag: inside a `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
+    /// What the scope pass found, indexed by token.
+    pub scope: Scope,
 }
+
+impl<'a> SourceFile<'a> {
+    /// Lexes and scans `text`.
+    pub fn new(rel: &str, class: FileClass, text: &'a str) -> SourceFile<'a> {
+        let toks = lex(text);
+        let scope = scan(&toks);
+        SourceFile { rel: rel.to_string(), class, toks, scope }
+    }
+
+    /// A diagnostic at token `tok`.
+    pub fn diag(&self, rule: RuleId, tok: usize, message: String) -> Diagnostic {
+        let (line, col) = self.toks.get(tok).map_or((1, 1), |t| (t.line, t.col));
+        Diagnostic::new(rule, self.rel.clone(), line, col, message)
+    }
+
+    /// Whether token `tok` is in non-test library code, the only code the
+    /// C rules constrain (test-only locks like serialization guards must
+    /// not).
+    pub fn live_lib(&self, tok: usize) -> bool {
+        self.class == FileClass::Lib && !self.scope.in_test.get(tok).copied().unwrap_or(true)
+    }
+}
+
+/// Directories never walked: build output, VCS state, generated results,
+/// the offline shims, and the lint self-test fixtures (deliberate
+/// violations).
+const SKIPPED_DIRS: [&str; 5] =
+    ["target", ".git", "results", "crates/shims", "crates/lint/tests/fixtures"];
 
 /// Classifies a workspace-relative path, or `None` when the file must not
 /// be scanned at all (shims, lint fixtures, generated output).
 pub fn classify(rel: &str) -> Option<FileClass> {
     let parts: Vec<&str> = rel.split('/').collect();
-    if parts.first() == Some(&"target") || parts.first() == Some(&".git") {
-        return None;
-    }
-    if rel.starts_with("crates/shims/") {
-        return None;
-    }
-    // Lint self-test fixtures contain deliberate violations.
-    if rel.starts_with("crates/lint/tests/fixtures/") {
-        return None;
-    }
-    if !rel.ends_with(".rs") {
+    let skipped =
+        SKIPPED_DIRS.iter().any(|d| rel.strip_prefix(d).is_some_and(|rest| rest.starts_with('/')));
+    if skipped || !rel.ends_with(".rs") {
         return None;
     }
     if parts.contains(&"tests") || parts.contains(&"benches") {
@@ -71,25 +91,15 @@ pub fn collect_files(root: &Path) -> Result<Vec<(String, FileClass)>, String> {
     let mut stack = vec![PathBuf::new()];
     while let Some(dir_rel) = stack.pop() {
         let dir = root.join(&dir_rel);
-        let entries = std::fs::read_dir(&dir)
-            .map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        let entries =
+            std::fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
         for entry in entries {
             let entry = entry.map_err(|e| format!("walk error under {}: {e}", dir.display()))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let rel = if dir_rel.as_os_str().is_empty() {
-                PathBuf::from(name.as_ref())
-            } else {
-                dir_rel.join(name.as_ref())
-            };
+            let rel = dir_rel.join(entry.file_name());
             let rel_str = rel.to_string_lossy().replace('\\', "/");
-            let ftype =
-                entry.file_type().map_err(|e| format!("stat {}: {e}", rel.display()))?;
+            let ftype = entry.file_type().map_err(|e| format!("stat {}: {e}", rel.display()))?;
             if ftype.is_dir() {
-                if !matches!(rel_str.as_str(), "target" | ".git" | "results")
-                    && rel_str != "crates/shims"
-                    && rel_str != "crates/lint/tests/fixtures"
-                {
+                if !SKIPPED_DIRS.contains(&rel_str.as_str()) {
                     stack.push(rel);
                 }
             } else if let Some(class) = classify(&rel_str) {
@@ -101,142 +111,30 @@ pub fn collect_files(root: &Path) -> Result<Vec<(String, FileClass)>, String> {
     Ok(out)
 }
 
-/// Marks tokens covered by `#[cfg(test)]` items (typically the trailing
-/// `mod tests { ... }`). Detection is lexical: the attribute sequence
-/// `# [ cfg ( test ) ]`, any further attributes, then the next item — a
-/// balanced `{ ... }` block or a `;`-terminated line.
-pub fn test_regions(toks: &[Tok<'_>]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let code: Vec<usize> =
-        (0..toks.len()).filter(|&i| toks[i].is_code()).collect();
-    let at = |ci: usize, text: &str| -> bool {
-        code.get(ci).is_some_and(|&ti| toks[ti].text == text)
-    };
-    let mut ci = 0usize;
-    while ci < code.len() {
-        if at(ci, "#")
-            && at(ci + 1, "[")
-            && at(ci + 2, "cfg")
-            && at(ci + 3, "(")
-            && at(ci + 4, "test")
-            && at(ci + 5, ")")
-            && at(ci + 6, "]")
-        {
-            let start_ti = code[ci];
-            let mut cj = ci + 7;
-            // Skip any further attributes on the same item.
-            while at(cj, "#") && at(cj + 1, "[") {
-                let mut depth = 0i32;
-                cj += 1;
-                while cj < code.len() {
-                    if at(cj, "[") {
-                        depth += 1;
-                    } else if at(cj, "]") {
-                        depth -= 1;
-                        if depth == 0 {
-                            cj += 1;
-                            break;
-                        }
-                    }
-                    cj += 1;
-                }
-            }
-            // Find the item body: first `{` (then match braces) or `;`.
-            let mut end_ti = toks.len() - 1;
-            let mut found = false;
-            let mut ck = cj;
-            while ck < code.len() {
-                if at(ck, ";") {
-                    end_ti = code[ck];
-                    found = true;
-                    break;
-                }
-                if at(ck, "{") {
-                    let mut depth = 0i32;
-                    while ck < code.len() {
-                        if at(ck, "{") {
-                            depth += 1;
-                        } else if at(ck, "}") {
-                            depth -= 1;
-                            if depth == 0 {
-                                end_ti = code[ck];
-                                found = true;
-                                break;
-                            }
-                        }
-                        ck += 1;
-                    }
-                    break;
-                }
-                ck += 1;
-            }
-            if !found {
-                end_ti = toks.len() - 1;
-            }
-            for m in mask.iter_mut().take(end_ti + 1).skip(start_ti) {
-                *m = true;
-            }
-            // Resume scanning after the item.
-            while ci < code.len() && code[ci] <= end_ti {
-                ci += 1;
-            }
-            continue;
-        }
-        ci += 1;
-    }
-    mask
-}
-
-/// A full analysis result.
-#[derive(Debug)]
-pub struct Report {
-    /// All diagnostics, canonically sorted.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Per-rule counts (every rule present, zero included).
-    pub counts: Vec<(RuleId, usize)>,
-}
-
-impl Report {
-    /// Count for one rule.
-    pub fn count(&self, rule: RuleId) -> usize {
-        self.counts.iter().find(|(r, _)| *r == rule).map_or(0, |(_, n)| *n)
-    }
-}
-
-/// Runs every rule over the workspace rooted at `root`.
-pub fn analyze(root: &Path) -> Result<Report, String> {
-    let files = collect_files(root)?;
-    let mut texts: Vec<(String, FileClass, String)> = Vec::with_capacity(files.len());
-    for (rel, class) in files {
+/// Runs every rule over the workspace rooted at `root` and returns the
+/// diagnostics in canonical order.
+pub fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
+    let mut texts = Vec::new();
+    for (rel, class) in collect_files(root)? {
         let text = std::fs::read_to_string(root.join(&rel))
             .map_err(|e| format!("cannot read {rel}: {e}"))?;
         texts.push((rel, class, text));
     }
-
-    let sources: Vec<SourceFile<'_>> = texts
-        .iter()
-        .map(|(rel, class, text)| {
-            let toks = lex(text);
-            let in_test = test_regions(&toks);
-            SourceFile { rel: rel.clone(), class: *class, toks, in_test }
-        })
-        .collect();
+    let sources: Vec<SourceFile<'_>> =
+        texts.iter().map(|(rel, class, text)| SourceFile::new(rel, *class, text)).collect();
+    let registry = |rel: &str| std::fs::read_to_string(root.join(rel)).ok();
 
     let mut diags: Vec<Diagnostic> = Vec::new();
     for file in &sources {
         rules::check_literal_index(file, &mut diags);
     }
-    rules::check_metric_registry(root, &sources, &mut diags);
-    let model = syntax::build(&sources);
-    rules_conc::check_lock_nesting(&model, &sources, &mut diags);
-    rules_conc::check_atomics_registry(root, &model, &sources, &mut diags);
+    rules::check_metric_registry(registry(rules::METRICS_REL).as_deref(), &sources, &mut diags);
+    rules_conc::check_lock_nesting(&sources, &mut diags);
+    let atomics = registry(rules_conc::ATOMICS_REGISTRY_REL);
+    rules_conc::check_atomics_registry(atomics.as_deref(), &sources, &mut diags);
 
-    sort_canonical(&mut diags);
-    let counts = RuleId::ALL
-        .iter()
-        .map(|&r| (r, diags.iter().filter(|d| d.rule == r).count()))
-        .collect();
-    Ok(Report { diagnostics: diags, counts })
+    diags.sort();
+    Ok(diags)
 }
 
 #[cfg(test)]
@@ -254,25 +152,23 @@ mod tests {
         assert_eq!(classify("README.md"), None);
     }
 
+    fn in_test(src: &str, name: &str) -> bool {
+        let file = SourceFile::new("crates/x/src/lib.rs", FileClass::Lib, src);
+        let at = file.toks.iter().position(|t| t.text == name);
+        at.is_some_and(|i| file.scope.in_test[i])
+    }
+
     #[test]
     fn test_region_masks_trailing_mod() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n fn b() { x.unwrap() }\n}\nfn c() {}\n";
-        let toks = lex(src);
-        let mask = test_regions(&toks);
-        let unwrap_idx = toks.iter().position(|t| t.text == "unwrap").unwrap();
-        let c_idx = toks.iter().position(|t| t.text == "c").unwrap();
-        assert!(mask[unwrap_idx]);
-        assert!(!mask[c_idx]);
+        assert!(in_test(src, "unwrap"));
+        assert!(!in_test(src, "c"));
     }
 
     #[test]
     fn test_region_handles_extra_attrs_and_use() {
         let src = "#[cfg(test)]\n#[allow(dead_code)]\nuse foo::bar;\nfn live() {}\n";
-        let toks = lex(src);
-        let mask = test_regions(&toks);
-        let bar = toks.iter().position(|t| t.text == "bar").unwrap();
-        let live = toks.iter().position(|t| t.text == "live").unwrap();
-        assert!(mask[bar]);
-        assert!(!mask[live]);
+        assert!(in_test(src, "bar"));
+        assert!(!in_test(src, "live"));
     }
 }

@@ -1,41 +1,32 @@
-//! A small Rust lexer: just enough tokenization to walk real source
-//! without being fooled by strings, raw strings, char/byte literals,
+//! The lint lexer: a flat stream of code tokens with 1-based line/column
+//! positions, never fooled by strings, raw strings, char/byte literals,
 //! lifetimes, or (nested) block comments.
 //!
-//! The lexer is intentionally not a parser: it produces a flat token
-//! stream with byte offsets and 1-based line/column positions. Rules match
-//! on short token sequences (`v [ 0 ]`, `. lock ( )`), which is
-//! robust against formatting while never matching occurrences inside
-//! literals or comments — the classic grep failure mode this crate exists
-//! to eliminate.
+//! Comments are consumed and dropped: no rule reads them. The token kinds
+//! are the ones rules read — identifiers, integer literals (D2), quoted
+//! strings (D3), punctuation — plus one opaque kind for every other
+//! literal and for lifetimes, so nothing can match inside a literal or a
+//! comment, the grep failure mode this crate exists to eliminate.
 
-/// What a token is.
+/// What a code token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`foo`, `fn`, `unwrap`).
+    /// Identifier or keyword (`foo`, `fn`, `r#type`).
     Ident,
     /// Integer literal (`42`, `0xff`, `1_000u64`).
     Int,
-    /// Float literal (`1.5`, `2e9`).
-    Float,
-    /// `"..."` or `b"..."` string literal (escapes resolved lexically,
-    /// not semantically).
+    /// `"..."`, `b"..."` or `c"..."` string literal, prefix and quotes
+    /// included (escapes resolved lexically, not semantically).
     Str,
-    /// `r"..."`/`r#"..."#`/`br#"..."#` raw string literal.
-    RawStr,
-    /// `'x'` or `b'x'` char/byte literal.
-    Char,
-    /// Lifetime (`'a`) or loop label (`'outer`).
-    Lifetime,
-    /// `// ...` line comment (doc comments included).
-    LineComment,
-    /// `/* ... */` block comment, nesting handled.
-    BlockComment,
     /// Any single punctuation byte (`.`, `(`, `::` arrives as two `:`).
     Punct,
+    /// Any other literal, or a lifetime (`1.5`, `'x'`, `b'x'`, `r"…"`,
+    /// `'a`). No rule reads its text, but it keeps its place, so
+    /// `f.read(1.5)` is never mistaken for the empty call `f.read()`.
+    Other,
 }
 
-/// One token: kind, the source slice, and its position.
+/// One code token: kind, the source slice, and its position.
 #[derive(Debug, Clone, Copy)]
 pub struct Tok<'a> {
     /// Token class.
@@ -44,458 +35,282 @@ pub struct Tok<'a> {
     pub text: &'a str,
     /// 1-based line of the token's first byte.
     pub line: u32,
-    /// 1-based column (in bytes) of the token's first byte.
+    /// 1-based column (in chars) of the token's first byte.
     pub col: u32,
 }
 
-impl<'a> Tok<'a> {
-    /// Whether this token participates in code matching (not a comment).
-    pub fn is_code(&self) -> bool {
-        !matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
-    }
-}
-
-/// Tokenizes `src`. Invalid constructs (unterminated strings/comments)
-/// never panic: the offending token simply extends to end of input, which
-/// is the right behaviour for a linter that must survive arbitrary files.
+/// Tokenizes `src` into code tokens. Invalid constructs (unterminated
+/// strings or comments) never panic: the offending token simply extends
+/// to end of input, which is the right behaviour for a linter that must
+/// survive arbitrary files.
 pub fn lex(src: &str) -> Vec<Tok<'_>> {
-    Lexer { src: src.as_bytes(), text: src, pos: 0, line: 1, col: 1 }.run()
+    let bytes = src.as_bytes();
+    let mut out = Vec::new();
+    let (mut pos, mut counted, mut line, mut col) = (0, 0, 1u32, 1u32);
+    while pos < bytes.len() {
+        let (end, kind) = token_at(bytes, pos);
+        if let Some(kind) = kind {
+            // Columns count chars: UTF-8 continuation bytes (0b10xxxxxx)
+            // do not advance them.
+            for &b in &bytes[counted..pos] {
+                if b == b'\n' {
+                    (line, col) = (line + 1, 1);
+                } else if b & 0xC0 != 0x80 {
+                    col += 1;
+                }
+            }
+            counted = pos;
+            out.push(Tok { kind, text: &src[pos..end], line, col });
+        }
+        pos = end;
+    }
+    out
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    text: &'a str,
-    pos: usize,
-    line: u32,
-    col: u32,
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
-impl<'a> Lexer<'a> {
-    fn run(mut self) -> Vec<Tok<'a>> {
-        let mut out = Vec::new();
-        while self.pos < self.src.len() {
-            let (line, col, start) = (self.line, self.col, self.pos);
-            let b = self.src[self.pos];
-            let kind = match b {
-                b if (b as char).is_whitespace() => {
-                    self.bump();
-                    continue;
-                }
-                b'/' if self.peek(1) == Some(b'/') => self.line_comment(),
-                b'/' if self.peek(1) == Some(b'*') => self.block_comment(),
-                b'"' => self.string(),
-                b'\'' => self.char_or_lifetime(),
-                b'r' | b'b' | b'c' => match self.raw_or_byte_prefix() {
-                    Some(kind) => kind,
-                    None => self.ident(),
-                },
-                b if b.is_ascii_alphabetic() || b == b'_' || b >= 0x80 => self.ident(),
-                b if b.is_ascii_digit() => self.number(),
-                _ => {
-                    self.bump();
-                    TokKind::Punct
-                }
-            };
-            out.push(Tok { kind, text: &self.text[start..self.pos], line, col });
-        }
-        out
-    }
+/// The first index at or after `from` whose byte fails `keep`.
+fn skip(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    from + bytes.get(from..).map_or(0, |rest| rest.iter().take_while(|&&b| keep(b)).count())
+}
 
-    fn peek(&self, ahead: usize) -> Option<u8> {
-        self.src.get(self.pos + ahead).copied()
-    }
-
-    fn bump(&mut self) {
-        let b = self.src[self.pos];
-        // Column counts bytes; UTF-8 continuation bytes (0b10xxxxxx) do not
-        // advance the column so multi-byte chars count once.
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else if b & 0xC0 != 0x80 {
-            self.col += 1;
+/// The end of the token starting at `i`, and its kind when it is emitted.
+fn token_at(bytes: &[u8], i: usize) -> (usize, Option<TokKind>) {
+    let at = |k: usize| bytes.get(k).copied();
+    match bytes[i] {
+        b if char::from(b).is_whitespace() => (i + 1, None),
+        b'/' if at(i + 1) == Some(b'/') => (skip(bytes, i, |b| b != b'\n'), None),
+        b'/' if at(i + 1) == Some(b'*') => (block_comment_end(bytes, i), None),
+        b'"' => (quoted_end(bytes, i + 1, b'"'), Some(TokKind::Str)),
+        b'\'' => char_or_lifetime(bytes, i),
+        b'b' | b'c' if at(i + 1) == Some(b'"') => {
+            (quoted_end(bytes, i + 2, b'"'), Some(TokKind::Str))
         }
-        self.pos += 1;
-    }
-
-    fn bump_n(&mut self, n: usize) {
-        for _ in 0..n {
-            if self.pos < self.src.len() {
-                self.bump();
-            }
+        b'b' if at(i + 1) == Some(b'\'') => {
+            (char_or_lifetime(bytes, i + 1).0, Some(TokKind::Other))
         }
-    }
-
-    fn line_comment(&mut self) -> TokKind {
-        while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-            self.bump();
-        }
-        TokKind::LineComment
-    }
-
-    fn block_comment(&mut self) -> TokKind {
-        self.bump_n(2); // consume "/*"
-        let mut depth = 1usize;
-        while self.pos < self.src.len() && depth > 0 {
-            if self.src[self.pos] == b'/' && self.peek(1) == Some(b'*') {
-                depth += 1;
-                self.bump_n(2);
-            } else if self.src[self.pos] == b'*' && self.peek(1) == Some(b'/') {
-                depth -= 1;
-                self.bump_n(2);
-            } else {
-                self.bump();
-            }
-        }
-        TokKind::BlockComment
-    }
-
-    /// Consumes a `"..."` string starting at the opening quote.
-    fn string(&mut self) -> TokKind {
-        self.bump(); // opening quote
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
-                b'\\' => self.bump_n(2),
-                b'"' => {
-                    self.bump();
-                    break;
-                }
-                _ => self.bump(),
-            }
-        }
-        TokKind::Str
-    }
-
-    /// At a `'`: decide char literal vs lifetime/label.
-    fn char_or_lifetime(&mut self) -> TokKind {
-        // 'a' / '\n' / '\u{1F600}' are char literals; 'a (no closing
-        // quote right after one ident-ish char run) is a lifetime.
-        // Escape after the quote always means a char literal.
-        if self.peek(1) == Some(b'\\') {
-            self.bump(); // '
-            while self.pos < self.src.len() {
-                match self.src[self.pos] {
-                    b'\\' => self.bump_n(2),
-                    b'\'' => {
-                        self.bump();
-                        break;
-                    }
-                    _ => self.bump(),
-                }
-            }
-            return TokKind::Char;
-        }
-        // '<one char>' — any single (possibly multibyte) char followed by
-        // a closing quote is a char literal: 'x', '<', '✓'. A quote NOT
-        // following one char starts a lifetime or label.
-        if let Some(b1) = self.peek(1) {
-            if b1 != b'\'' {
-                let char_len = match b1 {
-                    b if b < 0x80 => 1,
-                    b if b < 0xE0 => 2,
-                    b if b < 0xF0 => 3,
-                    _ => 4,
-                };
-                if self.peek(1 + char_len) == Some(b'\'') {
-                    self.bump_n(char_len + 2);
-                    return TokKind::Char;
-                }
-            }
-        }
-        // Lifetime/label: quote + ident run with no closing quote.
-        let mut i = self.pos + 1;
-        while i < self.src.len()
-            && (self.src[i].is_ascii_alphanumeric() || self.src[i] == b'_' || self.src[i] >= 0x80)
-        {
-            i += 1;
-        }
-        if i == self.pos + 1 {
-            // Lone quote (e.g. inside macro garbage) — treat as punct.
-            self.bump();
-            TokKind::Punct
-        } else {
-            let n = i - self.pos;
-            self.bump_n(n);
-            TokKind::Lifetime
-        }
-    }
-
-    /// At `r`, `b`, or `c`: raw string (`r"`, `r#`), byte string (`b"`),
-    /// byte char (`b'`), raw byte string (`br`), C string (`c"`), raw C
-    /// string (`cr"`). A raw identifier (`r#type`) is consumed as a single
-    /// [`TokKind::Ident`] token. Returns `None` when it is just an ordinary
-    /// identifier starting with r/b/c.
-    fn raw_or_byte_prefix(&mut self) -> Option<TokKind> {
-        let b0 = self.src[self.pos];
-        let (prefix_len, raw) = match (b0, self.peek(1), self.peek(2)) {
-            (b'r', Some(b'"'), _) | (b'r', Some(b'#'), _) => (1, true),
-            (b'b' | b'c', Some(b'r'), Some(b'"')) | (b'b' | b'c', Some(b'r'), Some(b'#')) => {
-                (2, true)
-            }
-            (b'b' | b'c', Some(b'"'), _) => (1, false),
-            (b'b', Some(b'\''), _) => {
-                // Byte char literal: b'x' or b'\n'
-                self.bump(); // b
-                self.char_or_lifetime();
-                return Some(TokKind::Char);
-            }
-            _ => return None,
-        };
-        if raw {
-            // Count hashes after the prefix.
-            let mut hashes = 0usize;
-            while self.peek(prefix_len + hashes) == Some(b'#') {
-                hashes += 1;
-            }
-            if self.peek(prefix_len + hashes) != Some(b'"') {
-                // `r#foo`: a raw identifier, lexed as ONE Ident token whose
-                // text keeps the `r#` prefix (`r#type` never equals the
-                // keyword `type` in rule patterns, and never splits into
-                // `r` `#` `type` where the trailing part could collide
-                // with a pattern atom). `br#`/`cr#` without a quote have
-                // no raw-ident form; fall through to a plain ident.
-                if b0 == b'r' && hashes == 1 {
-                    let next = self.peek(2);
-                    if next.is_some_and(|b| {
-                        b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
-                    }) {
-                        self.bump_n(2); // r#
-                        self.ident();
-                        return Some(TokKind::Ident);
-                    }
-                }
-                return None; // not a raw string after all
-            }
-            self.bump_n(prefix_len + hashes + 1);
-            // Scan to closing quote followed by `hashes` hashes.
-            'outer: while self.pos < self.src.len() {
-                if self.src[self.pos] == b'"' {
-                    for h in 0..hashes {
-                        if self.peek(1 + h) != Some(b'#') {
-                            self.bump();
-                            continue 'outer;
-                        }
-                    }
-                    self.bump_n(1 + hashes);
-                    break;
-                }
-                self.bump();
-            }
-            Some(TokKind::RawStr)
-        } else {
-            self.bump(); // b
-            self.string();
-            Some(TokKind::Str)
-        }
-    }
-
-    fn ident(&mut self) -> TokKind {
-        while self.pos < self.src.len()
-            && (self.src[self.pos].is_ascii_alphanumeric()
-                || self.src[self.pos] == b'_'
-                || self.src[self.pos] >= 0x80)
-        {
-            self.bump();
-        }
-        TokKind::Ident
-    }
-
-    fn number(&mut self) -> TokKind {
-        let mut kind = TokKind::Int;
-        // Hex/octal/binary prefixes: consume the run and any suffix.
-        if self.src[self.pos] == b'0'
-            && matches!(self.peek(1), Some(b'x' | b'X' | b'o' | b'O' | b'b' | b'B'))
-        {
-            self.bump_n(2);
-            while self.pos < self.src.len()
-                && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'_')
+        b'r' | b'b' | b'c' => match raw_string_end(bytes, i) {
+            Some(end) => (end, Some(TokKind::Other)),
+            // `r#type` is one identifier: its tail never collides with
+            // the keyword in a rule pattern.
+            None if bytes[i] == b'r'
+                && at(i + 1) == Some(b'#')
+                && at(i + 2).is_some_and(is_ident_byte) =>
             {
-                self.bump();
+                (skip(bytes, i + 2, is_ident_byte), Some(TokKind::Ident))
             }
-            return TokKind::Int;
+            None => (skip(bytes, i, is_ident_byte), Some(TokKind::Ident)),
+        },
+        b if b.is_ascii_alphabetic() || b == b'_' || b >= 0x80 => {
+            (skip(bytes, i, is_ident_byte), Some(TokKind::Ident))
         }
-        while self.pos < self.src.len()
-            && (self.src[self.pos].is_ascii_digit() || self.src[self.pos] == b'_')
-        {
-            self.bump();
-        }
-        // Fractional part: a dot followed by a digit (not `..` or method
-        // call `1.max(2)`).
-        if self.pos < self.src.len()
-            && self.src[self.pos] == b'.'
-            && self.peek(1).is_some_and(|b| b.is_ascii_digit())
-        {
-            kind = TokKind::Float;
-            self.bump();
-            while self.pos < self.src.len()
-                && (self.src[self.pos].is_ascii_digit() || self.src[self.pos] == b'_')
-            {
-                self.bump();
-            }
-        }
-        // Exponent.
-        if self.pos < self.src.len()
-            && matches!(self.src[self.pos], b'e' | b'E')
-            && (self.peek(1).is_some_and(|b| b.is_ascii_digit())
-                || (matches!(self.peek(1), Some(b'+' | b'-'))
-                    && self.peek(2).is_some_and(|b| b.is_ascii_digit())))
-        {
-            kind = TokKind::Float;
-            self.bump();
-            if matches!(self.src[self.pos], b'+' | b'-') {
-                self.bump();
-            }
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-                self.bump();
-            }
-        }
-        // Type suffix (u64, f32, usize...).
-        while self.pos < self.src.len()
-            && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'_')
-        {
-            self.bump();
-        }
-        kind
+        b if b.is_ascii_digit() => number(bytes, i),
+        _ => (i + 1, Some(TokKind::Punct)),
     }
+}
+
+/// The end of a `/* ... */` comment starting at `i`, nesting handled.
+fn block_comment_end(bytes: &[u8], i: usize) -> usize {
+    let (mut k, mut depth) = (i + 2, 1usize);
+    while k < bytes.len() && depth > 0 {
+        match (bytes[k], bytes.get(k + 1)) {
+            (b'/', Some(b'*')) => (k, depth) = (k + 2, depth + 1),
+            (b'*', Some(b'/')) => (k, depth) = (k + 2, depth - 1),
+            _ => k += 1,
+        }
+    }
+    k.min(bytes.len())
+}
+
+/// The end of a quoted literal whose body starts at `k`: just past the
+/// closing `close`, skipping backslash escapes.
+fn quoted_end(bytes: &[u8], mut k: usize, close: u8) -> usize {
+    while k < bytes.len() {
+        match bytes[k] {
+            b'\\' => k += 2,
+            b if b == close => return k + 1,
+            _ => k += 1,
+        }
+    }
+    bytes.len()
+}
+
+/// At a `'`: a char literal (`'x'`, `'\n'`, `'✓'`) or a lifetime/label
+/// (`'a`); a lone quote is punctuation.
+fn char_or_lifetime(bytes: &[u8], q: usize) -> (usize, Option<TokKind>) {
+    let Some(&b1) = bytes.get(q + 1) else { return (q + 1, Some(TokKind::Punct)) };
+    if b1 == b'\\' {
+        return (quoted_end(bytes, q + 1, b'\''), Some(TokKind::Other));
+    }
+    // Any single (possibly multi-byte) char followed by a closing quote.
+    let char_len = match b1 {
+        b if b < 0x80 => 1,
+        b if b < 0xE0 => 2,
+        b if b < 0xF0 => 3,
+        _ => 4,
+    };
+    if b1 != b'\'' && bytes.get(q + 1 + char_len) == Some(&b'\'') {
+        return (q + char_len + 2, Some(TokKind::Other));
+    }
+    match skip(bytes, q + 1, is_ident_byte) {
+        end if end == q + 1 => (q + 1, Some(TokKind::Punct)),
+        end => (end, Some(TokKind::Other)),
+    }
+}
+
+/// The end of a raw string (`r"…"`, `r#"…"#`, `br#"…"#`, `cr"…"`) starting
+/// at `i`, or `None` when the bytes there do not open one.
+fn raw_string_end(bytes: &[u8], i: usize) -> Option<usize> {
+    let prefix = if bytes[i] == b'r' { 1 } else { 2 };
+    if prefix == 2 && bytes.get(i + 1) != Some(&b'r') {
+        return None;
+    }
+    let hashes = skip(bytes, i + prefix, |b| b == b'#') - (i + prefix);
+    let mut k = i + prefix + hashes;
+    if bytes.get(k) != Some(&b'"') {
+        return None;
+    }
+    k += 1;
+    while k < bytes.len() {
+        if bytes[k] == b'"' && skip(bytes, k + 1, |b| b == b'#') - (k + 1) >= hashes {
+            return Some(k + 1 + hashes);
+        }
+        k += 1;
+    }
+    Some(bytes.len())
+}
+
+/// An integer or a float literal at `i`.
+fn number(bytes: &[u8], i: usize) -> (usize, Option<TokKind>) {
+    let at = |k: usize| bytes.get(k).copied();
+    let suffix = |k: usize| skip(bytes, k, |b| b.is_ascii_alphanumeric() || b == b'_');
+    if bytes[i] == b'0' && matches!(at(i + 1), Some(b'x' | b'X' | b'o' | b'O' | b'b' | b'B')) {
+        return (suffix(i + 2), Some(TokKind::Int));
+    }
+    let digits = |k: usize| skip(bytes, k, |b| b.is_ascii_digit() || b == b'_');
+    let mut k = digits(i);
+    let mut kind = TokKind::Int;
+    // A fraction needs a digit after the dot (not `..` or `1.max(2)`).
+    if at(k) == Some(b'.') && at(k + 1).is_some_and(|b| b.is_ascii_digit()) {
+        (k, kind) = (digits(k + 1), TokKind::Other);
+    }
+    let sign = usize::from(matches!(at(k + 1), Some(b'+' | b'-')));
+    if matches!(at(k), Some(b'e' | b'E')) && at(k + 1 + sign).is_some_and(|b| b.is_ascii_digit()) {
+        (k, kind) = (skip(bytes, k + 1 + sign, |b| b.is_ascii_digit()), TokKind::Other);
+    }
+    (suffix(k), Some(kind))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use TokKind::{Ident, Other, Str};
 
-    fn kinds(src: &str) -> Vec<(TokKind, &str)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
+    fn texts(src: &str) -> Vec<&str> {
+        lex(src).into_iter().map(|t| t.text).collect()
+    }
+
+    fn of_kind(src: &str, kind: TokKind) -> Vec<&str> {
+        lex(src).into_iter().filter(|t| t.kind == kind).map(|t| t.text).collect()
     }
 
     #[test]
     fn basic_tokens() {
-        let toks = kinds("fn main() { let x = 1.5; }");
-        assert!(toks.contains(&(TokKind::Ident, "fn")));
-        assert!(toks.contains(&(TokKind::Float, "1.5")));
-        assert!(toks.contains(&(TokKind::Punct, "{")));
+        let toks = lex("fn main() { let x = 1.5 + 2; }");
+        let kinds: Vec<(TokKind, &str)> = toks.iter().map(|t| (t.kind, t.text)).collect();
+        assert_eq!(kinds[..2], [(Ident, "fn"), (Ident, "main")]);
+        assert!(kinds.contains(&(TokKind::Punct, "{")) && kinds.contains(&(TokKind::Int, "2")));
+        assert!(kinds.contains(&(Other, "1.5")));
     }
 
     #[test]
     fn strings_hide_code() {
-        let toks = kinds(r#"let s = "Instant::now() .unwrap()";"#);
-        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Str).count(), 1);
-        assert!(!toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == "unwrap"));
+        assert_eq!(of_kind(r#"let s = "Instant::now() .unwrap()";"#, Ident), ["let", "s"]);
     }
 
     #[test]
     fn raw_strings_with_hashes() {
-        let toks = kinds(r##"let s = r#"quote " inside"#; x"##);
-        assert!(toks.iter().any(|(k, _)| *k == TokKind::RawStr));
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == "x"));
+        assert_eq!(
+            texts(r##"s = r#"quote " inside"#; x"##),
+            ["s", "=", r##"r#"quote " inside"#"##, ";", "x"]
+        );
     }
 
     #[test]
     fn byte_char_is_not_lifetime() {
-        let toks = kinds("self.expect(b'<')?");
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Char && *t == "b'<'"));
+        assert_eq!(of_kind("self.expect(b'<')?", Other), ["b'<'"]);
     }
 
     #[test]
     fn lifetimes_are_not_chars() {
-        let toks = kinds("fn f<'a>(x: &'a str) -> &'a str { x }");
-        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Lifetime).count(), 3);
-        assert!(!toks.iter().any(|(k, _)| *k == TokKind::Char));
+        assert_eq!(of_kind("fn f<'a>(x: &'a str) -> &'a str { x }", Other), ["'a", "'a", "'a"]);
     }
 
     #[test]
     fn nested_block_comments() {
-        let toks = kinds("/* outer /* inner */ still comment */ code");
-        assert_eq!(toks.len(), 2);
-        assert_eq!(toks[0].0, TokKind::BlockComment);
-        assert_eq!(toks[1], (TokKind::Ident, "code"));
+        assert_eq!(texts("/* outer /* inner */ v[0] */ code"), ["code"]);
     }
 
     #[test]
     fn escaped_quote_in_char() {
-        let toks = kinds(r"let q = '\''; let n = '\n'; ok");
-        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Char).count(), 2);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == "ok"));
+        assert_eq!(of_kind(r"q = '\''; n = '\n'; ok", Other), [r"'\''", r"'\n'"]);
+        assert_eq!(texts(r"q = '\''; ok").last(), Some(&"ok"));
     }
 
     #[test]
     fn positions_are_one_based() {
-        let toks = lex("a\n  b");
-        assert_eq!((toks[0].line, toks[0].col), (1, 1));
-        assert_eq!((toks[1].line, toks[1].col), (2, 3));
-    }
-
-    #[test]
-    fn line_comment_keeps_text() {
-        let toks = lex("x // vmp-lint: allow(D2)\ny");
-        assert_eq!(toks[1].kind, TokKind::LineComment);
-        assert!(toks[1].text.contains("allow(D2)"));
+        let toks = lex("a\n  b /* ✓ */ c");
+        let at: Vec<(u32, u32)> = toks.iter().map(|t| (t.line, t.col)).collect();
+        assert_eq!(at, [(1, 1), (2, 3), (2, 13)]);
     }
 
     #[test]
     fn unterminated_inputs_do_not_panic() {
-        for src in ["\"abc", "/* never closed", "r#\"raw", "'", "b'", "c\"abc", "r#"] {
+        for src in ["\"abc", "/* never closed", "r#\"raw", "'", "b'", "c\"abc", "r#", "\"\\"] {
             let _ = lex(src);
         }
     }
 
     #[test]
     fn raw_identifiers_are_single_idents() {
-        let toks = kinds("let r#type = r#fn + r#match;");
-        assert!(toks.contains(&(TokKind::Ident, "r#type")));
-        assert!(toks.contains(&(TokKind::Ident, "r#fn")));
-        assert!(toks.contains(&(TokKind::Ident, "r#match")));
-        // The raw prefix must not split: no bare `type`/`fn` atoms that a
-        // rule pattern could accidentally match.
-        assert!(!toks.contains(&(TokKind::Ident, "type")));
-        assert!(!toks.contains(&(TokKind::Ident, "fn")));
-        assert!(!toks.iter().any(|(k, t)| *k == TokKind::Punct && *t == "#"));
+        assert_eq!(
+            of_kind("let r#type = r#fn + r#match;", Ident),
+            ["let", "r#type", "r#fn", "r#match"]
+        );
     }
 
     #[test]
     fn raw_ident_with_string_content_hides_nothing() {
-        // `r#unwrap` is an identifier, not a call to unwrap; and a raw
-        // string right after a raw ident still lexes as a string.
-        let toks = kinds(r##"let r#unwrap = r"text"; x"##);
-        assert!(toks.contains(&(TokKind::Ident, "r#unwrap")));
-        assert!(toks.iter().any(|(k, _)| *k == TokKind::RawStr));
-        assert!(toks.contains(&(TokKind::Ident, "x")));
+        assert_eq!(
+            texts(r##"let r#unwrap = r"text"; x"##),
+            ["let", "r#unwrap", "=", r#"r"text""#, ";", "x"]
+        );
     }
 
     #[test]
     fn byte_and_c_string_literals() {
-        let toks = kinds(r#"let a = b"bytes"; let b = c"cstr"; y"#);
-        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Str).count(), 2);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Str && *t == "b\"bytes\""));
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Str && *t == "c\"cstr\""));
-        assert!(toks.contains(&(TokKind::Ident, "y")));
-        // Code inside byte/C strings never leaks as idents.
-        let toks = kinds(r#"let s = c"Instant::now() .unwrap()"; ok"#);
-        assert!(!toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == "unwrap"));
-        assert!(toks.contains(&(TokKind::Ident, "ok")));
+        let src = r#"let a = b"bytes"; let b = c"Instant::now() .unwrap()"; y"#;
+        assert_eq!(of_kind(src, Str), ["b\"bytes\"", "c\"Instant::now() .unwrap()\""]);
+        assert_eq!(of_kind(src, Ident), ["let", "a", "let", "b", "y"]);
     }
 
     #[test]
     fn raw_byte_and_raw_c_strings() {
-        let toks = kinds(r###"let a = br#"raw " bytes"#; let b = cr#"raw " c"#; z"###);
-        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::RawStr).count(), 2);
-        assert!(toks.contains(&(TokKind::Ident, "z")));
+        let src = r###"a = br#"raw " bytes"#; b = cr#"raw " c"#; z"###;
+        assert_eq!(of_kind(src, Other), [r##"br#"raw " bytes"#"##, r##"cr#"raw " c"#"##]);
+        assert_eq!(of_kind(src, Ident), ["a", "b", "z"]);
     }
 
     #[test]
     fn static_lifetime_in_generic_position() {
-        let toks = kinds("fn f<T: Into<&'static str>>() -> &'static [u8] { g::<'static>() }");
-        assert_eq!(
-            toks.iter().filter(|(k, t)| *k == TokKind::Lifetime && *t == "'static").count(),
-            3
-        );
-        assert!(!toks.iter().any(|(k, _)| *k == TokKind::Char));
+        let src = "fn f<T: Into<&'static str>>() -> &'static [u8] { g::<'static>() }";
+        assert_eq!(of_kind(src, Other), ["'static"; 3]);
     }
 
     #[test]
     fn plain_b_c_r_idents_are_untouched() {
-        let toks = kinds("let b = c + r; b.f(c)");
-        for name in ["b", "c", "r"] {
-            assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == name));
-        }
+        assert_eq!(of_kind("b = c + r; b.f(c)", Ident), ["b", "c", "r", "b", "f", "c"]);
     }
 }

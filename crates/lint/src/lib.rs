@@ -17,20 +17,26 @@
 //! | `C1` | no lock is taken while another guard is held (re-entry included) |
 //! | `C2` | every atomic field is registered in `crates/obs/ATOMICS.md` with a discipline its `Ordering::*` call sites obey (both directions) |
 //!
-//! Zero dependencies (no `syn`, no `proc-macro2`): a small hand-rolled
-//! lexer ([`lexer`]) tokenizes real Rust well enough to match rule
-//! patterns without ever firing inside strings, raw strings, char/byte
-//! literals, or (nested) block comments. Diagnostics are `file:line:col`,
-//! canonically sorted, exported as text or stable `--json`.
+//! Zero dependencies (no `syn`, no `proc-macro2`). Each file goes through
+//! two stages:
 //!
-//! D2 and D3 match short token sequences. The C rules read a little more
-//! structure from the same token stream: [`syntax`] recovers lock held
-//! regions (a `let`-bound guard lives to the end of its block, a
-//! temporary to the end of its statement) and atomic touch-sites, on
-//! which [`rules_conc`] runs the one-lock-at-a-time check and the atomics
-//! registry conformance check. Every rule is hard: there is no
-//! suppression and no baseline. Run `vmp-lint --explain RULE` for any
-//! rule's rationale and fix recipes.
+//! 1. [`lexer`] returns the file's code tokens — identifiers, integer
+//!    literals, quoted strings, punctuation, and one opaque kind for
+//!    every other literal and for lifetimes — and drops comments. Each
+//!    literal and (nested) block comment is consumed whole, so no rule
+//!    can fire inside one.
+//! 2. [`syntax::scan`] walks those tokens once, keeping a stack of open
+//!    blocks. It yields the `#[cfg(test)]` mask, every lock acquisition
+//!    made while another guard is held (a `let`-bound guard lives to the
+//!    end of its block or its `drop`, a temporary to the end of its
+//!    statement), and the atomic declarations and `Ordering::*` sites.
+//!
+//! D2 and D3 ([`rules`]) match short token sequences outside the mask; C1
+//! and C2 ([`rules_conc`]) read the scope pass's findings. Every rule is
+//! hard: there is no suppression and no baseline. Diagnostics are
+//! `file:line:col`, canonically sorted, exported as text or stable
+//! `--json`. Run `vmp-lint --explain RULE` for any rule's rationale and
+//! fix recipes.
 
 // Library policy, enforced by clippy (DESIGN.md §8); test builds are exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -49,4 +55,4 @@ pub mod rules_conc;
 pub mod syntax;
 
 pub use diag::{Diagnostic, RuleId};
-pub use engine::{analyze, Report};
+pub use engine::analyze;

@@ -9,97 +9,64 @@
 
 use std::path::PathBuf;
 
-use vmp_lint::diag::{render_json, RuleId};
-use vmp_lint::engine::analyze;
+use vmp_lint::analyze;
+use vmp_lint::diag::{count, render_json, RuleId};
 
-struct Options {
-    root: PathBuf,
-    json: Option<PathBuf>,
-    quiet: bool,
+const USAGE: &str =
+    "usage: vmp-lint [--root PATH] [--json PATH] [--explain RULE] [--list-rules] [--quiet]";
+
+fn main() {
+    std::process::exit(run().unwrap_or_else(|e| {
+        eprintln!("vmp-lint: {e}");
+        2
+    }));
 }
 
-fn explain(rule: RuleId) {
-    println!("{rule} — {}", rule.summary());
-    println!();
-    println!("why: {}", rule.rationale());
-    println!();
-    println!("fixes:");
-    for recipe in rule.recipes() {
-        println!("  - {recipe}");
-    }
-}
-
-/// The value of a path-taking flag.
-fn path_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<PathBuf, String> {
-    args.next().map(PathBuf::from).ok_or_else(|| format!("{flag} requires a path"))
-}
-
-fn parse_args() -> Result<Option<Options>, String> {
-    let mut opts = Options { root: PathBuf::from("."), json: None, quiet: false };
+fn run() -> Result<i32, String> {
+    let (mut root, mut json, mut quiet) = (PathBuf::from("."), None, false);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} requires {what}"));
         match arg.as_str() {
-            "--root" => opts.root = path_arg(&mut args, "--root")?,
-            "--json" => opts.json = Some(path_arg(&mut args, "--json")?),
+            "--root" => root = PathBuf::from(value("a path")?),
+            "--json" => json = Some(PathBuf::from(value("a path")?)),
+            "--quiet" | "-q" => quiet = true,
             "--explain" => {
-                let id = args.next().ok_or_else(|| "--explain requires a rule ID".to_string())?;
+                let id = value("a rule ID")?;
                 let rule = RuleId::parse(&id)
                     .ok_or_else(|| format!("unknown rule `{id}` (try --list-rules)"))?;
-                explain(rule);
-                return Ok(None);
+                println!("{rule} — {}\n\nwhy: {}\n\nfixes:", rule.summary(), rule.rationale());
+                for recipe in rule.recipes() {
+                    println!("  - {recipe}");
+                }
+                return Ok(0);
             }
-            "--quiet" | "-q" => opts.quiet = true,
             "--list-rules" => {
                 for rule in RuleId::ALL {
                     println!("{rule}  {}", rule.summary());
                 }
-                return Ok(None);
+                return Ok(0);
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: vmp-lint [--root PATH] [--json PATH] [--explain RULE] \
-                     [--list-rules] [--quiet]"
-                );
-                return Ok(None);
+                eprintln!("{USAGE}");
+                return Ok(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Some(opts))
-}
 
-fn main() {
-    std::process::exit(match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("vmp-lint: {e}");
-            2
-        }
-    });
-}
-
-fn run() -> Result<i32, String> {
-    let Some(opts) = parse_args()? else { return Ok(0) };
-    let report = analyze(&opts.root)?;
-
-    if let Some(json_path) = &opts.json {
-        let json = render_json(&report.diagnostics, &report.counts);
-        std::fs::write(json_path, json)
-            .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
+    let diags = analyze(&root)?;
+    if let Some(path) = &json {
+        std::fs::write(path, render_json(&diags))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
-    if !opts.quiet {
-        for d in &report.diagnostics {
+    if !quiet {
+        for d in &diags {
             println!("{}", d.render());
         }
-        println!(
-            "vmp-lint: {} diagnostics ({})",
-            report.diagnostics.len(),
-            RuleId::ALL
-                .iter()
-                .map(|r| format!("{r}={}", report.count(*r)))
-                .collect::<Vec<_>>()
-                .join(" "),
-        );
+        let counts: Vec<String> =
+            RuleId::ALL.iter().map(|&r| format!("{r}={}", count(&diags, r))).collect();
+        println!("vmp-lint: {} diagnostics ({})", diags.len(), counts.join(" "));
     }
-    Ok(if report.diagnostics.is_empty() { 0 } else { 1 })
+    Ok(i32::from(!diags.is_empty()))
 }

@@ -1,33 +1,18 @@
-//! A lightweight syntax layer over the token stream: brace trees,
-//! lock-acquisition sites with held regions, and atomic
-//! declarations/operations.
+//! The scope pass: one forward walk over a file's code tokens that
+//! recovers exactly the structure the rules read — brace matching, the
+//! `#[cfg(test)]` mask, the held region of every lock guard, and the
+//! atomic declarations and `Ordering::*` sites.
 //!
-//! This is deliberately NOT a full parser. It recovers exactly the
-//! structure the concurrency rules need — where a lock guard's scope
-//! ends, which field an atomic operation touches — from the same flat
-//! token stream the D-rules match on. Held regions over-approximate in
-//! the safe direction: a guard whose drop point we cannot prove is
-//! assumed held to the end of its enclosing block.
+//! This is deliberately NOT a parser. Held regions over-approximate in the
+//! safe direction: a guard whose drop point cannot be proven is held to
+//! the end of its enclosing block.
 
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{Tok, TokKind};
 
-use crate::engine::SourceFile;
-use crate::lexer::TokKind;
-
-/// Atomic integer/bool type names recognized as registrable fields.
-pub const ATOMIC_TYPES: [&str; 11] = [
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-];
+/// The widths of the atomic integer/bool types (`AtomicU64`, ...)
+/// recognized as registrable fields.
+const ATOMIC_WIDTHS: [&str; 11] =
+    ["Bool", "U8", "U16", "U32", "U64", "Usize", "I8", "I16", "I32", "I64", "Isize"];
 
 /// Atomic memory orderings (disjoint from `cmp::Ordering` variants, which
 /// keeps `Ordering::Less` matches out of the registry).
@@ -47,143 +32,82 @@ const TRANSPARENT_METHODS: [&str; 9] = [
     "get_mut",
 ];
 
-/// One lock acquisition — a `.lock()`, `.read()` or `.write()` call with
-/// an empty argument list (`io::Read::read(&mut buf)` takes arguments, so
-/// it never matches) — with the token range over which its guard is
-/// conservatively considered held.
-#[derive(Debug)]
-pub struct Acquire {
-    /// The receiver's base identifier as written (`self.a.lock()` -> `a`).
-    pub lock: String,
-    /// File index of the call site.
-    pub file: usize,
-    /// Raw token index of the acquiring method name.
-    pub tok: usize,
-    /// Raw token index bounding the held region (inclusive).
-    pub hold_end: usize,
+/// The attribute that starts a test-only item.
+const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+
+/// What the scope pass found in one file. Token indices point into the
+/// file's code tokens.
+#[derive(Debug, Default)]
+pub struct Scope {
+    /// Per-token flag: inside a `#[cfg(test)]` item.
+    pub in_test: Vec<bool>,
+    /// Lock acquisitions — `.lock()`, `.read()` or `.write()` with an empty
+    /// argument list, so `io::Read::read(&mut buf)` never matches — made
+    /// while another guard is held, each paired with the acquisition of
+    /// the most recent guard still held. Test code takes no guards.
+    pub nested: Vec<(usize, usize)>,
+    /// Owning atomic declarations (`&Atomic*` borrows are uses), test code
+    /// included: call sites resolve against all of them.
+    pub atomics: Vec<AtomicDecl>,
+    /// Atomic operations naming an explicit `Ordering::*`.
+    pub orderings: Vec<OrderingSite>,
 }
 
-/// A declared atomic field/static (owning declarations only — `&Atomic*`
-/// borrows in parameter position are uses, not declarations).
+/// A declared atomic field or static.
 #[derive(Debug)]
 pub struct AtomicDecl {
-    /// Registry key (`filestem.name`).
-    pub key: String,
     /// Simple declared name.
     pub name: String,
     /// The atomic type name (`AtomicU64`, ...).
     pub ty: String,
-    /// Declaring file index.
-    pub file: usize,
-    /// Raw token index of the name.
+    /// Token of the name.
     pub tok: usize,
 }
 
 /// One atomic operation call site carrying an explicit `Ordering::*`.
 #[derive(Debug)]
-pub struct AtomicOp {
-    /// Registry key the receiver resolved to, when it did.
-    pub key: Option<String>,
-    /// Receiver base identifier as written.
+pub struct OrderingSite {
+    /// Receiver base identifier as written (empty when there is none).
     pub recv: String,
     /// Operation method name (`load`, `store`, `fetch_add`, ...).
     pub op: String,
     /// The ordering named at this site (`Relaxed`, `SeqCst`, ...).
     pub ordering: String,
-    /// File index of the call site.
-    pub file: usize,
-    /// Raw token index of the `Ordering` path (diagnostic anchor).
+    /// Token of the `Ordering` path (diagnostic anchor).
     pub tok: usize,
 }
 
-/// Per-file syntax facts.
-#[derive(Debug, Default)]
-pub struct FileSyntax {
-    /// Code-token indices (comments stripped), shared by all passes.
-    pub code: Vec<usize>,
-    /// For each code position, the code position of the innermost
-    /// enclosing `{` (usize::MAX at top level).
-    pub encl_brace: Vec<usize>,
-    /// Open-brace code position -> matching close-brace code position.
-    pub brace_match: BTreeMap<usize, usize>,
+/// A guard the walk holds: released at its block's end, at the block's
+/// next `;` when it is a temporary, or at `drop(binding)` in its block.
+struct Guard<'a> {
+    tok: usize,
+    depth: usize,
+    binding: Option<&'a str>,
 }
 
-/// The workspace syntax model.
-#[derive(Debug, Default)]
-pub struct Model {
-    /// Per-file facts, parallel to the analyzed source slice.
-    pub files: Vec<FileSyntax>,
-    /// Lock acquisitions, in (file, token) order.
-    pub acquires: Vec<Acquire>,
-    /// Declared atomics.
-    pub atomics: Vec<AtomicDecl>,
-    /// Atomic operations with explicit orderings.
-    pub atomic_ops: Vec<AtomicOp>,
+/// Where the walk stands relative to a `#[cfg(test)]` item.
+#[derive(PartialEq)]
+enum Test {
+    /// Not inside a test item.
+    Outside,
+    /// Before the item's first `;` or `{` at or after the given token (the
+    /// one after any further attributes).
+    Head(usize),
+    /// Inside the item's body, which closes when fewer blocks are open.
+    Body(usize),
 }
 
 /// Derives the short module qualifier for a workspace-relative path:
 /// the file stem, or the crate directory name for `lib.rs`/`mod.rs`/
 /// `main.rs` (`crates/obs/src/lib.rs` -> `obs`).
 pub fn stem(rel: &str) -> String {
-    let parts: Vec<&str> = rel.split('/').collect();
-    let base = parts.last().copied().unwrap_or(rel);
+    let base = rel.rsplit('/').next().unwrap_or(rel);
     let name = base.strip_suffix(".rs").unwrap_or(base);
-    if matches!(name, "lib" | "mod" | "main") {
-        for (i, p) in parts.iter().enumerate().rev() {
-            if *p == "src" && i > 0 {
-                if let Some(prev) = parts.get(i - 1) {
-                    return (*prev).to_string();
-                }
-            }
-        }
+    let crate_dir = rel.rsplit_once("/src/").and_then(|(dir, _)| dir.rsplit('/').next());
+    match crate_dir {
+        Some(dir) if matches!(name, "lib" | "mod" | "main") => dir.to_string(),
+        _ => name.to_string(),
     }
-    name.to_string()
-}
-
-/// Builds the workspace model from lexed sources.
-pub fn build(sources: &[SourceFile<'_>]) -> Model {
-    let mut model = Model::default();
-    for file in sources {
-        model.files.push(file_syntax(file));
-    }
-    for fi in 0..sources.len() {
-        scan_atomics(&mut model, sources, fi);
-    }
-    // Operations resolve against atomics declared in any file, so they
-    // are scanned once every declaration is known.
-    for fi in 0..sources.len() {
-        scan_acquires(&mut model, sources, fi);
-        scan_atomic_ops(&mut model, sources, fi);
-    }
-    model
-}
-
-/// Code indices, brace matching, and enclosing-brace map for one file.
-fn file_syntax(file: &SourceFile<'_>) -> FileSyntax {
-    let code: Vec<usize> = (0..file.toks.len()).filter(|&i| file.toks[i].is_code()).collect();
-    let mut encl = vec![usize::MAX; code.len()];
-    let mut brace_match = BTreeMap::new();
-    let mut stack: Vec<usize> = Vec::new();
-    for (ci, &ti) in code.iter().enumerate() {
-        encl[ci] = stack.last().copied().unwrap_or(usize::MAX);
-        let t = file.toks[ti].text;
-        if t == "{" {
-            stack.push(ci);
-        } else if t == "}" {
-            if let Some(open) = stack.pop() {
-                brace_match.insert(open, ci);
-            }
-        }
-    }
-    FileSyntax { code, encl_brace: encl, brace_match }
-}
-
-fn text<'f>(file: &'f SourceFile<'_>, code: &[usize], ci: usize) -> &'f str {
-    code.get(ci).map_or("", |&ti| file.toks[ti].text)
-}
-
-fn kind(file: &SourceFile<'_>, code: &[usize], ci: usize) -> Option<TokKind> {
-    code.get(ci).map(|&ti| file.toks[ti].kind)
 }
 
 /// Strips the raw-identifier prefix.
@@ -191,331 +115,244 @@ fn plain(name: &str) -> &str {
     name.strip_prefix("r#").unwrap_or(name)
 }
 
-/// Walks backwards from a type token to its declaring `name:`, skipping
-/// wrapper tokens (`Arc<`, `OnceLock<`, `[`, paths). Returns the code
-/// index of the name and whether the chain passed through `&` (a borrow,
-/// i.e. a use rather than an owning declaration).
-fn decl_name_backwards(
-    file: &SourceFile<'_>,
-    code: &[usize],
-    ty_ci: usize,
-) -> Option<(usize, bool)> {
-    let mut i = ty_ci.checked_sub(1)?;
+/// The text of token `i`, empty past either end.
+fn text<'a>(toks: &[Tok<'a>], i: usize) -> &'a str {
+    toks.get(i).map_or("", |t| t.text)
+}
+
+fn is_ident(toks: &[Tok<'_>], i: usize) -> bool {
+    toks.get(i).is_some_and(|t| t.kind == TokKind::Ident)
+}
+
+/// Walks the file once. A block's statement starts after its `{` or its
+/// last `;`; a guard is bound when its statement is a `let` whose value
+/// is the acquisition itself.
+pub fn scan(toks: &[Tok<'_>]) -> Scope {
+    let mut scope = Scope { in_test: vec![false; toks.len()], ..Scope::default() };
+    let mut blocks = vec![0]; // statement start per open block, file level first
+    let mut calls: Vec<usize> = Vec::new(); // open `(` tokens
+    let mut held: Vec<Guard<'_>> = Vec::new();
+    let mut test = Test::Outside;
+    for i in 0..toks.len() {
+        if test == Test::Outside
+            && CFG_TEST.iter().enumerate().all(|(k, t)| text(toks, i + k) == *t)
+        {
+            let mut item = i + CFG_TEST.len();
+            while text(toks, item) == "#" && text(toks, item + 1) == "[" {
+                item = group_end(toks, item + 1) + 1;
+            }
+            test = Test::Head(item);
+        }
+        scope.in_test[i] = test != Test::Outside;
+        let t = text(toks, i);
+        match t {
+            "{" => {
+                blocks.push(i + 1);
+                if matches!(test, Test::Head(item) if i >= item) {
+                    test = Test::Body(blocks.len());
+                }
+            }
+            // An unmatched `}` only ends a file-level statement.
+            "}" if blocks.len() == 1 => blocks = vec![i + 1],
+            "}" => {
+                blocks.pop();
+                held.retain(|g| g.depth <= blocks.len());
+                if matches!(test, Test::Body(depth) if blocks.len() < depth) {
+                    test = Test::Outside;
+                }
+            }
+            ";" => {
+                held.retain(|g| g.depth != blocks.len() || g.binding.is_some());
+                if let Some(stmt) = blocks.last_mut() {
+                    *stmt = i + 1;
+                }
+                if matches!(test, Test::Head(item) if i >= item) {
+                    test = Test::Outside;
+                }
+            }
+            "(" => calls.push(i),
+            ")" => {
+                calls.pop();
+            }
+            "drop" if text(toks, i + 1) == "(" && text(toks, i + 3) == ")" => {
+                let name = text(toks, i + 2);
+                held.retain(|g| g.depth != blocks.len() || g.binding != Some(name));
+            }
+            "lock" | "read" | "write"
+                if i > 0
+                    && text(toks, i - 1) == "."
+                    && text(toks, i + 1) == "("
+                    && text(toks, i + 2) == ")"
+                    && test == Test::Outside =>
+            {
+                if let Some(outer) = held.last() {
+                    scope.nested.push((i, outer.tok));
+                }
+                let stmt = blocks.last().copied().unwrap_or(0);
+                let binding = (text(toks, stmt) == "let" && guard_is_bound(toks, i)).then(|| {
+                    let name = text(toks, stmt + 1);
+                    if name == "mut" {
+                        text(toks, stmt + 2)
+                    } else {
+                        name
+                    }
+                });
+                held.push(Guard { tok: i, depth: blocks.len(), binding });
+            }
+            "Ordering"
+                if text(toks, i + 1) == ":"
+                    && text(toks, i + 2) == ":"
+                    && ATOMIC_ORDERINGS.contains(&text(toks, i + 3)) =>
+            {
+                // The enclosing call names the operation and its receiver.
+                let Some(op_i) = calls.last().and_then(|open| open.checked_sub(1)) else {
+                    continue;
+                };
+                let op = plain(text(toks, op_i));
+                let atomic_op = matches!(op, "load" | "store" | "swap")
+                    || op.starts_with("fetch_")
+                    || op.starts_with("compare_exchange");
+                if !is_ident(toks, op_i) || !atomic_op {
+                    continue;
+                }
+                let recv = match op_i.checked_sub(1) {
+                    Some(dot) if text(toks, dot) == "." => receiver(toks, dot),
+                    _ => None,
+                };
+                scope.orderings.push(OrderingSite {
+                    recv: recv.unwrap_or_default().to_string(),
+                    op: op.to_string(),
+                    ordering: text(toks, i + 3).to_string(),
+                    tok: i,
+                });
+            }
+            _ if t.strip_prefix("Atomic").is_some_and(|w| ATOMIC_WIDTHS.contains(&w))
+                && text(toks, i + 1) != ":" =>
+            {
+                if let Some((name_i, false)) = declared_name(toks, i) {
+                    let name = plain(text(toks, name_i)).to_string();
+                    scope.atomics.push(AtomicDecl { name, ty: t.to_string(), tok: name_i });
+                }
+            }
+            _ => {}
+        }
+    }
+    scope
+}
+
+/// Walks back from an atomic type to its declaring `name:`, skipping
+/// wrapper tokens (`Arc<`, `OnceLock<`, `[`, paths). Returns the name's
+/// token and whether the chain passed through `&` (a borrow, i.e. a use
+/// rather than an owning declaration).
+fn declared_name(toks: &[Tok<'_>], ty: usize) -> Option<(usize, bool)> {
+    let mut i = ty.checked_sub(1)?;
     let mut borrowed = false;
     loop {
-        let t = text(file, code, i);
-        let k = kind(file, code, i)?;
-        if t == ":" {
-            if i >= 1 && text(file, code, i - 1) == ":" {
-                // `::` path separator (std::sync::atomic::AtomicU64)
-                i = i.checked_sub(2)?;
+        match text(toks, i) {
+            ":" if i >= 1 && text(toks, i - 1) == ":" => {
+                i = i.checked_sub(2)?; // `::` path separator
                 continue;
             }
-            // Declaration colon: the name sits just before it.
-            let name_i = i.checked_sub(1)?;
-            return (kind(file, code, name_i) == Some(TokKind::Ident)).then_some((name_i, borrowed));
-        }
-        match t {
+            ":" => {
+                let name = i.checked_sub(1)?;
+                return is_ident(toks, name).then_some((name, borrowed));
+            }
             "&" => borrowed = true,
             "<" | "[" | "mut" | "dyn" => {}
-            _ if k == TokKind::Ident || k == TokKind::Lifetime => {}
+            _ if is_ident(toks, i) => {}
             _ => return None,
         }
         i = i.checked_sub(1)?;
     }
 }
 
+/// The lock an acquisition at token `tok` takes: its receiver's base
+/// identifier as written (`self.a.lock()` -> `a`), `?` when there is none.
+pub fn lock_name<'a>(toks: &[Tok<'a>], tok: usize) -> &'a str {
+    tok.checked_sub(1).and_then(|dot| receiver(toks, dot)).unwrap_or("?")
+}
+
 /// Walks a method-call receiver chain backwards from the `.` before the
-/// method name, returning the base identifier's code index. Skips
-/// balanced `(...)`/`[...]` groups and transparent forwarding methods.
-fn receiver_base(file: &SourceFile<'_>, code: &[usize], dot_ci: usize) -> Option<usize> {
-    let mut i = dot_ci.checked_sub(1)?;
+/// method name to the base identifier. Skips balanced `(...)`/`[...]`
+/// groups and transparent forwarding methods.
+fn receiver<'a>(toks: &[Tok<'a>], dot: usize) -> Option<&'a str> {
+    let mut i = dot.checked_sub(1)?;
     loop {
-        let t = text(file, code, i);
-        match t {
-            ")" | "]" => {
-                // Skip the balanced group backwards.
-                let (open, close) = if t == ")" { ("(", ")") } else { ("[", "]") };
-                let mut depth = 0i32;
-                loop {
-                    let tj = text(file, code, i);
-                    if tj == close {
-                        depth += 1;
-                    } else if tj == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    i = i.checked_sub(1)?;
-                }
-                i = i.checked_sub(1)?;
-                // A call `ident(...)`: transparent methods forward their
-                // receiver; anything else is the chain's base producer.
-                if kind(file, code, i) == Some(TokKind::Ident) {
-                    let name = plain(text(file, code, i));
-                    if TRANSPARENT_METHODS.contains(&name)
-                        && i >= 1
-                        && text(file, code, i - 1) == "."
-                    {
-                        i = i.checked_sub(2)?;
-                        continue;
-                    }
-                    return Some(i);
-                }
-                return None;
-            }
-            _ if kind(file, code, i) == Some(TokKind::Ident) => return Some(i),
-            _ => return None,
+        let close = text(toks, i);
+        if close != ")" && close != "]" {
+            return is_ident(toks, i).then(|| plain(text(toks, i)));
         }
-    }
-}
-
-/// The code index of the `let` when the statement containing `ci` begins
-/// with one (the guard is bound and lives to the end of the enclosing
-/// block, not just the statement).
-fn let_start(file: &SourceFile<'_>, syn: &FileSyntax, ci: usize) -> Option<usize> {
-    let code = &syn.code;
-    let here = syn.encl_brace.get(ci).copied().unwrap_or(usize::MAX);
-    let mut start = ci;
-    while start > 0 {
-        let j = start - 1;
-        // Statement boundary: `;` or a sibling block's `}` at our nesting
-        // level, or the opening `{` of our own block (which sits one
-        // level up, so it is matched by position, not level).
-        let level = syn.encl_brace.get(j).copied().unwrap_or(usize::MAX);
-        let t = text(file, code, j);
-        if (level == here && (t == ";" || t == "}")) || j == here {
-            break;
-        }
-        start = j;
-    }
-    (text(file, code, start) == "let").then_some(start)
-}
-
-/// True when the acquiring call at `ci` (the method-name code index) is
-/// the outermost value of its expression: after its argument list, only
-/// transparent forwarding calls may follow before the statement ends.
-/// `let g = self.a.lock();` binds the guard; in
-/// `let n = self.a.lock().len();` the guard is a temporary that dies at
-/// the `;` even though the statement is a `let`.
-fn guard_is_bound(file: &SourceFile<'_>, syn: &FileSyntax, ci: usize) -> bool {
-    let code = &syn.code;
-    let mut j = ci + 1; // the `(` of the acquiring call
-    loop {
-        if text(file, code, j) != "(" {
-            return false;
-        }
-        // Skip the balanced argument list.
+        let open = if close == ")" { "(" } else { "[" };
         let mut depth = 0i32;
-        while j < code.len() {
-            match text(file, code, j) {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
+        loop {
+            match text(toks, i) {
+                t if t == close => depth += 1,
+                t if t == open => depth -= 1,
                 _ => {}
             }
-            j += 1;
-        }
-        match text(file, code, j + 1) {
-            ";" => return true,
-            "." if TRANSPARENT_METHODS.contains(&plain(text(file, code, j + 2)))
-                && text(file, code, j + 3) == "(" =>
-            {
-                j += 3; // continue at the forwarding call's `(`
+            if depth == 0 {
+                break;
             }
+            i = i.checked_sub(1)?;
+        }
+        // A call `ident(...)`: transparent methods forward their receiver;
+        // anything else is the chain's base producer.
+        i = i.checked_sub(1)?;
+        if !is_ident(toks, i) {
+            return None;
+        }
+        let name = plain(text(toks, i));
+        if !TRANSPARENT_METHODS.contains(&name) || i == 0 || text(toks, i - 1) != "." {
+            return Some(name);
+        }
+        i = i.checked_sub(2)?;
+    }
+}
+
+/// True when the acquisition at `i` is the outermost value of its
+/// statement: after its argument list, only transparent forwarding calls
+/// may follow before the `;`. `let g = self.a.lock();` binds the guard;
+/// in `let n = self.a.lock().len();` the guard is a temporary.
+fn guard_is_bound(toks: &[Tok<'_>], i: usize) -> bool {
+    let mut j = i + 1; // the `(` of the acquiring call
+    while text(toks, j) == "(" {
+        j = group_end(toks, j);
+        match text(toks, j + 1) {
+            ";" => return true,
+            "." if TRANSPARENT_METHODS.contains(&plain(text(toks, j + 2))) => j += 3,
             _ => return false,
         }
     }
+    false
 }
 
-/// The inclusive code index where a guard acquired at `ci` stops being
-/// held: end of the enclosing block for `let`-bound guards (or an earlier
-/// `drop(guard)` at the block's own level), the next `;` at the same
-/// nesting level (or the block end) for temporaries.
-fn hold_end(file: &SourceFile<'_>, syn: &FileSyntax, ci: usize) -> usize {
-    let code = &syn.code;
-    let block_open = syn.encl_brace.get(ci).copied().unwrap_or(usize::MAX);
-    let block_close = if block_open == usize::MAX {
-        code.len().saturating_sub(1)
-    } else {
-        syn.brace_match.get(&block_open).copied().unwrap_or(code.len().saturating_sub(1))
-    };
-    if let Some(start) = let_start(file, syn, ci).filter(|_| guard_is_bound(file, syn, ci)) {
-        let name = match text(file, code, start + 1) {
-            "mut" => text(file, code, start + 2),
-            name => name,
-        };
-        return (ci..block_close)
-            .find(|&j| {
-                syn.encl_brace.get(j) == Some(&block_open)
-                    && text(file, code, j) == "drop"
-                    && text(file, code, j + 1) == "("
-                    && text(file, code, j + 2) == name
-                    && text(file, code, j + 3) == ")"
-            })
-            .map_or(block_close, |j| j + 3);
-    }
-    let mut j = ci + 1;
-    while j < block_close {
-        if text(file, code, j) == ";" && syn.encl_brace.get(j).copied() == Some(block_open) {
-            return j;
-        }
-        j += 1;
-    }
-    block_close
-}
-
-/// Scans one file for lock acquisitions and their held regions.
-fn scan_acquires(model: &mut Model, sources: &[SourceFile<'_>], fi: usize) {
-    let file = &sources[fi];
-    let syn = &model.files[fi];
-    let code = &syn.code;
-    for ci in 1..code.len() {
-        if !matches!(text(file, code, ci), "lock" | "read" | "write")
-            || text(file, code, ci - 1) != "."
-            || text(file, code, ci + 1) != "("
-            || text(file, code, ci + 2) != ")"
-        {
-            continue;
-        }
-        let lock = receiver_base(file, code, ci - 1)
-            .map_or_else(|| "?".to_string(), |b| plain(text(file, code, b)).to_string());
-        let end = hold_end(file, syn, ci);
-        model.acquires.push(Acquire {
-            lock,
-            file: fi,
-            tok: code[ci],
-            hold_end: code.get(end).copied().unwrap_or(file.toks.len().saturating_sub(1)),
-        });
-    }
-}
-
-/// Scans one file for atomic field/static declarations.
-fn scan_atomics(model: &mut Model, sources: &[SourceFile<'_>], fi: usize) {
-    let file = &sources[fi];
-    let syn = &model.files[fi];
-    let code = &syn.code;
-    let stem = stem(&file.rel);
-    for ci in 0..code.len() {
-        let t = text(file, code, ci);
-        if !ATOMIC_TYPES.contains(&t) {
-            continue;
-        }
-        if text(file, code, ci + 1) == ":" {
-            continue; // `AtomicU64::new(...)` constructor path
-        }
-        let Some((name_ci, borrowed)) = decl_name_backwards(file, code, ci) else {
-            continue;
-        };
-        if borrowed {
-            continue;
-        }
-        let name = plain(text(file, code, name_ci)).to_string();
-        model.atomics.push(AtomicDecl {
-            key: format!("{stem}.{name}"),
-            name,
-            ty: t.to_string(),
-            file: fi,
-            tok: code[name_ci],
-        });
-    }
-}
-
-/// Scans one file for atomic operations with explicit orderings.
-fn scan_atomic_ops(model: &mut Model, sources: &[SourceFile<'_>], fi: usize) {
-    let file = &sources[fi];
-    let syn = &model.files[fi];
-    let code = &syn.code;
-    let stem = stem(&file.rel);
-    let declared: BTreeSet<&str> = model
-        .atomics
-        .iter()
-        .filter(|a| a.file == fi)
-        .map(|a| a.name.as_str())
-        .collect();
-    for ci in 0..code.len() {
-        if text(file, code, ci) != "Ordering"
-            || text(file, code, ci + 1) != ":"
-            || text(file, code, ci + 2) != ":"
-        {
-            continue;
-        }
-        let ord = text(file, code, ci + 3);
-        if !ATOMIC_ORDERINGS.contains(&ord) {
-            continue; // cmp::Ordering variant
-        }
-        // Walk back to the enclosing call's `(`, then the op name and its
-        // receiver.
-        let mut depth = 0i32;
-        let mut j = ci;
-        let mut op_ci = None;
-        while j > 0 {
-            j -= 1;
-            let tj = text(file, code, j);
-            if tj == ")" {
-                depth += 1;
-            } else if tj == "(" {
-                if depth == 0 {
-                    if kind(file, code, j.wrapping_sub(1)) == Some(TokKind::Ident) {
-                        op_ci = Some(j - 1);
-                    }
-                    break;
-                }
-                depth -= 1;
+/// The token closing the `(` or `[` group that opens at `i`, or the
+/// token count when the group never closes.
+fn group_end(toks: &[Tok<'_>], i: usize) -> usize {
+    let (open, close) = if text(toks, i) == "(" { ("(", ")") } else { ("[", "]") };
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(i) {
+        if t.text == open {
+            depth += 1;
+        } else if t.text == close {
+            depth -= 1;
+            if depth == 0 {
+                return j;
             }
         }
-        let Some(op_ci) = op_ci else { continue };
-        let op = plain(text(file, code, op_ci)).to_string();
-        let is_atomic_op = matches!(op.as_str(), "load" | "store" | "swap")
-            || op.starts_with("fetch_")
-            || op.starts_with("compare_exchange");
-        if !is_atomic_op {
-            continue;
-        }
-        let recv_ci = if op_ci >= 1 && text(file, code, op_ci - 1) == "." {
-            receiver_base(file, code, op_ci - 1)
-        } else {
-            None
-        };
-        let recv = recv_ci.map_or(String::new(), |b| plain(text(file, code, b)).to_string());
-        let key = if !recv.is_empty() && declared.contains(recv.as_str()) {
-            Some(format!("{stem}.{recv}"))
-        } else {
-            // An atomic declared in another file but touched here (rare:
-            // pub statics). Resolve by unique global name match.
-            let hits: Vec<&AtomicDecl> =
-                model.atomics.iter().filter(|a| a.name == recv).collect();
-            match hits.as_slice() {
-                [only] => Some(only.key.clone()),
-                _ => None,
-            }
-        };
-        model.atomic_ops.push(AtomicOp {
-            key,
-            recv,
-            op,
-            ordering: ord.to_string(),
-            file: fi,
-            tok: code[ci],
-        });
     }
+    toks.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{test_regions, FileClass};
     use crate::lexer::lex;
 
-    fn file<'a>(rel: &str, src: &'a str) -> SourceFile<'a> {
+    fn pairs(src: &str) -> Vec<(&str, &str)> {
         let toks = lex(src);
-        let in_test = test_regions(&toks);
-        SourceFile { rel: rel.to_string(), class: FileClass::Lib, toks, in_test }
+        let nested = scan(&toks).nested;
+        nested.into_iter().map(|(i, o)| (lock_name(&toks, i), lock_name(&toks, o))).collect()
     }
 
     #[test]
@@ -531,23 +368,17 @@ mod tests {
         let src = "static LK: OnceLock<Mutex<u32>> = OnceLock::new();\n\
                    fn f(s: &S) { let g = LK.get_or_init(|| Mutex::new(0)).lock(); \
                    let h = slot().lock(); let r = s.inner.read(); r.read(&mut buf); }";
-        let f = file("crates/x/src/init.rs", src);
-        let m = build(std::slice::from_ref(&f));
-        let locks: Vec<&str> = m.acquires.iter().map(|a| a.lock.as_str()).collect();
         // `read(&mut buf)` takes arguments: an io call, not a lock.
-        assert_eq!(locks, ["LK", "slot", "inner"]);
+        assert_eq!(pairs(src), [("slot", "LK"), ("inner", "slot")]);
     }
 
     #[test]
     fn let_guard_holds_to_block_end_temporary_to_statement() {
-        let src = "impl S { fn f(&self) { let g = self.a.lock(); *self.b.lock() += 1; g; } }";
-        let f = file("crates/x/src/scope.rs", src);
-        let m = build(std::slice::from_ref(&f));
-        let [a, b] = m.acquires.as_slice() else { panic!("{:?}", m.acquires) };
-        // let-bound guard: held past the statement; temporary: released at
-        // its own `;` (before the a guard's hold end).
-        assert!(a.hold_end > b.tok, "a held across b's acquisition");
-        assert!(b.hold_end < a.hold_end, "temporary b released before block end");
+        let src = "impl S { fn f(&self) { let g = self.a.lock(); *self.b.lock() += 1; \
+                   let h = self.c.lock(); } }";
+        // The let-bound `a` is held across both; the temporary `b` is
+        // released at its own `;`, so `c` nests under `a`, not `b`.
+        assert_eq!(pairs(src), [("b", "a"), ("c", "a")]);
     }
 
     #[test]
@@ -557,36 +388,32 @@ mod tests {
                    impl C { fn bump(&self) { self.n.fetch_add(1, Ordering::Relaxed); } }\n\
                    fn arm() { FLAG.store(true, Ordering::SeqCst); }\n\
                    fn cmp(a: u32, b: u32) -> bool { matches!(a.cmp(&b), Ordering::Less) }";
-        let f = file("crates/x/src/atom.rs", src);
-        let m = build(std::slice::from_ref(&f));
-        let keys: Vec<&str> = m.atomics.iter().map(|a| a.key.as_str()).collect();
-        assert_eq!(keys, ["atom.FLAG", "atom.n"]);
-        assert_eq!(m.atomic_ops.len(), 2, "cmp::Ordering must not count");
-        let add = m.atomic_ops.iter().find(|o| o.op == "fetch_add").expect("fetch_add");
-        assert_eq!(add.key.as_deref(), Some("atom.n"));
-        assert_eq!(add.ordering, "Relaxed");
-        let store = m.atomic_ops.iter().find(|o| o.op == "store").expect("store");
-        assert_eq!(store.key.as_deref(), Some("atom.FLAG"));
-        assert_eq!(store.ordering, "SeqCst");
+        let scope = scan(&lex(src));
+        let names: Vec<&str> = scope.atomics.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["FLAG", "n"]);
+        let sites: Vec<String> =
+            scope.orderings.iter().map(|o| format!("{}.{} {}", o.recv, o.op, o.ordering)).collect();
+        assert_eq!(
+            sites,
+            ["n.fetch_add Relaxed", "FLAG.store SeqCst"],
+            "cmp::Ordering must not count"
+        );
     }
 
     #[test]
     fn borrowed_param_is_not_a_declaration() {
-        let src = "fn peek(f: &AtomicBool) -> bool { f.load(Ordering::Relaxed) }";
-        let f = file("crates/x/src/borrow.rs", src);
-        let m = build(std::slice::from_ref(&f));
-        assert!(m.atomics.is_empty());
+        let scope = scan(&lex("fn peek(f: &AtomicBool) -> bool { f.load(Ordering::Relaxed) }"));
+        assert!(scope.atomics.is_empty());
     }
 
     #[test]
     fn indexed_atomic_receiver() {
         let src = "struct H { counts: [AtomicU64; 4] }\n\
                    impl H { fn rec(&self, i: usize) { self.counts[i].fetch_add(1, Ordering::Relaxed); } }";
-        let f = file("crates/x/src/hist.rs", src);
-        let m = build(std::slice::from_ref(&f));
-        assert_eq!(m.atomics.len(), 1);
-        assert_eq!(m.atomics[0].key, "hist.counts");
-        assert_eq!(m.atomic_ops.len(), 1);
-        assert_eq!(m.atomic_ops[0].key.as_deref(), Some("hist.counts"));
+        let scope = scan(&lex(src));
+        assert_eq!(scope.atomics.len(), 1);
+        assert_eq!(scope.atomics[0].name, "counts");
+        assert_eq!(scope.orderings.len(), 1);
+        assert_eq!(scope.orderings[0].recv, "counts");
     }
 }

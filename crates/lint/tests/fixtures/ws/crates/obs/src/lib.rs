@@ -26,3 +26,8 @@ pub fn record() {
     counter("app.latency_us"); //~ ERROR D3
     counter("app.unregistered"); //~ ERROR D3
 }
+
+pub fn quoted() -> &'static str {
+    // counter("app.in_comment") is not a call site, and neither is this:
+    "counter(\"app.in_string\")"
+}

@@ -1,25 +1,28 @@
 //! Property tests for the lint lexer. The lexer must survive arbitrary
 //! byte soup (it runs over every file in the workspace, including ones
-//! mid-edit), report strictly increasing positions, and classify
-//! generated token streams exactly.
+//! mid-edit), report strictly increasing positions, classify generated
+//! token streams exactly, and emit nothing from inside a literal or a
+//! comment.
 
 use proptest::prelude::*;
 use vmp_lint::lexer::{lex, TokKind};
 
 /// One generated atom: source text plus the single token kind it must
-/// lex to when placed on its own line.
-fn atom(seed: u32) -> (String, TokKind) {
+/// lex to when placed on its own line, or `None` for a comment, which
+/// emits nothing. Literals and comments carry code that a leaked token
+/// would expose (`v[0]`, `counter("x")`).
+fn atom(seed: u32) -> (String, Option<TokKind>) {
     let n = seed / 9;
     match seed % 9 {
-        0 => (format!("ident_{n}"), TokKind::Ident),
-        1 => (format!("{n}u64"), TokKind::Int),
-        2 => (format!("{n}.25e3"), TokKind::Float),
-        3 => (format!("\"str {n} with \\\" escape\""), TokKind::Str),
-        4 => (format!("r#\"raw {n} with \" inside\"#"), TokKind::RawStr),
-        5 => ("'\\n'".to_string(), TokKind::Char),
-        6 => (format!("'label_{n}"), TokKind::Lifetime),
-        7 => (format!("/* block {n} /* nested */ comment */"), TokKind::BlockComment),
-        _ => (format!("// line comment {n}"), TokKind::LineComment),
+        0 => (format!("ident_{n}"), Some(TokKind::Ident)),
+        1 => (format!("{n}u64"), Some(TokKind::Int)),
+        2 => (format!("{n}.25e3"), Some(TokKind::Other)),
+        3 => (format!("\"str {n} with \\\" escape v[0]\""), Some(TokKind::Str)),
+        4 => (format!("r#\"raw {n} with \" v[0] inside\"#"), Some(TokKind::Other)),
+        5 => ("'\\''".to_string(), Some(TokKind::Other)),
+        6 => (format!("'label_{n}"), Some(TokKind::Other)),
+        7 => (format!("/* block {n} /* nested v[0] */ counter(\"x\") */"), None),
+        _ => (format!("// line comment {n} counter(\"x\")"), None),
     }
 }
 
@@ -43,33 +46,39 @@ proptest! {
 
     #[test]
     fn token_texts_cover_source_in_order(s in "\\PC*") {
-        // Every token's text must occur in the source at or after the end
-        // of the previous token — the stream never reorders or invents
-        // bytes.
+        // Every token is a non-empty slice of the source that starts at or
+        // after the end of the previous token — the stream never reorders,
+        // overlaps or invents bytes (it may skip comments and literals).
         let toks = lex(&s);
         let mut cursor = 0usize;
         for t in &toks {
-            let found = s[cursor..].find(t.text);
-            prop_assert!(found.is_some(), "token {:?} not found after byte {cursor} in {s:?}", t.text);
-            cursor += found.unwrap_or(0) + t.text.len();
+            let start = t.text.as_ptr() as usize - s.as_ptr() as usize;
+            prop_assert!(!t.text.is_empty() && start >= cursor, "token {:?} at byte {start} in {s:?}", t.text);
+            prop_assert_eq!(&s[start..start + t.text.len()], t.text);
+            cursor = start + t.text.len();
         }
     }
 
     #[test]
     fn generated_atoms_lex_to_exact_kinds(seeds in proptest::collection::vec(0u32..=9_000, 1..=48)) {
-        let atoms: Vec<(String, TokKind)> = seeds.iter().map(|&s| atom(s)).collect();
+        let atoms: Vec<(String, Option<TokKind>)> = seeds.iter().map(|&s| atom(s)).collect();
         let src: String =
             atoms.iter().map(|(text, _)| text.as_str()).collect::<Vec<_>>().join("\n");
+        let emitted: Vec<(usize, &String, TokKind)> = atoms
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (text, kind))| kind.map(|k| (i, text, k)))
+            .collect();
         let toks = lex(&src);
         prop_assert_eq!(
             toks.len(),
-            atoms.len(),
-            "atom stream fused or split: {:?} from {src:?}",
+            emitted.len(),
+            "atom stream fused, split or leaked: {:?} from {src:?}",
             toks
         );
-        for (i, ((text, kind), tok)) in atoms.iter().zip(&toks).enumerate() {
+        for ((i, text, kind), tok) in emitted.into_iter().zip(&toks) {
             prop_assert_eq!(tok.text, text.as_str(), "atom {i} text mismatch");
-            prop_assert_eq!(tok.kind, *kind, "atom {i} ({:?}) kind mismatch", text);
+            prop_assert_eq!(tok.kind, kind, "atom {i} ({:?}) kind mismatch", text);
             prop_assert_eq!(tok.line, i as u32 + 1, "atom {i} line mismatch");
             prop_assert_eq!(tok.col, 1u32, "atom {i} col mismatch");
         }

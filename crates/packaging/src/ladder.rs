@@ -50,7 +50,6 @@ impl LadderSpec {
     }
 
     /// Builds the ladder: geometric interpolation between floor and top.
-    #[expect(clippy::expect_used, reason = "the ladder has at least two rungs by construction")]
     pub fn build(&self) -> Result<BitrateLadder, CoreError> {
         if self.rungs == 0 {
             return Err(CoreError::invalid("ladder spec needs at least one rung"));
@@ -76,10 +75,9 @@ impl LadderSpec {
             bitrates.push(value);
             current *= ratio;
         }
-        // Pin the endpoints exactly.
-        *bitrates.first_mut().expect("non-empty") = self.floor.0;
-        if self.rungs > 1 {
-            *bitrates.last_mut().expect("non-empty") = self.top.0;
+        // Pin the endpoints exactly (there are at least two rungs here).
+        if let [first, .., last] = bitrates.as_mut_slice() {
+            (*first, *last) = (self.floor.0, self.top.0);
         }
         BitrateLadder::new(bitrates.into_iter().map(|b| rung(Kbps(b), self.codec)).collect())
     }

@@ -132,11 +132,9 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
             break;
         }
         // Aim straight for the target with headroom, at least doubling.
-        let scaled = if b.nanos == 0 {
-            iters * 100
-        } else {
-            ((iters as u128 * TARGET_SAMPLE_NANOS * 2) / b.nanos) as u64
-        };
+        let scaled = (iters as u128 * TARGET_SAMPLE_NANOS * 2)
+            .checked_div(b.nanos)
+            .map_or(iters * 100, |n| n as u64);
         iters = scaled.max(iters * 2);
     }
 

@@ -390,6 +390,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::excessive_precision, reason = "the literal repeats the JSON text digit for digit")]
     fn integers_wider_than_64_bits_read_as_floats() {
         for (text, want) in [
             ("18446744073709551616", 18446744073709551616.0),
