@@ -133,16 +133,7 @@ impl Segment {
             OwnershipFlag::Owned => NO_OWNER,
             OwnershipFlag::Syndicated { owner } => owner.raw(),
         });
-        let mut mask = 0u64;
-        for cdn in &r.cdns {
-            // CDN ids are dense indexes by construction; anything else
-            // would also be dropped by the reference's
-            // `CdnName::from_dense_index` filter.
-            if cdn.index() < CdnName::OBSERVED_TOTAL {
-                mask |= 1u64 << cdn.index();
-            }
-        }
-        self.cdn_mask.push(mask);
+        self.cdn_mask.push(r.cdns.bits());
         // A ladder is 3–14 rungs; an ingested record is not bound by that.
         self.rungs.push(u16::try_from(r.available_bitrates.len()).unwrap_or(u16::MAX));
         self.hours.push(r.view_hours());
@@ -1139,6 +1130,46 @@ mod tests {
         let store = ViewStore::ingest(views.to_vec());
         let counts = per_segment_map(&store, |seg| seg.rung_counts().to_vec());
         assert_eq!(counts, vec![(snapshot(0), vec![3, u16::MAX, u16::MAX, u16::MAX])]);
+    }
+
+    /// The per-id mask loop `push_row` ran when a record held its CDNs as
+    /// a `Vec<CdnId>`, kept as the oracle for the `CdnSet` mask.
+    fn mask_of_ids(ids: &[vmp_core::ids::CdnId]) -> u64 {
+        let mut mask = 0u64;
+        for cdn in ids {
+            if cdn.index() < CdnName::OBSERVED_TOTAL {
+                mask |= 1u64 << cdn.index();
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn cdn_mask_column_equals_the_per_id_loop() {
+        // Every name alone, those past the 36 observed included, then
+        // random subsets (with repeats) of the first 45 dense indexes.
+        let names: Vec<CdnName> =
+            CdnName::MAJORS.into_iter().chain((0..=u8::MAX).map(CdnName::Minor)).collect();
+        let mut subsets: Vec<Vec<CdnName>> = names.iter().map(|c| vec![*c]).collect();
+        subsets.push(Vec::new());
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..2_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let len = (x >> 60) as usize % 7;
+            subsets.push((0..len).map(|k| names[(x >> (8 * k)) as usize % 45]).collect());
+        }
+        let mut seg = Segment::new_open(snapshot(0), 0);
+        for subset in &subsets {
+            let mut v = crate::store::tests::test_view(0, 1, "https://h/p/a.m3u8", 1.0, 1.0);
+            v.record.cdns = subset.iter().copied().collect();
+            seg.push_row(&v, 0, 0);
+        }
+        let expected: Vec<u64> = subsets
+            .iter()
+            .map(|subset| mask_of_ids(&subset.iter().map(|c| c.id()).collect::<Vec<_>>()))
+            .collect();
+        assert_eq!(seg.cdn_masks(), expected);
+        assert!(expected.iter().filter(|m| m.count_ones() > 1).count() > 100);
     }
 
     #[test]

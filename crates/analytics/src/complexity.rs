@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::store::tests::test_view;
     use crate::store::ViewStore;
-    use vmp_core::ids::CdnId;
+    use vmp_core::cdn::CdnName;
     use vmp_core::time::SnapshotId;
     use vmp_core::view::{PlayerIdentity, SampledView};
 
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn combinations_count_distinct_triples() {
         let mut v1 = test_view(0, 0, "https://h/p/a.m3u8", 1.0, 1.0);
-        v1.record.cdns = vec![CdnId::new(0), CdnId::new(1)];
+        v1.record.cdns = [CdnName::A, CdnName::B].into_iter().collect();
         let v2 = test_view(0, 0, "https://h/p/a.mpd", 1.0, 1.0);
         let pts = points(vec![v1, v2], ComplexityMeasure::Combinations, &|_| 1);
         assert_eq!(pts.len(), 1);

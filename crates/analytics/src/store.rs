@@ -281,10 +281,11 @@ fn intern(dict: &mut BTreeMap<String, u32>, keys: &mut Vec<String>, key: String)
 pub(crate) mod tests {
     use super::*;
     use crate::columns::{rollup_segment, Metric, PublisherMask, PLATFORM};
+    use vmp_core::cdn::CdnName;
     use vmp_core::content::ContentClass;
     use vmp_core::device::DeviceModel;
     use vmp_core::geo::{ConnectionType, Isp, Region};
-    use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
+    use vmp_core::ids::{PublisherId, SessionId, VideoId};
     use vmp_core::units::{Kbps, Seconds};
     use vmp_core::view::{OwnershipFlag, PlayerIdentity, ViewRecord};
 
@@ -301,11 +302,11 @@ pub(crate) mod tests {
                 snapshot: SnapshotId::new(snapshot).unwrap(),
                 publisher: PublisherId::new(publisher),
                 video: VideoId::new(1),
-                manifest_url: url.to_string(),
+                manifest_url: url.into(),
                 device: DeviceModel::Roku,
                 os: DeviceModel::Roku.os(),
                 player: PlayerIdentity::UserAgent("test".into()),
-                cdns: vec![CdnId::new(0)],
+                cdns: CdnName::A.into(),
                 available_bitrates: [Kbps(800)].into(),
                 viewing_time: Seconds::from_hours(hours),
                 class: ContentClass::Vod,

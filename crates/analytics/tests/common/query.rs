@@ -205,7 +205,6 @@ pub fn cdn_dim(v: &ViewRef<'_>) -> Vec<CdnName> {
         .record
         .cdns
         .iter()
-        .filter_map(|id| CdnName::from_dense_index(id.index()))
         .collect()
 }
 
@@ -224,7 +223,7 @@ mod tests {
     use super::*;
     use vmp_core::content::ContentClass;
     use vmp_core::geo::{ConnectionType, Isp, Region};
-    use vmp_core::ids::{CdnId, SessionId, VideoId};
+    use vmp_core::ids::{SessionId, VideoId};
     use vmp_core::time::SnapshotId;
     use vmp_core::units::{Kbps, Seconds};
     use vmp_core::view::{OwnershipFlag, PlayerIdentity, ViewRecord};
@@ -236,11 +235,11 @@ mod tests {
                 snapshot: SnapshotId::FIRST,
                 publisher: PublisherId::new(publisher),
                 video: VideoId::new(1),
-                manifest_url: url.to_string(),
+                manifest_url: url.into(),
                 device: DeviceModel::Roku,
                 os: DeviceModel::Roku.os(),
                 player: PlayerIdentity::UserAgent("test".into()),
-                cdns: vec![CdnId::new(0)],
+                cdns: CdnName::A.into(),
                 available_bitrates: [Kbps(800)].into(),
                 viewing_time: Seconds::from_hours(hours),
                 class: ContentClass::Vod,
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn multi_value_views_split_weight() {
         let mut v = test_view(0, "https://h/p/a.m3u8", 1.0, 1.0);
-        v.record.cdns = vec![CdnId::new(0), CdnId::new(1)]; // A and B
+        v.record.cdns = [CdnName::A, CdnName::B].into_iter().collect();
         let s = vec![v];
         let shares = vh_share_by(refs(&s), cdn_dim);
         assert!((shares[&CdnName::A] - 50.0).abs() < 1e-9);

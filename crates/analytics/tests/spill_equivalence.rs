@@ -18,7 +18,8 @@ use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
-use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
+use vmp_core::cdn::CdnSet;
+use vmp_core::ids::{PublisherId, SessionId, VideoId};
 use vmp_core::platform::Platform;
 use vmp_core::sdk::{PlayerBuild, SdkKind, SdkVersion};
 use vmp_core::time::SnapshotId;
@@ -48,9 +49,9 @@ fn view_from(snapshot: u32, publisher: u32, url_idx: usize, seed: u64) -> Sample
         ))
     };
     let cdn_bits = seed >> 24;
-    let cdns: Vec<CdnId> = (0..CdnName::OBSERVED_TOTAL as u32)
+    let cdns: CdnSet = (0..CdnName::OBSERVED_TOTAL as u32)
         .filter(|b| cdn_bits >> b & 1 != 0)
-        .map(CdnId::new)
+        .filter_map(|b| CdnName::from_dense_index(b as usize))
         .collect();
     let ownership = if seed >> 7 & 3 == 0 {
         OwnershipFlag::Syndicated { owner: PublisherId::new((seed >> 9 & 7) as u32) }
@@ -63,7 +64,7 @@ fn view_from(snapshot: u32, publisher: u32, url_idx: usize, seed: u64) -> Sample
             snapshot: SnapshotId::new(snapshot).expect("snapshot in range"),
             publisher: PublisherId::new(publisher),
             video: VideoId::new((seed >> 12 & 0xFF) as u32),
-            manifest_url: URLS[url_idx].to_string(),
+            manifest_url: URLS[url_idx].into(),
             device,
             os: device.os(),
             player,

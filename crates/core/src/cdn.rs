@@ -108,6 +108,91 @@ impl fmt::Display for CdnName {
     }
 }
 
+/// The CDNs that served one view (§3: "the CDN(s) used during the view"):
+/// one bit per [`CdnName::dense_index`], so the set is `Copy` and owns no
+/// heap block. It is built only from names, and a name outside the 36
+/// observed CDNs (a `Minor(n)` with `n ≥ 31`) is never a member, so the set
+/// cannot hold an id the store's CDN column has no bit for.
+///
+/// `Debug` and the JSON form list the members' [`CdnId`]s in ascending
+/// order, the form a one-CDN `Vec<CdnId>` had.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct CdnSet(u64);
+
+impl CdnSet {
+    /// The bit of `cdn`, zero outside the observed CDNs.
+    const fn bit(cdn: CdnName) -> u64 {
+        let index = cdn.dense_index();
+        if index < CdnName::OBSERVED_TOTAL {
+            1 << index
+        } else {
+            0
+        }
+    }
+
+    /// Adds `cdn` (a no-op outside the observed CDNs).
+    pub fn insert(&mut self, cdn: CdnName) {
+        self.0 |= Self::bit(cdn);
+    }
+
+    /// Whether `cdn` served the view.
+    pub const fn contains(self, cdn: CdnName) -> bool {
+        self.0 & Self::bit(cdn) != 0
+    }
+
+    /// The mask: bit `i` is set when the CDN of dense index `i` is a
+    /// member, and bits 36..64 are always clear.
+    pub const fn bits(self) -> u64 {
+        self.0
+    }
+
+    /// The members, in ascending dense index.
+    pub fn iter(self) -> impl Iterator<Item = CdnName> {
+        CdnName::all_observed().filter(move |cdn| self.contains(*cdn))
+    }
+}
+
+impl From<CdnName> for CdnSet {
+    fn from(cdn: CdnName) -> CdnSet {
+        CdnSet(Self::bit(cdn))
+    }
+}
+
+impl FromIterator<CdnName> for CdnSet {
+    fn from_iter<I: IntoIterator<Item = CdnName>>(cdns: I) -> CdnSet {
+        let mut set = CdnSet::default();
+        for cdn in cdns {
+            set.insert(cdn);
+        }
+        set
+    }
+}
+
+impl fmt::Debug for CdnSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(CdnName::id)).finish()
+    }
+}
+
+impl Serialize for CdnSet {
+    fn to_json(&self) -> serde::Json {
+        serde::Json::Array(self.iter().map(|cdn| cdn.id().to_json()).collect())
+    }
+}
+
+/// Reads the id list back, rejecting an id that names no observed CDN.
+impl Deserialize for CdnSet {
+    fn from_json(value: &serde::Json) -> Result<Self, String> {
+        let ids = Vec::<CdnId>::from_json(value).map_err(|e| format!("CdnSet: {e}"))?;
+        ids.into_iter()
+            .map(|id| {
+                CdnName::from_dense_index(id.index())
+                    .ok_or_else(|| format!("CdnSet: {id} is not one of the 36 observed CDNs"))
+            })
+            .collect()
+    }
+}
+
 /// How a CDN steers clients to edge servers (§4.3 notes one of the top three
 /// CDNs uses anycast, which is susceptible to BGP route changes that sever
 /// TCP connections).
@@ -154,6 +239,32 @@ mod tests {
             .filter(|c| RoutingScheme::for_cdn(**c) == RoutingScheme::Anycast)
             .collect();
         assert_eq!(anycast.len(), 1);
+    }
+
+    #[test]
+    fn cdn_set_holds_observed_names_only() {
+        let set: CdnSet =
+            [CdnName::C, CdnName::A, CdnName::Minor(30), CdnName::A].into_iter().collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), [CdnName::A, CdnName::C, CdnName::Minor(30)]);
+        assert!(set.contains(CdnName::Minor(30)) && !set.contains(CdnName::B));
+        assert_eq!(set.bits(), 1 | 1 << 2 | 1 << 35);
+        // Beyond the 36 observed CDNs there is no bit to set.
+        let mut outside = CdnSet::from(CdnName::Minor(31));
+        outside.insert(CdnName::Minor(u8::MAX));
+        assert_eq!(outside, CdnSet::default());
+        assert!(!outside.contains(CdnName::Minor(31)));
+    }
+
+    #[test]
+    fn cdn_set_prints_and_serializes_as_its_ids() {
+        let set: CdnSet = [CdnName::E, CdnName::B].into_iter().collect();
+        assert_eq!(format!("{set:?}"), format!("{:?}", vec![CdnName::B.id(), CdnName::E.id()]));
+        let json = serde_json::to_string(&set).unwrap();
+        assert_eq!(json, "[1,4]");
+        assert_eq!(serde_json::from_str::<CdnSet>(&json).unwrap(), set);
+        let err = serde_json::from_str::<CdnSet>("[0,36]").unwrap_err().to_string();
+        assert!(err.contains("CDN0036"), "{err}");
+        assert!(serde_json::from_str::<CdnSet>("\"A\"").is_err());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod view;
 
 pub mod prelude {
     //! Convenience re-exports of the most commonly used core types.
-    pub use crate::cdn::{CdnName, RoutingScheme};
+    pub use crate::cdn::{CdnName, CdnSet, RoutingScheme};
     pub use crate::content::{ContentClass, VideoAsset};
     pub use crate::device::DeviceModel;
     pub use crate::error::CoreError;
@@ -58,5 +58,5 @@ pub mod prelude {
     pub use crate::sdk::{SdkKind, SdkVersion};
     pub use crate::time::{SnapshotId, StudyMonth};
     pub use crate::units::{Bytes, Kbps, Seconds, ViewHours};
-    pub use crate::view::{OwnershipFlag, SampledView, ViewRecord};
+    pub use crate::view::{ManifestUrl, OwnershipFlag, SampledView, ViewRecord};
 }

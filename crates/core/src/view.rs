@@ -13,17 +13,110 @@
 //! analysis of the store reads: §6's QoE comparisons play their own
 //! sessions. Note the protocol is **not** stored as a field: analytics must
 //! re-infer it from `manifest_url`, exactly as the paper does (Table 1).
+//!
+//! A record owns no heap block of its own. The CDNs are a [`CdnSet`]
+//! bitmask; the ladder, the user-agent and the manifest URL's text are
+//! shared by every record of a (publisher, snapshot) cell, each record
+//! holding a reference to them. A [`ManifestUrl`] is a range of the cell's
+//! one URL text, so dropping a record frees nothing until the last record
+//! of its cell goes.
 
+use crate::cdn::CdnSet;
 use crate::content::ContentClass;
 use crate::device::DeviceModel;
 use crate::geo::{ConnectionType, Isp, Region};
-use crate::ids::{CdnId, PublisherId, SessionId, VideoId};
+use crate::ids::{PublisherId, SessionId, VideoId};
 use crate::platform::Os;
 use crate::sdk::PlayerBuild;
 use crate::time::SnapshotId;
 use crate::units::{Kbps, Seconds};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
+
+/// A manifest URL: the range `start..end` of a text that may hold many
+/// URLs back to back. Generation writes every URL of a (publisher,
+/// snapshot) cell into one exact-size text, and each record of the cell
+/// holds its range of it, so a record's URL is not a heap block of its own.
+///
+/// It reads as a `&str` (`Deref`), compares as its text, and prints
+/// (`Debug`) and serializes as a plain string, the forms a `String` field
+/// had.
+#[derive(Clone)]
+pub struct ManifestUrl {
+    text: Arc<str>,
+    start: u32,
+    end: u32,
+}
+
+impl ManifestUrl {
+    /// The URL `text[range]`, or `None` when `range` is not a `str` range
+    /// of `text` or ends beyond `u32::MAX`.
+    pub fn new(text: Arc<str>, range: Range<usize>) -> Option<ManifestUrl> {
+        text.get(range.clone())?;
+        let start = u32::try_from(range.start).ok()?;
+        let end = u32::try_from(range.end).ok()?;
+        Some(ManifestUrl { text, start, end })
+    }
+
+    /// The URL.
+    pub fn as_str(&self) -> &str {
+        // `new` checked the range, so the lookup always succeeds.
+        let range = usize::try_from(self.start).ok().zip(usize::try_from(self.end).ok());
+        range.and_then(|(start, end)| self.text.get(start..end)).unwrap_or_default()
+    }
+
+    /// The whole text this URL is a range of (shared by its cell).
+    pub fn text(&self) -> &Arc<str> {
+        &self.text
+    }
+}
+
+impl Deref for ManifestUrl {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// A URL that is its own whole text. A text of 4 GiB or more, which no URL
+/// is, reads as empty.
+impl From<&str> for ManifestUrl {
+    fn from(url: &str) -> ManifestUrl {
+        ManifestUrl::new(url.into(), 0..url.len()).unwrap_or_else(|| ManifestUrl::from(""))
+    }
+}
+
+impl PartialEq for ManifestUrl {
+    fn eq(&self, other: &ManifestUrl) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for ManifestUrl {}
+
+impl fmt::Debug for ManifestUrl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl Serialize for ManifestUrl {
+    fn to_json(&self) -> serde::Json {
+        self.as_str().to_json()
+    }
+}
+
+impl Deserialize for ManifestUrl {
+    fn from_json(value: &serde::Json) -> Result<Self, String> {
+        let url = String::from_json(value).map_err(|e| format!("ManifestUrl: {e}"))?;
+        let len = url.len();
+        ManifestUrl::new(url.into(), 0..len)
+            .ok_or_else(|| format!("ManifestUrl: {len} bytes is beyond a u32 offset"))
+    }
+}
 
 /// How the player identified itself: browser views report a user-agent,
 /// app views report the SDK and version (§3).
@@ -68,17 +161,18 @@ pub struct ViewRecord {
     /// explicit to avoid string parsing in hot analytics paths).
     pub video: VideoId,
     /// Manifest URL with anonymized path but true extension — the *only*
-    /// protocol signal available to analytics (Table 1).
-    pub manifest_url: String,
+    /// protocol signal available to analytics (Table 1). Its text is shared
+    /// with the other records of the cell.
+    pub manifest_url: ManifestUrl,
     /// Device model.
     pub device: DeviceModel,
     /// Operating system.
     pub os: Os,
     /// User-agent or SDK+version.
     pub player: PlayerIdentity,
-    /// CDN(s) that served chunks during this view (chunks may come from
-    /// multiple CDNs in one view, §3 footnote 4).
-    pub cdns: Vec<CdnId>,
+    /// The set of CDNs that served chunks during this view (chunks may come
+    /// from multiple CDNs in one view, §3 footnote 4).
+    pub cdns: CdnSet,
     /// The bitrate ladder advertised in the manifest. A constant of the
     /// (publisher, snapshot) cell, shared by every record of it.
     pub available_bitrates: Arc<[Kbps]>,
@@ -133,6 +227,7 @@ impl SampledView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdn::CdnName;
     use crate::platform::BrowserTech;
     use crate::sdk::{SdkKind, SdkVersion};
 
@@ -149,7 +244,7 @@ mod tests {
                 SdkKind::RokuSceneGraph,
                 SdkVersion::new(7, 2),
             )),
-            cdns: vec![CdnId::new(0), CdnId::new(1)],
+            cdns: [CdnName::A, CdnName::B].into_iter().collect(),
             available_bitrates: [Kbps(800), Kbps(1600), Kbps(3200)].into(),
             viewing_time: Seconds::from_minutes(45.0),
             class: ContentClass::Vod,
@@ -193,6 +288,40 @@ mod tests {
         let json = serde_json::to_string(&v).unwrap();
         let back: ViewRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn serde_keeps_the_plain_forms_of_a_shared_url_and_the_cdn_set() {
+        let mut v = sample();
+        let text: Arc<str> = "https://a/p1/v1/master.m3u8https://b/p1/v2.mpd".into();
+        let second = text.rfind("https").unwrap();
+        v.manifest_url = ManifestUrl::new(Arc::clone(&text), second..text.len()).unwrap();
+        let json = serde_json::to_string(&v).unwrap();
+        assert!(json.contains(r#""manifest_url":"https://b/p1/v2.mpd""#), "{json}");
+        assert!(json.contains(r#""cdns":[0,1]"#), "{json}");
+        let back: ViewRecord = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(&**back.manifest_url.text(), "https://b/p1/v2.mpd");
+        let bad = json.replace(r#""cdns":[0,1]"#, r#""cdns":[0,99]"#);
+        assert!(serde_json::from_str::<ViewRecord>(&bad).is_err());
+    }
+
+    #[test]
+    fn manifest_url_is_its_range_of_the_text() {
+        let text: Arc<str> = "https://h/é.m3u8|rtmp://h/live/x".into();
+        let first = ManifestUrl::new(Arc::clone(&text), 0..17).unwrap();
+        let second = ManifestUrl::new(Arc::clone(&text), 18..text.len()).unwrap();
+        assert_eq!(&*first, "https://h/é.m3u8");
+        assert_eq!(second.as_str(), "rtmp://h/live/x");
+        assert!(Arc::ptr_eq(first.text(), second.text()));
+        // Past the end, inside a character, or reversed: no URL.
+        assert!(ManifestUrl::new(Arc::clone(&text), 0..text.len() + 1).is_none());
+        assert!(ManifestUrl::new(Arc::clone(&text), 0..11).is_none());
+        assert!(ManifestUrl::new(Arc::clone(&text), Range { start: 5, end: 4 }).is_none());
+        // Equal text is equal, shared or not; it prints as a `String` does.
+        let own = ManifestUrl::from("rtmp://h/live/x");
+        assert_eq!(own, second);
+        assert_eq!(format!("{own:?}"), format!("{:?}", String::from("rtmp://h/live/x")));
     }
 
     #[test]

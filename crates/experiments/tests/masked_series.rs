@@ -11,10 +11,11 @@ use std::fmt::Display;
 use vmp_analytics::columns::{rollup_segment, DimSpec, Metric, PLATFORM, PROTOCOL};
 use vmp_analytics::report::Series;
 use vmp_analytics::store::ViewStore;
+use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
-use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
+use vmp_core::ids::{PublisherId, SessionId, VideoId};
 use vmp_core::platform::Platform;
 use vmp_core::protocol::StreamingProtocol;
 use vmp_core::time::SnapshotId;
@@ -41,11 +42,11 @@ fn view(snapshot: u32, publisher: PublisherId, i: usize) -> SampledView {
             snapshot: SnapshotId::new(snapshot).expect("snapshot in range"),
             publisher,
             video: VideoId::new(1),
-            manifest_url: URLS[i % URLS.len()].to_string(),
+            manifest_url: URLS[i % URLS.len()].into(),
             device,
             os: device.os(),
             player: PlayerIdentity::UserAgent("Mozilla/5.0".into()),
-            cdns: vec![CdnId::new((i % 3) as u32)],
+            cdns: CdnName::MAJORS[i % 3].into(),
             available_bitrates: [Kbps(800)].into(),
             viewing_time: Seconds::from_minutes(1.0 + (i % 7) as f64 * 3.5),
             class: ContentClass::Vod,

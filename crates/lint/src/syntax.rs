@@ -35,6 +35,10 @@ const TRANSPARENT_METHODS: [&str; 9] = [
 /// The attribute that starts a test-only item.
 const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
 
+/// The first tokens of a statement that ends at its closing `}` with no
+/// `;` (`if c { .. } else { .. }`, `match`, loops, a bare block).
+const BLOCK_STATEMENTS: [&str; 8] = ["if", "else", "match", "while", "for", "loop", "unsafe", "{"];
+
 /// What the scope pass found in one file. Token indices point into the
 /// file's code tokens.
 #[derive(Debug, Default)]
@@ -77,8 +81,17 @@ pub struct OrderingSite {
     pub tok: usize,
 }
 
-/// A guard the walk holds: released at its block's end, at the block's
-/// next `;` when it is a temporary, or at `drop(binding)` in its block.
+/// An open block: where its current statement starts, and how many `(`
+/// and `[` groups were open at its `{`.
+#[derive(Clone, Copy)]
+struct Block {
+    stmt: usize,
+    groups: usize,
+}
+
+/// A guard the walk holds: released at its block's end, at the end of the
+/// block's statement when it is a temporary, or at `drop(binding)` in its
+/// block.
 struct Guard<'a> {
     tok: usize,
     depth: usize,
@@ -90,9 +103,10 @@ struct Guard<'a> {
 enum Test {
     /// Not inside a test item.
     Outside,
-    /// Before the item's first `;` or `{` at or after the given token (the
-    /// one after any further attributes).
-    Head(usize),
+    /// Before the item's first `;` or `{` at or after token `item` (the one
+    /// after any further attributes) outside any `(` or `[` group the item
+    /// opens: `groups` were open at the attribute.
+    Head { item: usize, groups: usize },
     /// Inside the item's body, which closes when fewer blocks are open.
     Body(usize),
 }
@@ -124,16 +138,19 @@ fn is_ident(toks: &[Tok<'_>], i: usize) -> bool {
     toks.get(i).is_some_and(|t| t.kind == TokKind::Ident)
 }
 
-/// Walks the file once. A block's statement starts after its `{` or its
-/// last `;`; a guard is bound when its statement is a `let` whose value
-/// is the acquisition itself.
+/// Walks the file once. A block's statement starts after its `{`, its
+/// last `;`, or the `}` that closed a block statement (`if`, `match`, a
+/// loop, a bare block) outside any `(` or `[`; a guard is bound when its
+/// statement is a `let` whose value is the acquisition itself.
 pub fn scan(toks: &[Tok<'_>]) -> Scope {
     let mut scope = Scope { in_test: vec![false; toks.len()], ..Scope::default() };
-    let mut blocks = vec![0]; // statement start per open block, file level first
+    let mut blocks = vec![Block { stmt: 0, groups: 0 }]; // file level first
     let mut calls: Vec<usize> = Vec::new(); // open `(` tokens
+    let mut brackets = 0usize; // open `[` tokens
     let mut held: Vec<Guard<'_>> = Vec::new();
     let mut test = Test::Outside;
     for i in 0..toks.len() {
+        let groups = calls.len() + brackets;
         if test == Test::Outside
             && CFG_TEST.iter().enumerate().all(|(k, t)| text(toks, i + k) == *t)
         {
@@ -141,32 +158,42 @@ pub fn scan(toks: &[Tok<'_>]) -> Scope {
             while text(toks, item) == "#" && text(toks, item + 1) == "[" {
                 item = group_end(toks, item + 1) + 1;
             }
-            test = Test::Head(item);
+            test = Test::Head { item, groups };
         }
         scope.in_test[i] = test != Test::Outside;
+        // Whether token `i` ends or opens the head of the test item.
+        let item_level = matches!(test, Test::Head { item, groups: g } if i >= item && groups == g);
         let t = text(toks, i);
         match t {
             "{" => {
-                blocks.push(i + 1);
-                if matches!(test, Test::Head(item) if i >= item) {
+                blocks.push(Block { stmt: i + 1, groups });
+                if item_level {
                     test = Test::Body(blocks.len());
                 }
             }
             // An unmatched `}` only ends a file-level statement.
-            "}" if blocks.len() == 1 => blocks = vec![i + 1],
+            "}" if blocks.len() == 1 => blocks = vec![Block { stmt: i + 1, groups }],
             "}" => {
                 blocks.pop();
                 held.retain(|g| g.depth <= blocks.len());
                 if matches!(test, Test::Body(depth) if blocks.len() < depth) {
                     test = Test::Outside;
                 }
+                let depth = blocks.len();
+                if let Some(block) = blocks.last_mut() {
+                    let statement = text(toks, block.stmt);
+                    if groups == block.groups && BLOCK_STATEMENTS.contains(&statement) {
+                        held.retain(|g| g.depth != depth || g.binding.is_some());
+                        block.stmt = i + 1;
+                    }
+                }
             }
             ";" => {
                 held.retain(|g| g.depth != blocks.len() || g.binding.is_some());
-                if let Some(stmt) = blocks.last_mut() {
-                    *stmt = i + 1;
+                if let Some(block) = blocks.last_mut() {
+                    block.stmt = i + 1;
                 }
-                if matches!(test, Test::Head(item) if i >= item) {
+                if item_level {
                     test = Test::Outside;
                 }
             }
@@ -174,6 +201,8 @@ pub fn scan(toks: &[Tok<'_>]) -> Scope {
             ")" => {
                 calls.pop();
             }
+            "[" => brackets += 1,
+            "]" => brackets = brackets.saturating_sub(1),
             "drop" if text(toks, i + 1) == "(" && text(toks, i + 3) == ")" => {
                 let name = text(toks, i + 2);
                 held.retain(|g| g.depth != blocks.len() || g.binding != Some(name));
@@ -188,7 +217,7 @@ pub fn scan(toks: &[Tok<'_>]) -> Scope {
                 if let Some(outer) = held.last() {
                     scope.nested.push((i, outer.tok));
                 }
-                let stmt = blocks.last().copied().unwrap_or(0);
+                let stmt = blocks.last().map_or(0, |block| block.stmt);
                 let binding = (text(toks, stmt) == "let" && guard_is_bound(toks, i)).then(|| {
                     let name = text(toks, stmt + 1);
                     if name == "mut" {
@@ -379,6 +408,40 @@ mod tests {
         // The let-bound `a` is held across both; the temporary `b` is
         // released at its own `;`, so `c` nests under `a`, not `b`.
         assert_eq!(pairs(src), [("b", "a"), ("c", "a")]);
+    }
+
+    #[test]
+    fn a_block_statement_ends_at_its_closing_brace() {
+        // The `let` after `if c { .. }` starts a statement, so `a`'s guard
+        // is bound and `b` nests under it.
+        let src = "impl S { fn f(&self, c: bool) { if c { return; } let _g = self.a.lock(); \
+                   let _h = self.b.lock(); } }";
+        assert_eq!(pairs(src), [("b", "a")]);
+        // A `match` statement's scrutinee guard dies at its closing brace,
+        // and an `else` block ends the `if` statement.
+        let src = "impl S { fn f(&self) { match self.a.lock().len() { 0 => {} _ => {} } \
+                   let _g = self.b.lock(); if x { } else { } let _h = self.c.lock(); } }";
+        assert_eq!(pairs(src), [("c", "b")]);
+        // A closure's `}` inside the condition's parentheses ends nothing:
+        // the condition's guard is still held in the block.
+        let src = "impl S { fn f(&self) { if self.a.lock().iter().any(|x| { *x > 0 }) { \
+                   let _h = self.b.lock(); } } }";
+        assert_eq!(pairs(src), [("b", "a")]);
+    }
+
+    #[test]
+    fn a_semicolon_inside_a_test_items_brackets_does_not_end_it() {
+        let src = "#[cfg(test)] fn helper(v: [u8; 4]) -> u8 { v[0] }\n\
+                   #[cfg(test)] const X: [u8; 2] = [0; 2];\n\
+                   fn lib(v: &[u8]) -> u8 { v[1] }";
+        let toks = lex(src);
+        let scope = scan(&toks);
+        let masked = |text: &str| {
+            let at = toks.iter().position(|t| t.text == text).unwrap();
+            scope.in_test[at]
+        };
+        assert!(masked("0") && masked("X"), "the test items are masked");
+        assert!(!masked("lib") && !masked("1"), "the library fn after them is not");
     }
 
     #[test]

@@ -20,6 +20,11 @@ pub fn strings_do_not_fire() -> &'static str {
 }
 
 #[cfg(test)]
+fn helper(v: [u8; 4]) -> u8 {
+    v[0]
+}
+
+#[cfg(test)]
 mod tests {
     #[test]
     fn test_code_is_exempt() {

@@ -1,9 +1,10 @@
 //! Fixture concurrency crate for C1 ("one lock at a time"): nesting in
-//! either order, re-entry, an RwLock under a Mutex, and two temporaries in
-//! one statement all fire; a released temporary, an explicit `drop`, and
-//! io `read`/`write` calls with arguments stay silent. A consistent order
-//! is still a nesting: there is no escape hatch. C1 is token-level and per
-//! function body: nesting through a call (`read_then_a`) is out of scope.
+//! either order, re-entry, an RwLock under a Mutex, nesting after an `if`
+//! block, and two temporaries in one statement all fire; a released
+//! temporary, an explicit `drop`, and io `read`/`write` calls with
+//! arguments stay silent. A consistent order is still a nesting: there is
+//! no escape hatch. C1 is token-level and per function body: nesting
+//! through a call (`read_then_a`) is out of scope.
 
 use std::io::{Read, Write};
 use std::sync::{Mutex, RwLock};
@@ -28,6 +29,14 @@ impl State {
     pub fn reenter(&self) {
         let _g = self.a.lock();
         let _h = self.a.lock(); //~ ERROR C1
+    }
+
+    pub fn after_a_block(&self, early: bool) {
+        if early {
+            return;
+        }
+        let _g = self.a.lock();
+        let _h = self.b.lock(); //~ ERROR C1
     }
 
     pub fn read_then_a(&self) {

@@ -40,4 +40,4 @@ pub mod url;
 pub mod xml;
 
 pub use types::{ManifestError, MediaPresentation};
-pub use url::{classify, manifest_url};
+pub use url::{classify, manifest_url, write_manifest_url};

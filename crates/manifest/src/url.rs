@@ -106,18 +106,46 @@ fn extension_protocol(ext: &[u8]) -> Option<StreamingProtocol> {
 }
 
 /// Builds the manifest URL that the packager publishes for a presentation
-/// on a given CDN host. Mirrors the URL shapes of Table 1.
+/// on a given CDN host: [`write_manifest_url`] into a new `String`.
 ///
 /// The result is allocated once at its exact length (`capacity == len`):
-/// generation builds one per view and ingest pipelines hold them by the
-/// hundred thousand, so slack capacity is resident memory.
+/// slack capacity in a URL that is kept is resident memory.
 pub fn manifest_url(
     protocol: StreamingProtocol,
     cdn_host: &str,
     publisher_prefix: &str,
     content_token: &str,
 ) -> String {
-    // scheme, host, `to_prefix`, prefix, `to_token`, token, suffix.
+    let parts = url_parts(protocol, cdn_host, publisher_prefix, content_token);
+    let mut url = String::with_capacity(parts.iter().map(|part| part.len()).sum());
+    for part in parts {
+        url.push_str(part);
+    }
+    url
+}
+
+/// Appends the manifest URL of [`manifest_url`] to `out`, so a caller can
+/// write many URLs back to back into one buffer. Mirrors the URL shapes of
+/// Table 1.
+pub fn write_manifest_url(
+    out: &mut String,
+    protocol: StreamingProtocol,
+    cdn_host: &str,
+    publisher_prefix: &str,
+    content_token: &str,
+) {
+    for part in url_parts(protocol, cdn_host, publisher_prefix, content_token) {
+        out.push_str(part);
+    }
+}
+
+/// Scheme, host, `to_prefix`, prefix, `to_token`, token, suffix.
+fn url_parts<'a>(
+    protocol: StreamingProtocol,
+    cdn_host: &'a str,
+    publisher_prefix: &'a str,
+    content_token: &'a str,
+) -> [&'a str; 7] {
     let (scheme, to_prefix, to_token, suffix) = match protocol {
         StreamingProtocol::Hls => ("https://", "/", "/", "/master.m3u8"),
         StreamingProtocol::Dash => ("https://", "/", "/", ".mpd"),
@@ -126,12 +154,7 @@ pub fn manifest_url(
         StreamingProtocol::Rtmp => ("rtmp://", "/live/", "/", ""),
         StreamingProtocol::Progressive => ("https://", "/", "/", ".mp4"),
     };
-    let parts = [scheme, cdn_host, to_prefix, publisher_prefix, to_token, content_token, suffix];
-    let mut url = String::with_capacity(parts.iter().map(|part| part.len()).sum());
-    for part in parts {
-        url.push_str(part);
-    }
-    url
+    [scheme, cdn_host, to_prefix, publisher_prefix, to_token, content_token, suffix]
 }
 
 #[cfg(test)]
@@ -273,6 +296,18 @@ mod tests {
                     assert_eq!(url.capacity(), url.len(), "slack in {url}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn written_urls_append_back_to_back() {
+        let mut out = String::from("kept|");
+        let mut expected = out.clone();
+        for protocol in StreamingProtocol::ALL {
+            write_manifest_url(&mut out, protocol, "media.cdn-b.example.net", "p0007", "v0013a7");
+            let url = manifest_url(protocol, "media.cdn-b.example.net", "p0007", "v0013a7");
+            expected.push_str(&url);
+            assert_eq!(out, expected);
         }
     }
 

@@ -10,11 +10,11 @@ use std::sync::Arc;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
-use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
+use vmp_core::ids::{PublisherId, SessionId, VideoId};
 use vmp_core::sdk::{PlayerBuild, SdkKind, SdkVersion};
 use vmp_core::time::SnapshotId;
-use vmp_core::units::{Kbps, Seconds};
-use vmp_core::view::{OwnershipFlag, PlayerIdentity, ViewRecord};
+use vmp_core::units::Kbps;
+use vmp_core::view::{ManifestUrl, OwnershipFlag, PlayerIdentity, ViewRecord};
 
 /// Client-side context for one view.
 #[derive(Debug, Clone)]
@@ -77,37 +77,20 @@ pub struct TelemetryBuilder {
 
 impl TelemetryBuilder {
     /// Stamps a played session's CDNs and media played with context into a
-    /// complete record.
+    /// complete record. The record's URL is a text of its own.
     pub fn build(&self, client: &ClientContext, outcome: &SessionOutcome) -> ViewRecord {
-        let cdns = outcome.cdns.iter().map(|c| c.id()).collect();
-        self.clone().into_record(client, client.player_identity(), cdns, outcome.qoe.played)
-    }
-
-    /// The record of a view that `cdns` served for `viewing_time`, from a
-    /// builder made for that one view: the manifest URL moves into the
-    /// record instead of being copied, and `player` — which must equal
-    /// `client.player_identity()` — is taken as given, so a caller can
-    /// share one identity across many records.
-    pub fn into_record(
-        self,
-        client: &ClientContext,
-        player: PlayerIdentity,
-        cdns: Vec<CdnId>,
-        viewing_time: Seconds,
-    ) -> ViewRecord {
-        debug_assert_eq!(player, client.player_identity());
         ViewRecord {
             session: self.session,
             snapshot: self.snapshot,
             publisher: self.publisher,
             video: self.video,
-            manifest_url: self.manifest_url,
+            manifest_url: ManifestUrl::from(self.manifest_url.as_str()),
             device: client.device,
             os: client.device.os(),
-            player,
-            cdns,
-            available_bitrates: self.available_bitrates,
-            viewing_time,
+            player: client.player_identity(),
+            cdns: outcome.cdns.iter().copied().collect(),
+            available_bitrates: Arc::clone(&self.available_bitrates),
+            viewing_time: outcome.qoe.played,
             class: self.class,
             ownership: self.ownership,
             region: client.region,
@@ -123,6 +106,7 @@ mod tests {
     use vmp_core::cdn::CdnName;
     use vmp_core::platform::BrowserTech;
     use vmp_core::qoe::QoeSummary;
+    use vmp_core::units::Seconds;
 
     fn outcome() -> SessionOutcome {
         SessionOutcome {
@@ -168,35 +152,14 @@ mod tests {
         };
         let record = builder().build(&client, &outcome());
         assert_eq!(record.viewing_time, Seconds(1800.0));
-        assert_eq!(record.cdns, [CdnName::A.id(), CdnName::C.id()]);
+        assert_eq!(record.cdns, [CdnName::C, CdnName::A].into_iter().collect());
+        assert_eq!(record.manifest_url.as_str(), builder().manifest_url);
         match record.player {
             PlayerIdentity::Sdk(build) => {
                 assert_eq!(build.sdk, SdkKind::RokuSceneGraph);
                 assert_eq!(build.version, SdkVersion::new(9, 1));
             }
             _ => panic!("app platform must report an SDK"),
-        }
-    }
-
-    #[test]
-    fn consuming_path_equals_build() {
-        let browsers = BrowserTech::ALL.map(DeviceModel::DesktopBrowser);
-        for device in browsers.into_iter().chain([DeviceModel::MobileBrowser, DeviceModel::Roku]) {
-            let client = ClientContext {
-                device,
-                sdk_version: SdkVersion::new(9, 1),
-                region: Region::UsOther,
-                isp: Isp::Z,
-                connection: ConnectionType::Wired,
-            };
-            let built = builder().build(&client, &outcome());
-            let consumed = builder().into_record(
-                &client,
-                client.player_identity(),
-                vec![CdnName::A.id(), CdnName::C.id()],
-                Seconds(1800.0),
-            );
-            assert_eq!(consumed, built, "{device:?}");
         }
     }
 

@@ -138,10 +138,11 @@ mod tests {
     }
 
     fn view(publisher: u32, ownership: OwnershipFlag) -> SampledView {
+        use vmp_core::cdn::CdnName;
         use vmp_core::content::ContentClass;
         use vmp_core::device::DeviceModel;
         use vmp_core::geo::{ConnectionType, Isp, Region};
-        use vmp_core::ids::{CdnId, SessionId, VideoId};
+        use vmp_core::ids::{SessionId, VideoId};
         use vmp_core::time::SnapshotId;
         use vmp_core::units::{Kbps, Seconds};
         use vmp_core::view::{PlayerIdentity, ViewRecord};
@@ -155,7 +156,7 @@ mod tests {
                 device: DeviceModel::Roku,
                 os: DeviceModel::Roku.os(),
                 player: PlayerIdentity::UserAgent("t".into()),
-                cdns: vec![CdnId::new(0)],
+                cdns: CdnName::A.into(),
                 available_bitrates: [Kbps(800)].into(),
                 viewing_time: Seconds::from_hours(1.0),
                 class: ContentClass::Vod,

@@ -8,10 +8,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vmp_analytics::columns::NO_OWNER;
 use vmp_analytics::store::ViewStore;
+use vmp_core::cdn::CdnName;
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
-use vmp_core::ids::{CdnId, PublisherId, SessionId, VideoId};
+use vmp_core::ids::{PublisherId, SessionId, VideoId};
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
 use vmp_core::view::{OwnershipFlag, PlayerIdentity, SampledView, ViewRecord};
@@ -72,7 +73,7 @@ fn view(snapshot: u32, publisher: u32, owner: Option<u32>) -> SampledView {
             device: DeviceModel::Roku,
             os: DeviceModel::Roku.os(),
             player: PlayerIdentity::UserAgent("t".into()),
-            cdns: vec![CdnId::new(0)],
+            cdns: CdnName::A.into(),
             available_bitrates: [Kbps(800)].into(),
             viewing_time: Seconds::from_hours(1.0),
             class: ContentClass::Vod,

@@ -21,8 +21,8 @@ pub struct SyndicationGraph {
     syndicators: Vec<PublisherId>,
     /// owner → set of syndicators carrying its content.
     by_owner: BTreeMap<PublisherId, BTreeSet<PublisherId>>,
-    /// syndicator → set of owners it licenses from.
-    by_syndicator: BTreeMap<PublisherId, BTreeSet<PublisherId>>,
+    /// syndicator → the owners it licenses from, ascending and distinct.
+    by_syndicator: BTreeMap<PublisherId, Vec<PublisherId>>,
 }
 
 impl SyndicationGraph {
@@ -58,6 +58,7 @@ impl SyndicationGraph {
         if syndicators.is_empty() {
             return graph;
         }
+        let mut by_syndicator: BTreeMap<PublisherId, BTreeSet<PublisherId>> = BTreeMap::new();
 
         for owner in owners {
             // Reach: ~18% of owners use no syndicator; the rest draw a
@@ -84,10 +85,14 @@ impl SyndicationGraph {
             let chosen = rng.sample_indices(pool.len(), k);
             let set: BTreeSet<PublisherId> = chosen.into_iter().map(|i| pool[i]).collect();
             for s in &set {
-                graph.by_syndicator.entry(*s).or_default().insert(owner.publisher.id);
+                by_syndicator.entry(*s).or_default().insert(owner.publisher.id);
             }
             graph.by_owner.insert(owner.publisher.id, set);
         }
+        graph.by_syndicator = by_syndicator
+            .into_iter()
+            .map(|(syndicator, owners)| (syndicator, owners.into_iter().collect()))
+            .collect();
         graph
     }
 
@@ -106,21 +111,39 @@ impl SyndicationGraph {
             .collect()
     }
 
-    /// Picks an owner for a syndicated view served by `syndicator`.
-    pub fn sample_owner(&self, syndicator: PublisherId, rng: &mut Rng) -> Option<PublisherId> {
-        let owners = self.by_syndicator.get(&syndicator)?;
+    /// The owners `syndicator` licenses content from, ascending; empty for
+    /// a publisher that licenses nothing. A syndicated view's owner is one
+    /// uniform draw from this slice.
+    pub fn licensed_owners(&self, syndicator: PublisherId) -> &[PublisherId] {
+        self.by_syndicator.get(&syndicator).map_or(&[], Vec::as_slice)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::publisher_gen::PublisherProfile;
+
+    /// The per-view owner draw that per-cell `licensed_owners` replaced,
+    /// kept as the oracle. Its owner set is rebuilt from `by_owner`, so it
+    /// does not share the lookup it checks.
+    pub(crate) fn sample_owner(
+        graph: &SyndicationGraph,
+        syndicator: PublisherId,
+        rng: &mut Rng,
+    ) -> Option<PublisherId> {
+        let owners: BTreeSet<PublisherId> = graph
+            .by_owner
+            .iter()
+            .filter(|(_, syndicators)| syndicators.contains(&syndicator))
+            .map(|(owner, _)| *owner)
+            .collect();
         if owners.is_empty() {
             return None;
         }
         let v: Vec<PublisherId> = owners.iter().copied().collect();
         Some(*rng.choose(&v))
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::publisher_gen::PublisherProfile;
 
     fn graph(n: usize, seed: u64) -> (Vec<PublisherProfile>, SyndicationGraph) {
         let mut rng = Rng::seed_from(seed);
@@ -178,14 +201,35 @@ mod tests {
     #[test]
     fn sample_owner_only_from_licensed() {
         let (_, g) = graph(200, 4);
-        let mut rng = Rng::seed_from(9);
         let syndicators: Vec<PublisherId> = g.by_syndicator.keys().copied().collect();
-        for synd in syndicators.iter().take(20) {
-            let owners = &g.by_syndicator[synd];
-            for _ in 0..10 {
-                let o = g.sample_owner(*synd, &mut rng).unwrap();
-                assert!(owners.contains(&o));
+        assert!(!syndicators.is_empty());
+        for synd in &syndicators {
+            let owners = g.licensed_owners(*synd);
+            assert!(!owners.is_empty());
+            assert!(owners.windows(2).all(|w| w[0] < w[1]), "{owners:?} not ascending");
+            for owner in owners {
+                assert!(g.by_owner[owner].contains(synd));
             }
+        }
+        assert!(g.licensed_owners(PublisherId::new(10_000)).is_empty());
+    }
+
+    #[test]
+    fn per_cell_owners_replay_sample_owner() {
+        for seed in [4, 6] {
+            let (pop, g) = graph(200, seed);
+            let mut cell = Rng::seed_from(seed + 100);
+            let mut reference = cell.clone();
+            // Every publisher, syndicator or not, and one outside the graph.
+            let ids = pop.iter().map(|p| p.publisher.id).chain([PublisherId::new(10_000)]);
+            for id in ids {
+                let owners = g.licensed_owners(id);
+                for _ in 0..8 {
+                    let drawn = (!owners.is_empty()).then(|| *cell.choose(owners));
+                    assert_eq!(drawn, sample_owner(&g, id, &mut reference), "{id}");
+                }
+            }
+            assert_eq!(cell, reference, "seed {seed}: draw counts differ");
         }
     }
 

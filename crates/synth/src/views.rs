@@ -29,10 +29,15 @@
 //!   most 16 devices and 5 CDNs) — the protocol table per device, the host
 //!   string per CDN and the user-agent per browser `(device, SDK version)`.
 //!
-//! The ladder and the user-agents are *shared* with the records, not
-//! copied into them: every record of the cell holds a pointer to the one
-//! `Arc` the plan built, so a record owns two heap blocks of its own, its
-//! URL and its CDN list.
+//! A record owns no heap block of its own. The ladder and the user-agents
+//! are *shared* with the records, not copied into them: every record of the
+//! cell holds a pointer to the one `Arc` the plan built. The CDN set is a
+//! bitmask. Each view's manifest URL is written into the cell's URL text,
+//! and once the last view is drawn that text is frozen into one exact-size
+//! `Arc<str>` of which every record holds its range. The syndicator's
+//! licensed owners are looked up once per cell, as a slice of the graph.
+//! The text is written into a buffer the generating thread keeps from cell
+//! to cell, so a cell allocates its URL bytes once, in the shared text.
 //!
 //! **Invariant.** The plan may cache anything; it may never reorder, add or
 //! drop an RNG draw. A lazily built entry is built from the cell's
@@ -41,23 +46,24 @@
 //! the unit tests below compare every table against a per-view reference
 //! that builds it from scratch for each draw (the `#[cfg(test)]` oracles).
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use vmp_cdn::broker::{Broker, BrokerPolicy};
 use vmp_cdn::strategy::{CdnAssignment, CdnStrategy};
-use vmp_core::cdn::CdnName;
+use vmp_core::cdn::{CdnName, CdnSet};
 use vmp_core::content::ContentClass;
 use vmp_core::device::DeviceModel;
 use vmp_core::geo::{ConnectionType, Isp, Region};
-use vmp_core::ids::{SessionId, VideoId};
+use vmp_core::ids::{PublisherId, SessionId, VideoId};
 use vmp_core::platform::{BrowserTech, Platform};
 use vmp_core::protocol::StreamingProtocol;
 use vmp_core::publisher::SyndicationRole;
 use vmp_core::sdk::SdkVersion;
 use vmp_core::time::SnapshotId;
 use vmp_core::units::{Kbps, Seconds};
-use vmp_core::view::{OwnershipFlag, PlayerIdentity, SampledView};
-use vmp_session::telemetry::{ClientContext, TelemetryBuilder};
+use vmp_core::view::{ManifestUrl, OwnershipFlag, PlayerIdentity, SampledView, ViewRecord};
+use vmp_session::telemetry::ClientContext;
 use vmp_stats::curves::Trend;
 use vmp_stats::{Discrete, Distribution, LogNormal, Rng, Zipf};
 
@@ -94,6 +100,13 @@ impl Default for ViewGenConfig {
     }
 }
 
+thread_local! {
+    /// The URL text of the cell being generated and where each view's URL
+    /// ends in it, kept between the cells a thread generates.
+    static URL_SCRATCH: RefCell<(String, Vec<usize>)> =
+        const { RefCell::new((String::new(), Vec::new())) };
+}
+
 /// Generates the weighted samples for one publisher at one snapshot.
 #[allow(clippy::too_many_arguments)]
 #[expect(
@@ -120,7 +133,13 @@ pub fn generate_views(
 
     let mut plan = CellPlan::new(profile, plane, snapshot.progress());
     let broker = Broker::new(BrokerPolicy::Weighted);
+    let owners = graph.licensed_owners(profile.publisher.id);
     let mut token = String::new();
+    let (mut urls, mut ends) = URL_SCRATCH.take();
+    urls.clear();
+    ends.clear();
+    // Every record points at `pending` until the cell's text is complete.
+    let pending = ManifestUrl::from("");
 
     let mut views: Vec<SampledView> = Vec::with_capacity(n);
     let mut total_hours = 0.0f64;
@@ -142,9 +161,11 @@ pub fn generate_views(
         let connection = sample_connection(platform, rng);
 
         // Ownership: syndicators serve licensed content most of the time.
-        let ownership = sample_ownership(profile, graph, rng);
+        let ownership = sample_ownership(profile, owners, rng);
         let video_rank = plan.titles.sample(rng) as u32;
         write_video_token(&mut token, video_rank);
+        plan.write_manifest_url(&mut urls, protocol, cdn, &token);
+        ends.push(urls.len());
 
         let client = ClientContext {
             device,
@@ -153,28 +174,44 @@ pub fn generate_views(
             isp,
             connection,
         };
-        let player = plan.player_identity(&client);
-        let builder = TelemetryBuilder {
+        let record = ViewRecord {
             session: SessionId::new(session_base.wrapping_add(i as u32)),
             snapshot,
             publisher: profile.publisher.id,
             video: VideoId::new(video_rank),
-            manifest_url: plan.manifest_url(protocol, cdn, &token),
+            manifest_url: pending.clone(),
+            device,
+            os: device.os(),
+            player: plan.player_identity(&client),
+            cdns: CdnSet::from(cdn),
             available_bitrates: Arc::clone(&plan.bitrates),
+            viewing_time: watch,
             class,
             ownership,
+            region,
+            isp,
+            connection,
         };
-        let record = builder.into_record(&client, player, vec![cdn.id()], watch);
 
         total_hours += hours;
         views.push(SampledView { record, weight: 0.0 });
     }
 
-    // Weight so the weighted view-hours hit the target exactly.
+    // Weight so the weighted view-hours hit the target exactly, and point
+    // every record at its range of the cell's text.
     let weight = if total_hours > 0.0 { target_vh / total_hours } else { 0.0 };
-    for view in &mut views {
+    let text: Arc<str> = Arc::from(urls.as_str());
+    let mut start = 0;
+    for (view, &end) in views.iter_mut().zip(&ends) {
         view.weight = weight;
+        // Each range ends where a whole URL was appended; only a text
+        // beyond 4 GiB could miss, and then the record keeps the empty URL.
+        if let Some(url) = ManifestUrl::new(Arc::clone(&text), start..end) {
+            view.record.manifest_url = url;
+        }
+        start = end;
     }
+    URL_SCRATCH.set((urls, ends));
     views
 }
 
@@ -294,9 +331,15 @@ impl<'a> CellPlan<'a> {
             .unwrap_or(CdnName::A)
     }
 
-    fn manifest_url(&mut self, protocol: StreamingProtocol, cdn: CdnName, token: &str) -> String {
+    fn write_manifest_url(
+        &mut self,
+        out: &mut String,
+        protocol: StreamingProtocol,
+        cdn: CdnName,
+        token: &str,
+    ) {
         let host = memo(&mut self.hosts, cdn, || cdn.host());
-        vmp_manifest::manifest_url(protocol, host, &self.prefix, token)
+        vmp_manifest::write_manifest_url(out, protocol, host, &self.prefix, token);
     }
 
     /// `client.player_identity()`, with one user-agent string per browser
@@ -443,9 +486,11 @@ fn protocol_table(
     Discrete::new(&weights).ok()
 }
 
+/// `owners` are the publisher's licensed owners, as
+/// [`SyndicationGraph::licensed_owners`] returns them.
 fn sample_ownership(
     profile: &PublisherProfile,
-    graph: &SyndicationGraph,
+    owners: &[PublisherId],
     rng: &mut Rng,
 ) -> OwnershipFlag {
     let p_syndicated = match profile.publisher.role {
@@ -453,10 +498,8 @@ fn sample_ownership(
         SyndicationRole::Mixed => 0.35,
         SyndicationRole::OwnerOnly => 0.0,
     };
-    if p_syndicated > 0.0 && rng.chance(p_syndicated) {
-        if let Some(owner) = graph.sample_owner(profile.publisher.id, rng) {
-            return OwnershipFlag::Syndicated { owner };
-        }
+    if p_syndicated > 0.0 && rng.chance(p_syndicated) && !owners.is_empty() {
+        return OwnershipFlag::Syndicated { owner: *rng.choose(owners) };
     }
     OwnershipFlag::Owned
 }
@@ -507,7 +550,7 @@ fn sample_sdk_version(plane: &SnapshotPlane, rng: &mut Rng) -> SdkVersion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmp_core::ids::PublisherId;
+    use crate::syndigraph::tests::sample_owner;
 
     fn setup(seed: u64) -> (PublisherProfile, SnapshotPlane, SyndicationGraph) {
         let mut rng = Rng::seed_from(seed);
@@ -608,6 +651,24 @@ mod tests {
     fn sample_region(rng: &mut Rng) -> Region {
         let dist = Discrete::new_or_unit(&[0.10, 0.38, 0.22, 0.15, 0.10, 0.05]);
         Region::ALL[dist.sample(rng)]
+    }
+
+    fn sample_ownership_per_view(
+        profile: &PublisherProfile,
+        graph: &SyndicationGraph,
+        rng: &mut Rng,
+    ) -> OwnershipFlag {
+        let p_syndicated = match profile.publisher.role {
+            SyndicationRole::FullSyndicator => 0.75,
+            SyndicationRole::Mixed => 0.35,
+            SyndicationRole::OwnerOnly => 0.0,
+        };
+        if p_syndicated > 0.0 && rng.chance(p_syndicated) {
+            if let Some(owner) = sample_owner(graph, profile.publisher.id, rng) {
+                return OwnershipFlag::Syndicated { owner };
+            }
+        }
+        OwnershipFlag::Owned
     }
 
     /// Study-progress grid, end points included.
@@ -823,9 +884,8 @@ mod tests {
         for v in &views {
             // Platform supported.
             assert!(plane.platforms.contains(&v.record.device.platform()));
-            // CDN in strategy.
-            let cdn_ids: Vec<_> = plane.strategy.cdns().iter().map(|c| c.id()).collect();
-            assert!(cdn_ids.contains(&v.record.cdns[0]));
+            // One CDN, in the strategy.
+            assert!(plane.strategy.cdns().iter().any(|c| v.record.cdns == CdnSet::from(*c)));
             // Protocol classifiable from the URL and (modulo the HLS
             // fallback) supported by the plane.
             let proto = vmp_manifest::classify(&v.record.manifest_url).expect("classifiable");
@@ -879,12 +939,14 @@ mod tests {
         let broker = Broker::new(BrokerPolicy::Weighted);
         let platforms = Discrete::new_or_unit(&plane.platform_weights);
         let titles = Zipf::new(plane.titles.clamp(1, 5_000) as usize, 0.8).unwrap();
+        let prefix = format!("p{:04}", profile.publisher.id.raw());
         let mut reference = Rng::seed_from(10);
+        let mut syndicated = 0;
         for v in &views {
             let platform = plane.platforms[platforms.sample(&mut reference)];
             let device = sample_device(platform, t, &mut reference);
             let class = sample_class(&profile, device, &mut reference);
-            sample_protocol(&plane, &profile, device, t, &mut reference);
+            let protocol = sample_protocol(&plane, &profile, device, t, &mut reference);
             let cdn = broker
                 .select(&plane.strategy, class, &mut reference)
                 .or_else(|| plane.strategy.cdns().first().copied())
@@ -896,13 +958,43 @@ mod tests {
             sample_region(&mut reference);
             reference.choose(&Isp::ALL);
             sample_connection(platform, &mut reference);
-            sample_ownership(&profile, &graph, &mut reference);
-            titles.sample(&mut reference);
+            let ownership = sample_ownership_per_view(&profile, &graph, &mut reference);
+            let rank = titles.sample(&mut reference);
             sample_sdk_version(&plane, &mut reference);
 
-            assert_eq!(v.record.cdns, [cdn.id()]);
+            assert_eq!(v.record.cdns, CdnSet::from(cdn));
             assert_eq!(v.record.viewing_time, Seconds::from_hours(hours));
+            assert_eq!(v.record.ownership, ownership);
+            let token = format!("v{rank:06x}");
+            let url = vmp_manifest::manifest_url(protocol, &cdn.host(), &prefix, &token);
+            assert_eq!(v.record.manifest_url.as_str(), url);
+            syndicated += usize::from(ownership.is_syndicated());
         }
         assert_eq!(rng, reference, "draw counts differ");
+        assert!(syndicated > 0, "no syndicated view to replay");
+    }
+
+    #[test]
+    fn records_share_one_exact_url_text() {
+        for seed in [27, 29] {
+            let (profile, plane, graph) = setup(seed);
+            let mut rng = Rng::seed_from(seed + 1);
+            let views =
+                generate_views(&profile, &plane, &graph, &small_cfg(), SnapshotId::LAST, 0, &mut rng);
+            let text = views[0].record.manifest_url.text();
+            for v in &views {
+                assert!(Arc::ptr_eq(v.record.manifest_url.text(), text));
+            }
+            // The URLs lie back to back in the text and fill it: no slack
+            // byte is kept, and no one else holds the text.
+            let joined: String = views.iter().map(|v| v.record.manifest_url.as_str()).collect();
+            assert_eq!(**text, joined);
+            assert_eq!(Arc::strong_count(text), views.len());
+            // A second cell on the same thread gets a text of its own.
+            let again =
+                generate_views(&profile, &plane, &graph, &small_cfg(), SnapshotId::LAST, 0, &mut rng);
+            assert!(!Arc::ptr_eq(again[0].record.manifest_url.text(), text));
+            assert_eq!(**text, joined);
+        }
     }
 }
