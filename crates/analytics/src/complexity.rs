@@ -71,12 +71,12 @@ pub struct PublisherComplexity {
 impl PublisherComplexity {
     /// Every publisher's accumulator over one segment, in publisher order.
     ///
-    /// Pure column scan: the protocol column already carries the
-    /// unclassified sentinel (`NO_CODE`, the old `u8::MAX` tag), device
-    /// codes are bijective with model strings, CDN bit indexes with raw CDN
-    /// ids, and player dictionary codes with the SDK-build / UA-family keys
-    /// — so every distinct-set cardinality matches the string-keyed
-    /// reference exactly.
+    /// Pure column scan, runs outside and rows inside: the protocol column
+    /// already carries the unclassified sentinel (`NO_CODE`, the old
+    /// `u8::MAX` tag), device codes are bijective with model strings, CDN
+    /// bit indexes with raw CDN ids, and store-wide player codes with the
+    /// SDK-build / UA-family keys — so every distinct-set cardinality
+    /// matches the string-keyed reference exactly.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "a trailing-zero count of a u64 is at most 64"
@@ -89,19 +89,23 @@ impl PublisherComplexity {
             protocols: BTreeSet<u8>,
             players: BTreeSet<u32>,
         }
+        let (hours, protocols, devices) = (seg.hours(), seg.protocols(), seg.devices());
+        let (masks, players) = (seg.cdn_column(), seg.player_column());
         let mut acc: BTreeMap<u32, Acc> = BTreeMap::new();
-        for i in 0..seg.len() {
-            let entry = acc.entry(seg.publishers()[i]).or_default();
-            entry.vh += seg.weighted_hours(i);
-            let proto = seg.protocols()[i];
-            entry.protocols.insert(proto);
-            let device = seg.devices()[i];
-            let mut bits = seg.cdn_masks()[i];
-            while bits != 0 {
-                entry.combos.insert((bits.trailing_zeros() as u8, proto, device));
-                bits &= bits - 1;
+        for run in seg.cells() {
+            let entry = acc.entry(run.publisher).or_default();
+            for i in run.rows.clone() {
+                entry.vh += run.weight * hours[i];
+                let proto = protocols[i];
+                entry.protocols.insert(proto);
+                let device = devices[i];
+                let mut bits = masks.value(i);
+                while bits != 0 {
+                    entry.combos.insert((bits.trailing_zeros() as u8, proto, device));
+                    bits &= bits - 1;
+                }
+                entry.players.insert(players.value(i));
             }
-            entry.players.insert(seg.players()[i]);
         }
         acc.into_iter()
             .map(|(publisher, a)| PublisherComplexity {

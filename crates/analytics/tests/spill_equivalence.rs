@@ -138,7 +138,7 @@ macro_rules! assert_segments_identical {
             prop_assert_eq!(a.players(), b.players());
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(a.hours()), bits(b.hours()));
-            prop_assert_eq!(bits(a.weights()), bits(b.weights()));
+            prop_assert_eq!(bits(&a.weights()), bits(&b.weights()));
         }
     }};
 }

@@ -25,14 +25,17 @@ pub(crate) fn durations(seg: &Segment) -> Vec<DurationRow> {
     let mut rows = Vec::new();
     for platform in Platform::ALL {
         // View-weighted durations (each sample counts `weight` views),
-        // straight off the platform/hours/weight columns.
+        // straight off the platform and hours columns and the run weights.
         let mut durations = Vec::new();
         let mut weights = Vec::new();
         let code = platform.code();
-        for (i, &p) in seg.platforms().iter().enumerate() {
-            if p == code {
-                durations.push(seg.hours()[i]);
-                weights.push(seg.weights()[i]);
+        let (platforms, hours) = (seg.platforms(), seg.hours());
+        for run in seg.cells() {
+            for i in run.rows.clone() {
+                if platforms[i] == code {
+                    durations.push(hours[i]);
+                    weights.push(run.weight);
+                }
             }
         }
         let Some(cdf) = Cdf::weighted(&durations, &weights) else {

@@ -85,13 +85,16 @@ impl Plan {
         let mut with: [Vec<f64>; 3] = std::array::from_fn(|p| vec![0.0; self.labels[p].len()]);
         let mut observed: [Vec<bool>; 3] =
             std::array::from_fn(|p| vec![false; self.labels[p].len()]);
-        for (i, &code) in seg.devices().iter().enumerate() {
-            let Some((p, group)) = self.group_of[usize::from(code)] else { continue };
-            let h = seg.weighted_hours(i);
-            platform_hours[p] += h;
-            if let Some(g) = group {
-                observed[p][g] = true;
-                with[p][g] += h;
+        let (devices, hours) = (seg.devices(), seg.hours());
+        for run in seg.cells() {
+            for i in run.rows.clone() {
+                let Some((p, group)) = self.group_of[usize::from(devices[i])] else { continue };
+                let h = run.weight * hours[i];
+                platform_hours[p] += h;
+                if let Some(g) = group {
+                    observed[p][g] = true;
+                    with[p][g] += h;
+                }
             }
         }
         let shares = std::array::from_fn(|p| {

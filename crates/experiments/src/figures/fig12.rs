@@ -80,23 +80,26 @@ pub(crate) fn segregation(seg: &Segment) -> (f64, f64) {
         live_total: u32,
     }
     let vod = ContentClass::Vod.code();
+    let (classes, masks) = (seg.classes(), seg.cdn_column());
     let mut per_pub: BTreeMap<u32, PubCdns> = BTreeMap::new();
-    for i in 0..seg.len() {
-        let entry = per_pub.entry(seg.publishers()[i]).or_default();
-        let is_vod = seg.classes()[i] == vod;
-        if is_vod {
-            entry.vod_total = entry.vod_total.saturating_add(1);
-        } else {
-            entry.live_total = entry.live_total.saturating_add(1);
-        }
-        let mut bits = seg.cdn_masks()[i];
-        while bits != 0 {
-            let counts = entry.per_cdn.entry(bits.trailing_zeros() as u8).or_default();
-            bits &= bits - 1;
+    for run in seg.cells() {
+        let entry = per_pub.entry(run.publisher).or_default();
+        for i in run.rows.clone() {
+            let is_vod = classes[i] == vod;
             if is_vod {
-                counts.0 += 1;
+                entry.vod_total = entry.vod_total.saturating_add(1);
             } else {
-                counts.1 += 1;
+                entry.live_total = entry.live_total.saturating_add(1);
+            }
+            let mut bits = masks.value(i);
+            while bits != 0 {
+                let counts = entry.per_cdn.entry(bits.trailing_zeros() as u8).or_default();
+                bits &= bits - 1;
+                if is_vod {
+                    counts.0 += 1;
+                } else {
+                    counts.1 += 1;
+                }
             }
         }
     }

@@ -266,6 +266,7 @@ mod tests {
 
     #[test]
     fn counters_and_instants_require_tracing() {
+        let _guard = crate::profile::test_guard();
         set_tracing(false);
         let before = trace_events().len();
         trace_counter("quiet", 10, &[("v", 1.0)]);
@@ -275,6 +276,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_json_is_valid_and_carries_events() {
+        let _guard = crate::profile::test_guard();
         set_tracing(true);
         trace_counter("monitor.fatal_rate", 1_000_000, &[("cdn=A", 0.25)]);
         trace_instant("alert", 2_000_000, "cdn=A fatal-exit");

@@ -54,28 +54,24 @@ pub struct ReachSets {
 }
 
 impl ReachSets {
-    /// Adds one segment's views. Delivery is publisher-ascending inside a
-    /// snapshot, so rows arrive in runs of one serving publisher: the sets
-    /// are updated once per run with the run's distinct owners, not once per
-    /// row. A publisher that reappears later simply adds to the same sets.
+    /// Adds one segment's views. The segment's run table groups rows by
+    /// serving publisher, so the sets are updated once per run with the
+    /// run's distinct owners, not once per row. A publisher that reappears
+    /// in a later run simply adds to the same sets.
     pub fn add_segment(&mut self, seg: &Segment) {
-        let pubs = seg.publishers();
-        let owner_col = seg.owners();
+        let owner_col = seg.owner_column();
         let mut run_owners: Vec<u32> = Vec::new();
-        let mut i = 0;
-        while i < pubs.len() {
-            let serving = pubs[i];
-            let run = pubs[i..].iter().take_while(|&&p| p == serving).count();
+        for run in seg.cells() {
             let mut owned = false;
             run_owners.clear();
-            for &owner in &owner_col[i..i + run] {
+            for owner in run.rows.clone().map(|i| owner_col.value(i)) {
                 if owner == NO_OWNER {
                     owned = true;
                 } else if run_owners.last() != Some(&owner) {
                     run_owners.push(owner);
                 }
             }
-            let serving = PublisherId::new(serving);
+            let serving = PublisherId::new(run.publisher);
             if owned {
                 self.owners.insert(serving);
             }
@@ -89,7 +85,6 @@ impl ReachSets {
                     self.owner_to_syndicators.entry(owner).or_default().insert(serving);
                 }
             }
-            i += run;
         }
     }
 

@@ -36,7 +36,7 @@ fn per_row(store: &ViewStore) -> SyndicationReach {
     let mut owner_to_syndicators: BTreeMap<PublisherId, BTreeSet<PublisherId>> = BTreeMap::new();
     let mut owners: BTreeSet<PublisherId> = BTreeSet::new();
     for seg in store.iter_segments() {
-        for (&serving, &owner) in seg.publishers().iter().zip(seg.owners()) {
+        for (serving, owner) in seg.publishers().into_iter().zip(seg.owners()) {
             let serving = PublisherId::new(serving);
             if owner == NO_OWNER {
                 owners.insert(serving);

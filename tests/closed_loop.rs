@@ -68,7 +68,7 @@ fn telemetry_protocol_inference_matches_generation_intent() {
     let dataset = stream.into_dataset();
     let mut checked = 0;
     for seg in store.iter_segments() {
-        for (&code, &publisher) in seg.protocols().iter().zip(seg.publishers()) {
+        for (&code, publisher) in seg.protocols().iter().zip(seg.publishers()) {
             let protocol =
                 StreamingProtocol::from_code(code).expect("generated URLs always classify");
             let profile = dataset.profile(PublisherId::new(publisher)).expect("known publisher");
