@@ -3,9 +3,8 @@
 //! Each scan figure is a pure function of the store it reads, so the
 //! serialized results of all 13 are a function of the generated corpus. The
 //! fingerprints below pin byte identity across any change to how the
-//! drivers read segments: resident or spilled, a hot
-//! cache that holds everything or nothing, one view volume or two, and a
-//! second seed. `wall_time_secs` and `stages` (the only wall-clock fields)
+//! drivers read segments: resident or spilled, one view volume or two, and
+//! a second seed. `wall_time_secs` and `stages` (the only wall-clock fields)
 //! are blanked before hashing. They move when the generated corpus does
 //! (together with `kernel_identity.rs`) or when a scan figure's output
 //! does.
@@ -46,8 +45,8 @@ fn scan_fingerprint(ctx: &ReproContext) -> (u64, usize) {
     (hash, failed)
 }
 
-/// The quick ecosystem, ingested spilled with a hot cache of zero bytes:
-/// every segment load is a block decode.
+/// The quick ecosystem, ingested spilled: every segment load is a block
+/// decode.
 fn quick_spilled_uncached(dir: PathBuf) -> ReproContext {
     let mut stream = ViewStream::new(EcosystemConfig::small());
     let mut pipeline = IngestPipeline::new(IngestOptions {
