@@ -12,7 +12,11 @@
 //! in `results/BENCH_results.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vmp_obs::MetricsRegistry;
+use vmp_obs::{Collect, MetricsRegistry, Recorder};
+
+fn profiling() -> Recorder {
+    Recorder::new(Collect { profile: true, ..Collect::default() })
+}
 
 /// A registry resembling a mid-run snapshot: a few dozen counters, gauges,
 /// and populated histograms, like the global registry after experiments.
@@ -38,22 +42,20 @@ fn bench_profiler(c: &mut Criterion) {
     let mut group = c.benchmark_group("profiler");
     group.sample_size(30);
 
-    // Per-span folding cost: open + close a depth-2 span pair with the
-    // profiler armed, so each iteration pays two path merges.
+    // Per-span folding cost: open + close a depth-2 span pair under a
+    // profiling recorder, so each iteration pays two path merges.
     group.bench_function("span_tree_merge", |b| {
         let reg = MetricsRegistry::new();
-        vmp_obs::reset_profile();
-        vmp_obs::set_profiling(true);
+        let recorder = profiling();
+        let _installed = recorder.install();
         b.iter(|| {
             let _outer = vmp_obs::span_in(&reg, "bench.outer");
             let _inner = vmp_obs::span_in(&reg, "bench.inner");
             black_box(());
         });
-        vmp_obs::set_profiling(false);
-        vmp_obs::reset_profile();
     });
 
-    // Baseline for the same spans with the profiler disarmed, to make the
+    // Baseline for the same spans with no recorder installed, to make the
     // merge overhead legible as a delta.
     group.bench_function("span_tree_merge_off", |b| {
         let reg = MetricsRegistry::new();
@@ -75,8 +77,8 @@ fn bench_profiler(c: &mut Criterion) {
     // the size a full repro run produces (dozens of distinct paths).
     group.bench_function("folded_aggregation", |b| {
         let reg = MetricsRegistry::new();
-        vmp_obs::reset_profile();
-        vmp_obs::set_profiling(true);
+        let recorder = profiling();
+        let installed = recorder.install();
         static ROOTS: [&str; 8] =
             ["bench.r0", "bench.r1", "bench.r2", "bench.r3", "bench.r4", "bench.r5", "bench.r6",
              "bench.r7"];
@@ -89,9 +91,8 @@ fn bench_profiler(c: &mut Criterion) {
                 let _inner = vmp_obs::span_in(&reg, leaf);
             }
         }
-        vmp_obs::set_profiling(false);
-        b.iter(|| black_box(vmp_obs::folded_stacks()));
-        vmp_obs::reset_profile();
+        drop(installed);
+        b.iter(|| black_box(recorder.profile().folded_stacks()));
     });
 
     group.finish();

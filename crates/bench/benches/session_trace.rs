@@ -2,13 +2,14 @@
 //! to a played session, and what the disabled path costs when tracing is
 //! off (every session in every run pays the disabled path).
 //!
-//! - `trace/emit_disabled`: one [`vmp_obs::session_trace::emit`] with
-//!   tracing off — a relaxed atomic load and an untaken branch, expected
-//!   in single-digit ns;
+//! - `trace/emit_disabled`: one [`vmp_obs::session_trace::emit`] on a
+//!   thread with no recorder — a thread-local load and an untaken branch,
+//!   expected in single-digit ns;
 //! - `trace/session_disabled`: a full begin → 32 emits → finish cycle
-//!   with tracing off — the whole-session overhead of the instrumentation
-//!   when `--session-trace` is not armed;
-//! - `trace/session_enabled`: the same cycle with the collector armed —
+//!   with no recorder — the whole-session overhead of the instrumentation
+//!   when `--session-trace` is not given;
+//! - `trace/session_enabled`: the same cycle under a recorder that traces
+//!   sessions —
 //!   arena event writes plus the offer/keep decision at completion, in
 //!   reservoir steady state (mostly head-sampled rejects).
 //!
@@ -17,6 +18,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vmp_obs::session_trace::{self, TraceConfig, TraceEventKind};
+use vmp_obs::{Collect, Recorder};
 
 /// One synthetic session: begin, a realistic event mix, finish.
 fn play_one(id: u64) {
@@ -58,13 +60,14 @@ fn bench_session_trace(c: &mut Criterion) {
     });
 
     group.bench_function("session_enabled", |b| {
-        session_trace::arm(TraceConfig { seed: 42, ..TraceConfig::default() });
+        let sessions = Some(TraceConfig { seed: 42, ..TraceConfig::default() });
+        let recorder = Recorder::new(Collect { sessions, ..Collect::default() });
+        let _installed = recorder.install();
         let mut id = 0u64;
         b.iter(|| {
             id += 1;
             play_one(black_box(id));
         });
-        session_trace::finalize();
     });
 
     group.finish();

@@ -2,12 +2,12 @@
 
 use crate::ids::{CatalogueId, VideoId};
 use crate::units::Seconds;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Whether a title is a live stream or video-on-demand. §4.3 shows many
 /// multi-CDN publishers segregate the two classes by CDN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum ContentClass {
     /// Live (linear) content: low capture-to-eyeball latency matters.
     Live,
@@ -47,7 +47,7 @@ impl fmt::Display for ContentClass {
 }
 
 /// A single video title as known to a publisher's management plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VideoAsset {
     /// Anonymized video ID.
     pub id: VideoId,

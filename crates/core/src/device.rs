@@ -6,11 +6,11 @@
 //! Xbox, ...) plus representative desktop browsers for the browser platform.
 
 use crate::platform::{BrowserTech, Os, Platform};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A specific playback device model (Fig 10's within-platform breakdown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum DeviceModel {
     // Mobile / tablet apps.
     /// Apple iPhone (mobile app).

@@ -4,12 +4,12 @@
 //! ISP/CDN combinations and compares like-for-like connection types
 //! (WiFi / 4G / wired), so these are first-class telemetry dimensions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Coarse client region (the study spans 180 countries; for experiments we
 /// keep a small closed set with one named US state used by §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Region {
     /// California, USA (the §6 filter).
     California,
@@ -69,7 +69,7 @@ impl fmt::Display for Region {
 }
 
 /// Anonymized last-mile ISP (§6 uses "ISP X" and "ISP Y").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Isp {
     /// ISP "X".
     X,
@@ -113,7 +113,7 @@ impl fmt::Display for Isp {
 }
 
 /// Access network type; bitrate ladders and network models differ per type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum ConnectionType {
     /// Home/office WiFi.
     Wifi,

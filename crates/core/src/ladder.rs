@@ -7,12 +7,12 @@
 
 use crate::protocol::Codec;
 use crate::units::Kbps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// A video frame size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Resolution {
     /// Width in pixels.
     pub width: u32,
@@ -63,7 +63,7 @@ impl fmt::Display for Resolution {
 }
 
 /// One rung of a bitrate ladder: a complete encoding of the title.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LadderRung {
     /// Video bitrate.
     pub bitrate: Kbps,
@@ -180,17 +180,6 @@ impl BitrateLadder {
     }
 }
 
-/// Deserializes through [`BitrateLadder::new`], so JSON cannot build a
-/// ladder that code cannot: empty or duplicated rungs are errors, and
-/// unsorted rungs come back sorted.
-impl Deserialize for BitrateLadder {
-    fn from_json(value: &serde::Json) -> Result<Self, String> {
-        let rungs = value.get("rungs").unwrap_or(&serde::Json::Null);
-        let rungs = Vec::from_json(rungs).map_err(|e| format!("BitrateLadder.rungs: {e}"))?;
-        BitrateLadder::new(rungs).map_err(|e| format!("BitrateLadder: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,20 +210,6 @@ mod tests {
         assert!((l.max_step_ratio() - 3.0).abs() < 1e-12);
         let single = BitrateLadder::from_bitrates(&[1000]).unwrap();
         assert_eq!(single.max_step_ratio(), 1.0);
-    }
-
-    #[test]
-    fn deserializing_goes_through_new() {
-        let parse = |json: &str| serde_json::from_str::<BitrateLadder>(json);
-        let rung = |kbps: u32| serde_json::to_string(&LadderRung::h264(Kbps(kbps))).unwrap();
-        assert!(parse(r#"{"rungs":[]}"#).is_err());
-        assert!(parse(&format!(r#"{{"rungs":[{},{}]}}"#, rung(500), rung(500))).is_err());
-        let unsorted = parse(&format!(r#"{{"rungs":[{},{}]}}"#, rung(1600), rung(400))).unwrap();
-        assert_eq!(unsorted.bitrates()[..], [Kbps(400), Kbps(1600)]);
-        let ladder = BitrateLadder::from_bitrates(&[3000, 800, 1600]).unwrap();
-        let json = serde_json::to_string(&ladder).unwrap();
-        assert_eq!(parse(&json).unwrap(), ladder);
-        assert_eq!(serde_json::to_string(&parse(&json).unwrap()).unwrap(), json);
     }
 
     #[test]

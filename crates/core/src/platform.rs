@@ -7,11 +7,11 @@
 //! AppleTV, FireTV, ...), not cable boxes, and that set-tops are kept
 //! distinct from smart TVs because they need their own SDKs.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The five platform categories of Fig 5 / Fig 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Platform {
     /// Browser-based playback (HTML5 / Flash / Silverlight players).
     Browser,
@@ -85,7 +85,7 @@ impl fmt::Display for Platform {
 }
 
 /// Browser player implementation technology (Fig 10(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum BrowserTech {
     /// Native HTML5 `<video>` + MSE players (JavaScript).
     Html5,
@@ -139,7 +139,7 @@ impl fmt::Display for BrowserTech {
 }
 
 /// Operating systems reported in the telemetry (§3 field list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Os {
     /// Apple iOS / iPadOS.
     Ios,

@@ -7,11 +7,11 @@
 //! here so the writer (`vmp-manifest`) and the classifier agree by
 //! construction.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A video delivery protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum StreamingProtocol {
     /// Apple HTTP Live Streaming (`.m3u8` / `.m3u` manifests).
     Hls,
@@ -162,7 +162,7 @@ impl fmt::Display for StreamingProtocol {
 }
 
 /// Video encoding formats referenced in §2 (H.264, H.265, VP9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Codec {
     /// ITU-T H.264 / AVC — universally supported.
     H264,

@@ -6,12 +6,12 @@
 //! `vmp-synth` and materialized by `vmp-packaging`/`vmp-cdn`.
 
 use crate::ids::PublisherId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Editorial category of a publisher. The dataset includes subscription
 /// services, sports and news broadcasters, and on-demand publishers (§1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PublisherKind {
     /// Subscription VoD service (7 of the top 10 are in the dataset).
     SubscriptionVod,
@@ -64,7 +64,7 @@ impl fmt::Display for PublisherKind {
 /// Syndication role of a publisher (§6). Owners originate content;
 /// full syndicators license and redistribute whole catalogues; some
 /// publishers do both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SyndicationRole {
     /// Only serves content it owns.
     OwnerOnly,
@@ -75,7 +75,7 @@ pub enum SyndicationRole {
 }
 
 /// Static publisher identity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Publisher {
     /// Anonymized publisher ID.
     pub id: PublisherId,

@@ -5,10 +5,10 @@
 //! view spent stalled).
 
 use crate::units::{Kbps, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Quality-of-experience summary emitted at the end of a playback session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct QoeSummary {
     /// Time-weighted average video bitrate over the view.
     pub avg_bitrate: Kbps,

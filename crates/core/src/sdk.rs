@@ -8,11 +8,11 @@
 
 use crate::device::DeviceModel;
 use crate::platform::BrowserTech;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A device SDK / application framework.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum SdkKind {
     /// Apple AVFoundation (iPhone/iPad apps).
     AvFoundation,
@@ -89,7 +89,7 @@ impl fmt::Display for SdkKind {
 
 /// A major.minor SDK version. Users lag behind releases, so a publisher
 /// typically supports a window of versions per SDK (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct SdkVersion {
     /// Major version.
     pub major: u16,
@@ -122,7 +122,7 @@ impl fmt::Display for SdkVersion {
 
 /// A concrete player build: one (SDK, version) pair. Distinct builds are the
 /// unit of the *Unique SDKs* complexity measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct PlayerBuild {
     /// The SDK / framework.
     pub sdk: SdkKind,

@@ -3,7 +3,7 @@
 //! taken bi-weekly"). The last snapshot (March 2018) is used for the
 //! per-publisher-count analyses.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of months in the study window.
@@ -14,7 +14,7 @@ pub const STUDY_SNAPSHOTS: u32 = STUDY_MONTHS * 2;
 
 /// A month within the study window: 0 = January 2016, 26 = March 2018.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default,
 )]
 pub struct StudyMonth(u32);
 
@@ -75,7 +75,7 @@ impl fmt::Display for StudyMonth {
 /// A bi-weekly two-day snapshot: 0 = first half of January 2016,
 /// 53 = second half of March 2018 (the paper's "latest snapshot").
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default,
 )]
 pub struct SnapshotId(u32);
 

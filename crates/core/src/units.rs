@@ -4,14 +4,14 @@
 //! terabytes, encodings in kilobits per second, and chunk durations in
 //! seconds. Newtypes keep those from being mixed up in arithmetic.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A video/audio bitrate in kilobits per second.
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default,
 )]
 pub struct Kbps(pub u32);
 
@@ -56,7 +56,7 @@ impl fmt::Display for Kbps {
 }
 
 /// A duration in (fractional) seconds of media or wall time.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Default)]
 pub struct Seconds(pub f64);
 
 impl Seconds {
@@ -125,7 +125,7 @@ impl fmt::Display for Seconds {
 
 /// A byte count (chunk sizes, origin storage).
 #[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default,
 )]
 pub struct Bytes(pub u64);
 
@@ -201,7 +201,7 @@ impl fmt::Display for Bytes {
 }
 
 /// Aggregated viewing time in hours — the paper's primary measure.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Default)]
 pub struct ViewHours(pub f64);
 
 impl ViewHours {

@@ -30,7 +30,7 @@ use crate::platform::Os;
 use crate::sdk::PlayerBuild;
 use crate::time::SnapshotId;
 use crate::units::{Kbps, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -109,18 +109,9 @@ impl Serialize for ManifestUrl {
     }
 }
 
-impl Deserialize for ManifestUrl {
-    fn from_json(value: &serde::Json) -> Result<Self, String> {
-        let url = String::from_json(value).map_err(|e| format!("ManifestUrl: {e}"))?;
-        let len = url.len();
-        ManifestUrl::new(url.into(), 0..len)
-            .ok_or_else(|| format!("ManifestUrl: {len} bytes is beyond a u32 offset"))
-    }
-}
-
 /// How the player identified itself: browser views report a user-agent,
 /// app views report the SDK and version (§3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum PlayerIdentity {
     /// Browser view: HTTP user-agent string. A function of (device, SDK
     /// version), so the records of one cell share one allocation.
@@ -130,7 +121,7 @@ pub enum PlayerIdentity {
 }
 
 /// Ownership flag for the (publisher, video) pair (§6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum OwnershipFlag {
     /// The publisher owns this content.
     Owned,
@@ -149,7 +140,7 @@ impl OwnershipFlag {
 }
 
 /// One view (playback session) as reported by the monitoring library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ViewRecord {
     /// Session identifier (unique per view).
     pub session: SessionId,
@@ -209,7 +200,7 @@ impl ViewRecord {
 /// record with how many true views it represents. All analytics aggregate
 /// `weight` (for view counts) and `weight × hours` (for view-hours), so the
 /// scale-down is unbiased.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampledView {
     /// The underlying telemetry record, exactly as the player reported it.
     pub record: ViewRecord,
@@ -284,10 +275,17 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let v = sample();
-        let json = serde_json::to_string(&v).unwrap();
-        let back: ViewRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
+        // The wire shape: ids as raw indexes, enums by variant name, the
+        // CDN set as its ids, seconds as a float.
+        let shape = r#"{"session":1,"snapshot":53,"publisher":10,"video":77,
+            "manifest_url":"https://edge.cdn-a.example.net/p10/v77/master.m3u8",
+            "device":"Roku","os":"RokuOs",
+            "player":{"Sdk":{"sdk":"RokuSceneGraph","version":{"major":7,"minor":2}}},
+            "cdns":[0,1],"available_bitrates":[800,1600,3200],"viewing_time":2700.0,
+            "class":"Vod","ownership":"Owned","region":"UsOther","isp":"Z","connection":"Wired"}"#;
+        let json = serde_json::to_string(&sample()).unwrap();
+        let parse = |text: &str| serde_json::from_str::<serde_json::Value>(text).unwrap();
+        assert_eq!(parse(&json), parse(shape));
     }
 
     #[test]
@@ -297,13 +295,10 @@ mod tests {
         let second = text.rfind("https").unwrap();
         v.manifest_url = ManifestUrl::new(Arc::clone(&text), second..text.len()).unwrap();
         let json = serde_json::to_string(&v).unwrap();
-        assert!(json.contains(r#""manifest_url":"https://b/p1/v2.mpd""#), "{json}");
-        assert!(json.contains(r#""cdns":[0,1]"#), "{json}");
-        let back: ViewRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
-        assert_eq!(&**back.manifest_url.text(), "https://b/p1/v2.mpd");
-        let bad = json.replace(r#""cdns":[0,1]"#, r#""cdns":[0,99]"#);
-        assert!(serde_json::from_str::<ViewRecord>(&bad).is_err());
+        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(value.get("manifest_url").and_then(|u| u.as_str()), Some("https://b/p1/v2.mpd"));
+        let cdns = value.get("cdns").and_then(|c| c.as_array()).unwrap();
+        assert_eq!(cdns.iter().map(|c| c.as_u64()).collect::<Vec<_>>(), [Some(0), Some(1)]);
     }
 
     #[test]
@@ -330,9 +325,9 @@ mod tests {
         v.device = DeviceModel::MobileBrowser;
         v.player = PlayerIdentity::UserAgent("Mozilla/5.0 (Mobile; html5-player/7.1)".into());
         let json = serde_json::to_string(&v).unwrap();
-        assert!(json.contains(r#"{"UserAgent":"Mozilla/5.0 (Mobile; html5-player/7.1)"}"#), "{json}");
-        let back: ViewRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
+        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let agent = value.get("player").and_then(|p| p.get("UserAgent"));
+        assert_eq!(agent.and_then(|a| a.as_str()), Some("Mozilla/5.0 (Mobile; html5-player/7.1)"));
     }
 
     #[test]

@@ -198,34 +198,28 @@ fn main() {
         }
     }
 
-    // Tracing must be armed before any work runs so the collector sees
-    // every span and monitor sample from the start. Likewise the profiler:
-    // arming it here pins this thread as the profiling root, so the
-    // depth-1 `run.*` spans below become the report's stage table.
-    if trace_path.is_some() {
-        vmp_obs::set_tracing(true);
-    }
-    if report_path.is_some() || flame_path.is_some() {
-        vmp_obs::set_profiling(true);
-    }
-    let sampler = report_path.is_some().then(|| vmp_obs::ResourceSampler::start(sample_ms));
-
-    let started = std::time::Instant::now();
     // Standalone experiments (ablations, fault-injection scenarios) only
     // need a seed; skip the expensive ecosystem generation when no
     // requested ID uses it.
     let needs_ctx = ids.iter().any(|id| !is_standalone(id));
     let master_seed =
         seed.unwrap_or_else(|| vmp_synth::ecosystem::EcosystemConfig::default().seed);
-    // Session tracing keys its head sampler and reservoir off the master
-    // seed, so it must be armed after the seed is resolved but before any
-    // session plays (ecosystem generation included).
-    if session_trace_path.is_some() {
-        vmp_obs::session_trace::arm(vmp_obs::TraceConfig {
-            seed: master_seed,
-            ..vmp_obs::TraceConfig::default()
-        });
-    }
+    // One recorder for the run, installed before any work so it sees every
+    // span, monitor sample and session from the start. Building it here
+    // pins this thread as the profile's root, so the depth-1 `run.*` spans
+    // below become the report's stage table; session tracing keys its
+    // head sampler and reservoir off the master seed.
+    let recorder = vmp_obs::Recorder::new(vmp_obs::Collect {
+        profile: report_path.is_some() || flame_path.is_some(),
+        chrome_trace: trace_path.is_some(),
+        sessions: session_trace_path
+            .is_some()
+            .then(|| vmp_obs::TraceConfig { seed: master_seed, ..vmp_obs::TraceConfig::default() }),
+    });
+    let _installed = recorder.install();
+    let sampler = report_path.is_some().then(|| vmp_obs::ResourceSampler::start(sample_ms));
+
+    let started = std::time::Instant::now();
     let scale_name = if !needs_ctx {
         "standalone"
     } else {
@@ -306,7 +300,7 @@ fn main() {
     // Session-trace finalize comes first: it records the `trace.*`
     // counters, which the `--metrics` snapshot below must include.
     if let Some(path) = session_trace_path {
-        match vmp_obs::session_trace::finalize() {
+        match recorder.take_session_report() {
             Some(report) => {
                 if let Err(e) = std::fs::write(&path, report.to_jsonl()) {
                     eprintln!("cannot write --session-trace output to {path}: {e}");
@@ -357,15 +351,15 @@ fn main() {
     }
 
     if let Some(path) = trace_path {
-        let json = vmp_obs::chrome_trace_json();
-        if let Err(e) = std::fs::write(&path, &json) {
+        let trace = recorder.chrome_trace();
+        if let Err(e) = std::fs::write(&path, trace.to_json()) {
             eprintln!("cannot write --trace output to {path}: {e}");
             std::process::exit(2);
         }
-        let dropped = vmp_obs::trace_dropped();
+        let dropped = trace.dropped();
         eprintln!(
             "wrote {path} ({} trace events{})",
-            vmp_obs::trace_events().len(),
+            trace.events().len(),
             if dropped > 0 { format!(", {dropped} dropped at capacity") } else { String::new() }
         );
     }
@@ -393,7 +387,7 @@ fn main() {
     // The flame file goes last, after the `run.export` span closed, so the
     // folded profile covers every top-level phase of this run.
     if let Some(path) = flame_path {
-        let folded = vmp_obs::folded_stacks();
+        let folded = recorder.profile().folded_stacks();
         if folded.is_empty() {
             eprintln!("warning: span profile is empty; {path} will have no stacks");
         }

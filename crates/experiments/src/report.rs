@@ -45,9 +45,9 @@ pub struct ExperimentSummary {
 /// Drop and saturation counters that would otherwise hide in raw metrics.
 #[derive(Debug, Clone, Serialize)]
 pub struct Diagnostics {
-    /// Trace events retained by the Chrome-trace collector.
+    /// Trace events retained by the recorder's Chrome trace.
     pub trace_events: u64,
-    /// Trace events discarded because the collector was at capacity.
+    /// Trace events discarded because the trace was at capacity.
     pub trace_dropped: u64,
     /// Resource-timeline samples evicted from the bounded ring.
     pub timeline_dropped: u64,
@@ -57,11 +57,14 @@ pub struct Diagnostics {
 }
 
 impl Diagnostics {
-    /// Collects drop/saturation state from the global collectors, deriving
-    /// a warning line per nonzero loss counter.
+    /// Collects drop/saturation state from the current thread's recorder
+    /// (none: nothing traced, nothing lost), deriving a warning line per
+    /// nonzero loss counter.
     pub fn collect(results: &[ExperimentResult], timeline_dropped: u64) -> Diagnostics {
-        let trace_dropped = vmp_obs::trace_dropped();
-        let trace_events = vmp_obs::trace_events().len() as u64;
+        let (trace_events, trace_dropped) = vmp_obs::Recorder::current().map_or((0, 0), |r| {
+            let trace = r.chrome_trace();
+            (trace.events().len() as u64, trace.dropped())
+        });
         let mut warnings = Vec::new();
         if trace_dropped > 0 {
             warnings.push(format!(
@@ -121,9 +124,9 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Assembles the report from the run's results plus the global
-    /// profiler/sampler/metrics state. Call after the last experiment,
-    /// before disarming profiling.
+    /// Assembles the report from the run's results, the current thread's
+    /// recorder (its profile) and the global metrics. Call after the last
+    /// experiment, on the thread that built the recorder.
     pub fn collect(
         seed: u64,
         scale: &str,
@@ -132,7 +135,9 @@ impl RunReport {
         wall_time_secs: f64,
         timeline: Timeline,
     ) -> RunReport {
-        let stages = vmp_obs::stage_entries();
+        let (stages, profile) = vmp_obs::Recorder::current()
+            .map(|r| (r.profile().stages(), r.profile().entries()))
+            .unwrap_or_default();
         let stage_seconds_total = stages.iter().map(|s| s.inclusive_ns as f64 / 1e9).sum();
         let peak_rss_bytes = timeline.peak_rss_bytes().max(vmp_obs::rss_bytes());
         let diagnostics = Diagnostics::collect(results, timeline.dropped);
@@ -158,7 +163,7 @@ impl RunReport {
                 })
                 .collect(),
             stages,
-            profile: vmp_obs::profile_entries(),
+            profile,
             timeline,
             metrics: vmp_obs::snapshot(),
             diagnostics,

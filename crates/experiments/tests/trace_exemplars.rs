@@ -4,15 +4,12 @@
 //! every raised alert carries exemplar traces that actually corroborate
 //! it: right id namespace, right cell tags, inside the alert window, and
 //! showing degradation evidence on the culprit CDN.
-//!
-//! This lives in its own integration-test binary (one `#[test]` fn) because
-//! the trace collector is process-global: unit tests that play sessions in
-//! parallel threads would otherwise offer traces into the armed capture.
 
 use std::collections::BTreeMap;
 
 use vmp_experiments::figures::monitor::{preset_alerts, preset_trace_base, presets};
-use vmp_obs::session_trace::{self, SessionTrace, TraceConfig, TraceEventKind};
+use vmp_obs::session_trace::{SessionTrace, TraceConfig, TraceEventKind};
+use vmp_obs::{Collect, Recorder};
 use vmp_monitor::Cell;
 
 /// ISSUE acceptance seed.
@@ -25,17 +22,24 @@ fn arm_range(preset: usize) -> std::ops::Range<u64> {
 
 #[test]
 fn every_preset_alert_carries_culprit_consistent_exemplars_at_seed_7() {
-    // One arming covers all three preset arms; their id namespaces are
+    // One recorder covers all three preset arms; their id namespaces are
     // disjoint, so each alert's exemplars pin it to its arm.
-    session_trace::arm(TraceConfig {
-        seed: SEED,
-        // Headroom over the default: three full arms of anomalous traces
-        // must fit so the tail policy can't be forced to drop any.
-        byte_budget: 64 << 20,
-        ..TraceConfig::default()
+    let recorder = Recorder::new(Collect {
+        sessions: Some(TraceConfig {
+            seed: SEED,
+            // Headroom over the default: three full arms of anomalous
+            // traces must fit so the tail policy can't be forced to drop
+            // any.
+            byte_budget: 64 << 20,
+            ..TraceConfig::default()
+        }),
+        ..Collect::default()
     });
-    let per_preset: Vec<_> = (0..presets().len()).map(|p| preset_alerts(SEED, p)).collect();
-    let report = session_trace::finalize().expect("tracing was armed");
+    let per_preset: Vec<_> = {
+        let _installed = recorder.install();
+        (0..presets().len()).map(|p| preset_alerts(SEED, p)).collect()
+    };
+    let report = recorder.take_session_report().expect("the recorder traces sessions");
     let by_id: BTreeMap<u64, &SessionTrace> =
         report.traces.iter().map(|t| (t.session, t)).collect();
 

@@ -29,9 +29,10 @@ fn str_field<'a>(event: &'a Value, key: &str) -> Option<&'a str> {
 
 #[test]
 fn chrome_trace_export_round_trips_as_valid_trace_json() {
-    vmp_obs::trace::clear_trace();
-    vmp_obs::set_tracing(true);
+    let recorder =
+        vmp_obs::Recorder::new(vmp_obs::Collect { chrome_trace: true, ..Default::default() });
     {
+        let _installed = recorder.install();
         // A wall-clock span slice plus a monitored outage: every phase the
         // exporter emits (X, C, i, M) lands in the trace.
         let _slice = vmp_obs::span("trace_roundtrip.feed");
@@ -46,10 +47,9 @@ fn chrome_trace_export_round_trips_as_valid_trace_json() {
         monitor.finish();
         assert!(!monitor.alerts().is_empty(), "the staged outage must alert");
     }
-    vmp_obs::set_tracing(false);
 
-    let json = vmp_obs::chrome_trace_json();
-    assert_eq!(vmp_obs::trace_dropped(), 0, "collector must not overflow here");
+    let json = recorder.chrome_trace().to_json();
+    assert_eq!(recorder.chrome_trace().dropped(), 0, "the trace must not overflow here");
 
     let doc: Value = serde_json::from_str(&json).expect("export must be parseable JSON");
     assert_eq!(str_field(&doc, "displayTimeUnit"), Some("ms"));

@@ -266,7 +266,8 @@ impl HealthMonitor {
             Seconds(((tick + 1).saturating_sub(cfg.window as u64)) as f64 * cfg.bucket.0),
             Seconds((tick + 1) as f64 * cfg.bucket.0),
         );
-        let tracing = vmp_obs::tracing_enabled();
+        let recorder = vmp_obs::Recorder::current();
+        let tracing = recorder.as_ref().is_some_and(vmp_obs::Recorder::traces);
         let mut raised: Vec<Alert> = Vec::new();
 
         let mut eval = |cell: Cell, state: &mut CellState| {
@@ -326,7 +327,9 @@ impl HealthMonitor {
 
         for mut alert in raised {
             self.metric_alerts.inc();
-            attach_exemplars(&mut alert);
+            if let Some(recorder) = &recorder {
+                attach_exemplars(recorder, &mut alert);
+            }
             if tracing {
                 vmp_obs::trace_instant(
                     "monitor.alert",
@@ -342,16 +345,13 @@ impl HealthMonitor {
 /// Attaches up to [`alert::MAX_EXEMPLARS`] kept session-trace ids from the
 /// alert's culprit cell and window, and records the alert into the trace
 /// capture so `vmp-trace exemplars` can resolve it offline. No-op (and the
-/// alert's rendering is unchanged) unless `--session-trace` armed the
-/// collector.
+/// alert's rendering is unchanged) unless the recorder traces sessions
+/// (`--session-trace`).
 #[expect(
     clippy::cast_possible_truncation,
     reason = "dense CDN indexes are below 36 and regions below 255"
 )]
-fn attach_exemplars(alert: &mut Alert) {
-    if !vmp_obs::session_tracing_enabled() {
-        return;
-    }
+fn attach_exemplars(recorder: &vmp_obs::Recorder, alert: &mut Alert) {
     let query = vmp_obs::ExemplarQuery {
         publisher: match alert.cell {
             Cell::Publisher(p) => Some(p),
@@ -362,13 +362,13 @@ fn attach_exemplars(alert: &mut Alert) {
         window: Some((alert.window.0 .0, alert.window.1 .0)),
         limit: alert::MAX_EXEMPLARS,
     };
-    let rendered = alert.to_string();
-    let ids = vmp_obs::session_trace::with_collector(|c| {
-        let ids = c.exemplars(&query);
-        c.note_alert(rendered, ids.clone());
-        ids
-    })
-    .unwrap_or_default();
+    let ids = recorder
+        .with_sessions(|c| {
+            let ids = c.exemplars(&query);
+            c.note_alert(alert.to_string(), ids.clone());
+            ids
+        })
+        .unwrap_or_default();
     alert.exemplars = ids;
 }
 

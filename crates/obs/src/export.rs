@@ -2,12 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::metrics::bucket_bound;
 
 /// Frozen distribution of one histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistogramSnapshot {
     /// Total observations.
     pub count: u64,
@@ -94,7 +94,7 @@ impl HistogramSnapshot {
 }
 
 /// Point-in-time copy of an entire registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RegistrySnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,

@@ -17,8 +17,11 @@
 //!   `Copy` [`SessionEvent`] (kind, fault-clock stamp, CDN, code, value)
 //!   appended to the session's wide event and kept or dropped whole by the
 //!   reservoir's policy (every anomalous session, a sample of normal ones);
-//! - [`trace`], [`profile`], [`sampler`]: Chrome-trace collector, span
-//!   profile (folded stacks) and resource timeline for a run.
+//! - [`Recorder`]: one run's span [`Profile`] (folded stacks, stage
+//!   table), [`ChromeTrace`] and session-trace keep-set, chosen at
+//!   construction and installed on the run's threads; a thread without
+//!   one records none of them;
+//! - [`sampler`]: the resource timeline for a run.
 //!
 //! Handles are cheap clones around `Arc`'d atomics and are meant to be
 //! looked up once and cached in hot-path structs. Counters and histograms
@@ -39,6 +42,7 @@
 mod export;
 mod metrics;
 pub mod profile;
+mod recorder;
 pub mod sampler;
 pub mod session_trace;
 mod span;
@@ -46,22 +50,17 @@ pub mod trace;
 
 pub use export::{HistogramSnapshot, RegistrySnapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use profile::{
-    folded_stacks, parse_folded, profile_entries, profiling_enabled, reset_profile, set_profiling,
-    stage_entries, ProfileEntry,
-};
+pub use profile::{parse_folded, Profile, ProfileEntry};
+pub use recorder::{Collect, Installed, Recorder};
 pub use sampler::{
     rss_bytes, sample_now, HistogramPoint, ResourceSampler, Timeline, TimelineRing, TimelineSample,
 };
 pub use session_trace::{
-    session_tracing_enabled, ExemplarQuery, SessionEvent, SessionTrace, TraceCollector,
-    TraceConfig, TraceEventKind, TraceReport,
+    ExemplarQuery, SessionEvent, SessionTrace, TraceCollector, TraceConfig, TraceEventKind,
+    TraceReport,
 };
-pub use span::{current_path, span, span_in, Span, SpanHandle, Stopwatch};
-pub use trace::{
-    chrome_trace_json, set_tracing, trace_counter, trace_dropped, trace_events, trace_instant,
-    tracing_enabled, TraceEvent,
-};
+pub use span::{span, span_in, Span, SpanHandle, Stopwatch};
+pub use trace::{trace_counter, trace_instant, ChromeTrace, TraceEvent};
 
 use std::sync::OnceLock;
 

@@ -6,10 +6,12 @@
 //! `/proc/self/statm`, every counter and gauge value, and the
 //! count/p50/p90/p99 of every histogram — into a [`TimelineRing`] that
 //! keeps the newest `capacity` samples and counts the rest as dropped
-//! (memory stays bounded no matter how long the run is). When Chrome
-//! tracing is armed, each sample also lands as counter events on the
-//! resource trace process ([`crate::trace::PID_RESOURCE`]), so RSS and
-//! views/sec curves render beside the span timeline in Perfetto.
+//! (memory stays bounded no matter how long the run is). The sampling
+//! thread runs under the starting thread's [`crate::Recorder`]: when that
+//! recorder collects a Chrome trace, each sample also lands as counter
+//! events on the resource trace process ([`crate::trace::PID_RESOURCE`]),
+//! so RSS and views/sec curves render beside the span timeline in
+//! Perfetto.
 //!
 //! [`ResourceSampler::stop`] joins the thread and hands back the
 //! [`Timeline`]; the run report embeds it as its time-series section.
@@ -65,8 +67,9 @@ pub struct HistogramPoint {
 /// One periodic snapshot of process resources and metric levels.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimelineSample {
-    /// Microseconds since the trace-collector epoch (shared with span
-    /// slices, so timeline rows align with the Chrome trace).
+    /// Microseconds since the recorder's trace epoch (shared with span
+    /// slices, so timeline rows align with the Chrome trace); 0 when the
+    /// sampling thread has no recorder.
     pub t_us: u64,
     /// Resident-set size in bytes (0 when `/proc` is unavailable).
     pub rss_bytes: u64,
@@ -107,24 +110,9 @@ impl TimelineRing {
         self.samples.iter()
     }
 
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Samples evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Maximum number of retained samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Consumes the ring into an exported timeline.
@@ -160,9 +148,10 @@ impl Timeline {
     }
 }
 
-/// Captures one sample from `registry` right now. Public so benchmarks
-/// can measure the tick cost and callers can take a final sample at a
-/// precise boundary (the background thread uses exactly this path).
+/// Captures one sample from `registry` right now, stamped on the current
+/// thread's recorder's trace epoch. Public so benchmarks can measure the
+/// tick cost and callers can take a final sample at a precise boundary
+/// (the background thread uses exactly this path).
 pub fn sample_now(registry: &MetricsRegistry) -> TimelineSample {
     let snapshot = registry.snapshot();
     let histograms = snapshot
@@ -177,7 +166,7 @@ pub fn sample_now(registry: &MetricsRegistry) -> TimelineSample {
         })
         .collect();
     TimelineSample {
-        t_us: crate::trace::epoch_elapsed_us(),
+        t_us: crate::recorder::with_current(|r| r.chrome_trace().elapsed_us()).unwrap_or(0),
         rss_bytes: rss_bytes(),
         counters: snapshot.counters,
         gauges: snapshot.gauges,
@@ -186,6 +175,7 @@ pub fn sample_now(registry: &MetricsRegistry) -> TimelineSample {
 }
 
 /// Handle to the background sampling thread.
+#[derive(Debug)]
 pub struct ResourceSampler {
     stop: Arc<AtomicBool>,
     ring: Arc<Mutex<TimelineRing>>,
@@ -193,44 +183,32 @@ pub struct ResourceSampler {
     handle: Option<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for ResourceSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResourceSampler")
-            .field("interval_ms", &self.interval_ms)
-            .field("samples", &self.ring.lock().len())
-            .finish_non_exhaustive()
-    }
-}
-
 impl ResourceSampler {
-    /// Spawns the sampling thread against the global registry.
+    /// Spawns the sampling thread against the global registry, under the
+    /// calling thread's recorder, keeping [`DEFAULT_TIMELINE_CAPACITY`]
+    /// samples.
     pub fn start(interval_ms: u64) -> ResourceSampler {
-        ResourceSampler::start_with_capacity(interval_ms, DEFAULT_TIMELINE_CAPACITY)
-    }
-
-    /// Spawns the sampling thread with an explicit ring capacity.
-    pub fn start_with_capacity(interval_ms: u64, capacity: usize) -> ResourceSampler {
         let interval_ms = interval_ms.max(1);
         let stop = Arc::new(AtomicBool::new(false));
-        let ring = Arc::new(Mutex::new(TimelineRing::new(capacity)));
+        let ring = Arc::new(Mutex::new(TimelineRing::new(DEFAULT_TIMELINE_CAPACITY)));
         let thread_stop = stop.clone();
         let thread_ring = ring.clone();
         let ticks = crate::counter("obs.timeline_samples");
         let rss_gauge = crate::gauge("obs.rss_bytes");
+        let recorder = crate::Recorder::current();
         let handle = std::thread::Builder::new()
             .name("vmp-resource-sampler".to_string())
             .spawn(move || {
+                let _installed = recorder.as_ref().map(crate::Recorder::install);
                 while !thread_stop.load(Ordering::Relaxed) {
                     let sample = sample_now(crate::global());
                     rss_gauge.set(i64::try_from(sample.rss_bytes).unwrap_or(i64::MAX));
                     ticks.inc();
-                    if crate::trace::tracing_enabled() {
-                        crate::trace::trace_resource(
-                            "rss_mb",
-                            sample.t_us,
-                            &[("rss_mb", sample.rss_bytes as f64 / (1024.0 * 1024.0))],
-                        );
-                    }
+                    crate::trace::trace_resource(
+                        "rss_mb",
+                        sample.t_us,
+                        &[("rss_mb", sample.rss_bytes as f64 / (1024.0 * 1024.0))],
+                    );
                     thread_ring.lock().push(sample);
                     // Sleep in short slices so stop() returns promptly even
                     // at long intervals.
@@ -279,7 +257,7 @@ mod tests {
         for i in 0..10u64 {
             ring.push(sample_at(i, i));
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.samples().count(), 3);
         assert_eq!(ring.dropped(), 7);
         let kept: Vec<u64> = ring.samples().map(|s| s.t_us).collect();
         assert_eq!(kept, vec![7, 8, 9]);
@@ -297,7 +275,9 @@ mod tests {
 
     #[test]
     fn sampler_collects_and_stops() {
-        let sampler = ResourceSampler::start_with_capacity(1, 64);
+        let recorder = crate::Recorder::new(crate::Collect::default());
+        let _installed = recorder.install();
+        let sampler = ResourceSampler::start(1);
         std::thread::sleep(Duration::from_millis(30));
         let timeline = sampler.stop();
         assert!(!timeline.samples.is_empty(), "expected at least the boundary sample");

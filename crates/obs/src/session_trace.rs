@@ -32,17 +32,18 @@
 //! ("anomalous sessions are never dropped while budget remains") falls out
 //! of the prefix rule rather than needing a second mechanism.
 //!
-//! The hot path is cheap when tracing is off: [`emit`] is one relaxed
-//! atomic load and a branch, and the speculative buffer is only touched
-//! between [`begin`] and [`SessionScope::finish`]. Every completed session
-//! is offered to the armed collector under its one mutex.
+//! The hot path is cheap when tracing is off: [`emit`] is one thread-local
+//! load and a branch, and the speculative buffer is only touched between
+//! [`begin`] and [`SessionScope::finish`]. Every completed session is
+//! offered to the keep-set of the thread's [`crate::Recorder`] under its
+//! one mutex.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use serde_json::Value;
+
+use crate::recorder::SESSIONS;
 
 /// Sentinel for "no CDN attached to this event / trace".
 pub const NO_CDN: u8 = u8::MAX;
@@ -453,23 +454,10 @@ fn reservoir_key(seed: u64, session: u64, anomaly: u8) -> Key {
     (u8::from(anomaly == 0), mix64(seed ^ KEY_SALT, session), session)
 }
 
-/// Completion metadata handed to the collector alongside the event buffer.
-#[derive(Debug, Clone, Copy)]
-struct FinishMeta {
-    session: u64,
-    publisher: u64,
-    cdn: u8,
-    region: u8,
-    start_clock: f64,
-    end_clock: f64,
-    fatal: bool,
-    rebuffer_ratio: f64,
-}
-
 /// Deterministic tail-sampling reservoir over completed session traces.
 ///
-/// Standalone (no global state) so property tests can drive it directly;
-/// the armed global instance lives behind [`arm`] / [`finalize`].
+/// Standalone so property tests can drive it directly; a run's instance
+/// lives in its [`crate::Recorder`] ([`crate::Collect::sessions`]).
 #[derive(Debug)]
 pub struct TraceCollector {
     cfg: TraceConfig,
@@ -514,36 +502,16 @@ impl TraceCollector {
         self.epoch
     }
 
-    /// The knobs this collector was armed with.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
-    }
-
-    /// Sessions offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Sessions not in the current kept set (sampled out or evicted).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Bytes resident in the kept set.
-    pub fn kept_bytes(&self) -> usize {
-        self.kept_bytes
-    }
-
     /// Anomaly bitmask for a completed session given this config.
-    fn anomaly_of(&self, meta: &FinishMeta, events: &[SessionEvent]) -> u8 {
+    fn anomaly_of(&self, trace: &SessionTrace) -> u8 {
         let mut a = 0u8;
-        if meta.fatal {
+        if trace.fatal {
             a |= ANOMALY_FATAL;
         }
-        if meta.rebuffer_ratio >= self.cfg.rebuffer_threshold {
+        if trace.rebuffer_ratio >= self.cfg.rebuffer_threshold {
             a |= ANOMALY_REBUFFER;
         }
-        for e in events {
+        for e in &trace.events {
             match e.kind {
                 TraceEventKind::RetryDenied => a |= ANOMALY_RETRY_DENIED,
                 TraceEventKind::Shed => a |= ANOMALY_SHED,
@@ -553,51 +521,28 @@ impl TraceCollector {
         a
     }
 
-    /// Offers a completed session; copies the event buffer only if the
-    /// session is a sampling candidate that can still enter the reservoir.
-    fn offer_buffer(&mut self, meta: FinishMeta, events: &[SessionEvent]) {
+    /// Counts a completed session as seen and decides whether it can still
+    /// enter the reservoir: its key and anomaly bitmask if so, `None` (and
+    /// counted dropped) if sampled out or past the cut.
+    fn admit(&mut self, trace: &SessionTrace) -> Option<(Key, u8)> {
         self.seen += 1;
-        let anomaly = self.anomaly_of(&meta, events);
-        let head_kept =
-            self.cfg.head_rate != 0 && mix64(self.cfg.seed, meta.session).is_multiple_of(self.cfg.head_rate);
-        if anomaly == 0 && !head_kept {
+        let anomaly = self.anomaly_of(trace);
+        let head_kept = self.cfg.head_rate != 0
+            && mix64(self.cfg.seed, trace.session).is_multiple_of(self.cfg.head_rate);
+        let key = reservoir_key(self.cfg.seed, trace.session, anomaly);
+        if (anomaly == 0 && !head_kept) || self.cut.is_some_and(|cut| key >= cut) {
             self.dropped += 1;
-            return;
+            return None;
         }
-        let key = reservoir_key(self.cfg.seed, meta.session, anomaly);
-        if self.cut.is_some_and(|cut| key >= cut) {
-            self.dropped += 1;
-            return;
-        }
-        let trace = SessionTrace {
-            session: meta.session,
-            publisher: meta.publisher,
-            cdn: meta.cdn,
-            region: meta.region,
-            start_clock: meta.start_clock,
-            end_clock: meta.end_clock,
-            fatal: meta.fatal,
-            rebuffer_ratio: meta.rebuffer_ratio,
-            anomaly,
-            events: events.to_vec(),
-        };
-        self.insert(key, trace);
+        Some((key, anomaly))
     }
 
     /// Offers an already-built trace (test/tooling entry point). The
     /// trace's `anomaly` field is recomputed from its contents.
     pub fn offer(&mut self, trace: SessionTrace) {
-        let meta = FinishMeta {
-            session: trace.session,
-            publisher: trace.publisher,
-            cdn: trace.cdn,
-            region: trace.region,
-            start_clock: trace.start_clock,
-            end_clock: trace.end_clock,
-            fatal: trace.fatal,
-            rebuffer_ratio: trace.rebuffer_ratio,
-        };
-        self.offer_buffer(meta, &trace.events);
+        if let Some((key, anomaly)) = self.admit(&trace) {
+            self.insert(key, SessionTrace { anomaly, ..trace });
+        }
     }
 
     /// Inserts a candidate in key order, then evicts greatest-key entries
@@ -767,64 +712,6 @@ impl TraceReport {
     }
 }
 
-// --- global arming ----------------------------------------------------------
-
-static SESSION_TRACING: AtomicBool = AtomicBool::new(false);
-
-/// The armed collector; `None` while tracing is off.
-static COLLECTOR: Mutex<Option<TraceCollector>> = Mutex::new(None);
-
-/// Whether per-session tracing is currently armed.
-///
-/// One relaxed load — instrumented code gates every [`emit`] and every
-/// scope begin on this, so the disabled path stays no-op-cheap.
-pub fn session_tracing_enabled() -> bool {
-    SESSION_TRACING.load(Ordering::Relaxed)
-}
-
-/// Arms per-session tracing with the given knobs, replacing any previous
-/// capture.
-pub fn arm(cfg: TraceConfig) {
-    let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-    *guard = Some(TraceCollector::new(cfg));
-    SESSION_TRACING.store(true, Ordering::Relaxed);
-}
-
-/// Disarms tracing and finalizes the capture, recording
-/// `trace.sessions_kept` / `trace.sessions_dropped` / `trace.tail_kept` /
-/// `trace.bytes` under a `trace.finalize` span. Returns `None` when
-/// tracing was never armed.
-pub fn finalize() -> Option<TraceReport> {
-    let collector = {
-        let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-        SESSION_TRACING.store(false, Ordering::Relaxed);
-        guard.take()
-    }?;
-    let _span = crate::span("trace.finalize");
-    let report = collector.into_report();
-    crate::counter("trace.sessions_kept").add(report.kept());
-    crate::counter("trace.sessions_dropped").add(report.dropped);
-    crate::counter("trace.tail_kept").add(report.tail_kept);
-    crate::counter("trace.bytes").add(report.bytes as u64);
-    Some(report)
-}
-
-/// Starts a new exemplar epoch on the armed collector (no-op when tracing
-/// is off). Harnesses call this between populations that replay the same
-/// fault-clock range; see [`TraceCollector::next_epoch`].
-pub fn next_epoch() {
-    with_collector(TraceCollector::next_epoch);
-}
-
-/// Runs `f` against the armed collector, if any.
-pub fn with_collector<R>(f: impl FnOnce(&mut TraceCollector) -> R) -> Option<R> {
-    if !session_tracing_enabled() {
-        return None;
-    }
-    let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_mut().map(f)
-}
-
 // --- speculative per-thread builder ----------------------------------------
 
 /// All per-thread tracing state behind one thread-local. The event buffer
@@ -833,15 +720,14 @@ pub fn with_collector<R>(f: impl FnOnce(&mut TraceCollector) -> R) -> Option<R> 
 struct TraceTls {
     /// Whether a scope is currently recording on this thread.
     recording: bool,
-    meta: FinishMeta,
-    events: Vec<SessionEvent>,
+    trace: SessionTrace,
 }
 
 thread_local! {
     static TLS: RefCell<TraceTls> = const {
         RefCell::new(TraceTls {
             recording: false,
-            meta: FinishMeta {
+            trace: SessionTrace {
                 session: 0,
                 publisher: NO_PUBLISHER,
                 cdn: NO_CDN,
@@ -850,8 +736,9 @@ thread_local! {
                 end_clock: 0.0,
                 fatal: false,
                 rebuffer_ratio: 0.0,
+                anomaly: 0,
+                events: Vec::new(),
             },
-            events: Vec::new(),
         })
     };
 }
@@ -866,7 +753,7 @@ pub struct SessionScope {
 }
 
 /// Starts speculatively tracing a session on this thread. Returns a
-/// disarmed no-op scope when tracing is off.
+/// disarmed no-op scope unless the thread's recorder traces sessions.
 pub fn begin(
     session: u64,
     publisher: u64,
@@ -874,23 +761,17 @@ pub fn begin(
     region: u8,
     start_clock: f64,
 ) -> SessionScope {
-    if !session_tracing_enabled() {
+    if crate::recorder::armed() & SESSIONS == 0 {
         return SessionScope { armed: false };
     }
     TLS.with(|tl| {
         let tl = &mut *tl.borrow_mut();
         tl.recording = true;
-        tl.meta = FinishMeta {
-            session,
-            publisher,
-            cdn,
-            region,
-            start_clock,
-            end_clock: start_clock,
-            fatal: false,
-            rebuffer_ratio: 0.0,
-        };
-        tl.events.clear();
+        let t = &mut tl.trace;
+        (t.session, t.publisher, t.cdn, t.region) = (session, publisher, cdn, region);
+        (t.start_clock, t.end_clock, t.fatal, t.rebuffer_ratio) =
+            (start_clock, start_clock, false, 0.0);
+        t.events.clear();
     });
     SessionScope { armed: true }
 }
@@ -922,14 +803,17 @@ impl SessionScope {
                 return;
             }
             tl.recording = false;
-            if let Some(cdn) = cdn {
-                tl.meta.cdn = cdn;
-            }
-            tl.meta.end_clock = end_clock;
-            tl.meta.fatal = fatal;
-            tl.meta.rebuffer_ratio = rebuffer_ratio;
-            with_collector(|c| c.offer_buffer(tl.meta, &tl.events));
-            tl.events.clear();
+            let t = &mut tl.trace;
+            t.cdn = cdn.unwrap_or(t.cdn);
+            (t.end_clock, t.fatal, t.rebuffer_ratio) = (end_clock, fatal, rebuffer_ratio);
+            // Copied out of the reused buffer only if it can still be kept.
+            crate::recorder::with_current(|r| {
+                r.with_sessions(|c| {
+                    if let Some((key, anomaly)) = c.admit(t) {
+                        c.insert(key, SessionTrace { anomaly, ..t.clone() });
+                    }
+                })
+            });
         });
     }
 }
@@ -939,27 +823,25 @@ impl Drop for SessionScope {
         if !self.armed {
             return;
         }
-        TLS.with(|tl| {
-            let tl = &mut *tl.borrow_mut();
-            tl.recording = false;
-            tl.events.clear();
-        });
+        // The next `begin` clears the abandoned events.
+        TLS.with(|tl| tl.borrow_mut().recording = false);
     }
 }
 
 /// Records one causal event into the session being traced on this thread.
 ///
-/// No-op (one relaxed load + branch) when tracing is off or no scope is
-/// active, so instrumented hot paths cost nothing in normal runs.
+/// No-op (one thread-local load + branch) unless the thread's recorder
+/// traces sessions and a scope is active, so instrumented hot paths cost
+/// nothing in normal runs.
 #[inline]
 pub fn emit(kind: TraceEventKind, clock: f64, cdn: u8, code: u32, value: f64) {
-    if !session_tracing_enabled() {
+    if crate::recorder::armed() & SESSIONS == 0 {
         return;
     }
     TLS.with(|tl| {
         let tl = &mut *tl.borrow_mut();
         if tl.recording {
-            tl.events.push(SessionEvent { kind, clock, cdn, code, value });
+            tl.trace.events.push(SessionEvent { kind, clock, cdn, code, value });
         }
     });
 }
@@ -1036,7 +918,6 @@ mod tests {
         for s in 0..40 {
             c.offer(trace(s, true, 8));
         }
-        assert!(c.kept_bytes() <= cfg.byte_budget);
         let r = c.into_report();
         assert_eq!(r.kept(), 5);
         assert_eq!(r.dropped, 35);

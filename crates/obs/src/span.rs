@@ -45,25 +45,17 @@ impl Stopwatch {
 /// Times a pipeline stage from construction to drop, recording the elapsed
 /// nanoseconds into the named histogram of the registry it was opened
 /// against. Spans nest: the thread-local stack tracks enclosing stage
-/// names, exposed via [`Span::path`] and [`current_path`].
+/// names, which the profile folds into each span's path.
 ///
 /// A span opened by name owns its histogram handle (`Span<'static>`); one
 /// opened through a [`SpanHandle`] borrows the handle's, so entering it
 /// touches no reference count.
+#[derive(Debug)]
 pub struct Span<'a> {
     name: &'static str,
     start: Instant,
     histogram: Cow<'a, Histogram>,
     depth: usize,
-}
-
-impl std::fmt::Debug for Span<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Span")
-            .field("name", &self.name)
-            .field("depth", &self.depth)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Opens a span on the global registry (see [`span_in`]).
@@ -113,43 +105,26 @@ impl SpanHandle {
     }
 }
 
-/// The full path of open spans on this thread, joined with '/'.
-pub fn current_path() -> String {
-    SPAN_STACK.with(|stack| stack.borrow().join("/"))
-}
-
-impl Span<'_> {
-    /// This span's stage name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Nesting depth (1 = outermost).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Path from the outermost enclosing span down to this one.
-    pub fn path(&self) -> String {
-        SPAN_STACK.with(|stack| stack.borrow()[..self.depth].join("/"))
-    }
-}
-
 impl Drop for Span<'_> {
     #[expect(
         clippy::cast_possible_truncation,
         reason = "the elapsed time is clamped to u64::MAX first"
     )]
     fn drop(&mut self) {
+        use crate::recorder::{PROFILE, ROOT, TRACE};
         let elapsed = self.start.elapsed();
-        if crate::profile::profiling_enabled() {
+        let armed = crate::recorder::armed();
+        if armed & PROFILE != 0 {
             // Fold into the profiler before the stack is truncated so
             // the full nesting path is still available.
             SPAN_STACK.with(|stack| {
                 let stack = stack.borrow();
                 let top = self.depth.min(stack.len());
                 let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-                crate::profile::record(stack.get(..top).unwrap_or_default(), elapsed_ns);
+                let path = stack.get(..top).unwrap_or_default();
+                crate::recorder::with_current(|r| {
+                    r.profile().record(path, elapsed_ns, armed & ROOT != 0);
+                });
             });
         }
         SPAN_STACK.with(|stack| {
@@ -159,10 +134,9 @@ impl Drop for Span<'_> {
             stack.truncate(self.depth.saturating_sub(1));
         });
         self.histogram.record_duration(elapsed);
-        if crate::trace::tracing_enabled() {
+        if armed & TRACE != 0 {
             let dur_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-            let end_us = crate::trace::now_us();
-            crate::trace::record_slice(self.name, end_us.saturating_sub(dur_us), dur_us);
+            crate::recorder::with_current(|r| r.chrome_trace().record_slice(self.name, dur_us));
         }
     }
 }
@@ -186,38 +160,35 @@ mod tests {
 
     #[test]
     fn spans_nest_via_thread_local_stack() {
+        let recorder = crate::Recorder::new(crate::Collect { profile: true, ..Default::default() });
         let reg = MetricsRegistry::new();
-        let outer = span_in(&reg, "outer");
-        assert_eq!(outer.depth(), 1);
         {
-            let inner = span_in(&reg, "inner");
-            assert_eq!(inner.depth(), 2);
-            assert_eq!(inner.path(), "outer/inner");
-            assert_eq!(current_path(), "outer/inner");
+            let _installed = recorder.install();
+            let outer = span_in(&reg, "outer");
+            drop(span_in(&reg, "inner"));
+            drop(span_in(&reg, "sibling"));
+            drop(outer);
+            drop(span_in(&reg, "after"));
         }
-        assert_eq!(current_path(), "outer");
-        drop(outer);
-        assert_eq!(current_path(), "");
+        let paths: Vec<String> = recorder.profile().entries().into_iter().map(|e| e.path).collect();
+        assert_eq!(paths, ["after", "outer", "outer;inner", "outer;sibling"]);
     }
 
     #[test]
     fn profiled_spans_fold_nested_paths() {
-        let _guard = crate::profile::test_guard();
-        crate::profile::reset_profile();
-        crate::profile::set_profiling(true);
+        let recorder = crate::Recorder::new(crate::Collect { profile: true, ..Default::default() });
         let reg = MetricsRegistry::new();
         {
+            let _installed = recorder.install();
             let _outer = span_in(&reg, "prof_outer");
             let _inner = span_in(&reg, "prof_inner");
         }
-        crate::profile::set_profiling(false);
-        let entries = crate::profile::profile_entries();
+        let entries = recorder.profile().entries();
         assert!(
             entries.iter().any(|e| e.path == "prof_outer;prof_inner" && e.count == 1),
             "nested span must fold under its parent: {entries:?}"
         );
         assert!(entries.iter().any(|e| e.path == "prof_outer"));
-        crate::profile::reset_profile();
     }
 
     #[test]

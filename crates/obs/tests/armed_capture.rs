@@ -1,14 +1,14 @@
-//! The armed capture path — `arm`, then `begin` / `emit` / `finish` on
-//! several threads, then `finalize` — keeps exactly the set a standalone
+//! The armed capture path — a session-tracing `Recorder` installed on
+//! several threads, `begin` / `emit` / `finish` on each, then
+//! `take_session_report` — keeps exactly the set a standalone
 //! `TraceCollector` keeps when offered the same sessions one by one: the
 //! offline budget prefix, whatever order the threads complete sessions in.
-//!
-//! Arming is process-global, so this binary holds a single test.
 
 use vmp_obs::session_trace::{
     self, SessionEvent, SessionTrace, TraceCollector, TraceConfig, TraceEventKind, TraceReport,
     NO_CDN,
 };
+use vmp_obs::{Collect, Recorder};
 
 const THREADS: usize = 4;
 
@@ -62,7 +62,7 @@ fn reference(cfg: TraceConfig, sessions: &[SessionTrace]) -> TraceReport {
     c.into_report()
 }
 
-/// Plays `t` through the thread-local builder of the armed collector.
+/// Plays `t` through the thread-local builder into the thread's recorder.
 fn play(t: &SessionTrace) {
     let scope = session_trace::begin(t.session, t.publisher, t.cdn, t.region, t.start_clock);
     for e in &t.events {
@@ -71,20 +71,22 @@ fn play(t: &SessionTrace) {
     scope.finish(t.end_clock, t.fatal, t.rebuffer_ratio);
 }
 
-/// Arms tracing, completes every session on `THREADS` threads — thread
-/// `k` takes every `THREADS`-th session starting at `k`, odd threads in
-/// reverse — and finalizes.
+/// Completes every session on `THREADS` threads under one recorder —
+/// thread `k` takes every `THREADS`-th session starting at `k`, odd
+/// threads in reverse — and finalizes.
 fn armed(cfg: TraceConfig, sessions: &[SessionTrace]) -> TraceReport {
-    session_trace::arm(cfg);
+    let recorder = Recorder::new(Collect { sessions: Some(cfg), ..Collect::default() });
     std::thread::scope(|scope| {
         for k in 0..THREADS {
+            let recorder = &recorder;
             scope.spawn(move || {
+                let _installed = recorder.install();
                 let mine = sessions.iter().skip(k).step_by(THREADS);
                 if k % 2 == 0 { mine.for_each(play) } else { mine.rev().for_each(play) }
             });
         }
     });
-    session_trace::finalize().expect("tracing was armed")
+    recorder.take_session_report().expect("the recorder traces sessions")
 }
 
 #[test]

@@ -86,8 +86,8 @@ impl CohortSpec<'_> {
         if self.regions == 0 {
             return Err("a cohort needs at least one edge region".to_string());
         }
-        if self.trace_id_base.is_some() {
-            vmp_obs::session_trace::next_epoch();
+        if let (Some(_), Some(recorder)) = (self.trace_id_base, vmp_obs::Recorder::current()) {
+            recorder.with_sessions(vmp_obs::TraceCollector::next_epoch);
         }
         let ladder = BitrateLadder::from_bitrates(&[400, 800, 1600, 3200, 6400])
             .map_err(|e| e.to_string())?;
