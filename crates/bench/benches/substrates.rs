@@ -1,4 +1,4 @@
-//! Micro-benchmarks for the substrates: manifest codecs, URL
+//! Micro-benchmarks for the substrates: manifest writers, URL
 //! classification, packaging, chunking, dedup, the Fig 18 storage study,
 //! edge caching and single playback sessions.
 
@@ -26,27 +26,19 @@ fn ladder() -> BitrateLadder {
     BitrateLadder::from_bitrates(&[145, 290, 580, 1100, 2200, 3600, 5400, 7000, 8600]).unwrap()
 }
 
-fn bench_manifest_codecs(c: &mut Criterion) {
+fn bench_manifest(c: &mut Criterion) {
     let presentation = PresentationBuilder::new("v9f3c", ladder())
         .chunk_duration(Seconds(6.0))
         .vod(Seconds(2520.0))
         .build()
         .unwrap();
-    let hls_text = hls::write_master(&presentation);
-    let mpd_text = dash::write_mpd(&presentation);
 
     let mut group = c.benchmark_group("manifest");
     group.bench_function("hls_write_master", |b| {
         b.iter(|| hls::write_master(black_box(&presentation)))
     });
-    group.bench_function("hls_parse_master", |b| {
-        b.iter(|| hls::parse_master(black_box(&hls_text)).unwrap())
-    });
     group.bench_function("dash_write_mpd", |b| {
         b.iter(|| dash::write_mpd(black_box(&presentation)))
-    });
-    group.bench_function("dash_parse_mpd", |b| {
-        b.iter(|| dash::parse_mpd(black_box(&mpd_text)).unwrap())
     });
     group.bench_function("classify_url", |b| {
         b.iter(|| classify(black_box("https://edge.cdn-a.example.net/p0042/v9f3c/master.m3u8")))
@@ -136,7 +128,7 @@ fn bench_session(c: &mut Criterion) {
 criterion_group!(
     name = substrates;
     config = Criterion::default().sample_size(30);
-    targets = bench_manifest_codecs, bench_packaging, bench_dedup, bench_storage_study,
+    targets = bench_manifest, bench_packaging, bench_dedup, bench_storage_study,
         bench_edge_cache, bench_session
 );
 criterion_main!(substrates);

@@ -359,7 +359,7 @@ fn main() {
         let dropped = trace.dropped();
         eprintln!(
             "wrote {path} ({} trace events{})",
-            trace.events().len(),
+            trace.len(),
             if dropped > 0 { format!(", {dropped} dropped at capacity") } else { String::new() }
         );
     }

@@ -63,7 +63,7 @@ impl Diagnostics {
     pub fn collect(results: &[ExperimentResult], timeline_dropped: u64) -> Diagnostics {
         let (trace_events, trace_dropped) = vmp_obs::Recorder::current().map_or((0, 0), |r| {
             let trace = r.chrome_trace();
-            (trace.events().len() as u64, trace.dropped())
+            (trace.len() as u64, trace.dropped())
         });
         let mut warnings = Vec::new();
         if trace_dropped > 0 {

@@ -14,9 +14,9 @@ use vmp_lint::lexer::lex;
 /// Expectations per lint, across the workspace (shims and lint fixtures
 /// excluded). Lower these as sites are fixed.
 const COMMITTED: [(&str, usize); 5] = [
-    ("clippy::cast_possible_truncation", 72),
+    ("clippy::cast_possible_truncation", 68),
     ("clippy::cast_possible_wrap", 1),
-    ("clippy::cast_sign_loss", 45),
+    ("clippy::cast_sign_loss", 41),
     ("clippy::expect_used", 7),
     ("clippy::unreachable", 1),
 ];

@@ -6,11 +6,8 @@
 //! last snapshot) but the packager still needs to emit it, and analytics
 //! still needs to classify its URLs.
 
-use crate::types::{ManifestError, MediaPresentation, PresentationBuilder};
-use crate::xml::{parse as parse_xml, Element};
-use vmp_core::ladder::{BitrateLadder, LadderRung, Resolution};
-use vmp_core::protocol::Codec;
-use vmp_core::units::{Kbps, Seconds};
+use crate::types::MediaPresentation;
+use crate::xml::Element;
 
 /// Renders the F4M manifest for a presentation.
 pub fn write_f4m(p: &MediaPresentation) -> String {
@@ -45,65 +42,12 @@ pub fn write_f4m(p: &MediaPresentation) -> String {
     root.to_document()
 }
 
-/// Parses an F4M manifest back into a [`MediaPresentation`].
-///
-/// F4M carries no audio rendition list in our profile, so audio defaults to
-/// a single 128 kbps track (the builder default).
-pub fn parse_f4m(input: &str) -> Result<MediaPresentation, ManifestError> {
-    let root =
-        parse_xml(input).map_err(|e| ManifestError::parse("F4M", 0, e.to_string()))?;
-    if root.name != "manifest" {
-        return Err(ManifestError::parse("F4M", 0, format!("root is <{}>", root.name)));
-    }
-    let content_token = root
-        .find("id")
-        .map(|e| e.text.clone())
-        .unwrap_or_default();
-    let live = root
-        .find("streamType")
-        .map(|e| e.text == "live")
-        .unwrap_or(false);
-    let base_url = root.find("baseURL").map(|e| e.text.clone()).unwrap_or_default();
-    let total = root
-        .find("duration")
-        .and_then(|e| e.text.parse::<f64>().ok())
-        .map(Seconds);
-    let chunk_duration = root
-        .find("bootstrapInfo")
-        .and_then(|e| e.parse_attr::<f64>("fragmentDuration"))
-        .map(Seconds)
-        .ok_or_else(|| ManifestError::parse("F4M", 0, "missing bootstrapInfo fragmentDuration"))?;
-
-    let mut rungs = Vec::new();
-    for media in root.find_all("media") {
-        let bitrate: u32 = media
-            .parse_attr("bitrate")
-            .ok_or_else(|| ManifestError::parse("F4M", 0, "media without bitrate"))?;
-        let width: u32 = media.parse_attr("width").unwrap_or(0);
-        let height: u32 = media.parse_attr("height").unwrap_or(0);
-        rungs.push(LadderRung {
-            bitrate: Kbps(bitrate),
-            resolution: Resolution { width, height },
-            codec: Codec::H264,
-        });
-    }
-    let ladder =
-        BitrateLadder::new(rungs).map_err(|e| ManifestError::parse("F4M", 0, e.to_string()))?;
-
-    let mut builder = PresentationBuilder::new(content_token, ladder)
-        .chunk_duration(chunk_duration)
-        .base_url(base_url);
-    if !live {
-        let total =
-            total.ok_or_else(|| ManifestError::parse("F4M", 0, "recorded stream without duration"))?;
-        builder = builder.vod(total);
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{tab1_presentation, PresentationBuilder};
+    use vmp_core::ladder::BitrateLadder;
+    use vmp_core::units::Seconds;
 
     fn presentation() -> MediaPresentation {
         PresentationBuilder::new(
@@ -118,27 +62,14 @@ mod tests {
     }
 
     #[test]
-    fn f4m_round_trip() {
-        let p = presentation();
-        let text = write_f4m(&p);
-        let back = parse_f4m(&text).unwrap();
-        assert_eq!(back.content_token, "hds7");
-        assert_eq!(back.ladder.bitrates(), p.ladder.bitrates());
-        assert_eq!(back.base_url, p.base_url);
-        assert!((back.chunk_duration.0 - 6.0).abs() < 1e-9);
-        assert!((back.total_duration.unwrap().0 - 300.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn live_f4m() {
         let p = PresentationBuilder::new("ev", BitrateLadder::from_bitrates(&[700]).unwrap())
             .chunk_duration(Seconds(4.0))
             .build()
             .unwrap();
         let text = write_f4m(&p);
-        assert!(text.contains("live"));
-        let back = parse_f4m(&text).unwrap();
-        assert!(back.is_live());
+        assert!(text.contains("<streamType>live</streamType>"));
+        assert!(!text.contains("<duration>"));
     }
 
     #[test]
@@ -148,16 +79,33 @@ mod tests {
         assert!(!text.contains("bitrate=\"500000\""));
     }
 
+    /// The documents Table 1's packager publishes, byte for byte.
     #[test]
-    fn rejects_malformed_f4m() {
-        assert!(parse_f4m("<x/>").is_err());
-        assert!(parse_f4m("nope").is_err());
-        let no_bitrate = "<manifest><id>x</id><streamType>recorded</streamType>\
-            <duration>10</duration>\
-            <bootstrapInfo fragmentDuration=\"4\"/><media url=\"u\"/></manifest>";
-        assert!(parse_f4m(no_bitrate).is_err());
-        let no_duration = "<manifest><id>x</id><streamType>recorded</streamType>\
-            <bootstrapInfo fragmentDuration=\"4\"/><media bitrate=\"500\" url=\"u\"/></manifest>";
-        assert!(parse_f4m(no_duration).is_err());
+    fn write_f4m_output_is_pinned() {
+        let vod = r##"<?xml version="1.0" encoding="UTF-8"?>
+<manifest xmlns="http://ns.adobe.com/f4m/1.0">
+  <id>v009f3c</id>
+  <streamType>recorded</streamType>
+  <baseURL>https://edge.cdn-a.example.net/p0042</baseURL>
+  <duration>2400.000</duration>
+  <bootstrapInfo profile="named" id="bootstrap0" fragmentDuration="6.000"/>
+  <media bitrate="400" width="416" height="234" url="v009f3c/v400/" bootstrapInfoId="bootstrap0"/>
+  <media bitrate="1600" width="768" height="432" url="v009f3c/v1600/" bootstrapInfoId="bootstrap0"/>
+  <media bitrate="3200" width="1280" height="720" url="v009f3c/v3200/" bootstrapInfoId="bootstrap0"/>
+</manifest>
+"##;
+        let live = r##"<?xml version="1.0" encoding="UTF-8"?>
+<manifest xmlns="http://ns.adobe.com/f4m/1.0">
+  <id>v009f3c</id>
+  <streamType>live</streamType>
+  <baseURL>https://edge.cdn-a.example.net/p0042</baseURL>
+  <bootstrapInfo profile="named" id="bootstrap0" fragmentDuration="6.000"/>
+  <media bitrate="400" width="416" height="234" url="v009f3c/v400/" bootstrapInfoId="bootstrap0"/>
+  <media bitrate="1600" width="768" height="432" url="v009f3c/v1600/" bootstrapInfoId="bootstrap0"/>
+  <media bitrate="3200" width="1280" height="720" url="v009f3c/v3200/" bootstrapInfoId="bootstrap0"/>
+</manifest>
+"##;
+        assert_eq!(write_f4m(&tab1_presentation(false)), vod);
+        assert_eq!(write_f4m(&tab1_presentation(true)), live);
     }
 }

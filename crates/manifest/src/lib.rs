@@ -8,18 +8,20 @@
 //!
 //! * a protocol-neutral description of a packaged presentation
 //!   ([`types::MediaPresentation`]);
-//! * real writers and parsers for the four HTTP adaptive protocols —
-//!   HLS master/media playlists ([`hls`]), MPEG-DASH MPDs ([`dash`]),
-//!   SmoothStreaming client manifests ([`mss`]) and HDS `.f4m` manifests
-//!   ([`hds`]) — all round-trip tested;
-//! * a tiny dependency-free XML reader/writer ([`xml`]) shared by the three
+//! * the writers for what the packager publishes under each of the four
+//!   HTTP adaptive protocols — the HLS master playlist ([`hls`]), the
+//!   MPEG-DASH MPD ([`dash`]), the SmoothStreaming client manifest ([`mss`])
+//!   and the HDS `.f4m` manifest ([`hds`]) — each pinned byte for byte by a
+//!   golden test;
+//! * a tiny dependency-free XML writer ([`xml`]) shared by the three
 //!   XML-based formats;
 //! * the Table 1 URL classifier ([`url`]), including the RTMP scheme rule
 //!   and the progressive-download extension rule from §3's footnote.
 //!
 //! The telemetry pipeline never stores the protocol as a field: analytics
 //! re-infers it by calling [`url::classify`] on the manifest URL, exactly as
-//! the paper's methodology does.
+//! the paper's methodology does. No client reads a manifest body: the
+//! player is handed its ladder, so nothing here parses one.
 
 // Library policy, enforced by clippy (DESIGN.md §8); test builds are exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

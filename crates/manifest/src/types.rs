@@ -3,18 +3,9 @@
 use vmp_core::ladder::BitrateLadder;
 use vmp_core::units::{Kbps, Seconds};
 
-/// Errors from manifest writing and parsing.
+/// Errors from describing a presentation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManifestError {
-    /// Input text was not valid for the format.
-    Parse {
-        /// Format being parsed ("HLS", "MPD", ...).
-        format: &'static str,
-        /// Line number (1-based) where parsing failed, when known.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
     /// The presentation description is not expressible in the format.
     Unsupported {
         /// Format.
@@ -22,62 +13,13 @@ pub enum ManifestError {
         /// What was unsupported.
         message: String,
     },
-    /// Structurally valid input that exceeds a parser resource cap
-    /// (variant/segment/rendition counts, XML nesting). Caps keep a
-    /// malformed or hostile manifest from exhausting memory or stack.
-    Limit {
-        /// Format being parsed.
-        format: &'static str,
-        /// Which structure hit the cap ("variants", "segments", ...).
-        what: &'static str,
-        /// The cap that was exceeded.
-        limit: usize,
-    },
-    /// A numeric attribute whose value does not fit the model (a bandwidth
-    /// of more than `u32::MAX` kbps). Rejected, never wrapped: a truncating
-    /// cast would read `4294967297000` bps as a 1 kbps rung.
-    OutOfRange {
-        /// Format being parsed.
-        format: &'static str,
-        /// The attribute that carried the value ("BANDWIDTH", ...).
-        attribute: &'static str,
-        /// The value as written.
-        value: u64,
-    },
-}
-
-impl ManifestError {
-    pub(crate) fn parse(format: &'static str, line: usize, message: impl Into<String>) -> Self {
-        ManifestError::Parse { format, line, message: message.into() }
-    }
-
-    pub(crate) fn limit(format: &'static str, what: &'static str, limit: usize) -> Self {
-        ManifestError::Limit { format, what, limit }
-    }
-
-    /// Converts a bits-per-second `attribute` to [`Kbps`], rejecting a
-    /// value whose kbps do not fit a `u32`.
-    pub(crate) fn kbps(format: &'static str, attribute: &'static str, bps: u64) -> Result<Kbps, Self> {
-        u32::try_from(bps / 1000)
-            .map(Kbps)
-            .map_err(|_| ManifestError::OutOfRange { format, attribute, value: bps })
-    }
 }
 
 impl std::fmt::Display for ManifestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ManifestError::Parse { format, line, message } => {
-                write!(f, "{format} parse error at line {line}: {message}")
-            }
             ManifestError::Unsupported { format, message } => {
                 write!(f, "{format} cannot express: {message}")
-            }
-            ManifestError::Limit { format, what, limit } => {
-                write!(f, "{format} input exceeds {what} limit of {limit}")
-            }
-            ManifestError::OutOfRange { format, attribute, value } => {
-                write!(f, "{format} {attribute}={value} is out of range")
             }
         }
     }
@@ -86,8 +28,7 @@ impl std::fmt::Display for ManifestError {
 impl std::error::Error for ManifestError {}
 
 /// Everything a client needs to play a packaged title: the ladder, audio
-/// renditions, chunking and addressing. Each protocol writer renders this;
-/// each parser recovers it.
+/// renditions, chunking and addressing. Each protocol writer renders this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MediaPresentation {
     /// Opaque content identifier used in URLs (already anonymized).
@@ -205,6 +146,23 @@ impl PresentationBuilder {
     }
 }
 
+/// Table 1's sample title as the packager publishes it: the
+/// `[400, 1600, 3200]` kbps ladder with 128 kbps audio in 6 s chunks, on
+/// CDN A under publisher 42. A 40-minute VoD, or an open-ended live event.
+/// The writer goldens pin each protocol's rendering of both.
+#[cfg(test)]
+pub(crate) fn tab1_presentation(live: bool) -> MediaPresentation {
+    let ladder = BitrateLadder::from_bitrates(&[400, 1600, 3200]).unwrap();
+    let mut builder = PresentationBuilder::new("v009f3c", ladder)
+        .audio(vec![Kbps(128)])
+        .chunk_duration(Seconds(6.0))
+        .base_url("https://edge.cdn-a.example.net/p0042");
+    if !live {
+        builder = builder.vod(Seconds::from_minutes(40.0));
+    }
+    builder.build().unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,10 +207,8 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = ManifestError::parse("HLS", 3, "bad tag");
-        assert_eq!(e.to_string(), "HLS parse error at line 3: bad tag");
-        let e = ManifestError::kbps("MPD", "bandwidth", 4_294_967_297_000).unwrap_err();
-        assert_eq!(e.to_string(), "MPD bandwidth=4294967297000 is out of range");
-        assert_eq!(ManifestError::kbps("MPD", "bandwidth", 4_294_967_295_999), Ok(Kbps(u32::MAX)));
+        let e = PresentationBuilder::new("v1", ladder()).base_url("").build().unwrap_err();
+        assert_eq!(e.to_string(), "presentation cannot express: base URL must not be empty");
     }
 }
+

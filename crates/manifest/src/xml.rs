@@ -1,11 +1,9 @@
-//! A minimal XML reader/writer.
+//! A minimal XML writer.
 //!
 //! Three of the four manifest formats (DASH MPD, SmoothStreaming, HDS F4M)
-//! are XML documents. We only need well-formed element/attribute/text
-//! documents that we ourselves generate, so this module implements a small,
-//! strict subset: elements, attributes, text content, self-closing tags,
-//! comments, processing instructions, and the five predefined entities.
-//! No namespaces resolution (prefixes are kept verbatim), no DTDs, no CDATA.
+//! are XML documents. The writers build an [`Element`] tree and serialize
+//! it: elements, attributes, text content and self-closing tags, with the
+//! five predefined entities escaped. Namespace prefixes are kept verbatim.
 
 use std::fmt::Write as _;
 
@@ -18,7 +16,7 @@ pub struct Element {
     pub attributes: Vec<(String, String)>,
     /// Child elements in document order.
     pub children: Vec<Element>,
-    /// Concatenated text content directly inside this element.
+    /// Text content directly inside this element.
     pub text: String,
 }
 
@@ -44,29 +42,6 @@ impl Element {
     pub fn with_text(mut self, text: impl Into<String>) -> Element {
         self.text = text.into();
         self
-    }
-
-    /// Looks up an attribute value.
-    pub fn get_attr(&self, key: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Looks up an attribute and parses it.
-    pub fn parse_attr<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.get_attr(key)?.parse().ok()
-    }
-
-    /// First child with the given tag name.
-    pub fn find(&self, name: &str) -> Option<&Element> {
-        self.children.iter().find(|c| c.name == name)
-    }
-
-    /// All children with the given tag name.
-    pub fn find_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.children.iter().filter(move |c| c.name == name)
     }
 
     /// Serializes the tree as a document with an XML declaration.
@@ -122,261 +97,9 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn unescape(s: &str) -> Result<String, XmlError> {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        rest = &rest[amp..];
-        let semi = rest
-            .find(';')
-            .ok_or_else(|| XmlError::new(0, "unterminated entity"))?;
-        let entity = &rest[1..semi];
-        match entity {
-            "amp" => out.push('&'),
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
-            other => return Err(XmlError::new(0, format!("unknown entity &{other};"))),
-        }
-        rest = &rest[semi + 1..];
-    }
-    out.push_str(rest);
-    Ok(out)
-}
-
-/// XML parse error with byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlError {
-    /// Byte offset where the error was detected.
-    pub offset: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl XmlError {
-    fn new(offset: usize, message: impl Into<String>) -> XmlError {
-        XmlError { offset, message: message.into() }
-    }
-}
-
-impl std::fmt::Display for XmlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "XML error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for XmlError {}
-
-/// Maximum element nesting the parser accepts. Real manifests are a handful
-/// of levels deep; without a cap, a malformed `<a><a><a>…` document drives
-/// the recursive-descent parser into a stack overflow instead of an error.
-const MAX_DEPTH: usize = 64;
-
-/// Parses a document into its root element.
-pub fn parse(input: &str) -> Result<Element, XmlError> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0, depth: 0 };
-    p.skip_misc()?;
-    let root = p.parse_element()?;
-    p.skip_misc()?;
-    if p.pos != p.input.len() {
-        return Err(XmlError::new(p.pos, "trailing content after root element"));
-    }
-    Ok(root)
-}
-
-struct Parser<'a> {
-    input: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Skips whitespace, XML declarations / processing instructions and
-    /// comments between elements.
-    fn skip_misc(&mut self) -> Result<(), XmlError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                let end = self.find("?>")?;
-                self.pos = end + 2;
-            } else if self.starts_with("<!--") {
-                let end = self.find("-->")?;
-                self.pos = end + 3;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn find(&self, needle: &str) -> Result<usize, XmlError> {
-        let hay = &self.input[self.pos..];
-        hay.windows(needle.len())
-            .position(|w| w == needle.as_bytes())
-            .map(|i| self.pos + i)
-            .ok_or_else(|| XmlError::new(self.pos, format!("expected '{needle}'")))
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), XmlError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(XmlError::new(self.pos, format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b':' | b'.') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(XmlError::new(start, "expected a name"));
-        }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
-    }
-
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(XmlError::new(
-                self.pos,
-                format!("element nesting exceeds {MAX_DEPTH} levels"),
-            ));
-        }
-        let element = self.parse_element_inner();
-        self.depth -= 1;
-        element
-    }
-
-    fn parse_element_inner(&mut self) -> Result<Element, XmlError> {
-        self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.pos += 1;
-                    self.expect(b'>')?;
-                    return Ok(element); // self-closing
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => {
-                    let key = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect(b'=')?;
-                    self.skip_ws();
-                    let quote = self.peek().ok_or_else(|| XmlError::new(self.pos, "eof in attribute"))?;
-                    if quote != b'"' && quote != b'\'' {
-                        return Err(XmlError::new(self.pos, "attribute value must be quoted"));
-                    }
-                    self.pos += 1;
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == quote {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    self.expect(quote)?;
-                    element.attributes.push((key, unescape(&raw)?));
-                }
-                None => return Err(XmlError::new(self.pos, "eof inside tag")),
-            }
-        }
-        // Content: text, children, comments, until the matching close tag.
-        loop {
-            if self.starts_with("<!--") {
-                let end = self.find("-->")?;
-                self.pos = end + 3;
-                continue;
-            }
-            if self.starts_with("</") {
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != element.name {
-                    return Err(XmlError::new(
-                        self.pos,
-                        format!("mismatched close tag: <{}> vs </{close}>", element.name),
-                    ));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                element.text = element.text.trim().to_string();
-                return Ok(element);
-            }
-            match self.peek() {
-                Some(b'<') => {
-                    let child = self.parse_element()?;
-                    element.children.push(child);
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    element.text.push_str(&unescape(&raw)?);
-                }
-                None => {
-                    return Err(XmlError::new(
-                        self.pos,
-                        format!("eof before </{}>", element.name),
-                    ))
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn build_serialize_parse_round_trip() {
-        let doc = Element::new("MPD")
-            .attr("minBufferTime", "PT1.5S")
-            .attr("type", "static")
-            .child(
-                Element::new("Period").child(
-                    Element::new("AdaptationSet")
-                        .attr("mimeType", "video/mp4")
-                        .child(Element::new("Representation").attr("bandwidth", "800000")),
-                ),
-            );
-        let text = doc.to_document();
-        let parsed = parse(&text).unwrap();
-        assert_eq!(parsed, doc);
-    }
 
     #[test]
     fn text_content_and_entities() {
@@ -384,47 +107,6 @@ mod tests {
         let text = doc.to_document();
         assert!(text.contains("&lt;"));
         assert!(text.contains("&amp;"));
-        let parsed = parse(&text).unwrap();
-        assert_eq!(parsed.text, "a < b & \"c\"");
-    }
-
-    #[test]
-    fn self_closing_and_comments() {
-        let parsed = parse(
-            "<?xml version=\"1.0\"?>\n<!-- hi -->\n<root a='1'><leaf/><!-- mid --><leaf b=\"2\"/></root>",
-        )
-        .unwrap();
-        assert_eq!(parsed.children.len(), 2);
-        assert_eq!(parsed.get_attr("a"), Some("1"));
-        assert_eq!(parsed.children[1].get_attr("b"), Some("2"));
-    }
-
-    #[test]
-    fn find_helpers() {
-        let doc = Element::new("r")
-            .child(Element::new("x").attr("v", "10"))
-            .child(Element::new("y"))
-            .child(Element::new("x").attr("v", "20"));
-        assert_eq!(doc.find("y").unwrap().name, "y");
-        assert_eq!(doc.find_all("x").count(), 2);
-        assert_eq!(doc.find("x").unwrap().parse_attr::<u32>("v"), Some(10));
-        assert_eq!(doc.find("z"), None);
-    }
-
-    #[test]
-    fn errors_are_reported() {
-        assert!(parse("<a><b></a>").is_err()); // mismatched
-        assert!(parse("<a>").is_err()); // unterminated
-        assert!(parse("<a b=c/>").is_err()); // unquoted attr
-        assert!(parse("<a/><b/>").is_err()); // two roots
-        assert!(parse("<a>&bogus;</a>").is_err()); // unknown entity
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn namespace_prefixes_survive() {
-        let parsed = parse("<smil:root xmlns:smil=\"x\"><smil:child/></smil:root>").unwrap();
-        assert_eq!(parsed.name, "smil:root");
-        assert_eq!(parsed.children[0].name, "smil:child");
+        assert!(text.contains("<note>a &lt; b &amp; &quot;c&quot;</note>"));
     }
 }

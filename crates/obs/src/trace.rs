@@ -13,6 +13,7 @@
 //! Phases used: `X` (complete slice), `C` (counter), `i` (instant), `M`
 //! (metadata naming the two trace processes).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -35,8 +36,9 @@ const TRACE_CAPACITY: usize = 200_000;
 /// One Chrome `trace_event` entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (span stage, counter name, marker label).
-    pub name: String,
+    /// Event name (span stage, counter name, marker label). Span slices
+    /// borrow their static stage name instead of allocating a copy.
+    pub name: Cow<'static, str>,
     /// Phase: `X` complete, `C` counter, `i` instant, `M` metadata.
     pub ph: char,
     /// Timestamp in microseconds (wall offset from epoch, or virtual).
@@ -56,7 +58,7 @@ impl TraceEvent {
     /// optional fields Chrome does not expect on this phase.
     fn to_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = vec![
-            ("name".into(), Value::Str(self.name.clone())),
+            ("name".into(), Value::Str(self.name.to_string())),
             ("ph".into(), Value::Str(self.ph.to_string())),
             ("ts".into(), Value::U64(self.ts)),
             ("pid".into(), Value::U64(self.pid)),
@@ -104,7 +106,7 @@ fn push_current(
         return;
     }
     crate::recorder::with_current(|r| {
-        let name = name.to_string();
+        let name = Cow::Owned(name.to_string());
         r.chrome_trace().push(TraceEvent { name, ph, ts, dur: None, pid, tid: 0, args: args() });
     });
 }
@@ -143,7 +145,7 @@ impl ChromeTrace {
     pub(crate) fn record_slice(&self, name: &'static str, dur_us: u64) {
         let end_us = self.elapsed_us();
         self.push(TraceEvent {
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             ph: 'X',
             ts: end_us.saturating_sub(dur_us),
             dur: Some(dur_us),
@@ -157,6 +159,17 @@ impl ChromeTrace {
     /// excluded).
     pub fn events(&self) -> Vec<TraceEvent> {
         self.events.lock().clone()
+    }
+
+    /// Number of retained trace events (metadata excluded), read without
+    /// copying them.
+    pub fn len(&self) -> usize {
+        self.events.lock().len()
+    }
+
+    /// True when no trace event has been retained.
+    pub fn is_empty(&self) -> bool {
+        self.events.lock().is_empty()
     }
 
     /// Number of trace events discarded because the buffer was full.
@@ -233,7 +246,7 @@ mod tests {
         let _installed = quiet.install();
         trace_counter("quiet", 10, &[("v", 1.0)]);
         trace_instant("quiet", 10, "nothing");
-        assert!(quiet.chrome_trace().events().is_empty());
+        assert!(quiet.chrome_trace().is_empty());
     }
 
     #[test]
@@ -244,7 +257,10 @@ mod tests {
             trace_counter("monitor.fatal_rate", 1_000_000, &[("cdn=A", 0.25)]);
             trace_instant("alert", 2_000_000, "cdn=A fatal-exit");
         }
-        let json = recorder.chrome_trace().to_json();
+        let trace = recorder.chrome_trace();
+        assert_eq!(trace.len(), 2);
+        assert_eq!(trace.len(), trace.events().len());
+        let json = trace.to_json();
         let doc: Value = serde_json::from_str(&json).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents array");
         let ph = |e: &Value| e.get("ph").and_then(Value::as_str).unwrap_or("").to_string();
@@ -281,7 +297,7 @@ mod tests {
                         let _ = started.send(());
                     }
                 }
-                assert!(untraced.chrome_trace().events().is_empty());
+                assert!(untraced.chrome_trace().is_empty());
             });
             let _installed = recorder.install();
             running.recv().expect("the other thread records");

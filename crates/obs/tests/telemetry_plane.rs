@@ -106,7 +106,7 @@ fn nested_installs_restore_the_previous_recorder() {
 
     let paths: Vec<String> = outer.profile().entries().into_iter().map(|e| e.path).collect();
     assert_eq!(paths, ["tp_outer_only"]);
-    let names: Vec<String> = inner.chrome_trace().events().into_iter().map(|e| e.name).collect();
+    let names: Vec<_> = inner.chrome_trace().events().into_iter().map(|e| e.name).collect();
     assert_eq!(names, ["tp_inner_only"]);
     assert_eq!(reg.histogram("tp_unrecorded").count(), 1, "metrics record without a recorder");
 }

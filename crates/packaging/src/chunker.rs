@@ -111,20 +111,6 @@ impl ChunkingPlan {
     pub fn total_duration(&self) -> Seconds {
         self.chunks.iter().map(|c| c.duration).sum()
     }
-
-    /// The chunk containing media time `t`, if within the plan.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "callers pass non-negative times; the lookup is bounds-checked"
-    )]
-    pub fn chunk_at(&self, t: Seconds) -> Option<&Chunk> {
-        if t.0 < 0.0 {
-            return None;
-        }
-        let idx = (t.0 / self.chunk_duration.0).floor() as usize;
-        self.chunks.get(idx)
-    }
 }
 
 #[cfg(test)]
@@ -176,19 +162,6 @@ mod tests {
         assert!(ts.total_bytes() > bare.total_bytes());
         let ratio = ts.total_bytes().0 as f64 / bare.total_bytes().0 as f64;
         assert!((ratio - 1.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn chunk_lookup_by_time() {
-        let plan =
-            ChunkingPlan::new(Kbps(1000), Seconds(30.0), Seconds(6.0), Addressing::ChunkFiles, 1.0)
-                .unwrap();
-        assert_eq!(plan.chunk_at(Seconds(0.0)).unwrap().index, 0);
-        assert_eq!(plan.chunk_at(Seconds(5.999)).unwrap().index, 0);
-        assert_eq!(plan.chunk_at(Seconds(6.0)).unwrap().index, 1);
-        assert_eq!(plan.chunk_at(Seconds(29.9)).unwrap().index, 4);
-        assert!(plan.chunk_at(Seconds(31.0)).is_none());
-        assert!(plan.chunk_at(Seconds(-1.0)).is_none());
     }
 
     #[test]

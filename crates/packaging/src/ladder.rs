@@ -4,20 +4,12 @@
 //! to follow streaming-protocol guidelines — e.g. HLS recommends at least
 //! one rung under 192 kbps and successive rungs within a 1.5–2×
 //! multiplicative step. [`LadderSpec`] captures those rules; the builder
-//! produces deterministic ladders, optionally jittered per title to model
-//! per-title encode optimization (the Netflix practice cited in §6).
+//! produces deterministic ladders.
 
 use vmp_core::error::CoreError;
 use vmp_core::ladder::{BitrateLadder, LadderRung, Resolution};
 use vmp_core::protocol::Codec;
 use vmp_core::units::Kbps;
-use vmp_stats::Rng;
-
-/// HLS authoring guideline: lowest rung at or below this bitrate.
-pub const GUIDELINE_FLOOR: Kbps = Kbps(192);
-
-/// Guideline bounds for the ratio between successive rungs.
-pub const GUIDELINE_STEP: (f64, f64) = (1.5, 2.0);
 
 /// Declarative ladder specification.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,36 +73,6 @@ impl LadderSpec {
         }
         BitrateLadder::new(bitrates.into_iter().map(|b| rung(Kbps(b), self.codec)).collect())
     }
-
-    /// Builds a per-title variant: each interior rung jittered by up to
-    /// ±`jitter` (relative), endpoints preserved — modeling per-title encode
-    /// optimization. Deterministic given the RNG stream.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "jittered bitrates are positive kbps; `as` saturates"
-    )]
-    pub fn build_per_title(&self, jitter: f64, rng: &mut Rng) -> Result<BitrateLadder, CoreError> {
-        let base = self.build()?;
-        let n = base.len();
-        let mut bitrates: Vec<u32> = base.bitrates().iter().map(|b| b.0).collect();
-        for (i, b) in bitrates.iter_mut().enumerate() {
-            if i == 0 || i + 1 == n {
-                continue;
-            }
-            let factor = 1.0 + rng.range_f64(-jitter, jitter);
-            *b = ((*b as f64 * factor).round() as u32).max(1);
-        }
-        bitrates.sort_unstable();
-        bitrates.dedup();
-        BitrateLadder::new(bitrates.into_iter().map(|b| rung(Kbps(b), self.codec)).collect())
-    }
-
-    /// Checks the HLS guidelines: floor under 192 kbps and max step ≤ 2.0
-    /// (+5% slack for grid rounding).
-    pub fn is_guideline_compliant(ladder: &BitrateLadder) -> bool {
-        ladder.min().bitrate <= GUIDELINE_FLOOR && ladder.max_step_ratio() <= GUIDELINE_STEP.1 * 1.05
-    }
 }
 
 fn rung(bitrate: Kbps, codec: Codec) -> LadderRung {
@@ -140,8 +102,10 @@ mod tests {
     fn guideline_spec_is_compliant() {
         for top in [1000u32, 3000, 6000, 8500, 20_000] {
             let ladder = LadderSpec::guideline(Kbps(top)).build().unwrap();
+            // The HLS guidelines: a floor under 192 kbps and steps of at
+            // most 2× (+5 % slack for grid rounding).
             assert!(
-                LadderSpec::is_guideline_compliant(&ladder),
+                ladder.min().bitrate <= Kbps(192) && ladder.max_step_ratio() <= 2.0 * 1.05,
                 "top {top}: floor {}, step {}",
                 ladder.min().bitrate,
                 ladder.max_step_ratio()
@@ -175,21 +139,6 @@ mod tests {
         assert!(zero.build().is_err());
         let inverted = LadderSpec { floor: Kbps(500), top: Kbps(100), rungs: 3, codec: Codec::H264 };
         assert!(inverted.build().is_err());
-    }
-
-    #[test]
-    fn per_title_variants_differ_but_keep_endpoints() {
-        let spec = LadderSpec { floor: Kbps(150), top: Kbps(8000), rungs: 9, codec: Codec::H264 };
-        let base = spec.build().unwrap();
-        let mut rng = Rng::seed_from(99);
-        let variant = spec.build_per_title(0.15, &mut rng).unwrap();
-        assert_eq!(variant.min().bitrate, base.min().bitrate);
-        assert_eq!(variant.max().bitrate, base.max().bitrate);
-        assert_ne!(variant.bitrates(), base.bitrates());
-        // Deterministic per stream.
-        let mut rng2 = Rng::seed_from(99);
-        let variant2 = spec.build_per_title(0.15, &mut rng2).unwrap();
-        assert_eq!(variant.bitrates(), variant2.bitrates());
     }
 
     #[test]

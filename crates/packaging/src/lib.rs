@@ -7,7 +7,7 @@
 //!
 //! * [`ladder`] builds guideline-compliant bitrate ladders (the HLS
 //!   authoring guidelines the paper cites in §6: a rung under 192 kbps and
-//!   successive rungs within 1.5–2×), plus per-title variants.
+//!   successive rungs within 1.5–2×).
 //! * [`transcode`] models the encoding stage: CPU cost and live latency per
 //!   rung, optional DRM wrapping.
 //! * [`chunker`] splits an encoding into fixed-playback-duration chunks (or

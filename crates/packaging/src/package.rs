@@ -272,15 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn hls_manifest_parses_back() {
-        let pkg = Packager::default()
-            .package(&asset(), &ladder(), StreamingProtocol::Hls, CdnName::B, PublisherId::new(1))
-            .unwrap();
-        let master = hls::parse_master(&pkg.manifest_body).unwrap();
-        assert_eq!(master.variants.len(), 4);
-    }
-
-    #[test]
     fn storage_matches_bitrate_times_duration() {
         let packager =
             Packager { audio_bitrates: vec![], byte_range: false, ..Packager::default() };

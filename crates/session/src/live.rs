@@ -5,8 +5,9 @@
 //! that VoD never exhibits:
 //!
 //! 1. **Everyone wants the same bytes.** Chunk keys derive from the event's
-//!    *media sequence* (the `#EXT-X-MEDIA-SEQUENCE` counter in the sliding
-//!    live manifest), not from a per-session chunk index, so ten thousand
+//!    *media sequence* (the `#EXT-X-MEDIA-SEQUENCE` counter of a sliding
+//!    live playlist, computed here from the clock; no playlist is written),
+//!    not from a per-session chunk index, so ten thousand
 //!    viewers at the live edge request the *same* chunk in the same few
 //!    seconds — synchronized request phases.
 //! 2. **The live edge paces everyone.** A chunk does not exist until the
@@ -27,9 +28,6 @@ use vmp_cdn::capacity::EdgeCapacity;
 use vmp_cdn::shield::OriginShield;
 use vmp_core::cdn::CdnName;
 use vmp_core::units::{Kbps, Seconds};
-use vmp_manifest::hls::{write_live_media, MediaPlaylist};
-use vmp_manifest::types::ManifestError;
-use vmp_manifest::types::MediaPresentation;
 
 /// The shared timeline of one live event: when it starts, how fast the
 /// encoder publishes, and how many segments the manifest window advertises.
@@ -89,24 +87,6 @@ impl LiveWindow {
     pub fn chunk_key(&self, sequence: u64, bitrate: Kbps) -> u64 {
         sequence ^ (bitrate.0 as u64) << 40 ^ self.salt
     }
-
-    /// Renders the sliding live manifest a viewer polling at `clock` sees:
-    /// the newest `window_size` published segments with
-    /// `#EXT-X-MEDIA-SEQUENCE` advanced accordingly. Round-trips through
-    /// the HLS writer and parser, so the error is surfaced rather than
-    /// assumed away.
-    pub fn manifest_at(
-        &self,
-        presentation: &MediaPresentation,
-        rung_index: usize,
-        clock: Seconds,
-    ) -> Result<MediaPlaylist, ManifestError> {
-        let rungs = presentation.ladder.rungs();
-        let rung = rungs[rung_index.min(rungs.len().saturating_sub(1))];
-        let text =
-            write_live_media(presentation, &rung, self.oldest_at(clock), self.window_size as usize);
-        vmp_manifest::hls::parse_media(&text)
-    }
 }
 
 /// The per-CDN overload-protection state shared by every session in a
@@ -135,8 +115,6 @@ impl SurgeLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmp_core::ladder::BitrateLadder;
-    use vmp_manifest::types::PresentationBuilder;
 
     fn window() -> LiveWindow {
         LiveWindow::new(Seconds(100.0), 0xE4E47)
@@ -169,21 +147,5 @@ mod tests {
         assert_ne!(lw.chunk_key(3, Kbps(800)), lw.chunk_key(4, Kbps(800)));
         let other_event = LiveWindow::new(Seconds(100.0), 0xBEEF);
         assert_ne!(lw.chunk_key(3, Kbps(800)), other_event.chunk_key(3, Kbps(800)));
-    }
-
-    #[test]
-    fn manifest_at_renders_the_sliding_window() {
-        let lw = window();
-        let p = PresentationBuilder::new("ev", BitrateLadder::from_bitrates(&[800]).unwrap())
-            .chunk_duration(Seconds(4.0))
-            .build()
-            .unwrap();
-        let early = lw.manifest_at(&p, 0, Seconds(100.0)).unwrap();
-        assert_eq!(early.media_sequence, 0);
-        assert!(!early.ended);
-        let later = lw.manifest_at(&p, 0, Seconds(140.0)).unwrap();
-        assert_eq!(later.media_sequence, 5);
-        assert_eq!(later.segments.len(), 6);
-        assert_eq!(later.segments[0].uri, "ev/v800/live-00005.ts");
     }
 }

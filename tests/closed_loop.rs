@@ -3,34 +3,9 @@
 //! "know" another's intent out of band.
 
 use vmp::core::prelude::*;
-use vmp::manifest::{classify, dash, hls};
+use vmp::manifest::classify;
 use vmp::packaging::ladder::LadderSpec;
 use vmp::packaging::package::Packager;
-
-#[test]
-fn packager_manifest_parses_back_to_the_same_ladder() {
-    let ladder = LadderSpec::guideline(Kbps(8000)).build().unwrap();
-    let asset = VideoAsset::vod(VideoId::new(11), Seconds::from_minutes(30.0));
-    let packager = Packager::default();
-
-    // DASH: full presentation round trip.
-    let pkg = packager
-        .package(&asset, &ladder, StreamingProtocol::Dash, CdnName::B, PublisherId::new(3))
-        .unwrap();
-    let parsed = dash::parse_mpd(&pkg.manifest_body).unwrap();
-    assert_eq!(parsed.ladder.bitrates(), ladder.bitrates());
-    assert!((parsed.total_duration.unwrap().0 - 1800.0).abs() < 1e-2);
-
-    // HLS: the master's variants recover the ladder through the declared
-    // audio rendition.
-    let pkg = packager
-        .package(&asset, &ladder, StreamingProtocol::Hls, CdnName::A, PublisherId::new(3))
-        .unwrap();
-    let master = hls::parse_master(&pkg.manifest_body).unwrap();
-    let audio = master.audio.iter().filter_map(|a| a.bitrate()).max().unwrap();
-    let recovered: Vec<Kbps> = master.variants.iter().map(|v| v.video_bitrate(audio)).collect();
-    assert_eq!(recovered, *ladder.bitrates());
-}
 
 #[test]
 fn urls_classify_for_every_protocol_cdn_pair() {
